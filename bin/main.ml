@@ -123,6 +123,7 @@ let observe_event_run ctx trace (r : Event_sim.result) =
   warn_fallbacks ctx r;
   Metrics.incr ~by:r.Event_sim.events "sim.event.instances";
   Metrics.incr ~by:r.Event_sim.fallbacks "sim.event.fallbacks";
+  Metrics.incr ~by:r.Event_sim.coalesced "sim.event.dram_coalesced";
   if trace <> None then Option.iter Sim_trace.record r.Event_sim.timeline
 
 let observe_cache cache =

@@ -75,108 +75,132 @@ let virtual_span ?(cat = "sim") ~track ~name ~start ~finish ?(args = []) () =
 (* --------------------------- serialization ------------------------- *)
 
 (* canonical float text: integers print without a fraction, everything
-   else with a fixed number of digits — deterministic across runs *)
-let float_str f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.4f" f
+   else with a fixed number of digits — deterministic across runs.
+   Integers below 1e15 are exact in an [int], so their digits are written
+   directly; [-0.] keeps the sign [%.0f] gives it *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+let add_int b n =
+  if n < 0 then Buffer.add_string b (string_of_int n) else add_digits b n
+
+let add_float b f =
+  if Float.is_integer f && Float.abs f < 1e15 then
+    if f = 0.0 && Float.sign_bit f then Buffer.add_string b "-0"
+    else add_int b (int_of_float f)
+  else Buffer.add_string b (Printf.sprintf "%.4f" f)
+
+let float_str f =
+  let b = Buffer.create 24 in
+  add_float b f;
   Buffer.contents b
 
-let arg_str = function
-  | Int i -> string_of_int i
-  | Float f -> float_str f
-  | Str s -> "\"" ^ escape s ^ "\""
-
-let args_str = function
-  | [] -> "{}"
-  | args ->
-      "{"
-      ^ String.concat ", "
-          (List.map (fun (k, v) -> "\"" ^ escape k ^ "\": " ^ arg_str v) args)
-      ^ "}"
+let add_escaped b s =
+  let plain c = c <> '"' && c <> '\\' && Char.code c >= 0x20 in
+  if String.for_all plain s then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s
 
 let ph_str = function B -> "B" | E -> "E" | X -> "X" | M -> "M"
 
-let event_line tid ev =
-  let dur =
-    match ev.ph with X -> Printf.sprintf ", \"dur\": %s" (float_str ev.dur) | _ -> ""
-  in
-  Printf.sprintf
-    "{\"ph\": \"%s\", \"name\": \"%s\", \"cat\": \"%s\", \"pid\": %d, \
-     \"tid\": %d, \"ts\": %s%s, \"args\": %s}"
-    (ph_str ev.ph) (escape ev.name) (escape ev.cat) ev.pid tid
-    (float_str ev.ts) dur (args_str ev.args)
+(* one event as one JSON object, straight into [b] *)
+let add_event b tid ev =
+  let str = Buffer.add_string b in
+  str "{\"ph\": \"";
+  str (ph_str ev.ph);
+  str "\", \"name\": \"";
+  add_escaped b ev.name;
+  str "\", \"cat\": \"";
+  add_escaped b ev.cat;
+  str "\", \"pid\": ";
+  add_int b ev.pid;
+  str ", \"tid\": ";
+  add_int b tid;
+  str ", \"ts\": ";
+  add_float b ev.ts;
+  if ev.ph = X then begin
+    str ", \"dur\": ";
+    add_float b ev.dur
+  end;
+  str ", \"args\": {";
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then str ", ";
+      str "\"";
+      add_escaped b k;
+      str "\": ";
+      match v with
+      | Int n -> add_int b n
+      | Float f -> add_float b f
+      | Str s ->
+          str "\"";
+          add_escaped b s;
+          str "\"")
+    ev.args;
+  str "}}"
 
 let snapshot () = with_lock (fun () -> List.rev !events)
 
-(* tracks of a pid, in deterministic (sorted) order *)
-let tracks_of evs pid =
-  List.sort_uniq String.compare
-    (List.filter_map (fun e -> if e.pid = pid then Some e.track else None) evs)
-
 let to_json () =
-  let evs = snapshot () in
-  let vtracks = tracks_of evs virtual_pid in
-  let wtracks = tracks_of evs wall_pid in
-  let tid_of pid track =
-    let ts = if pid = virtual_pid then vtracks else wtracks in
-    let rec idx i = function
-      | [] -> 0
-      | t :: _ when String.equal t track -> i
-      | _ :: rest -> idx (i + 1) rest
+  let newest_first = with_lock (fun () -> !events) in
+  (* each pid's events grouped by track; consing newest-first leaves every
+     group in record order (the recorder guarantees per-track timestamp
+     order) *)
+  let vgroups = Hashtbl.create 64 and wgroups = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      let groups = if e.pid = virtual_pid then vgroups else wgroups in
+      match Hashtbl.find_opt groups e.track with
+      | Some g -> g := e :: !g
+      | None -> Hashtbl.add groups e.track (ref [ e ]))
+    newest_first;
+  (* a track's tid is its 1-based rank among its pid's track names *)
+  let by_name groups =
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (Hashtbl.fold (fun track g acc -> (track, !g) :: acc) groups [])
+  in
+  let vtracks = by_name vgroups and wtracks = by_name wgroups in
+  let b = Buffer.create (128 * (List.length newest_first + 16)) in
+  Buffer.add_string b "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
+  let first = ref true in
+  let emit tid ev =
+    if !first then first := false else Buffer.add_string b ",\n";
+    add_event b tid ev
+  in
+  (* process/thread names first, so Perfetto labels the tracks; metadata
+     for the wall pid is tagged onto it and stripped with it *)
+  let names pid process tracks =
+    let meta name track label =
+      { ph = M; name; cat = "meta"; pid; track; ts = 0.0; dur = 0.0;
+        args = [ ("name", Str label) ] }
     in
-    1 + idx 0 ts
+    if tracks <> [] then begin
+      emit 1 (meta "process_name" "" process);
+      List.iteri
+        (fun i (track, _) -> emit (i + 1) (meta "thread_name" track track))
+        tracks
+    end
   in
-  let meta =
-    (* process/thread names so Perfetto labels the tracks; metadata for
-       the wall pid is tagged onto it and stripped with it *)
-    let proc pid name =
-      { ph = M; name = "process_name"; cat = "meta"; pid; track = "";
-        ts = 0.0; dur = 0.0; args = [ ("name", Str name) ] }
-    in
-    let threads pid =
-      List.map
-        (fun track ->
-          { ph = M; name = "thread_name"; cat = "meta"; pid; track; ts = 0.0;
-            dur = 0.0; args = [ ("name", Str track) ] })
-        (if pid = virtual_pid then vtracks else wtracks)
-    in
-    (if vtracks = [] then []
-     else proc virtual_pid "simulator (virtual cycles)" :: threads virtual_pid)
-    @
-    if wtracks = [] then []
-    else proc wall_pid "compiler (wall clock, us)" :: threads wall_pid
-  in
-  (* virtual events first (deterministic), then wall; within a pid the
-     events are grouped by track, each track keeping record order (the
-     recorder guarantees per-track timestamp order) *)
-  let body =
-    List.stable_sort
-      (fun a b ->
-        match compare (-a.pid) (-b.pid) with
-        | 0 -> compare (tid_of a.pid a.track) (tid_of b.pid b.track)
-        | c -> c)
-      evs
-  in
-  let lines =
-    List.map (fun ev -> event_line (tid_of ev.pid ev.track) ev) (meta @ body)
-  in
-  "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n"
-  ^ String.concat ",\n" lines
-  ^ "\n]}\n"
+  names virtual_pid "simulator (virtual cycles)" vtracks;
+  names wall_pid "compiler (wall clock, us)" wtracks;
+  (* then virtual events (deterministic) before wall, track by track *)
+  List.iter
+    (List.iteri (fun i (_, evs) -> List.iter (emit (i + 1)) evs))
+    [ vtracks; wtracks ];
+  Buffer.add_string b "\n]}\n";
+  Buffer.contents b
 
 let write file =
   let oc = open_out file in

@@ -24,25 +24,111 @@ type result = {
   report : Simulate.report;
   events : int;
   fallbacks : int;
+  coalesced : int;
   timeline : timeline option;
 }
 
 let max_events = 200_000
 
-(* Mutable simulation state: the DRAM interface as a calendar of busy
-   intervals (a request is granted the earliest idle gap at or after its
-   request time — so a transfer issued by a later-visited controller can
-   still use memory idle time before an earlier-visited one), the event
-   budget, and traffic accumulators. *)
+(* The DRAM interface as a calendar of busy intervals: an ordered map from
+   span start to span end.  Spans are disjoint and never touch (touching
+   spans merge), so the span holding or preceding a request time is one
+   [find_last_opt] away. *)
+module Dram_calendar = struct
+  module Cal = Map.Make (Float)
+
+  type t = { cal : float Cal.t; count : int; coalesced : int }
+
+  let empty = { cal = Cal.empty; count = 0; coalesced = 0 }
+  let spans c = Cal.bindings c.cal
+  let coalesced c = c.coalesced
+  let max_spans = 2048
+
+  (* add the busy span [a, b], merged with every span it touches (closed
+     rule: [e1 >= s2] merges) *)
+  let insert c (a, b) =
+    let start, stop, cal, removed =
+      match Cal.find_last_opt (fun s -> s <= a) c.cal with
+      | Some (s, e) when e >= a -> (s, Float.max e b, Cal.remove s c.cal, 1)
+      | _ -> (a, b, c.cal, 0)
+    in
+    let rec absorb stop cal removed =
+      match Cal.find_first_opt (fun s -> s >= start) cal with
+      | Some (s, e) when s <= stop ->
+          absorb (Float.max stop e) (Cal.remove s cal) (removed + 1)
+      | _ -> (stop, cal, removed)
+    in
+    let stop, cal, removed = absorb stop cal removed in
+    { c with cal = Cal.add start stop cal; count = c.count + 1 - removed }
+
+  (* keep the calendar bounded: beyond [max_spans] spans, conservatively
+     coalesce the oldest half into one busy span (requests rarely
+     back-fill that far; the approximation is pessimistic) *)
+  let bound c =
+    if c.count <= max_spans then c
+    else begin
+      let k = c.count / 2 in
+      let s0, _ = Cal.min_binding c.cal in
+      let rec drop i cal e_last =
+        if i = 0 then (cal, e_last)
+        else
+          let s, e = Cal.min_binding cal in
+          drop (i - 1) (Cal.remove s cal) e
+      in
+      let cal, e_last = drop k c.cal s0 in
+      { cal = Cal.add s0 e_last cal; count = c.count - k + 1;
+        coalesced = c.coalesced + 1 }
+    end
+
+  (* The interface time-multiplexes outstanding transfers at burst
+     granularity, so a request simply consumes the idle gaps of the
+     calendar in time order (preemptive FIFO) rather than needing one
+     contiguous slot. *)
+  let acquire c t dur =
+    if dur <= 0.0 then (c, t)
+    else begin
+      let cursor = Float.max t 0.0 in
+      (* every span before the last one starting at or before [cursor]
+         ends before it *)
+      let from =
+        match Cal.find_last_opt (fun s -> s <= cursor) c.cal with
+        | Some (s, _) -> s
+        | None -> cursor
+      in
+      let rec consume cursor remaining spans pieces =
+        match spans () with
+        | Seq.Nil -> ((cursor, cursor +. remaining) :: pieces, cursor +. remaining)
+        | Seq.Cons ((s, e), rest) ->
+            if e <= cursor then consume cursor remaining rest pieces
+            else if s <= cursor then consume e remaining rest pieces
+            else begin
+              let gap = s -. cursor in
+              if gap >= remaining then
+                ((cursor, cursor +. remaining) :: pieces, cursor +. remaining)
+              else consume e (remaining -. gap) rest ((cursor, s) :: pieces)
+            end
+      in
+      let pieces, fin = consume cursor dur (Cal.to_seq_from from c.cal) [] in
+      (bound (List.fold_left insert c pieces), fin)
+    end
+end
+
+module Smap = Map.Make (String)
+
+(* Mutable simulation state: the DRAM busy calendar (a request is granted
+   the earliest idle time at or after its request time, so a transfer
+   issued by a later-visited controller can still use memory idle time
+   before an earlier-visited one), the event budget, and traffic
+   accumulators keyed by array name. *)
 type st = {
   machine : Machine.t;
   sizes : (Sym.t * int) list;
-  mutable dram_cal : (float * float) list;  (** sorted disjoint busy spans *)
+  mutable dram_cal : Dram_calendar.t;
   mutable dram_busy : float;  (** accumulated DRAM-busy cycles *)
   mutable events : int;
   mutable fallbacks : int;
-  mutable reads : (string * float) list;
-  mutable writes : (string * float) list;
+  mutable reads : float Smap.t;
+  mutable writes : float Smap.t;
   record : bool;  (** collect the timeline *)
   mutable spans : span list;  (** newest first *)
 }
@@ -54,66 +140,22 @@ let push_span st ~track ~name ~start ~finish args =
         sp_args = args }
       :: st.spans
 
+(* per-array sums add in visit order *)
 let add st table (arr, words) =
-  let rec go = function
-    | [] -> [ (arr, words) ]
-    | (a, w) :: rest when a = arr -> (a, w +. words) :: rest
-    | x :: rest -> x :: go rest
+  let go =
+    Smap.update arr (function None -> Some words | Some w -> Some (w +. words))
   in
   match table with
   | `R -> st.reads <- go st.reads
   | `W -> st.writes <- go st.writes
 
-(* Acquire [dur] cycles of DRAM time starting no earlier than [t].  The
-   interface time-multiplexes outstanding transfers at burst granularity,
-   so a request simply consumes the idle gaps of the calendar in time
-   order (preemptive FIFO) rather than needing one contiguous slot.
-   Returns the completion time. *)
+(* Acquire [dur] cycles of DRAM time starting no earlier than [t]; returns
+   the completion time. *)
 let dram_transfer st t dur =
   if dur <= 0.0 then t
   else begin
     st.dram_busy <- st.dram_busy +. dur;
-    let rec consume cursor remaining spans acc_new =
-      match spans with
-      | [] -> ((cursor, cursor +. remaining) :: acc_new, cursor +. remaining)
-      | (s, e) :: rest ->
-          if e <= cursor then consume cursor remaining rest acc_new
-          else if s <= cursor then consume e remaining rest acc_new
-          else begin
-            let gap = s -. cursor in
-            if gap >= remaining then
-              ((cursor, cursor +. remaining) :: acc_new, cursor +. remaining)
-            else consume e (remaining -. gap) rest ((cursor, s) :: acc_new)
-          end
-    in
-    let new_spans, fin = consume (Float.max t 0.0) dur st.dram_cal [] in
-    let sorted =
-      List.sort compare (List.rev_append new_spans st.dram_cal)
-    in
-    let rec merge = function
-      | (s1, e1) :: (s2, e2) :: rest when e1 >= s2 ->
-          merge ((s1, Float.max e1 e2) :: rest)
-      | x :: rest -> x :: merge rest
-      | [] -> []
-    in
-    let cal = merge sorted in
-    (* keep the calendar bounded: beyond 2048 spans, conservatively
-       coalesce the oldest half into one busy span (requests rarely
-       back-fill that far; the approximation is pessimistic) *)
-    let cal =
-      let len = List.length cal in
-      if len <= 2048 then cal
-      else begin
-        let rec split i acc = function
-          | x :: rest when i > 0 -> split (i - 1) (x :: acc) rest
-          | rest -> (List.rev acc, rest)
-        in
-        let old, recent = split (len / 2) [] cal in
-        match (old, List.rev old) with
-        | (s0, _) :: _, (_, e_last) :: _ -> (s0, e_last) :: recent
-        | _ -> cal
-      end
-    in
+    let cal, fin = Dram_calendar.acquire st.dram_cal t dur in
     st.dram_cal <- cal;
     fin
   end
@@ -247,8 +289,9 @@ let rec exec st t (c : Hw.ctrl) =
 
 let run ?(machine = Machine.default) ?(record = false) (d : Hw.design) ~sizes =
   let st =
-    { machine; sizes; dram_cal = []; dram_busy = 0.0; events = 0;
-      fallbacks = 0; reads = []; writes = []; record; spans = [] }
+    { machine; sizes; dram_cal = Dram_calendar.empty; dram_busy = 0.0;
+      events = 0; fallbacks = 0; reads = Smap.empty; writes = Smap.empty;
+      record; spans = [] }
   in
   (* when recording, each top-level controller also gets a span on its
      own track (the same schedule exec applies: Seq chains, Par forks) *)
@@ -272,15 +315,16 @@ let run ?(machine = Machine.default) ?(record = false) (d : Hw.design) ~sizes =
   { report =
       { Simulate.cycles = fin;
         dram_cycles = st.dram_busy;
-        reads = List.sort compare st.reads;
-        writes = List.sort compare st.writes };
+        reads = Smap.bindings st.reads;
+        writes = Smap.bindings st.writes };
     events = st.events;
     fallbacks = st.fallbacks;
+    coalesced = Dram_calendar.coalesced st.dram_cal;
     timeline =
       (if record then
          Some
            { tl_spans = List.rev st.spans;
-             tl_dram_busy = st.dram_cal;
+             tl_dram_busy = Dram_calendar.spans st.dram_cal;
              tl_makespan = fin }
        else None) }
 

@@ -60,10 +60,38 @@ type result = {
   report : Simulate.report;
   events : int;  (** controller instances scheduled *)
   fallbacks : int;  (** subtrees beyond the event budget, analytic *)
+  coalesced : int;
+      (** times the DRAM calendar passed 2048 busy spans and its oldest
+          half was folded into one busy span; each such fold can only
+          delay later transfers that would have back-filled those gaps *)
   timeline : timeline option;  (** present iff [~record:true] *)
 }
 
 val max_events : int
+
+(** The shared DRAM interface: a calendar of busy intervals.  A request
+    for [dur] cycles at time [t] consumes the calendar's idle gaps in time
+    order from [max t 0] on (the interface time-multiplexes transfers at
+    burst granularity, so a request need not fit one contiguous slot).
+    Each transfer costs O(log n) in the calendar's span count n, plus
+    O(log n) per idle gap it consumes. *)
+module Dram_calendar : sig
+  type t
+
+  val empty : t
+
+  val acquire : t -> float -> float -> t * float
+  (** [acquire c t dur] books [dur] cycles no earlier than [t] and returns
+      the new calendar and the completion time.  [dur <= 0] books
+      nothing and completes at [t]. *)
+
+  val spans : t -> (float * float) list
+  (** the busy intervals, ascending, disjoint and non-touching *)
+
+  val coalesced : t -> int
+  (** how many times the calendar has passed 2048 spans and folded its
+      oldest half into one span *)
+end
 
 val run :
   ?machine:Machine.t ->

@@ -148,6 +148,129 @@ let test_cross_validation () =
         [ Experiments.Baseline; Experiments.Tiled; Experiments.Tiled_meta ])
     (Suite.all ())
 
+(* -------------------- DRAM calendar vs its oracle -------------------- *)
+
+(* The sorted-list calendar that [Event_sim.Dram_calendar] replaced, as the
+   reference: each request walks the calendar from its oldest span,
+   re-sorts and re-merges the whole list, and past 2048 spans coalesces
+   the oldest half into one span. *)
+module List_calendar = struct
+  type t = { cal : (float * float) list; coalesced : int }
+
+  let empty = { cal = []; coalesced = 0 }
+
+  let acquire c t dur =
+    if dur <= 0.0 then (c, t)
+    else begin
+      let rec consume cursor remaining spans acc_new =
+        match spans with
+        | [] -> ((cursor, cursor +. remaining) :: acc_new, cursor +. remaining)
+        | (s, e) :: rest ->
+            if e <= cursor then consume cursor remaining rest acc_new
+            else if s <= cursor then consume e remaining rest acc_new
+            else begin
+              let gap = s -. cursor in
+              if gap >= remaining then
+                ((cursor, cursor +. remaining) :: acc_new, cursor +. remaining)
+              else consume e (remaining -. gap) rest ((cursor, s) :: acc_new)
+            end
+      in
+      let new_spans, fin = consume (Float.max t 0.0) dur c.cal [] in
+      let sorted = List.sort compare (List.rev_append new_spans c.cal) in
+      let rec merge = function
+        | (s1, e1) :: (s2, e2) :: rest when e1 >= s2 ->
+            merge ((s1, Float.max e1 e2) :: rest)
+        | x :: rest -> x :: merge rest
+        | [] -> []
+      in
+      let cal = merge sorted in
+      let len = List.length cal in
+      if len <= 2048 then ({ c with cal }, fin)
+      else begin
+        let rec split i acc = function
+          | x :: rest when i > 0 -> split (i - 1) (x :: acc) rest
+          | rest -> (List.rev acc, rest)
+        in
+        let old, recent = split (len / 2) [] cal in
+        match (old, List.rev old) with
+        | (s0, _) :: _, (_, e_last) :: _ ->
+            ({ cal = (s0, e_last) :: recent; coalesced = c.coalesced + 1 }, fin)
+        | _ -> ({ c with cal }, fin)
+      end
+    end
+end
+
+let bits = Int64.bits_of_float
+
+let same_spans a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (s1, e1) (s2, e2) ->
+         Int64.equal (bits s1) (bits s2) && Int64.equal (bits e1) (bits e2))
+       a b
+
+(* Requests drawn from a seed and replayed on both calendars.  [fresh] is
+   the share of requests that open a new span a little past everything
+   booked so far (a long run of them outgrows 2048 spans); the rest
+   repeat the previous request time (ties), start where the previous
+   request's duration would end (touching spans), reach far into the
+   past, back-fill at fractional times with inexact durations, or ask for
+   nothing.  Completion times must agree bit for bit at every step, the
+   span lists every 64 steps and at the end.  Returns the number of
+   coalescings. *)
+let replay ~fresh ~n seed =
+  let module C = Event_sim.Dram_calendar in
+  let rng = Random.State.make [| seed |] in
+  let int k = float_of_int (Random.State.int rng k) in
+  let agree c o =
+    same_spans (C.spans c) o.List_calendar.cal
+    && C.coalesced c = o.List_calendar.coalesced
+  in
+  let rec go i c o horizon (t0, d0) =
+    if i = n then begin
+      if not (agree c o) then QCheck.Test.fail_report "final calendars differ";
+      C.coalesced c
+    end
+    else begin
+      let t, dur =
+        if Random.State.float rng 1.0 < fresh then (horizon +. 1.0 +. int 8, 1.0 +. int 4)
+        else
+          match Random.State.int rng 6 with
+          | 0 -> (t0, int 5)
+          | 1 -> (t0 +. d0, 1.0 +. int 3)
+          | 2 -> (-.Random.State.float rng 100.0, int 50)
+          | 3 -> (Random.State.float rng (Float.max 1.0 horizon), (1.0 +. int 20) /. 7.0)
+          | 4 -> (Random.State.float rng horizon, -1.0)
+          | _ -> (int (1 + int_of_float horizon), int 30)
+      in
+      let c, fin = C.acquire c t dur in
+      let o, fin' = List_calendar.acquire o t dur in
+      if not (Int64.equal (bits fin) (bits fin')) then
+        QCheck.Test.fail_reportf "request %d (%h, %h): finishes %h vs %h" i t
+          dur fin fin';
+      if i mod 64 = 0 && not (agree c o) then
+        QCheck.Test.fail_reportf "calendars differ after request %d" i;
+      go (i + 1) c o (Float.max horizon fin) (t, dur)
+    end
+  in
+  go 0 C.empty List_calendar.empty 0.0 (0.0, 1.0)
+
+let prop_calendar_matches_oracle =
+  QCheck.Test.make ~name:"map calendar = list calendar (mixed requests)"
+    ~count:200
+    QCheck.(pair (int_range 0 1_000_000) (int_range 1 400))
+    (fun (seed, n) ->
+      ignore (replay ~fresh:0.3 ~n seed);
+      true)
+
+let prop_calendar_coalesces_like_oracle =
+  QCheck.Test.make ~name:"map calendar = list calendar (past 2048 spans)"
+    ~count:2 (QCheck.int_range 0 1_000_000)
+    (fun seed ->
+      if replay ~fresh:0.95 ~n:2400 seed = 0 then
+        QCheck.Test.fail_report "coalescing never fired";
+      true)
+
 let () =
   Alcotest.run "event_sim"
     [ ( "unit",
@@ -162,6 +285,9 @@ let () =
             test_double_buffer_dependency;
           Alcotest.test_case "event counts" `Quick test_event_counts;
           Alcotest.test_case "fallback" `Quick test_fallback_on_huge_loops ] );
+      ( "dram calendar",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_calendar_matches_oracle; prop_calendar_coalesces_like_oracle ] );
       ( "cross-validation",
         [ Alcotest.test_case "suite x configs within 2%" `Quick
             test_cross_validation ] ) ]

@@ -427,11 +427,141 @@ let test_pass_instrumentation () =
     [ "pass.fusion"; "pass.strip-mine"; "pass.interchange"; "pass.cse";
       "pass.lower"; "pass.metapipe" ]
 
+(* ------------------------ exact serialization ------------------------ *)
+
+let capture_virtual f =
+  Trace.clear ();
+  Trace.enable ();
+  f ();
+  Trace.disable ();
+  let json = Trace.to_json () in
+  Trace.clear ();
+  json
+
+(* one JSON line per list element, newline-terminated *)
+let lines ls = String.concat "" (List.map (fun l -> l ^ "\n") ls)
+
+let test_escaping () =
+  let json =
+    capture_virtual (fun () ->
+        Trace.virtual_span ~cat:"c\"t" ~track:"tr\\ack\n" ~name:"n\"a\\m\ne\x01"
+          ~start:1.0 ~finish:2.0
+          ~args:[ ("k\"\x01", Trace.Str "v\\\n\x01\"") ]
+          ())
+  in
+  Alcotest.(check string) "escaped names, args and tracks"
+    (lines
+       [ {|{"displayTimeUnit": "ms",|};
+         {|"traceEvents": [|};
+         {|{"ph": "M", "name": "process_name", "cat": "meta", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "simulator (virtual cycles)"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "tr\\ack\n"}},|};
+         {|{"ph": "B", "name": "n\"a\\m\ne\u0001", "cat": "c\"t", "pid": 1, "tid": 1, "ts": 1, "args": {"k\"\u0001": "v\\\n\u0001\""}},|};
+         {|{"ph": "E", "name": "n\"a\\m\ne\u0001", "cat": "c\"t", "pid": 1, "tid": 1, "ts": 2, "args": {}}|};
+         {|]}|} ])
+    json
+
+let test_float_text () =
+  let json =
+    capture_virtual (fun () ->
+        Trace.virtual_span ~track:"t" ~name:"a" ~start:(-0.0) ~finish:3.0
+          ~args:
+            [ ("negzero", Trace.Float (-0.0)); ("int", Trace.Float 42.0);
+              ("negint", Trace.Float (-7.0)); ("below", Trace.Float 999999999999999.0);
+              ("at", Trace.Float 1e15); ("negat", Trace.Float (-1e15));
+              ("half", Trace.Float 0.5); ("neg", Trace.Float (-2.25));
+              ("third", Trace.Float (1.0 /. 3.0)); ("big", Trace.Float 1e20);
+              ("i", Trace.Int (-3)) ]
+          ();
+        Trace.virtual_span ~track:"t" ~name:"b" ~start:3.5 ~finish:1e15 ())
+  in
+  Alcotest.(check string) "canonical float text"
+    (lines
+       [ {|{"displayTimeUnit": "ms",|};
+         {|"traceEvents": [|};
+         {|{"ph": "M", "name": "process_name", "cat": "meta", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "simulator (virtual cycles)"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "t"}},|};
+         {|{"ph": "B", "name": "a", "cat": "sim", "pid": 1, "tid": 1, "ts": -0, "args": {"negzero": -0, "int": 42, "negint": -7, "below": 999999999999999, "at": 1000000000000000.0000, "negat": -1000000000000000.0000, "half": 0.5000, "neg": -2.2500, "third": 0.3333, "big": 100000000000000000000.0000, "i": -3}},|};
+         {|{"ph": "E", "name": "a", "cat": "sim", "pid": 1, "tid": 1, "ts": 3, "args": {}},|};
+         {|{"ph": "B", "name": "b", "cat": "sim", "pid": 1, "tid": 1, "ts": 3.5000, "args": {}},|};
+         {|{"ph": "E", "name": "b", "cat": "sim", "pid": 1, "tid": 1, "ts": 1000000000000000.0000, "args": {}}|};
+         {|]}|} ])
+    json
+
+let test_track_order () =
+  (* tracks get tids in name order; each track's events keep record order *)
+  let json =
+    capture_virtual (fun () ->
+        List.iter
+          (fun (track, name, start) ->
+            Trace.virtual_span ~track ~name ~start ~finish:(start +. 1.0) ())
+          [ ("z", "z1", 0.0); ("a", "a1", 5.0); ("z", "z2", 1.0);
+            ("m", "m1", 2.0); ("a", "a2", 6.0) ])
+  in
+  Alcotest.(check string) "grouped by track, record order within"
+    (lines
+       [ {|{"displayTimeUnit": "ms",|};
+         {|"traceEvents": [|};
+         {|{"ph": "M", "name": "process_name", "cat": "meta", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "simulator (virtual cycles)"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "a"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": 2, "ts": 0, "args": {"name": "m"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": 3, "ts": 0, "args": {"name": "z"}},|};
+         {|{"ph": "B", "name": "a1", "cat": "sim", "pid": 1, "tid": 1, "ts": 5, "args": {}},|};
+         {|{"ph": "E", "name": "a1", "cat": "sim", "pid": 1, "tid": 1, "ts": 6, "args": {}},|};
+         {|{"ph": "B", "name": "a2", "cat": "sim", "pid": 1, "tid": 1, "ts": 6, "args": {}},|};
+         {|{"ph": "E", "name": "a2", "cat": "sim", "pid": 1, "tid": 1, "ts": 7, "args": {}},|};
+         {|{"ph": "B", "name": "m1", "cat": "sim", "pid": 1, "tid": 2, "ts": 2, "args": {}},|};
+         {|{"ph": "E", "name": "m1", "cat": "sim", "pid": 1, "tid": 2, "ts": 3, "args": {}},|};
+         {|{"ph": "B", "name": "z1", "cat": "sim", "pid": 1, "tid": 3, "ts": 0, "args": {}},|};
+         {|{"ph": "E", "name": "z1", "cat": "sim", "pid": 1, "tid": 3, "ts": 1, "args": {}},|};
+         {|{"ph": "B", "name": "z2", "cat": "sim", "pid": 1, "tid": 3, "ts": 1, "args": {}},|};
+         {|{"ph": "E", "name": "z2", "cat": "sim", "pid": 1, "tid": 3, "ts": 2, "args": {}}|};
+         {|]}|} ])
+    json
+
+(* wall clock values vary run to run: mask the number after [key] *)
+let mask key line =
+  let k = "\"" ^ key ^ "\": " in
+  let nk = String.length k and n = String.length line in
+  let rec find i =
+    if i + nk > n then None
+    else if String.sub line i nk = k then Some (i + nk)
+    else find (i + 1)
+  in
+  match find 0 with
+  | None -> line
+  | Some i ->
+      let j = ref i in
+      while !j < n && line.[!j] <> ',' do incr j done;
+      String.sub line 0 i ^ "#" ^ String.sub line !j (n - !j)
+
+let test_wall_event () =
+  let json =
+    capture_virtual (fun () ->
+        Trace.with_span ~cat:"pass" ~args:(fun () -> [ ("nodes", Trace.Int 7) ])
+          "fusion" (fun () -> ()))
+  in
+  let masked =
+    List.map (fun l -> mask "dur" (mask "ts" l)) (String.split_on_char '\n' json)
+  in
+  Alcotest.(check (list string)) "complete event with masked clock"
+    [ {|{"displayTimeUnit": "ms",|};
+      {|"traceEvents": [|};
+      {|{"ph": "M", "name": "process_name", "cat": "meta", "pid": 0, "tid": 1, "ts": #, "args": {"name": "compiler (wall clock, us)"}},|};
+      {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 0, "tid": 1, "ts": #, "args": {"name": "wall-d0"}},|};
+      {|{"ph": "X", "name": "fusion", "cat": "pass", "pid": 0, "tid": 1, "ts": #, "dur": #, "args": {"nodes": 7}}|};
+      {|]}|}; "" ]
+    masked
+
 let () =
   Alcotest.run "trace"
     [ ( "json",
         [ Alcotest.test_case "trace parses" `Quick test_json_parses;
           Alcotest.test_case "metrics parse" `Quick test_metrics_json ] );
+      ( "serialization",
+        [ Alcotest.test_case "escaping" `Quick test_escaping;
+          Alcotest.test_case "float text" `Quick test_float_text;
+          Alcotest.test_case "track order" `Quick test_track_order;
+          Alcotest.test_case "wall event" `Quick test_wall_event ] );
       ( "spans",
         [ Alcotest.test_case "B/E balance per track" `Quick test_be_balance;
           Alcotest.test_case "virtual timestamps" `Quick
