@@ -18,6 +18,23 @@ let bench_conv =
   in
   Arg.conv (parse, fun fmt b -> Format.pp_print_string fmt b.Suite.name)
 
+(* Tile sizes and parallelism factors below 1 cannot take effect:
+   reject them as usage errors before any compiling. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 ->
+        Error (`Msg (Printf.sprintf "must be at least 1 (got %d)" n))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let tiles_arg ~doc =
+  Arg.(
+    value
+    & opt (list (pair ~sep:'=' string positive_int)) []
+    & info [ "tiles" ] ~docv:"NAME=SIZE,..." ~doc)
+
 let bench_arg =
   Arg.(
     required
@@ -383,7 +400,7 @@ let dse_cmd =
   in
   let pars_arg =
     Arg.(
-      value & opt (list int) []
+      value & opt (list positive_int) []
       & info [ "pars" ] ~docv:"P1,P2,..."
           ~doc:
             "Also sweep these parallelism factors jointly with the tile \
@@ -448,10 +465,7 @@ let compile_cmd =
       & info [] ~docv:"FILE" ~doc:"A .ppl program (the syntax ir/export emit).")
   in
   let tiles_arg =
-    Arg.(
-      value & opt (list (pair ~sep:'=' string int)) []
-      & info [ "tiles" ] ~docv:"NAME=SIZE,..."
-          ~doc:"Tile configuration by size-parameter base name.")
+    tiles_arg ~doc:"Tile configuration by size-parameter base name."
   in
   let sizes_arg =
     Arg.(
@@ -988,10 +1002,8 @@ let profile_cmd =
           ~doc:"Benchmark name or a .ppl source file.")
   in
   let tiles_arg =
-    Arg.(
-      value & opt (list (pair ~sep:'=' string int)) []
-      & info [ "tiles" ] ~docv:"NAME=SIZE,..."
-          ~doc:"Tile configuration by size-parameter base name (.ppl targets).")
+    tiles_arg
+      ~doc:"Tile configuration by size-parameter base name (.ppl targets)."
   in
   let sizes_arg =
     Arg.(

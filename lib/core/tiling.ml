@@ -52,55 +52,101 @@ let cleanup p =
     (traced_pass "code-motion" Code_motion.program
        (traced_pass "cse" Cse.program p))
 
-let run ?fuse_filters ?budget_words ~tiles (p : Ir.program) =
-  (* reject tile configurations that cannot take effect *)
+(* The tile-independent front of the pipeline.  A [Validate.Type_error]
+   is held rather than raised, so that [tiled] can reject a bad tile
+   configuration first, exactly as a single [run] does. *)
+type front = {
+  source : Ir.program;
+  outcome : (Ir.program, string) Stdlib.result;
+}
+
+let nodes (q : Ir.program) = Rewrite.node_count q.Ir.body
+
+let tiling_span (p : Ir.program) f =
+  Trace.with_span ~cat:"pass"
+    ~args:(fun () -> [ ("program", Trace.Str p.Ir.pname) ])
+    ("tiling:" ^ p.Ir.pname)
+    f
+
+let front_passes ?fuse_filters (source : Ir.program) =
+  (* name every source pattern before any transformation touches it, so
+     the hardware tree can be attributed back to this program's patterns *)
+  let p = Prov_stamp.program source in
+  match
+    ignore (Validate.check_program p);
+    let fused =
+      cleanup
+        (traced_pass "fusion" (Fusion.program ?fuse_filters)
+           (canonicalize_lens p))
+    in
+    ignore (Validate.check_program fused);
+    Log.debug (fun m ->
+        m "%s: fused (%d -> %d nodes)" p.Ir.pname (nodes p) (nodes fused));
+    fused
+  with
+  | fused -> { source; outcome = Ok fused }
+  | exception Validate.Type_error reason -> { source; outcome = Error reason }
+
+let fused f =
+  match f.outcome with
+  | Ok fused -> fused
+  | Error reason -> raise (Validate.Type_error reason)
+
+(* reject tile configurations that cannot take effect *)
+let check_tiles (source : Ir.program) tiles =
   List.iter
     (fun (s, b) ->
       if b <= 0 then
         invalid_arg
           (Printf.sprintf "Tiling.run: tile size %d for %s" b (Sym.name s));
-      if not (List.exists (Sym.equal s) p.Ir.size_params) then
+      if not (List.exists (Sym.equal s) source.Ir.size_params) then
         invalid_arg
           (Printf.sprintf "Tiling.run: %s is not a size parameter of %s"
-             (Sym.name s) p.Ir.pname))
-    tiles;
-  (* name every source pattern before any transformation touches it, so
-     the hardware tree can be attributed back to this program's patterns *)
-  let p = Prov_stamp.program p in
-  ignore (Validate.check_program p);
-  let nodes (q : Ir.program) = Rewrite.node_count q.Ir.body in
-  Trace.with_span ~cat:"pass"
-    ~args:(fun () -> [ ("program", Trace.Str p.Ir.pname) ])
-    ("tiling:" ^ p.Ir.pname)
-    (fun () ->
-      let fused =
-        cleanup
-          (traced_pass "fusion" (Fusion.program ?fuse_filters)
-             (canonicalize_lens p))
-      in
-      ignore (Validate.check_program fused);
-      Log.debug (fun m ->
-          m "%s: fused (%d -> %d nodes)" p.Ir.pname (nodes p) (nodes fused));
-      let stripped =
-        traced_pass "simplify" Simplify.program
-          (traced_pass "strip-mine" (Strip_mine.program ~tiles) fused)
-      in
-      ignore (Validate.check_program stripped);
-      Log.debug (fun m ->
-          m "%s: strip-mined (%d nodes)" p.Ir.pname (nodes stripped));
+             (Sym.name s) source.Ir.pname))
+    tiles
+
+(* The tile-dependent back, in two halves so that [run] can build its
+   reporting form from [stripped] between them, in the order it always
+   has (fresh symbols are numbered in creation order and printed). *)
+let strip f ~tiles =
+  let stripped =
+    traced_pass "simplify" Simplify.program
+      (traced_pass "strip-mine" (Strip_mine.program ~tiles) (fused f))
+  in
+  ignore (Validate.check_program stripped);
+  Log.debug (fun m ->
+      m "%s: strip-mined (%d nodes)" f.source.Ir.pname (nodes stripped));
+  stripped
+
+let interchange ?budget_words f stripped =
+  let tiled =
+    cleanup
+      (traced_pass "copy-insert" (Copy_insert.program ?budget_words)
+         (traced_pass "interchange" (Interchange.program ?budget_words)
+            stripped))
+  in
+  ignore (Validate.check_program tiled);
+  Log.debug (fun m ->
+      m "%s: interchanged + copies (%d nodes)" f.source.Ir.pname
+        (nodes tiled));
+  tiled
+
+let front p = tiling_span p (fun () -> front_passes p)
+
+let tiled f ~tiles =
+  check_tiles f.source tiles;
+  tiling_span f.source (fun () -> interchange f (strip f ~tiles))
+
+let run ?fuse_filters ?budget_words ~tiles (p : Ir.program) =
+  check_tiles p tiles;
+  tiling_span p (fun () ->
+      let f = front_passes ?fuse_filters p in
+      let stripped = strip f ~tiles in
       let stripped_with_copies =
         cleanup
           (traced_pass "copy-insert" (Copy_insert.program ?budget_words)
              stripped)
       in
       ignore (Validate.check_program stripped_with_copies);
-      let tiled =
-        cleanup
-          (traced_pass "copy-insert" (Copy_insert.program ?budget_words)
-             (traced_pass "interchange" (Interchange.program ?budget_words)
-                stripped))
-      in
-      ignore (Validate.check_program tiled);
-      Log.debug (fun m ->
-          m "%s: interchanged + copies (%d nodes)" p.Ir.pname (nodes tiled));
-      { fused; stripped; stripped_with_copies; tiled })
+      let tiled = interchange ?budget_words f stripped in
+      { fused = fused f; stripped; stripped_with_copies; tiled })

@@ -24,7 +24,42 @@ val run :
   tiles:(Sym.t * int) list ->
   Ir.program ->
   result
-(** @raise Validate.Type_error if the input program is ill-typed. *)
+(** [run ~tiles p] is {!front} followed by {!tiled}, plus the
+    [stripped_with_copies] reporting form, which only [run] builds.
+    Every stage it returns has passed {!Validate.check_program}.
+
+    @raise Invalid_argument on a tile size below 1 or a tile on a name
+    that is not a size parameter of [p].
+    @raise Validate.Type_error if the input program is ill-typed. *)
+
+(** {1 Staged tiling}
+
+    Only strip mining, interchange and copy insertion depend on the tile
+    sizes.  A sweep over many tile configurations of one program runs
+    {!front} once and {!tiled} once per configuration, and never builds
+    the [stripped_with_copies] form it would not read. *)
+
+type front
+(** A program after the tile-independent stages. *)
+
+val front : Ir.program -> front
+(** Provenance stamping, validation of the input, {!canonicalize_lens},
+    fusion and cleanup (CSE, code motion, simplification), and
+    validation of the fused form.  Never raises {!Validate.Type_error}:
+    an ill-typed input is held and re-raised by {!fused} and {!tiled}. *)
+
+val fused : front -> Ir.program
+(** The fused form, {!Alpha.equal} to [(run ~tiles p).fused].
+    @raise Validate.Type_error if the input program is ill-typed. *)
+
+val tiled : front -> tiles:(Sym.t * int) list -> Ir.program
+(** The tile checks, strip mining + simplification (validated), then
+    interchange + copy insertion + cleanup (validated): the final form,
+    {!Alpha.equal} to [(run ~tiles p).tiled].  A rejected tile configuration
+    takes precedence over an ill-typed input, as in {!run}.
+    @raise Invalid_argument on a rejected tile configuration.
+    @raise Validate.Type_error if the input program is ill-typed or a
+    stage fails to re-validate at these tiles. *)
 
 val canonicalize_lens : Ir.program -> Ir.program
 (** Replace [Len] of a program input by the input's declared shape

@@ -34,24 +34,29 @@ let point_order a b =
 
 let explore_joint ?domains ?machine ?(opts = Lower.default_opts)
     ?(bram_budget = 2560.0) ~prog ~candidates ~pars ~sizes () =
+  List.iter
+    (fun par ->
+      if par < 1 then
+        invalid_arg (Printf.sprintf "Dse.explore_joint: par %d is below 1" par))
+    pars;
+  (* the tile-independent stages run once for the whole sweep *)
+  let front = Tiling.front prog in
   let eval_assignment tiles =
     (* Only tiling rejections of *this candidate* are survivable: a bad
        tile size or a tile parameter the program does not have
-       (Invalid_argument), or a tiling stage failing to re-validate at
-       these tiles (Type_error).  Anything else — including any exception
-       out of Lower / Simulate / Area_model — is a genuine bug and
-       propagates. *)
-    match Tiling.run ~tiles prog with
+       (Invalid_argument), or an ill-typed program or a tiling stage
+       failing to re-validate at these tiles (Type_error).  Anything
+       else — including any exception out of Lower / Simulate /
+       Area_model — is a genuine bug and propagates. *)
+    match Tiling.tiled front ~tiles with
     | exception Invalid_argument reason -> Error { sk_tiles = tiles; sk_reason = reason }
     | exception Validate.Type_error reason ->
         Error { sk_tiles = tiles; sk_reason = reason }
-    | r ->
+    | tiled ->
         Ok
           (List.map
              (fun par ->
-               let design =
-                 Lower.program { opts with Lower.par } r.Tiling.tiled
-               in
+               let design = Lower.program { opts with Lower.par } tiled in
                let rep = Simulate.run ?machine design ~sizes in
                let area = Area_model.of_design design in
                let cycles = rep.Simulate.cycles in

@@ -66,10 +66,16 @@ val explore_joint :
     product of tile assignments and [pars] values.  Feasibility also
     checks chip capacity (logic/FF), which parallelism spends.
 
-    Candidate assignments that the tiling pipeline itself rejects
-    ([Invalid_argument] or {!Validate.Type_error} from [Tiling.run]) are
-    recorded in [skipped]; any other exception — a genuine bug in
-    [Lower], [Simulate] or [Area_model] — propagates to the caller. *)
+    The tile-independent tiling stages ({!Tiling.front}) run once per
+    call; each assignment then runs {!Tiling.tiled}.  Candidate
+    assignments that the tiling pipeline itself rejects
+    ([Invalid_argument] or {!Validate.Type_error}, with the reasons
+    [Tiling.run] gives) are recorded in [skipped]; any other exception
+    — a genuine bug in [Lower], [Simulate] or [Area_model] — propagates
+    to the caller.
+
+    @raise Invalid_argument if any of [pars] is below 1, before any
+    work is done. *)
 
 val explore_bench :
   ?domains:int -> ?bram_budget:float -> ?pars:int list -> Suite.bench -> result

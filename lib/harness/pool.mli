@@ -1,7 +1,7 @@
 (** Deterministic work pool over OCaml 5 domains.
 
-    Design-space sweeps evaluate many independent points — each a full
-    [Tiling.run] → [Lower.program] → [Simulate.run] → [Area_model]
+    Design-space sweeps evaluate many independent points — each a
+    [Tiling.tiled] → [Lower.program] → [Simulate.run] → [Area_model]
     chain — so the harness fans them out across domains.  The pool is
     deliberately boring: items are claimed from a shared atomic counter,
     each result lands in the slot of its *input index*, and the output

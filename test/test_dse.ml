@@ -206,6 +206,168 @@ let test_nan_cycles_never_selected () =
       Alcotest.(check bool) "NaN point infeasible" false p.Dse.feasible)
     r.Dse.points
 
+(* ---------------- staged sweep ---------------- *)
+
+(* The sweep as it was before tiling was staged: the whole [Tiling.run]
+   per candidate, [explore_bench]'s candidate rule, sequential
+   evaluation, and the same order and selection. *)
+let oracle_sweep ?(bram_budget = 2560.0) ~prog ~candidates ~pars ~sizes () =
+  let cartesian =
+    List.fold_right
+      (fun (s, sizes) acc ->
+        List.concat_map (fun rest -> List.map (fun b -> (s, b) :: rest) sizes) acc)
+      candidates [ [] ]
+  in
+  let eval tiles =
+    match Tiling.run ~tiles prog with
+    | exception Invalid_argument reason ->
+        Error { Dse.sk_tiles = tiles; sk_reason = reason }
+    | exception Validate.Type_error reason ->
+        Error { Dse.sk_tiles = tiles; sk_reason = reason }
+    | r ->
+        Ok
+          (List.map
+             (fun par ->
+               let design =
+                 Lower.program { Lower.default_opts with Lower.par } r.Tiling.tiled
+               in
+               let cycles = (Simulate.run design ~sizes).Simulate.cycles in
+               let area = Area_model.of_design design in
+               { Dse.tiles;
+                 par;
+                 cycles;
+                 area;
+                 feasible =
+                   Float.is_finite cycles
+                   && area.Area_model.bram <= bram_budget
+                   && Area_model.fits area })
+             pars)
+  in
+  let evaluated = List.map eval cartesian in
+  let order (a : Dse.point) (b : Dse.point) =
+    match (Float.is_finite a.Dse.cycles, Float.is_finite b.Dse.cycles) with
+    | true, false -> -1
+    | false, true -> 1
+    | _ -> Float.compare a.Dse.cycles b.Dse.cycles
+  in
+  let points =
+    List.sort order (List.concat_map (function Ok ps -> ps | Error _ -> []) evaluated)
+  in
+  { Dse.points;
+    best = List.find_opt (fun (p : Dse.point) -> p.Dse.feasible) points;
+    skipped = List.filter_map (function Error s -> Some s | Ok _ -> None) evaluated }
+
+let bench_candidates (bench : Suite.bench) =
+  List.map
+    (fun (s, default) ->
+      ( s,
+        List.sort_uniq compare
+          (default
+          :: List.filter
+               (fun b -> b >= 8)
+               [ default / 4; default / 2; default; default * 2; default * 4 ]) ))
+    bench.Suite.tiles
+
+let check_same_result msg (expected : Dse.result) (actual : Dse.result) =
+  Alcotest.(check int) (msg ^ ": point count")
+    (List.length expected.Dse.points) (List.length actual.Dse.points);
+  Alcotest.(check bool) (msg ^ ": identical points") true
+    (expected.Dse.points = actual.Dse.points);
+  Alcotest.(check bool) (msg ^ ": same best") true
+    (expected.Dse.best = actual.Dse.best);
+  Alcotest.(check (list string)) (msg ^ ": same skip reasons")
+    (List.map (fun s -> s.Dse.sk_reason) expected.Dse.skipped)
+    (List.map (fun s -> s.Dse.sk_reason) actual.Dse.skipped);
+  Alcotest.(check bool) (msg ^ ": identical skips") true
+    (expected.Dse.skipped = actual.Dse.skipped)
+
+let test_staged_matches_oracle () =
+  (* floats compared exactly: staging must not move a single cycle *)
+  let pars = [ 4; 16; 64 ] in
+  List.iter
+    (fun (bench : Suite.bench) ->
+      let oracle =
+        oracle_sweep ~prog:bench.Suite.prog ~candidates:(bench_candidates bench)
+          ~pars ~sizes:bench.Suite.sim_sizes ()
+      in
+      Alcotest.(check bool) (bench.Suite.name ^ ": oracle not empty") true
+        (oracle.Dse.points <> []);
+      List.iter
+        (fun domains ->
+          check_same_result
+            (Printf.sprintf "%s, %d domain(s)" bench.Suite.name domains)
+            oracle
+            (Dse.explore_bench ~domains ~pars bench))
+        [ 1; 2 ])
+    (Suite.extended ())
+
+let ill_typed () =
+  (* [i + 2.0] adds an int index to a float *)
+  let d = Dsl.size "d" in
+  let x = Dsl.input "x" Ty.float_ [ Ir.Var d ] in
+  ( d,
+    Dsl.program ~name:"ill_typed" ~sizes:[ d ] ~inputs:[ x ]
+      (Dsl.map1 (Dsl.dfull (Ir.Var d)) (fun i -> Dsl.( +! ) i (Dsl.f 2.0))) )
+
+let test_skip_reasons_unchanged () =
+  let t = Gemm.make () in
+  let bogus = Sym.fresh "bogus" in
+  let d, bad = ill_typed () in
+  let cases =
+    [ ( "zero tile",
+        t.Gemm.prog,
+        [ (t.Gemm.m, [ 0; 32 ]); (t.Gemm.n, [ 32 ]); (t.Gemm.p, [ 32 ]) ],
+        [ (t.Gemm.m, 512); (t.Gemm.n, 512); (t.Gemm.p, 512) ],
+        [ Printf.sprintf "Tiling.run: tile size 0 for %s" (Sym.name t.Gemm.m) ] );
+      ( "non-size tile",
+        t.Gemm.prog,
+        [ (t.Gemm.m, [ 32 ]); (t.Gemm.n, [ 32 ]); (t.Gemm.p, [ 32 ]);
+          (bogus, [ 8 ]) ],
+        [ (t.Gemm.m, 512); (t.Gemm.n, 512); (t.Gemm.p, 512) ],
+        [ Printf.sprintf "Tiling.run: %s is not a size parameter of gemm"
+            (Sym.name bogus) ] );
+      ( "ill-typed program",
+        bad,
+        [ (d, [ 0; 16 ]) ],
+        [ (d, 4096) ],
+        [ Printf.sprintf "Tiling.run: tile size 0 for %s" (Sym.name d);
+          (match Tiling.run ~tiles:[ (d, 16) ] bad with
+          | _ -> Alcotest.fail "ill-typed program accepted"
+          | exception Validate.Type_error reason -> reason) ] );
+      ( "ill-typed program, non-size tile",
+        bad,
+        [ (d, [ 16 ]); (bogus, [ 8 ]) ],
+        [ (d, 4096) ],
+        [ Printf.sprintf "Tiling.run: %s is not a size parameter of ill_typed"
+            (Sym.name bogus) ] ) ]
+  in
+  List.iter
+    (fun (name, prog, candidates, sizes, reasons) ->
+      let pars = [ Lower.default_opts.Lower.par ] in
+      let staged = Dse.explore_joint ~prog ~candidates ~pars ~sizes () in
+      check_same_result name
+        (oracle_sweep ~prog ~candidates ~pars ~sizes ())
+        staged;
+      Alcotest.(check (list string)) (name ^ ": reasons") reasons
+        (List.map (fun s -> s.Dse.sk_reason) staged.Dse.skipped))
+    cases
+
+let test_par_below_one_rejected () =
+  (* a par below 1 is refused before any candidate is tiled, so no pass
+     runs and no point is counted *)
+  let bench = Suite.find (Suite.all ()) "gemm" in
+  List.iter
+    (fun pars ->
+      let base = Metrics.snapshot () in
+      (match Dse.explore_bench ~pars bench with
+      | _ -> Alcotest.fail "expected Invalid_argument for a par below 1"
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) "message names the par" true
+            (contains msg "par"));
+      Alcotest.(check (list string)) "no work done" []
+        (List.map fst (Metrics.diff ~base (Metrics.snapshot ()))))
+    [ [ 0 ]; [ -1 ]; [ 4; 0 ] ]
+
 let () =
   Alcotest.run "dse"
     [ ( "exploration",
@@ -222,9 +384,16 @@ let () =
       ( "parallel",
         [ Alcotest.test_case "parallel matches sequential" `Quick
             test_parallel_matches_sequential ] );
+      ( "staged sweep",
+        [ Alcotest.test_case "matches per-point Tiling.run" `Quick
+            test_staged_matches_oracle;
+          Alcotest.test_case "skip reasons unchanged" `Quick
+            test_skip_reasons_unchanged ] );
       ( "failure handling",
         [ Alcotest.test_case "skipped points reported" `Quick
             test_skipped_points_reported;
+          Alcotest.test_case "par below 1 rejected" `Quick
+            test_par_below_one_rejected;
           Alcotest.test_case "genuine bugs propagate" `Quick
             test_genuine_bugs_propagate ] );
       ( "regressions",

@@ -314,6 +314,54 @@ let test_fusion_default_keeps_flatmap () =
   Rewrite.iter_exp (function Ir.FlatMap _ -> incr flatmaps | _ -> ()) fused.Ir.body;
   Alcotest.(check int) "flatmap kept by default" 1 !flatmaps
 
+(* ------------------------- staged tiling ------------------------- *)
+
+let same_program msg (a : Ir.program) (b : Ir.program) =
+  Alcotest.(check bool) (msg ^ ": header") true
+    (a.Ir.pname = b.Ir.pname
+    && List.equal Sym.equal a.Ir.size_params b.Ir.size_params
+    && a.Ir.inputs = b.Ir.inputs);
+  Alcotest.(check bool) (msg ^ ": alpha-equal body") true
+    (Alpha.equal a.Ir.body b.Ir.body)
+
+let test_staged_tiling_matches_run () =
+  (* [front] + [tiled] is [run] without the reporting form: the same
+     fused and final programs, up to the names of fresh binders *)
+  List.iter
+    (fun (b : Suite.bench) ->
+      let tiles = b.Suite.tiles in
+      let r = Tiling.run ~tiles b.Suite.prog in
+      let front = Tiling.front b.Suite.prog in
+      same_program (b.Suite.name ^ " fused") r.Tiling.fused
+        (Tiling.fused front);
+      same_program (b.Suite.name ^ " tiled") r.Tiling.tiled
+        (Tiling.tiled front ~tiles);
+      (* one front serves any number of tile configurations *)
+      same_program (b.Suite.name ^ " tiled again") r.Tiling.tiled
+        (Tiling.tiled front ~tiles))
+    (Suite.extended ())
+
+let test_rejected_tiles_run_no_pass () =
+  (* the tile checks come first in [run] and in [tiled]: a rejected
+     configuration raises its own message and runs no pass *)
+  let t = Gemm.make () in
+  let front = Tiling.front t.Gemm.prog in
+  let tiles = [ (t.Gemm.m, 0); (t.Gemm.n, 32); (t.Gemm.p, 32) ] in
+  let expected =
+    Printf.sprintf "Tiling.run: tile size 0 for %s" (Sym.name t.Gemm.m)
+  in
+  List.iter
+    (fun (name, f) ->
+      let base = Metrics.snapshot () in
+      (match f () with
+      | () -> Alcotest.fail (name ^ ": zero tile accepted")
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) (name ^ ": message") expected msg);
+      Alcotest.(check (list string)) (name ^ ": no pass ran") []
+        (List.map fst (Metrics.diff ~base (Metrics.snapshot ()))))
+    [ ("run", fun () -> ignore (Tiling.run ~tiles t.Gemm.prog));
+      ("tiled", fun () -> ignore (Tiling.tiled front ~tiles)) ]
+
 let () =
   Alcotest.run "passes"
     [ ( "simplify",
@@ -342,4 +390,9 @@ let () =
           Alcotest.test_case "escape blocks" `Quick test_fusion_blocked_by_escape;
           Alcotest.test_case "filter-reduce" `Quick test_filter_reduce_fusion;
           Alcotest.test_case "default keeps flatmap" `Quick
-            test_fusion_default_keeps_flatmap ] ) ]
+            test_fusion_default_keeps_flatmap ] );
+      ( "staged tiling",
+        [ Alcotest.test_case "front + tiled = run" `Quick
+            test_staged_tiling_matches_run;
+          Alcotest.test_case "rejected tiles run no pass" `Quick
+            test_rejected_tiles_run_no_pass ] ) ]
