@@ -151,27 +151,62 @@ let observe_cache cache =
     (float_of_int (Simulate.cache_nodes cache))
 
 (* Machine-readable simulation report, shared by `simulate --json` and
-   `timeline --json`.  Numbers use Profile.json_float, so totals compare
-   byte-for-byte with `profile --json`. *)
+   `timeline --json`.  Numbers go through the same writer and precision as
+   `profile --json`, so totals compare byte-for-byte with it. *)
 let report_json ~bench ~config ~engine (rep : Simulate.report) area =
-  let f = Profile.json_float in
-  let traffic t =
-    String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k (f v)) t)
+  let b = Buffer.create 512 in
+  let str = Buffer.add_string b in
+  let num = Json_out.add_float ~prec:6 b in
+  let field name =
+    str ", \"";
+    str name;
+    str "\": "
   in
-  Printf.sprintf
-    "{\"bench\": \"%s\", \"config\": \"%s\", \"engine\": \"%s\", \"cycles\": \
-     %s, \"dram_cycles\": %s, \"reads\": {%s}, \"writes\": {%s}, \"area\": \
-     {\"logic\": %s, \"ff\": %s, \"bram\": %s, \"dsp\": %s}, \"time_ms\": \
-     %.6f}\n"
-    bench config engine
-    (f rep.Simulate.cycles)
-    (f rep.Simulate.dram_cycles)
-    (traffic rep.Simulate.reads)
-    (traffic rep.Simulate.writes)
-    (f area.Area_model.logic) (f area.Area_model.ff) (f area.Area_model.bram)
-    (f area.Area_model.dsp)
-    (1e3 *. Machine.seconds Machine.default rep.Simulate.cycles)
+  str "{\"bench\": ";
+  Json_out.add_string b bench;
+  field "config";
+  Json_out.add_string b config;
+  field "engine";
+  Json_out.add_string b engine;
+  field "cycles";
+  num rep.Simulate.cycles;
+  field "dram_cycles";
+  num rep.Simulate.dram_cycles;
+  field "reads";
+  Json_out.add_float_object ~prec:6 b rep.Simulate.reads;
+  field "writes";
+  Json_out.add_float_object ~prec:6 b rep.Simulate.writes;
+  field "area";
+  Json_out.add_float_object ~prec:6 b
+    [ ("logic", area.Area_model.logic); ("ff", area.Area_model.ff);
+      ("bram", area.Area_model.bram); ("dsp", area.Area_model.dsp) ];
+  field "time_ms";
+  Json_out.add_fixed ~prec:6 b
+    (1e3 *. Machine.seconds Machine.default rep.Simulate.cycles);
+  str "}\n";
+  Buffer.contents b
+
+(* `lint --json` and `lint-ir --json`: an array with one object per
+   target, its string fields first, then its diagnostics *)
+let diagnostics_json rows =
+  let b = Buffer.create 4096 in
+  Buffer.add_char b '[';
+  Json_out.add_list b
+    (fun b (fields, ds) ->
+      Buffer.add_char b '{';
+      List.iter
+        (fun (k, v) ->
+          Json_out.add_string b k;
+          Buffer.add_string b ": ";
+          Json_out.add_string b v;
+          Buffer.add_string b ", ")
+        fields;
+      Buffer.add_string b "\"diagnostics\": ";
+      Buffer.add_string b (Diagnostic.list_to_json ds);
+      Buffer.add_char b '}')
+    rows;
+  Buffer.add_string b "]\n";
+  Buffer.contents b
 
 let tiling_of bench = Tiling.run ~tiles:bench.Suite.tiles bench.Suite.prog
 
@@ -821,17 +856,14 @@ let lint_cmd =
         targets
     in
     if json then
-      Printf.printf "[%s]\n"
-        (String.concat ", "
+      print_string
+        (diagnostics_json
            (List.map
               (fun (bench, design, ds) ->
-                Printf.sprintf
-                  "{\"bench\": \"%s\", \"design\": \"%s\", \"config\": \
-                   \"%s\", \"summary\": \"%s\", \"diagnostics\": %s}"
-                  bench design
-                  (Experiments.config_name config)
-                  (Diagnostic.summary ds)
-                  (Diagnostic.list_to_json ds))
+                ( [ ("bench", bench); ("design", design);
+                    ("config", Experiments.config_name config);
+                    ("summary", Diagnostic.summary ds) ],
+                  ds ))
               results))
     else
       List.iter
@@ -897,16 +929,11 @@ let lint_ir_cmd =
       List.map (fun (name, prog) -> (name, Ppl_lint.check_all prog)) progs
     in
     if json then
-      Printf.printf "[%s]\n"
-        (String.concat ", "
+      print_string
+        (diagnostics_json
            (List.map
               (fun (name, ds) ->
-                Printf.sprintf
-                  "{\"program\": \"%s\", \"summary\": \"%s\", \
-                   \"diagnostics\": %s}"
-                  name
-                  (Diagnostic.summary ds)
-                  (Diagnostic.list_to_json ds))
+                ([ ("program", name); ("summary", Diagnostic.summary ds) ], ds))
               results))
     else
       List.iter

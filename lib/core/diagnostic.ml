@@ -83,35 +83,28 @@ let pp fmt d =
 let pp_list fmt ds =
   List.iter (fun d -> Format.fprintf fmt "%a@." pp d) (List.sort compare ds)
 
-(* hand-rolled JSON: the repo carries no JSON library and the shape is
-   flat, so escaping strings is the only subtlety *)
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let add_json b d =
+  let str = Buffer.add_string b in
+  str "{\"code\": ";
+  Json_out.add_string b d.code;
+  str ", \"severity\": ";
+  Json_out.add_string b (severity_name d.severity);
+  str ", \"path\": [";
+  Json_out.add_list b Json_out.add_string d.path;
+  str "], \"where\": ";
+  Json_out.add_string b d.where;
+  str ", \"message\": ";
+  Json_out.add_string b d.message;
+  str "}"
 
 let to_json d =
-  Printf.sprintf
-    "{\"code\": %s, \"severity\": %s, \"path\": [%s], \"where\": %s, \
-     \"message\": %s}"
-    (json_string d.code)
-    (json_string (severity_name d.severity))
-    (String.concat ", " (List.map json_string d.path))
-    (json_string d.where)
-    (json_string d.message)
+  let b = Buffer.create 256 in
+  add_json b d;
+  Buffer.contents b
 
 let list_to_json ds =
-  "[" ^ String.concat ", " (List.map to_json (List.sort compare ds)) ^ "]"
+  let b = Buffer.create 1024 in
+  Buffer.add_char b '[';
+  Json_out.add_list b add_json (List.sort compare ds);
+  Buffer.add_char b ']';
+  Buffer.contents b

@@ -1,0 +1,40 @@
+(** The one JSON text writer behind every report.
+
+    Each function appends to a caller's [Buffer.t], so a whole report is
+    built in one pass over one buffer.  The profile, simulation report,
+    diagnostics, metrics and trace emitters all write through it, so they
+    share one string escaping rule and one float text:
+
+    - strings: the double quote and the backslash are backslash-escaped;
+      newline, tab and carriage return use the short forms [\n], [\t],
+      [\r]; every other byte below 0x20 becomes [\u00XX] (lowercase hex).
+      Everything else, including 0x7f and multi-byte UTF-8, passes through
+      unchanged.
+    - floats ({!add_float}): integral values below 1e15 print as their
+      digits, [-0.] as [-0], and anything else (fractions, nan, ±inf,
+      huge values) as C's [%.<prec>f]. *)
+
+val add_string : Buffer.t -> string -> unit
+(** A quoted, escaped JSON string. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Decimal digits, with a leading [-] when negative. *)
+
+val add_float : prec:int -> Buffer.t -> float -> unit
+(** Canonical float text: digits for an integral value below 1e15,
+    [%.<prec>f] otherwise. *)
+
+val float_str : prec:int -> float -> string
+(** {!add_float} as a string. *)
+
+val add_fixed : prec:int -> Buffer.t -> float -> unit
+(** Always [%.<prec>f], integral or not (e.g. ["1.000000"]). *)
+
+val add_general : prec:int -> Buffer.t -> float -> unit
+(** C's [%.<prec>g]: shortest of fixed and exponent form. *)
+
+val add_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
+(** The items, separated by [", "] (the caller writes the brackets). *)
+
+val add_float_object : prec:int -> Buffer.t -> (string * float) list -> unit
+(** [{"key": float, ...}] in list order, floats as {!add_float}. *)

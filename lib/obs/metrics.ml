@@ -83,44 +83,42 @@ let diff ~base cur =
       | _, _ -> Some (k, v))
     cur
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let values_to_json snap =
-  let section f =
-    String.concat ", " (List.filter_map f snap)
+  let b = Buffer.create 1024 in
+  let str = Buffer.add_string b in
+  (* ["name": {"key": value, ...}] over the entries [pick] selects *)
+  let section name pick add =
+    str "\"";
+    str name;
+    str "\": {";
+    Json_out.add_list b
+      (fun b (k, x) ->
+        Json_out.add_string b k;
+        str ": ";
+        add x)
+      (List.filter_map (fun (k, v) -> Option.map (fun x -> (k, x)) (pick v))
+         snap);
+    str "}"
   in
-  let counters =
-    section (function
-      | k, Counter n -> Some (Printf.sprintf "\"%s\": %d" (escape k) n)
-      | _ -> None)
-  in
-  let gauges =
-    section (function
-      | k, Gauge v -> Some (Printf.sprintf "\"%s\": %.6g" (escape k) v)
-      | _ -> None)
-  in
-  let timers =
-    section (function
-      | k, Timer { seconds; count } ->
-          Some
-            (Printf.sprintf "\"%s\": {\"seconds\": %.6f, \"count\": %d}"
-               (escape k) seconds count)
-      | _ -> None)
-  in
-  Printf.sprintf
-    "{\"counters\": {%s}, \"gauges\": {%s}, \"timers\": {%s}}\n" counters
-    gauges timers
+  str "{";
+  section "counters"
+    (function Counter n -> Some n | _ -> None)
+    (Json_out.add_int b);
+  str ", ";
+  section "gauges"
+    (function Gauge v -> Some v | _ -> None)
+    (Json_out.add_general ~prec:6 b);
+  str ", ";
+  section "timers"
+    (function Timer { seconds; count } -> Some (seconds, count) | _ -> None)
+    (fun (seconds, count) ->
+      str "{\"seconds\": ";
+      Json_out.add_fixed ~prec:6 b seconds;
+      str ", \"count\": ";
+      Json_out.add_int b count;
+      str "}");
+  str "}\n";
+  Buffer.contents b
 
 let to_json () = values_to_json (snapshot ())
 

@@ -274,98 +274,136 @@ let fold_nodes f acc t =
 
 (* ------------------------- text backend ---------------------------- *)
 
+(* The report is appended to one buffer and handed to the formatter in a
+   single write.  Columns are padded by hand: [left w] is printf's [%-ws]
+   and [col w] its [" %ws"]; [cycles] is [%.0f]. *)
 let pp_text fmt t =
-  Format.fprintf fmt "profile: %s  total %.0f cycles (dram-busy %.0f)@."
-    t.design_name t.total_cycles t.dram_cycles;
-  Format.fprintf fmt "  fill %.0f  steady %.0f  dram-serialized %.0f@."
-    t.fill_cycles t.steady_cycles t.dram_serial_cycles;
-  Format.fprintf fmt "@.%-28s %12s %7s %14s %10s %8s@." "source pattern"
-    "cycles" "share" "dram words" "area(alm)" "ctrls";
+  let b = Buffer.create 4096 in
+  let str = Buffer.add_string b in
+  let pad n = for _ = 1 to n do Buffer.add_char b ' ' done in
+  let left w s =
+    str s;
+    pad (w - String.length s)
+  in
+  let num = Buffer.create 32 in
+  let col w add x =
+    Buffer.clear num;
+    add num x;
+    pad (1 + w - Buffer.length num);
+    Buffer.add_buffer b num
+  in
+  let cycles = Json_out.add_float ~prec:0 in
+  str "profile: ";
+  str t.design_name;
+  str "  total ";
+  cycles b t.total_cycles;
+  str " cycles (dram-busy ";
+  cycles b t.dram_cycles;
+  str ")\n  fill ";
+  cycles b t.fill_cycles;
+  str "  steady ";
+  cycles b t.steady_cycles;
+  str "  dram-serialized ";
+  cycles b t.dram_serial_cycles;
+  str "\n\n";
+  left 28 "source pattern";
+  str "       cycles   share     dram words  area(alm)    ctrls\n";
   List.iter
     (fun r ->
-      Format.fprintf fmt "%-28s %12.0f %6.1f%% %14.0f %10.0f %8d@." r.origin
-        r.o_cycles
-        (100.0 *. r.o_share)
-        r.o_traffic r.o_area.Area_model.logic r.o_ctrls)
+      left 28 r.origin;
+      col 12 cycles r.o_cycles;
+      col 6 (Json_out.add_fixed ~prec:1) (100.0 *. r.o_share);
+      str "%";
+      col 14 cycles r.o_traffic;
+      col 10 cycles r.o_area.Area_model.logic;
+      col 8 Json_out.add_int r.o_ctrls;
+      str "\n")
     t.origins;
-  Format.fprintf fmt "@.%-44s %12s %12s %10s  %s@." "controller" "total"
-    "self" "invocs" "provenance";
+  str "\n";
+  left 44 "controller";
+  str "        total         self     invocs  provenance\n";
   let rec tree depth n =
-    Format.fprintf fmt "%s%-*s %12.0f %12.0f %10.0f  %s@."
-      (String.make (2 * depth) ' ')
-      (Int.max 1 (44 - (2 * depth)))
-      n.name n.total n.self n.invocations (Prov.to_string n.prov);
+    pad (2 * depth);
+    left (Int.max 1 (44 - (2 * depth))) n.name;
+    col 12 cycles n.total;
+    col 12 cycles n.self;
+    col 10 cycles n.invocations;
+    str "  ";
+    str (Prov.to_string n.prov);
+    str "\n";
     List.iter (tree (depth + 1)) n.children
   in
-  tree 0 t.root
+  tree 0 t.root;
+  Format.pp_print_string fmt (Buffer.contents b);
+  Format.pp_print_flush fmt ()
 
 (* ------------------------- json backend ---------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* fraction digits of report floats; integral ones print without any *)
+let prec = 6
 
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6f" v
+let add_area b (a : Area_model.t) =
+  Json_out.add_float_object ~prec b
+    [ ("logic", a.Area_model.logic); ("ff", a.Area_model.ff);
+      ("bram", a.Area_model.bram); ("dsp", a.Area_model.dsp) ]
 
-let json_area (a : Area_model.t) =
-  Printf.sprintf
-    "{\"logic\": %s, \"ff\": %s, \"bram\": %s, \"dsp\": %s}"
-    (json_float a.Area_model.logic) (json_float a.Area_model.ff)
-    (json_float a.Area_model.bram) (json_float a.Area_model.dsp)
-
-let json_traffic tr =
-  "{"
-  ^ String.concat ", "
-      (List.map
-         (fun (a, w) ->
-           Printf.sprintf "\"%s\": %s" (json_escape a) (json_float w))
-         tr)
-  ^ "}"
-
-let rec json_node n =
-  Printf.sprintf
-    "{\"name\": \"%s\", \"kind\": \"%s\", \"prov\": \"%s\", \"total\": %s, \
-     \"self\": %s, \"invocations\": %s, \"fill\": %s, \"steady\": %s, \
-     \"dram\": %s, \"reads\": %s, \"writes\": %s, \"area\": %s, \
-     \"children\": [%s]}"
-    (json_escape n.name) (json_escape n.kind)
-    (json_escape (Prov.to_string n.prov))
-    (json_float n.total) (json_float n.self) (json_float n.invocations)
-    (json_float n.fill) (json_float n.steady) (json_float n.dram)
-    (json_traffic n.reads) (json_traffic n.writes) (json_area n.area)
-    (String.concat ", " (List.map json_node n.children))
-
+(* the whole report in one pass over one buffer; [num key v] writes a
+   field separator and key, then the number *)
 let to_json t =
-  Printf.sprintf
-    "{\"design\": \"%s\", \"total_cycles\": %s, \"dram_cycles\": %s, \
-     \"fill_cycles\": %s, \"steady_cycles\": %s, \"dram_serial_cycles\": %s, \
-     \"origins\": [%s], \"tree\": %s}"
-    (json_escape t.design_name)
-    (json_float t.total_cycles) (json_float t.dram_cycles)
-    (json_float t.fill_cycles) (json_float t.steady_cycles)
-    (json_float t.dram_serial_cycles)
-    (String.concat ", "
-       (List.map
-          (fun r ->
-            Printf.sprintf
-              "{\"origin\": \"%s\", \"cycles\": %s, \"share\": %s, \
-               \"traffic_words\": %s, \"area\": %s, \"controllers\": %d}"
-              (json_escape r.origin) (json_float r.o_cycles)
-              (json_float r.o_share) (json_float r.o_traffic)
-              (json_area r.o_area) r.o_ctrls)
-          t.origins))
-    (json_node t.root)
+  let b = Buffer.create 8192 in
+  let str = Buffer.add_string b in
+  let num key v =
+    str key;
+    Json_out.add_float ~prec b v
+  in
+  let rec node n =
+    str "{\"name\": ";
+    Json_out.add_string b n.name;
+    str ", \"kind\": ";
+    Json_out.add_string b n.kind;
+    str ", \"prov\": ";
+    Json_out.add_string b (Prov.to_string n.prov);
+    num ", \"total\": " n.total;
+    num ", \"self\": " n.self;
+    num ", \"invocations\": " n.invocations;
+    num ", \"fill\": " n.fill;
+    num ", \"steady\": " n.steady;
+    num ", \"dram\": " n.dram;
+    str ", \"reads\": ";
+    Json_out.add_float_object ~prec b n.reads;
+    str ", \"writes\": ";
+    Json_out.add_float_object ~prec b n.writes;
+    str ", \"area\": ";
+    add_area b n.area;
+    str ", \"children\": [";
+    Json_out.add_list b (fun _ -> node) n.children;
+    str "]}"
+  in
+  str "{\"design\": ";
+  Json_out.add_string b t.design_name;
+  num ", \"total_cycles\": " t.total_cycles;
+  num ", \"dram_cycles\": " t.dram_cycles;
+  num ", \"fill_cycles\": " t.fill_cycles;
+  num ", \"steady_cycles\": " t.steady_cycles;
+  num ", \"dram_serial_cycles\": " t.dram_serial_cycles;
+  str ", \"origins\": [";
+  Json_out.add_list b
+    (fun b r ->
+      str "{\"origin\": ";
+      Json_out.add_string b r.origin;
+      num ", \"cycles\": " r.o_cycles;
+      num ", \"share\": " r.o_share;
+      num ", \"traffic_words\": " r.o_traffic;
+      str ", \"area\": ";
+      add_area b r.o_area;
+      str ", \"controllers\": ";
+      Json_out.add_int b r.o_ctrls;
+      str "}")
+    t.origins;
+  str "], \"tree\": ";
+  node t.root;
+  str "}";
+  Buffer.contents b
 
 (* ---------------------- folded-stack backend ------------------------ *)
 

@@ -74,7 +74,3 @@ val to_json : t -> string
 
 val to_folded : t -> string
 (** Folded flamegraph stacks, one line per provenance trail. *)
-
-val json_float : float -> string
-(** The number formatting [to_json] uses (integral floats print without
-    a decimal point), shared so other emitters can match it exactly. *)

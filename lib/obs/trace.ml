@@ -74,43 +74,8 @@ let virtual_span ?(cat = "sim") ~track ~name ~start ~finish ?(args = []) () =
 
 (* --------------------------- serialization ------------------------- *)
 
-(* canonical float text: integers print without a fraction, everything
-   else with a fixed number of digits — deterministic across runs.
-   Integers below 1e15 are exact in an [int], so their digits are written
-   directly; [-0.] keeps the sign [%.0f] gives it *)
-let rec add_digits b n =
-  if n >= 10 then add_digits b (n / 10);
-  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
-
-let add_int b n =
-  if n < 0 then Buffer.add_string b (string_of_int n) else add_digits b n
-
-let add_float b f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    if f = 0.0 && Float.sign_bit f then Buffer.add_string b "-0"
-    else add_int b (int_of_float f)
-  else Buffer.add_string b (Printf.sprintf "%.4f" f)
-
-let float_str f =
-  let b = Buffer.create 24 in
-  add_float b f;
-  Buffer.contents b
-
-let add_escaped b s =
-  let plain c = c <> '"' && c <> '\\' && Char.code c >= 0x20 in
-  if String.for_all plain s then Buffer.add_string b s
-  else
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s
+(* fraction digits of trace floats; integral ones print without any *)
+let prec = 4
 
 let ph_str = function B -> "B" | E -> "E" | X -> "X" | M -> "M"
 
@@ -119,34 +84,29 @@ let add_event b tid ev =
   let str = Buffer.add_string b in
   str "{\"ph\": \"";
   str (ph_str ev.ph);
-  str "\", \"name\": \"";
-  add_escaped b ev.name;
-  str "\", \"cat\": \"";
-  add_escaped b ev.cat;
-  str "\", \"pid\": ";
-  add_int b ev.pid;
+  str "\", \"name\": ";
+  Json_out.add_string b ev.name;
+  str ", \"cat\": ";
+  Json_out.add_string b ev.cat;
+  str ", \"pid\": ";
+  Json_out.add_int b ev.pid;
   str ", \"tid\": ";
-  add_int b tid;
+  Json_out.add_int b tid;
   str ", \"ts\": ";
-  add_float b ev.ts;
+  Json_out.add_float ~prec b ev.ts;
   if ev.ph = X then begin
     str ", \"dur\": ";
-    add_float b ev.dur
+    Json_out.add_float ~prec b ev.dur
   end;
   str ", \"args\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then str ", ";
-      str "\"";
-      add_escaped b k;
-      str "\": ";
+  Json_out.add_list b
+    (fun b (k, v) ->
+      Json_out.add_string b k;
+      str ": ";
       match v with
-      | Int n -> add_int b n
-      | Float f -> add_float b f
-      | Str s ->
-          str "\"";
-          add_escaped b s;
-          str "\"")
+      | Int n -> Json_out.add_int b n
+      | Float f -> Json_out.add_float ~prec b f
+      | Str s -> Json_out.add_string b s)
     ev.args;
   str "}}"
 
@@ -251,16 +211,18 @@ let summary () =
       end)
     evs;
   if Hashtbl.length vt > 0 then begin
-    pr "virtual timeline (makespan %s cycles)\n" (float_str !makespan);
+    pr "virtual timeline (makespan %s cycles)\n"
+      (Json_out.float_str ~prec !makespan);
     pr "  %-38s %8s %14s %7s %14s\n" "track" "spans" "busy cycles" "util"
       "stall cycles";
     List.iter
       (fun (track, a) ->
         let util = if !makespan > 0.0 then a.busy /. !makespan else 0.0 in
         let stall = a.last -. a.first -. a.busy in
-        pr "  %-38s %8d %14s %6.1f%% %14s\n" track a.spans (float_str a.busy)
+        pr "  %-38s %8d %14s %6.1f%% %14s\n" track a.spans
+          (Json_out.float_str ~prec a.busy)
           (100.0 *. util)
-          (float_str (Float.max 0.0 stall)))
+          (Json_out.float_str ~prec (Float.max 0.0 stall)))
       (List.sort compare
          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) vt []))
   end;
