@@ -18,8 +18,8 @@ let bench_conv =
   in
   Arg.conv (parse, fun fmt b -> Format.pp_print_string fmt b.Suite.name)
 
-(* Tile sizes and parallelism factors below 1 cannot take effect:
-   reject them as usage errors before any compiling. *)
+(* Tile sizes, size-parameter values and parallelism factors below 1
+   cannot take effect: reject them as usage errors before any compiling. *)
 let positive_int =
   let parse s =
     match Arg.conv_parser Arg.int s with
@@ -504,7 +504,7 @@ let compile_cmd =
   in
   let sizes_arg =
     Arg.(
-      value & opt (list (pair ~sep:'=' string int)) []
+      value & opt (list (pair ~sep:'=' string positive_int)) []
       & info [ "sizes" ] ~docv:"NAME=N,..."
           ~doc:
             "Concrete size-parameter values; when given, the compiled \
@@ -1034,7 +1034,7 @@ let profile_cmd =
   in
   let sizes_arg =
     Arg.(
-      value & opt (list (pair ~sep:'=' string int)) []
+      value & opt (list (pair ~sep:'=' string positive_int)) []
       & info [ "sizes" ] ~docv:"NAME=N,..."
           ~doc:
             "Concrete size-parameter values to profile at (required for \

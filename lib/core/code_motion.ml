@@ -59,8 +59,18 @@ let step e =
       else rebind hoisted (GroupByFold { g with glets = kept })
   | e -> e
 
+(* [step] returns its argument itself when nothing moves, so a pass that
+   moved nothing is the fixpoint; no whole-tree comparison is needed *)
 let rec exp e =
-  let e' = Rewrite.bottom_up step e in
-  if e' = e then e else exp e'
+  let moved = ref false in
+  let e' =
+    Rewrite.bottom_up
+      (fun n ->
+        let n' = step n in
+        if n' != n then moved := true;
+        n')
+      e
+  in
+  if !moved then exp e' else e
 
 let program (p : program) = { p with body = exp p.body }

@@ -1140,12 +1140,20 @@ and lower_groupbyfold ctx g ~dest : Hw.ctrl list =
 
 (* ------------------------------ top ------------------------------- *)
 
-let lower_program opts (p : program) =
+type prepared = {
+  prog : program;
+  result_ty : Ty.t;
+  tenv : Ty.t Sym.Map.t;
+}
+
+let prepare (p : program) =
   (* defensive: untiled (baseline) programs reach here without going
      through Tiling.run, so stamp source-pattern ids now (idempotent) *)
   let p = Prov_stamp.program p in
   let result_ty = Validate.check_program p in
-  let tenv = Validate.initial_env p in
+  { prog = p; result_ty; tenv = Validate.initial_env p }
+
+let lower_design opts { prog = p; result_ty; tenv } =
   let rec bound e =
     match e with
     | Ci c -> Some c
@@ -1178,12 +1186,6 @@ let lower_program opts (p : program) =
   in
   (* the program result: on-chip if it fits (then stored once at the end),
      DRAM-resident otherwise (stores happen inside the loops) *)
-  let result_words =
-    match p.body with
-    | Let _ -> None  (* decided when the final expression is reached *)
-    | _ -> None
-  in
-  ignore result_words;
   let rec final_exp = function Let (_, _, rest) -> final_exp rest | e -> e in
   let fexp = final_exp p.body in
   let fits =
@@ -1264,19 +1266,21 @@ let lower_program opts (p : program) =
   in
   Metapipe.finalize design
 
-let program opts (p : program) =
+let design opts pr =
   Metrics.time "pass.lower" (fun () ->
-      if not (Trace.enabled ()) then lower_program opts p
+      if not (Trace.enabled ()) then lower_design opts pr
       else begin
         let args = ref [] in
         Trace.with_span ~cat:"pass" ~args:(fun () -> !args) "lower" (fun () ->
-            let d = lower_program opts p in
+            let d = lower_design opts pr in
             let ctrls = Hw.fold_ctrls (fun n _ -> n + 1) 0 d.Hw.top in
             args :=
-              [ ("program", Trace.Str p.pname);
+              [ ("program", Trace.Str pr.prog.pname);
                 ("controllers", Trace.Int ctrls);
                 ("mems", Trace.Int (List.length d.Hw.mems));
                 ("par", Trace.Int opts.par);
                 ("meta", Trace.Str (if opts.meta then "true" else "false")) ];
             d)
       end)
+
+let program opts p = design opts (prepare p)

@@ -39,5 +39,20 @@ val baseline_opts : opts
 (** The Section 6.1 baseline: no metapipelining, no caches — burst-level
     locality only.  Same parallelism factor. *)
 
+type prepared
+(** A program made ready for lowering: provenance-stamped, type-checked,
+    with its initial type environment.  None of this depends on [opts],
+    so a sweep over parallelism factors prepares each program once. *)
+
+val prepare : Ir.program -> prepared
+(** Stamp source-pattern provenance ({!Prov_stamp}, idempotent) and
+    type-check the program.
+    @raise Validate.Type_error on an ill-typed program. *)
+
+val design : opts -> prepared -> Hw.design
+(** Lower a prepared program.  Timed as the [pass.lower] metric and, when
+    tracing is on, recorded as a ["lower"] span. *)
+
 val program : opts -> Ir.program -> Hw.design
-(** @raise Validate.Type_error on an ill-typed program. *)
+(** [program opts p] is [design opts (prepare p)].
+    @raise Validate.Type_error on an ill-typed program. *)

@@ -73,15 +73,81 @@ let rec top_down_ctx ctx ~enter f e =
       let ctx' = enter ctx e in
       map_children (top_down_ctx ctx' ~enter f) e
 
+(* The visit order is the one [map_children] evaluates its calls in under
+   ocamlopt: constructor arguments and record fields right to left, list
+   elements left to right.  Passes that collect names while walking (the
+   reads lists of the lowered design, among others) depend on it. *)
+let iter_dom f = function
+  | Dfull e | Dtiles { total = e; _ } | Dtail { total = e; _ } -> f e
+
+let iter_comb f c = f c.cbody
+
+let iter_children f e =
+  match e with
+  | Var _ | Cf _ | Ci _ | Cb _ | EmptyArr _ -> ()
+  | Tup es | Prim (_, es) | Zeros (_, es) | ArrLit es -> List.iter f es
+  | Proj (e1, _) | Len (e1, _) -> f e1
+  | Let (_, e1, e2) ->
+      f e2;
+      f e1
+  | If (c, t, e1) ->
+      f e1;
+      f t;
+      f c
+  | Read (a, idxs) ->
+      List.iter f idxs;
+      f a
+  | Slice (a, args) ->
+      List.iter (function SFix e1 -> f e1 | SAll -> ()) args;
+      f a
+  | Copy { csrc; cdims; _ } ->
+      List.iter
+        (function
+          | Coffset { off; len; _ } ->
+              f len;
+              f off
+          | Call -> ()
+          | Cfix e1 -> f e1)
+        cdims;
+      f csrc
+  | Map m ->
+      f m.mbody;
+      List.iter (iter_dom f) m.mdims
+  | Fold fl ->
+      iter_comb f fl.fcomb;
+      f fl.fupd;
+      f fl.finit;
+      List.iter (iter_dom f) fl.fdims
+  | MultiFold mf ->
+      Option.iter (iter_comb f) mf.ocomb;
+      List.iter
+        (fun out ->
+          f out.oupd;
+          List.iter
+            (fun (o, l, _) ->
+              f l;
+              f o)
+            out.oregion;
+          List.iter f out.orange)
+        mf.oouts;
+      List.iter (fun (_, e1) -> f e1) mf.olets;
+      f mf.oinit;
+      List.iter (iter_dom f) mf.odims
+  | FlatMap fm ->
+      f fm.fmbody;
+      iter_dom f fm.fmdim
+  | GroupByFold g ->
+      iter_comb f g.gcomb;
+      f g.gupd;
+      f g.gkey;
+      List.iter (fun (_, e1) -> f e1) g.glets;
+      f g.ginit;
+      List.iter (iter_dom f) g.gdims
+
 let iter_exp f e =
   let rec go e =
     f e;
-    ignore
-      (map_children
-         (fun child ->
-           go child;
-           child)
-         e)
+    iter_children go e
   in
   go e
 

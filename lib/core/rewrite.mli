@@ -18,8 +18,17 @@ val top_down_ctx :
     node (the replacement is re-visited); otherwise recursion proceeds into
     children with [enter ctx e] as the new context. *)
 
+val iter_children : (Ir.exp -> unit) -> Ir.exp -> unit
+(** [iter_children f e] applies [f] to every direct child of [e], without
+    rebuilding [e], in exactly the order in which [map_children] calls its
+    function: constructor arguments and record fields right to left, list
+    elements left to right.  So a [Let] visits its body before its bound
+    expression, a [Read] its indices before its array, and a pattern its
+    body (and combine function) before its domains. *)
+
 val iter_exp : (Ir.exp -> unit) -> Ir.exp -> unit
-(** Pre-order visit of every node. *)
+(** Pre-order visit of every node; children are visited in
+    [iter_children] order.  Allocates nothing per node. *)
 
 val exists_exp : (Ir.exp -> bool) -> Ir.exp -> bool
 val node_count : Ir.exp -> int

@@ -56,10 +56,13 @@ let rule e =
   | e -> e
 
 (* apply the rule set to fixpoint at each node: one rewrite may expose
-   another (e.g. [1 + (e - 1)] -> [e + 0] -> [e]) *)
+   another (e.g. [1 + (e - 1)] -> [e + 0] -> [e]).  [rule] returns its
+   argument itself when no rule fires, and every rule that fires changes
+   the term, so the fixpoint test is physical: a structural one would
+   compare the whole subtree at every node, and never holds on a [Cf nan]. *)
 let rec fix e =
   let e' = rule e in
-  if e' = e then e else fix e'
+  if e' == e then e else fix e'
 
 let exp e = Rewrite.bottom_up fix e
 

@@ -5,6 +5,11 @@
     form; the affine analysis and the hardware lowering both consume
     simplified expressions. *)
 
+val rule : Ir.exp -> Ir.exp
+(** One rewrite at the root of the term.  Returns its argument itself
+    (physically) when no rule applies, and a different term whenever one
+    does; {!exp} relies on this to detect each node's fixpoint. *)
+
 val exp : Ir.exp -> Ir.exp
 (** Bottom-up simplification; preserves semantics exactly (integer
     arithmetic only is folded — float folding is limited to

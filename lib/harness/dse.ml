@@ -53,10 +53,12 @@ let explore_joint ?domains ?machine ?(opts = Lower.default_opts)
     | exception Validate.Type_error reason ->
         Error { sk_tiles = tiles; sk_reason = reason }
     | tiled ->
+        (* stamped and type-checked once; only the lowering depends on par *)
+        let prepared = Lower.prepare tiled in
         Ok
           (List.map
              (fun par ->
-               let design = Lower.program { opts with Lower.par } tiled in
+               let design = Lower.design { opts with Lower.par } prepared in
                let rep = Simulate.run ?machine design ~sizes in
                let area = Area_model.of_design design in
                let cycles = rep.Simulate.cycles in

@@ -1,0 +1,267 @@
+(* The linear-time tiling and lowering passes against the definitions they
+   replaced.  Each reference below is the old definition, kept here only
+   as an oracle:
+   - [Simplify.exp] stopping each node's rewriting on a structural [=];
+   - [Code_motion.exp] re-running until the whole tree is structurally
+     unchanged;
+   - copy insertion keyed on printed offsets ([Ref_copy_insert]);
+   - [Rewrite.iter_exp] walking through [map_children].
+   They are checked on every stage of every suite program and of random
+   programs, and [Lower.design] of a prepared program against
+   [Lower.program]. *)
+
+module R = Workloads.Rng
+
+let old_simplify e =
+  let rec fix e =
+    let e' = Simplify.rule e in
+    if e' = e then e else fix e'
+  in
+  Rewrite.bottom_up fix e
+
+let rec old_code_motion e =
+  let e' = Rewrite.bottom_up Code_motion.step e in
+  if e' = e then e else old_code_motion e'
+
+let old_iter_exp f e =
+  let rec go e =
+    f e;
+    ignore
+      (Rewrite.map_children
+         (fun child ->
+           go child;
+           child)
+         e)
+  in
+  go e
+
+let visits iter e =
+  let acc = ref [] in
+  iter (fun n -> acc := n :: !acc) e;
+  List.rev !acc
+
+(* [None] when every pass agrees with its reference on [p], else the name
+   of the first that does not *)
+let disagreement (p : Ir.program) =
+  let e = p.Ir.body in
+  if Simplify.exp e <> old_simplify e then Some "simplify"
+  else if Code_motion.exp e <> old_code_motion e then Some "code-motion"
+  else if
+    not
+      (Alpha.equal (Copy_insert.program p).Ir.body
+         (Ref_copy_insert.program p).Ir.body)
+  then Some "copy-insert"
+  else if
+    not (List.equal ( == ) (visits Rewrite.iter_exp e) (visits old_iter_exp e))
+  then Some "iter_exp order"
+  else None
+
+let stages (r : Tiling.result) source =
+  [ ("source", source);
+    ("fused", r.Tiling.fused);
+    ("stripped", r.Tiling.stripped);
+    ("stripped+copies", r.Tiling.stripped_with_copies);
+    ("tiled", r.Tiling.tiled) ]
+
+let test_suite_stages () =
+  List.iter
+    (fun (b : Suite.bench) ->
+      let r = Tiling.run ~tiles:b.Suite.tiles b.Suite.prog in
+      List.iter
+        (fun (stage, p) ->
+          match disagreement p with
+          | None -> ()
+          | Some pass ->
+              Alcotest.failf "%s %s: %s differs from the reference"
+                b.Suite.name stage pass)
+        (stages r b.Suite.prog))
+    (Suite.extended ())
+
+let prop_random_stages =
+  QCheck.Test.make ~name:"random programs: passes equal their references"
+    ~count:80
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = R.make seed in
+      let shape_id = R.int rng Gen_programs.n_shapes in
+      let s = Gen_programs.make_setup rng shape_id in
+      let tiles =
+        List.concat
+          [ (if R.int rng 4 > 0 then [ (s.Gen_programs.n, 1 + R.int rng 8) ]
+             else []);
+            (if R.int rng 4 > 0 then [ (s.Gen_programs.m, 1 + R.int rng 8) ]
+             else []) ]
+      in
+      let r = Tiling.run ~tiles s.Gen_programs.prog in
+      List.iter
+        (fun (stage, p) ->
+          match disagreement p with
+          | None -> ()
+          | Some pass ->
+              QCheck.Test.fail_reportf "shape %d seed %d %s: %s differs"
+                shape_id seed stage pass)
+        (stages r s.Gen_programs.prog);
+      true)
+
+(* one node of every constructor, every child a distinct leaf, so the
+   whole visit order is pinned, including constructors the suite lacks *)
+let every_constructor () =
+  let counter = ref 0 in
+  let leaf () =
+    incr counter;
+    Ir.Var (Sym.fresh (Printf.sprintf "v%d" !counter))
+  in
+  let sym () = Sym.fresh "s" in
+  let comb () = { Ir.ca = sym (); cb = sym (); cbody = leaf () } in
+  let doms () =
+    [ Ir.Dfull (leaf ());
+      Ir.Dtiles { total = leaf (); tile = 4 };
+      Ir.Dtail { total = leaf (); tile = 4; outer = sym () } ]
+  in
+  let idxs () = [ sym (); sym (); sym () ] in
+  [ Ir.Tup [ leaf (); leaf (); leaf () ];
+    Ir.Proj (leaf (), 1);
+    Ir.Prim (Ir.Add, [ leaf (); leaf () ]);
+    Ir.Let (sym (), leaf (), leaf ());
+    Ir.If (leaf (), leaf (), leaf ());
+    Ir.Len (leaf (), 0);
+    Ir.Read (leaf (), [ leaf (); leaf () ]);
+    Ir.Slice (leaf (), [ Ir.SFix (leaf ()); Ir.SAll; Ir.SFix (leaf ()) ]);
+    Ir.Copy
+      { csrc = leaf ();
+        cdims =
+          [ Ir.Coffset { off = leaf (); len = leaf (); max_len = Some 8 };
+            Ir.Call;
+            Ir.Cfix (leaf ());
+            Ir.Coffset { off = leaf (); len = leaf (); max_len = None } ];
+        creuse = 1 };
+    Ir.Zeros (Ty.float_, [ leaf (); leaf () ]);
+    Ir.ArrLit [ leaf (); leaf () ];
+    Ir.EmptyArr Ty.float_;
+    Ir.Cf nan;
+    Ir.Map
+      { mdims = doms (); midxs = idxs (); mbody = leaf (); mprov = Prov.none };
+    Ir.Fold
+      { fdims = doms ();
+        fidxs = idxs ();
+        finit = leaf ();
+        facc = sym ();
+        fupd = leaf ();
+        fcomb = comb ();
+        fprov = Prov.none };
+    Ir.MultiFold
+      { odims = doms ();
+        oidxs = idxs ();
+        oinit = leaf ();
+        olets = [ (sym (), leaf ()); (sym (), leaf ()) ];
+        oouts =
+          List.init 2 (fun _ ->
+              { Ir.orange = [ leaf (); leaf () ];
+                oregion =
+                  [ (leaf (), leaf (), Some 4); (leaf (), leaf (), None) ];
+                oacc = sym ();
+                oupd = leaf () });
+        ocomb = Some (comb ());
+        oprov = Prov.none };
+    Ir.FlatMap
+      { fmdim = Ir.Dfull (leaf ());
+        fmidx = sym ();
+        fmbody = leaf ();
+        fmprov = Prov.none };
+    Ir.GroupByFold
+      { gdims = doms ();
+        gidxs = idxs ();
+        ginit = leaf ();
+        glets = [ (sym (), leaf ()); (sym (), leaf ()) ];
+        gkey = leaf ();
+        gacc = sym ();
+        gupd = leaf ();
+        gcomb = comb ();
+        gprov = Prov.none } ]
+
+let test_visit_order () =
+  let names e =
+    List.map
+      (function Ir.Var s -> Sym.base s | _ -> "node")
+      (visits Rewrite.iter_exp e)
+  in
+  List.iter
+    (fun e ->
+      if not (List.equal ( == ) (visits Rewrite.iter_exp e) (visits old_iter_exp e))
+      then
+        Alcotest.failf "iter_exp visits %s, map_children order differs"
+          (String.concat " " (names e)))
+    (every_constructor ());
+  (* the order the design texts depend on, spelled out *)
+  let x = Sym.fresh "x" and y = Sym.fresh "y" in
+  Alcotest.(check (list string))
+    "Let: body before bound expression" [ "node"; "y"; "x" ]
+    (names (Ir.Let (Sym.fresh "t", Ir.Var x, Ir.Var y)));
+  Alcotest.(check (list string))
+    "Read: indices before array" [ "node"; "y"; "x" ]
+    (names (Ir.Read (Ir.Var x, [ Ir.Var y ])))
+
+(* the source of test/nan_const.ppl: [1e400 - 1e400] folds to NaN, which
+   is not structurally equal to itself, so structural fixpoints never
+   hold on it *)
+let nan_source =
+  "program nanconst\n\
+   size n\n\
+   maxsize n 1048576\n\
+   input x : Float(n)\n\
+   map(n){ i => x(i) + (1e400 - 1e400) }\n"
+
+let test_nan_terminates () =
+  let p = Parser.program_of_string nan_source in
+  let simplified = Simplify.exp p.Ir.body in
+  Alcotest.(check bool)
+    "the constant folded to NaN" true
+    (Rewrite.exists_exp
+       (function Ir.Cf c -> Float.is_nan c | _ -> false)
+       simplified);
+  ignore (Code_motion.exp simplified);
+  let n = List.hd p.Ir.size_params in
+  let r = Tiling.run ~tiles:[ (n, 64) ] p in
+  Alcotest.(check bool)
+    "tiled" true
+    (Rewrite.exists_exp
+       (function Ir.Copy _ -> true | _ -> false)
+       r.Tiling.tiled.Ir.body)
+
+let configs =
+  [ ((fun (r : Tiling.result) -> r.Tiling.fused), Lower.baseline_opts);
+    ( (fun r -> r.Tiling.tiled),
+      { Lower.default_opts with Lower.meta = false } );
+    ((fun r -> r.Tiling.tiled), Lower.default_opts) ]
+
+let test_prepare_design () =
+  List.iter
+    (fun (b : Suite.bench) ->
+      let r = Tiling.run ~tiles:b.Suite.tiles b.Suite.prog in
+      List.iter
+        (fun (stage, opts) ->
+          let p = stage r in
+          let prepared = Lower.prepare p in
+          List.iter
+            (fun par ->
+              let o = { opts with Lower.par } in
+              if Lower.design o prepared <> Lower.program o p then
+                Alcotest.failf "%s par %d meta %b: design <> program"
+                  b.Suite.name par o.Lower.meta)
+            [ 4; 16; 64 ])
+        configs)
+    (Suite.extended ())
+
+let () =
+  Alcotest.run "linear_passes"
+    [ ( "references",
+        [ Alcotest.test_case "suite stages" `Quick test_suite_stages;
+          QCheck_alcotest.to_alcotest prop_random_stages ] );
+      ( "walks",
+        [ Alcotest.test_case "visit order" `Quick test_visit_order ] );
+      ( "fixpoints",
+        [ Alcotest.test_case "NaN constant terminates" `Quick
+            test_nan_terminates ] );
+      ( "lower",
+        [ Alcotest.test_case "design of prepared = program" `Quick
+            test_prepare_design ] ) ]

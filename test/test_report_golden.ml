@@ -2,8 +2,9 @@
    a digest: the profile's JSON, text and folded backends for every suite
    bench under every configuration at sizes x0.5, x1 and x2; the
    diagnostics JSON of the source linter over every corpus program and of
-   the design linter over every suite design; and the metrics JSON of a
-   fixed snapshot.  Any change to a printer's bytes, including number
+   the design linter over every suite design; the MaxJ, listing and
+   Graphviz texts of every suite design; and the metrics JSON of a fixed
+   snapshot.  Any change to a printer's bytes, including number
    formatting and string escaping, fails here.  A deliberate format
    change regenerates the table from the failure message. *)
 
@@ -67,6 +68,20 @@ let hw_lint_digests () =
         configs)
     (Suite.extended ())
 
+(* the design texts: the MaxJ kernel, the design listing and the Graphviz
+   diagram print each controller's reads and writes in the order the
+   lowering walked the IR, so a changed walk order shows here *)
+let design_digests () =
+  List.concat_map
+    (fun (b : Suite.bench) ->
+      List.map
+        (fun cfg ->
+          let d = Experiments.design_of cfg b in
+          ( "design " ^ b.Suite.name ^ " " ^ Experiments.config_name cfg,
+            hex (Maxj.emit d ^ Hw_pp.design_to_string d ^ Dot.emit d) ))
+        configs)
+    (Suite.extended ())
+
 (* counters, integral and fractional gauges (including ones %.6g writes
    in exponent form) and timers, integral seconds among them *)
 let metrics_snapshot =
@@ -89,7 +104,8 @@ let metrics_snapshot =
 let metrics_digests () =
   [ ("metrics values_to_json", hex (Metrics.values_to_json metrics_snapshot)) ]
 
-(* recorded with the sprintf-based printers and their separate escapers *)
+(* recorded with the sprintf-based printers and their separate escapers;
+   the design rows with the map_children-based IR walk *)
 let golden =
   [ ("profile outerprod baseline", "42d733fbc109f94c2182968e371bbada");
     ("profile outerprod +tiling", "8d9f3b393cffb0b77f4b08b698787dae");
@@ -169,13 +185,52 @@ let golden =
     ("hw_lint spmv baseline", "d751713988987e9331980363e24189ce");
     ("hw_lint spmv +tiling", "737c94e4736b7fcbdbd56a96a954ed79");
     ("hw_lint spmv +tiling+metapipelining", "6049c522a0dee33382472fe2a9a6f5c9");
+    ("design outerprod baseline", "c6d351a5701880b91eceef05e30212cf");
+    ("design outerprod +tiling", "f018b4a8547f7760d7fe193d9fcd9249");
+    ("design outerprod +tiling+metapipelining", "9b60707dfa7ea27a140135a8e423f34d");
+    ("design sumrows baseline", "908ff3ac68e46fc2601209a15145561e");
+    ("design sumrows +tiling", "2e1953a81356a403c72f650ddc9c29aa");
+    ("design sumrows +tiling+metapipelining", "8faed36754ea6f4003fa7b77fe9c8b7d");
+    ("design gemm baseline", "4784d66014e48005cd153358cfdf7e8a");
+    ("design gemm +tiling", "322d3015c3c193289f302d0de042de5f");
+    ("design gemm +tiling+metapipelining", "48f0e41364bbfcb5ed7de2ebe4dfec1c");
+    ("design tpchq6 baseline", "dbbe4c78253662666fb05a2854b27e6e");
+    ("design tpchq6 +tiling", "59b42d680202949b4d679f7f34e1de29");
+    ("design tpchq6 +tiling+metapipelining", "5e5f27231458ba3a3d622030f3995a91");
+    ("design gda baseline", "17a88f94ebf0e0ac091f6b44f4bca482");
+    ("design gda +tiling", "1fd655d32014d2e803130d526422c0ad");
+    ("design gda +tiling+metapipelining", "80e97ae43fbc8862de20f9c58f73042c");
+    ("design kmeans baseline", "9b4afd92e7f2a41269600519ab82da45");
+    ("design kmeans +tiling", "5685969b91186e3dba81892e6d29f092");
+    ("design kmeans +tiling+metapipelining", "2b35405a2393fa6253ea8992ab8044f8");
+    ("design histogram baseline", "a8a24455a0aa0cf0d0db038d31c504fa");
+    ("design histogram +tiling", "0ab3f5dadfeeb3e475769aedca9da4fc");
+    ("design histogram +tiling+metapipelining", "8b3dc6c837c2680eb34a0bcdfae626d1");
+    ("design conv2d baseline", "a66efdc460a34b6e8f1129176822814b");
+    ("design conv2d +tiling", "ac3c6d19c8d043b34a7c4a658cc5849a");
+    ("design conv2d +tiling+metapipelining", "c497a9e568223ae981af2c682e616595");
+    ("design logreg baseline", "85615ab69c11a1c1f23c220936dfbfc8");
+    ("design logreg +tiling", "c889654721975f706b7253693bd322ac");
+    ("design logreg +tiling+metapipelining", "6b4fcd9216b788150eca2627c16fa7ec");
+    ("design blackscholes baseline", "92ef398ab650a4e7bd8b942114f0f505");
+    ("design blackscholes +tiling", "31a68f86bbae2ff6c44f4fdf1eb20705");
+    ("design blackscholes +tiling+metapipelining", "e206e4632b421390338423face14b218");
+    ("design matvec baseline", "abedb535739f8c189c1190ba3b6824ac");
+    ("design matvec +tiling", "a7ba2f7b7bc767d26c6a4d5a934dff6c");
+    ("design matvec +tiling+metapipelining", "039ffbf3c43e0064f6dba11c54698761");
+    ("design spmv baseline", "1326cbe16d1e8303973abed1f6731f7a");
+    ("design spmv +tiling", "d00d8f0405c96030bd1822aab51355d0");
+    ("design spmv +tiling+metapipelining", "5fa9c2982a2c20141d87e876a300f5ea");
     ("metrics values_to_json", "0235ba2fa5fb8ab409881a02e3feb178") ]
 
 let test_golden () =
-  let actual =
+  (* the texts print fresh symbol numbers, so the reports are built in a
+     fixed order: the design texts after every other report *)
+  let reports =
     profile_digests () @ ppl_lint_digests () @ hw_lint_digests ()
-    @ metrics_digests ()
   in
+  let designs = design_digests () in
+  let actual = reports @ designs @ metrics_digests () in
   if actual <> golden then
     Alcotest.failf "report digests drifted; the current table is\n%s"
       (String.concat "\n"
