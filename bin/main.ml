@@ -29,6 +29,33 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* A .ppl file that does not parse or type-check is bad input, not a
+   bug: say what is wrong with it and exit 1. *)
+let read_program file =
+  let text = In_channel.with_open_text file In_channel.input_all in
+  match
+    let prog = Parser.program_of_string text in
+    ignore (Validate.check_program prog);
+    prog
+  with
+  | prog -> prog
+  | exception (Parser.Parse_error msg | Validate.Type_error msg) ->
+      Printf.eprintf "%s: %s\n" file msg;
+      exit 1
+
+(* A size above the maxsize its program declares describes a design the
+   program rules out: reject it as a usage error before any compiling. *)
+let check_maxsizes cmd (prog : Ir.program) sizes =
+  List.iter
+    (fun (s, v) ->
+      match Ir.max_sizes_bound prog s with
+      | Some bound when v > bound ->
+          Printf.eprintf "%s: --sizes %s=%d exceeds maxsize %s %d\n" cmd
+            (Sym.base s) v (Sym.base s) bound;
+          exit 124
+      | _ -> ())
+    sizes
+
 let tiles_arg ~doc =
   Arg.(
     value
@@ -512,12 +539,7 @@ let compile_cmd =
   in
   let run file tiles_spec sizes_spec engine trace metrics =
     obs_wrap trace metrics @@ fun () ->
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    let prog = Parser.program_of_string text in
-    ignore (Validate.check_program prog);
+    let prog = read_program file in
     Printf.printf "parsed %s: %d IR nodes, result type ok\n" prog.Ir.pname
       (Rewrite.node_count prog.Ir.body);
     let resolve spec =
@@ -533,6 +555,8 @@ let compile_cmd =
         spec
     in
     let tiles = resolve tiles_spec in
+    let sizes = resolve sizes_spec in
+    check_maxsizes "compile" prog sizes;
     let r = Tiling.run ~tiles prog in
     print_endline (Pp.program_to_string r.Tiling.tiled);
     let d = Lower.program Lower.default_opts r.Tiling.tiled in
@@ -543,7 +567,7 @@ let compile_cmd =
         List.iter (fun f -> Format.printf "design check: %a@." Diagnostic.pp f) fs;
         if Diagnostic.has_errors fs then exit 1
         else Printf.printf "design check: ok (%s)\n" (Diagnostic.summary fs));
-    match resolve sizes_spec with
+    match sizes with
     | [] -> ignore engine
     | sizes ->
         let rep =
@@ -912,12 +936,7 @@ let lint_ir_cmd =
           List.map
             (fun (b : Suite.bench) -> (b.Suite.name, b.Suite.prog))
             (benches ())
-      | Some t when Sys.file_exists t ->
-          let ic = open_in t in
-          let len = in_channel_length ic in
-          let text = really_input_string ic len in
-          close_in ic;
-          [ (Filename.basename t, Parser.program_of_string text) ]
+      | Some t when Sys.file_exists t -> [ (Filename.basename t, read_program t) ]
       | Some t -> (
           match Suite.find (benches ()) t with
           | b -> [ (b.Suite.name, b.Suite.prog) ]
@@ -1063,12 +1082,7 @@ let profile_cmd =
     obs_wrap trace metrics @@ fun () ->
     let design, sizes =
       if Sys.file_exists target then begin
-        let ic = open_in target in
-        let len = in_channel_length ic in
-        let text = really_input_string ic len in
-        close_in ic;
-        let prog = Parser.program_of_string text in
-        ignore (Validate.check_program prog);
+        let prog = read_program target in
         let resolve spec =
           List.filter_map
             (fun (name, v) ->
@@ -1084,6 +1098,7 @@ let profile_cmd =
             spec
         in
         let sizes = resolve sizes_spec in
+        check_maxsizes "profile" prog sizes;
         if sizes = [] then begin
           Printf.eprintf
             "profile: %s: --sizes NAME=N,... is required for .ppl targets\n"

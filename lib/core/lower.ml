@@ -21,7 +21,7 @@ type ctx = {
   ishapes : (Sym.t * exp list) list;  (* input array shapes *)
   bufs : (Sym.t * string list) list;  (* on-chip value -> mem per component *)
   dram : (Sym.t * string) list;  (* DRAM arrays *)
-  mems : Hw.mem list ref;
+  mems : (Hw.mem * bool) list ref;  (* with whether it is banked *)
   caches : (Sym.t, string) Hashtbl.t;
   dyn_lens : (Sym.t * Hw.trip) list;  (* FlatMap outputs: expected lengths *)
   counter : int ref;
@@ -66,12 +66,14 @@ let rec width_of_ty = function
   | Ty.Array (elt, _) -> width_of_ty elt
   | Ty.Assoc (k, v) -> width_of_ty k + width_of_ty v
 
-let alloc_mem ctx ~name ~kind ~width ~depth ~banks =
+(* [banked] memories get one bank per lane of the parallelism factor;
+   their count is set by [bind], every other memory has one bank *)
+let alloc_mem ctx ~name ~kind ~width ~depth ~banked =
   let m =
-    { Hw.mem_name = name; kind; width_bits = width; depth; banks;
+    { Hw.mem_name = name; kind; width_bits = width; depth; banks = 1;
       readers = 0; writers = 0; mem_prov = ctx.prov }
   in
-  ctx.mems := m :: !(ctx.mems);
+  ctx.mems := (m, banked) :: !(ctx.mems);
   name
 
 (* ------------------------------ trips ------------------------------ *)
@@ -339,7 +341,7 @@ let dram_accesses ctx spine_dims e =
                      let name = fresh_name ctx (arr ^ "_cache") in
                      ignore
                        (alloc_mem ctx ~name ~kind:Hw.Cache ~width:32
-                          ~depth:1024 ~banks:1);
+                          ~depth:1024 ~banked:false);
                      Hashtbl.add ctx.caches s name
                    end);
                   `Cached
@@ -412,7 +414,7 @@ let lower_leaf ctx ~defines base e =
     { name;
       trips;
       template = template_of e;
-      par = ctx.opts.par;
+      par = 1;  (* set by [bind] *)
       depth;
       ii = 1;
       ops;
@@ -491,7 +493,7 @@ let alloc_value ctx base ty init =
                 (* GroupByFold result: an associative key-value store *)
                 alloc_mem ctx ~name ~kind:Hw.Cam
                   ~width:(width_of_ty k + width_of_ty v)
-                  ~depth:1024 ~banks:1
+                  ~depth:1024 ~banked:false
             | _ ->
                 let depth =
                   match shape with
@@ -503,7 +505,7 @@ let alloc_value ctx base ty init =
                 in
                 let kind = if depth = 1 then Hw.Reg else Hw.Buffer in
                 alloc_mem ctx ~name ~kind ~width:(width_of_ty comp) ~depth
-                  ~banks:(if depth = 1 then 1 else ctx.opts.par))
+                  ~banked:(depth > 1))
           comps shapes
       in
       Some names
@@ -577,7 +579,7 @@ let lower_copy ctx s { csrc; cdims; creuse } =
   let depth = List.fold_left (fun acc (_, m) -> acc * m) 1 dim_info in
   let mem_name =
     alloc_mem ctx ~name:(Sym.name s) ~kind:Hw.Buffer
-      ~width:(elt_width_of_src ctx csrc) ~depth ~banks:ctx.opts.par
+      ~width:(elt_width_of_src ctx csrc) ~depth ~banked:true
   in
   let load_name = fresh_name ctx ("load_" ^ arr_name) in
   let load =
@@ -628,7 +630,7 @@ let rec lower_stages ctx e ~dest : Hw.ctrl list =
       let ctx = under_prov ctx bprov in
       let fifo =
         alloc_mem ctx ~name:(Sym.name x) ~kind:Hw.Fifo ~width:32
-          ~depth:(2 * tile) ~banks:1
+          ~depth:(2 * tile) ~banked:false
       in
       let tail_trip =
         trip_of_dom ctx (Dtail { total; tile; outer = fmidx })
@@ -666,7 +668,7 @@ let rec lower_stages ctx e ~dest : Hw.ctrl list =
         | None ->
             (* intermediate too large: keep in DRAM *)
             [ alloc_mem ctx_a ~name:(Sym.name s) ~kind:Hw.Buffer ~width:32
-                ~depth:1 ~banks:1 ]
+                ~depth:1 ~banked:false ]
       in
       let stage = lower_value ctx rhs ~dest:(Onchip names) in
       let ctx' = add_buf (add_ty ctx s t) s names in
@@ -699,7 +701,7 @@ let rec lower_stages ctx e ~dest : Hw.ctrl list =
       let t = infer ctx rhs in
       let name =
         alloc_mem ctx ~name:(Sym.name s) ~kind:Hw.Reg ~width:(width_of_ty t)
-          ~depth:1 ~banks:1
+          ~depth:1 ~banked:false
       in
       let stage = lower_leaf ctx ~defines:[ name ] "scalar" rhs in
       let ctx' = add_buf (add_ty ctx s t) s [ name ] in
@@ -791,7 +793,7 @@ and lower_leaf_value ctx e ~dest : Hw.ctrl list =
       let ctx = under_prov ctx bprov in
       let stage_mem =
         alloc_mem ctx ~name:(fresh_name ctx "stage") ~kind:Hw.Buffer ~width:32
-          ~depth:1024 ~banks:ctx.opts.par
+          ~depth:1024 ~banked:true
       in
       let pipe = lower_leaf ctx ~defines:[ stage_mem ] "pipe" e in
       let words =
@@ -829,7 +831,7 @@ and lower_fold ctx ({ fdims; fidxs; finit; facc; fupd; fcomb = _; fprov; _ } as 
         match alloc_value ctx "acc" acc_t finit with
         | Some names -> names
         | None -> [ alloc_mem ctx ~name:(fresh_name ctx "acc") ~kind:Hw.Buffer
-                      ~width:32 ~depth:1024 ~banks:ctx.opts.par ])
+                      ~width:32 ~depth:1024 ~banked:true ])
   in
   let ctx_b = add_ty (add_idxs ctx fidxs) facc acc_t in
   let ctx_b = add_buf ctx_b facc acc_names in
@@ -896,7 +898,7 @@ and lower_multifold ctx
                     | Some ns -> ns
                     | None ->
                         [ alloc_mem c ~name:(Sym.name s) ~kind:Hw.Buffer
-                            ~width:32 ~depth:1024 ~banks:c.opts.par ]
+                            ~width:32 ~depth:1024 ~banked:true ]
                   in
                   let stage = lower_value c rhs ~dest:(Onchip bnames) in
                   (add_buf (add_ty c s t) s bnames, List.rev stage @ acc)
@@ -953,7 +955,7 @@ and lower_multifold ctx
           let staging =
             alloc_mem ctx_i ~name:(fresh_name ctx "region")
               ~kind:Hw.Buffer ~width:(width_of_ty elt)
-              ~depth:(region_depth ctx_i out.oregion) ~banks:ctx.opts.par
+              ~depth:(region_depth ctx_i out.oregion) ~banked:true
           in
           let words = region_words ctx_i out.oregion in
           let compute =
@@ -1027,10 +1029,10 @@ and lower_multifold ctx
                       (fun a n ->
                         match
                           List.find_opt
-                            (fun m -> m.Hw.mem_name = n)
+                            (fun (m, _) -> m.Hw.mem_name = n)
                             !(ctx.mems)
                         with
-                        | Some m -> a + m.Hw.depth
+                        | Some (m, _) -> a + m.Hw.depth
                         | None -> a)
                       acc names
                 | _ -> acc)
@@ -1079,7 +1081,7 @@ and lower_flatmap ctx ({ fmdim; fmidx; fmbody; fmprov; _ } as fm) ~dest :
     | Onchip (n :: _) -> n
     | _ ->
         alloc_mem ctx ~name:(fresh_name ctx "fifo") ~kind:Hw.Fifo ~width:32
-          ~depth:4096 ~banks:1
+          ~depth:4096 ~banked:false
   in
   let ctx' = add_idxs ctx [ fmidx ] in
   if is_leaf (FlatMap fm) then [ lower_leaf ctx ~defines:[ fifo ] "filter" (FlatMap fm) ]
@@ -1101,7 +1103,7 @@ and lower_groupbyfold ctx g ~dest : Hw.ctrl list =
     | Onchip (n :: _) -> n
     | _ ->
         alloc_mem ctx ~name:(fresh_name ctx "cam") ~kind:Hw.Cam ~width:64
-          ~depth:1024 ~banks:1
+          ~depth:1024 ~banked:false
   in
   match g.gdims with
   | (Dtiles _ as od) :: rest when rest <> [] ->
@@ -1140,20 +1142,12 @@ and lower_groupbyfold ctx g ~dest : Hw.ctrl list =
 
 (* ------------------------------ top ------------------------------- *)
 
-type prepared = {
-  prog : program;
-  result_ty : Ty.t;
-  tenv : Ty.t Sym.Map.t;
-}
+(* The lowered design with every parallelism-dependent field at 1, and
+   which of its memories are banked by the parallelism factor, in the
+   order of [design.mems]. *)
+type shaped = { design : Hw.design; banked : bool list }
 
-let prepare (p : program) =
-  (* defensive: untiled (baseline) programs reach here without going
-     through Tiling.run, so stamp source-pattern ids now (idempotent) *)
-  let p = Prov_stamp.program p in
-  let result_ty = Validate.check_program p in
-  { prog = p; result_ty; tenv = Validate.initial_env p }
-
-let lower_design opts { prog = p; result_ty; tenv } =
+let lower_design opts (p : program) result_ty =
   let rec bound e =
     match e with
     | Ci c -> Some c
@@ -1173,7 +1167,7 @@ let lower_design opts { prog = p; result_ty; tenv } =
   in
   let ctx =
     { opts;
-      tenv;
+      tenv = Validate.initial_env p;
       bound;
       ishapes = List.map (fun i -> (i.iname, i.ishape)) p.inputs;
       bufs = [];
@@ -1228,7 +1222,7 @@ let lower_design opts { prog = p; result_ty; tenv } =
         | Some names -> names
         | None ->
             [ alloc_mem ctx ~name:"result" ~kind:Hw.Buffer ~width:32
-                ~depth:1024 ~banks:opts.par ]
+                ~depth:1024 ~banked:true ]
       in
       let body_stages = lower_stages ctx p.body ~dest:(Onchip names) in
       let words =
@@ -1258,29 +1252,52 @@ let lower_design opts { prog = p; result_ty; tenv } =
   let top =
     Hw.Seq { name = p.pname ^ "_top"; children = stages; prov = ctx.prov }
   in
+  let mems, banked = List.split (List.rev !(ctx.mems)) in
   let design =
-    { Hw.design_name = p.pname;
-      mems = List.rev !(ctx.mems);
-      top;
-      par_factor = opts.par }
+    Metapipe.finalize { Hw.design_name = p.pname; mems; top; par_factor = 1 }
   in
-  Metapipe.finalize design
+  (* finalizing maps the memories in order, so the flags still line up *)
+  { design; banked }
 
-let design opts pr =
+let shape opts p =
+  (* defensive: untiled (baseline) programs reach here without going
+     through Tiling.run, so stamp source-pattern ids now (idempotent) *)
+  let p = Prov_stamp.program p in
+  let result_ty = Validate.check_program p in
   Metrics.time "pass.lower" (fun () ->
-      if not (Trace.enabled ()) then lower_design opts pr
+      if not (Trace.enabled ()) then lower_design opts p result_ty
       else begin
         let args = ref [] in
         Trace.with_span ~cat:"pass" ~args:(fun () -> !args) "lower" (fun () ->
-            let d = lower_design opts pr in
+            let s = lower_design opts p result_ty in
+            let d = s.design in
             let ctrls = Hw.fold_ctrls (fun n _ -> n + 1) 0 d.Hw.top in
             args :=
-              [ ("program", Trace.Str pr.prog.pname);
+              [ ("program", Trace.Str d.Hw.design_name);
                 ("controllers", Trace.Int ctrls);
                 ("mems", Trace.Int (List.length d.Hw.mems));
-                ("par", Trace.Int opts.par);
                 ("meta", Trace.Str (if opts.meta then "true" else "false")) ];
-            d)
+            s)
       end)
 
-let program opts p = design opts (prepare p)
+let rec bind_ctrl par (c : Hw.ctrl) =
+  match c with
+  | Hw.Pipe r -> Hw.Pipe { r with par }
+  | Hw.Seq r -> Hw.Seq { r with children = List.map (bind_ctrl par) r.children }
+  | Hw.Par r -> Hw.Par { r with children = List.map (bind_ctrl par) r.children }
+  | Hw.Loop r -> Hw.Loop { r with stages = List.map (bind_ctrl par) r.stages }
+  | Hw.Tile_load _ | Hw.Tile_store _ -> c
+
+let bind par { design; banked } =
+  if par < 1 then
+    invalid_arg (Printf.sprintf "Lower.bind: par %d is below 1" par);
+  (* every record is copied, so no two bound designs share a mutable
+     reader/writer count *)
+  let mems =
+    List.map2
+      (fun m banked -> { m with Hw.banks = (if banked then par else 1) })
+      design.Hw.mems banked
+  in
+  { design with Hw.mems; top = bind_ctrl par design.Hw.top; par_factor = par }
+
+let program opts p = bind opts.par (shape opts p)

@@ -39,20 +39,34 @@ val baseline_opts : opts
 (** The Section 6.1 baseline: no metapipelining, no caches — burst-level
     locality only.  Same parallelism factor. *)
 
-type prepared
-(** A program made ready for lowering: provenance-stamped, type-checked,
-    with its initial type environment.  None of this depends on [opts],
-    so a sweep over parallelism factors prepares each program once. *)
+(** {1 Shape, then bind}
 
-val prepare : Ir.program -> prepared
-(** Stamp source-pattern provenance ({!Prov_stamp}, idempotent) and
-    type-check the program.
+    The parallelism factor is a template parameter (Table 4): it sets how
+    many lanes each pipe has and how many banks its buffers get, but no
+    structural decision reads it.  Lowering is therefore split in two: a
+    par-free {!shape}, done once per program, and a cheap {!bind} per
+    parallelism factor. *)
+
+type shaped
+(** A lowered, metapipelined design whose parallelism factor is not yet
+    bound, with a record of which memories are banked by it. *)
+
+val shape : opts -> Ir.program -> shaped
+(** Stamp source-pattern provenance ({!Prov_stamp}, idempotent),
+    type-check and lower the program.  [opts.par] is ignored.  The
+    lowering is timed as the [pass.lower] metric and, when tracing is on,
+    recorded as a ["lower"] span.
     @raise Validate.Type_error on an ill-typed program. *)
 
-val design : opts -> prepared -> Hw.design
-(** Lower a prepared program.  Timed as the [pass.lower] metric and, when
-    tracing is on, recorded as a ["lower"] span. *)
+val bind : int -> shaped -> Hw.design
+(** [bind par s] is the design of [s] at parallelism factor [par]: every
+    pipe's [par] and the design's [par_factor] are [par], and the banked
+    memories get [par] banks (all others keep one).  Each call returns
+    fresh {!Hw.mem} records, so the mutable reader/writer counts of two
+    bound designs never alias.
+    @raise Invalid_argument if [par] is below 1. *)
 
 val program : opts -> Ir.program -> Hw.design
-(** [program opts p] is [design opts (prepare p)].
-    @raise Validate.Type_error on an ill-typed program. *)
+(** [program opts p] is [bind opts.par (shape opts p)].
+    @raise Validate.Type_error on an ill-typed program.
+    @raise Invalid_argument if [opts.par] is below 1. *)

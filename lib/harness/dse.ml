@@ -39,6 +39,11 @@ let explore_joint ?domains ?machine ?(opts = Lower.default_opts)
       if par < 1 then
         invalid_arg (Printf.sprintf "Dse.explore_joint: par %d is below 1" par))
     pars;
+  (* a repeated par would evaluate every point twice: keep the first *)
+  let pars =
+    List.rev
+      (List.fold_left (fun acc p -> if List.mem p acc then acc else p :: acc) [] pars)
+  in
   (* the tile-independent stages run once for the whole sweep *)
   let front = Tiling.front prog in
   let eval_assignment tiles =
@@ -53,12 +58,12 @@ let explore_joint ?domains ?machine ?(opts = Lower.default_opts)
     | exception Validate.Type_error reason ->
         Error { sk_tiles = tiles; sk_reason = reason }
     | tiled ->
-        (* stamped and type-checked once; only the lowering depends on par *)
-        let prepared = Lower.prepare tiled in
+        (* lowered once; only the bound parallelism factor differs *)
+        let shaped = Lower.shape opts tiled in
         Ok
           (List.map
              (fun par ->
-               let design = Lower.design { opts with Lower.par } prepared in
+               let design = Lower.bind par shaped in
                let rep = Simulate.run ?machine design ~sizes in
                let area = Area_model.of_design design in
                let cycles = rep.Simulate.cycles in

@@ -63,11 +63,13 @@ val explore_joint :
   unit ->
   result
 (** Joint tile-size and parallelism-factor exploration: the cartesian
-    product of tile assignments and [pars] values.  Feasibility also
-    checks chip capacity (logic/FF), which parallelism spends.
+    product of tile assignments and [pars] values, a repeated par
+    counting once (at its first occurrence).  Feasibility also checks
+    chip capacity (logic/FF), which parallelism spends.
 
     The tile-independent tiling stages ({!Tiling.front}) run once per
-    call; each assignment then runs {!Tiling.tiled}.  Candidate
+    call; each assignment then runs {!Tiling.tiled} and {!Lower.shape}
+    once, and {!Lower.bind} once per par.  Candidate
     assignments that the tiling pipeline itself rejects
     ([Invalid_argument] or {!Validate.Type_error}, with the reasons
     [Tiling.run] gives) are recorded in [skipped]; any other exception

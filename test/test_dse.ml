@@ -368,6 +368,16 @@ let test_par_below_one_rejected () =
         (List.map fst (Metrics.diff ~base (Metrics.snapshot ()))))
     [ [ 0 ]; [ -1 ]; [ 4; 0 ] ]
 
+let test_duplicate_pars () =
+  (* each par is evaluated once, at its first occurrence *)
+  let bench = Suite.find (Suite.all ()) "sumrows" in
+  check_same_result "repeated pars"
+    (Dse.explore_bench ~pars:[ 16; 4 ] bench)
+    (Dse.explore_bench ~pars:[ 16; 4; 16; 4; 4 ] bench);
+  check_same_result "a par twice"
+    (Dse.explore_bench ~pars:[ 4 ] bench)
+    (Dse.explore_bench ~pars:[ 4; 4 ] bench)
+
 let () =
   Alcotest.run "dse"
     [ ( "exploration",
@@ -394,6 +404,8 @@ let () =
             test_skipped_points_reported;
           Alcotest.test_case "par below 1 rejected" `Quick
             test_par_below_one_rejected;
+          Alcotest.test_case "repeated pars evaluated once" `Quick
+            test_duplicate_pars;
           Alcotest.test_case "genuine bugs propagate" `Quick
             test_genuine_bugs_propagate ] );
       ( "regressions",

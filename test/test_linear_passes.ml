@@ -7,8 +7,7 @@
    - copy insertion keyed on printed offsets ([Ref_copy_insert]);
    - [Rewrite.iter_exp] walking through [map_children].
    They are checked on every stage of every suite program and of random
-   programs, and [Lower.design] of a prepared program against
-   [Lower.program]. *)
+   programs. *)
 
 module R = Workloads.Rng
 
@@ -228,30 +227,6 @@ let test_nan_terminates () =
        (function Ir.Copy _ -> true | _ -> false)
        r.Tiling.tiled.Ir.body)
 
-let configs =
-  [ ((fun (r : Tiling.result) -> r.Tiling.fused), Lower.baseline_opts);
-    ( (fun r -> r.Tiling.tiled),
-      { Lower.default_opts with Lower.meta = false } );
-    ((fun r -> r.Tiling.tiled), Lower.default_opts) ]
-
-let test_prepare_design () =
-  List.iter
-    (fun (b : Suite.bench) ->
-      let r = Tiling.run ~tiles:b.Suite.tiles b.Suite.prog in
-      List.iter
-        (fun (stage, opts) ->
-          let p = stage r in
-          let prepared = Lower.prepare p in
-          List.iter
-            (fun par ->
-              let o = { opts with Lower.par } in
-              if Lower.design o prepared <> Lower.program o p then
-                Alcotest.failf "%s par %d meta %b: design <> program"
-                  b.Suite.name par o.Lower.meta)
-            [ 4; 16; 64 ])
-        configs)
-    (Suite.extended ())
-
 let () =
   Alcotest.run "linear_passes"
     [ ( "references",
@@ -261,7 +236,4 @@ let () =
         [ Alcotest.test_case "visit order" `Quick test_visit_order ] );
       ( "fixpoints",
         [ Alcotest.test_case "NaN constant terminates" `Quick
-            test_nan_terminates ] );
-      ( "lower",
-        [ Alcotest.test_case "design of prepared = program" `Quick
-            test_prepare_design ] ) ]
+            test_nan_terminates ] ) ]

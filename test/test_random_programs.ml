@@ -97,6 +97,63 @@ let prop_lowering_total =
         [ Lower.default_opts; { Lower.default_opts with Lower.meta = false } ];
       true)
 
+(* the parallelism factor is bound after lowering: each bind sets every
+   par-dependent field, shares no memory record with another bind, and
+   gives the design [Lower.program] builds at that par *)
+let prop_shape_bind =
+  QCheck.Test.make ~name:"random programs: shape then bind" ~count:40
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = R.make seed in
+      let shape_id = R.int rng n_shapes in
+      let s = make_setup rng shape_id in
+      let tiles = [ (s.n, 1 + R.int rng 8); (s.m, 1 + R.int rng 8) ] in
+      let result = Tiling.run ~tiles s.prog in
+      let fail fmt = QCheck.Test.fail_reportf ("shape %d seed %d: " ^^ fmt) shape_id seed in
+      List.iter
+        (fun (prog, opts) ->
+          let shaped = Lower.shape opts prog in
+          let banked p (d : Hw.design) =
+            List.filter_map
+              (fun m -> if m.Hw.banks = p then Some m.Hw.mem_name else None)
+              d.Hw.mems
+          in
+          List.iter
+            (fun p ->
+              let d = Lower.bind p shaped in
+              if d.Hw.par_factor <> p then fail "par_factor %d at par %d" d.Hw.par_factor p;
+              Hw.iter_ctrls
+                (function
+                  | Hw.Pipe { name; par; _ } when par <> p ->
+                      fail "pipe %s has par %d at par %d" name par p
+                  | _ -> ())
+                d.Hw.top;
+              List.iter
+                (fun m ->
+                  if m.Hw.banks <> 1 && m.Hw.banks <> p then
+                    fail "%s has %d banks at par %d" m.Hw.mem_name m.Hw.banks p)
+                d.Hw.mems;
+              if p > 1 && banked p d <> banked 16 (Lower.bind 16 shaped) then
+                fail "banked memories differ between par %d and 16" p;
+              if d <> Lower.program { opts with Lower.par = p } prog then
+                fail "bind %d differs from Lower.program" p)
+            [ 1; 3; 16 ];
+          let a = Lower.bind 3 shaped and b = Lower.bind 3 shaped in
+          List.iter2
+            (fun ma mb ->
+              if ma == mb then fail "two binds share %s" ma.Hw.mem_name;
+              ma.Hw.readers <- ma.Hw.readers + 100;
+              if mb.Hw.readers = ma.Hw.readers then
+                fail "mutating %s leaks across binds" ma.Hw.mem_name)
+            a.Hw.mems b.Hw.mems;
+          match Lower.bind 0 shaped with
+          | _ -> fail "bind 0 accepted"
+          | exception Invalid_argument _ -> ())
+        [ (result.Tiling.tiled, Lower.default_opts);
+          (result.Tiling.tiled, { Lower.default_opts with Lower.meta = false });
+          (result.Tiling.fused, Lower.baseline_opts) ];
+      true)
+
 (* printed text of any stage parses back to a program with identical
    semantics — the concrete syntax is total over the transformation
    pipeline, not just over the hand-written suite *)
@@ -154,6 +211,7 @@ let () =
   Alcotest.run "random_programs"
     [ ( "pipeline",
         [ QCheck_alcotest.to_alcotest prop_pipeline;
-          QCheck_alcotest.to_alcotest prop_lowering_total ] );
+          QCheck_alcotest.to_alcotest prop_lowering_total;
+          QCheck_alcotest.to_alcotest prop_shape_bind ] );
       ( "parser",
         [ QCheck_alcotest.to_alcotest prop_parser_roundtrip ] ) ]

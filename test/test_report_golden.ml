@@ -3,8 +3,9 @@
    bench under every configuration at sizes x0.5, x1 and x2; the
    diagnostics JSON of the source linter over every corpus program and of
    the design linter over every suite design; the MaxJ, listing and
-   Graphviz texts of every suite design; and the metrics JSON of a fixed
-   snapshot.  Any change to a printer's bytes, including number
+   Graphviz texts of every suite design, also at parallelism factors 1,
+   4 and 64; every point of each bench's design-space sweep at those
+   three factors; and the metrics JSON of a fixed snapshot.  Any change to a printer's bytes, including number
    formatting and string escaping, fails here.  A deliberate format
    change regenerates the table from the failure message. *)
 
@@ -82,6 +83,54 @@ let design_digests () =
         configs)
     (Suite.extended ())
 
+(* the same texts away from the default parallelism factor, which sets
+   every pipe's lanes and every banked memory's bank count *)
+let pars = [ 1; 4; 64 ]
+
+let design_at cfg par (b : Suite.bench) =
+  let r = Tiling.run ~tiles:b.Suite.tiles b.Suite.prog in
+  let o = { Lower.default_opts with Lower.par } in
+  match cfg with
+  | Experiments.Baseline ->
+      Lower.program { Lower.baseline_opts with Lower.par } r.Tiling.fused
+  | Experiments.Tiled -> Lower.program { o with Lower.meta = false } r.Tiling.tiled
+  | Experiments.Tiled_meta -> Lower.program o r.Tiling.tiled
+
+let par_design_digests () =
+  List.concat_map
+    (fun (b : Suite.bench) ->
+      List.concat_map
+        (fun cfg ->
+          List.map
+            (fun par ->
+              let d = design_at cfg par b in
+              ( Printf.sprintf "design %s %s par %d" b.Suite.name
+                  (Experiments.config_name cfg) par,
+                hex (Maxj.emit d ^ Hw_pp.design_to_string d ^ Dot.emit d) ))
+            pars)
+        configs)
+    (Suite.extended ())
+
+(* every swept point, floats in hex so a last-bit change shows *)
+let dse_digests () =
+  List.map
+    (fun (b : Suite.bench) ->
+      let r = Dse.explore_bench ~domains:1 ~pars:[ 4; 16; 64 ] b in
+      let buf = Buffer.create 4096 in
+      List.iter
+        (fun (p : Dse.point) ->
+          let a = p.Dse.area in
+          Printf.bprintf buf "%s|%d|%h|%h|%h|%h|%h|%b\n"
+            (String.concat ","
+               (List.map
+                  (fun (s, t) -> Printf.sprintf "%s=%d" (Sym.base s) t)
+                  p.Dse.tiles))
+            p.Dse.par p.Dse.cycles a.Area_model.logic a.Area_model.ff
+            a.Area_model.bram a.Area_model.dsp p.Dse.feasible)
+        r.Dse.points;
+      ("dse " ^ b.Suite.name, hex (Buffer.contents buf)))
+    (Suite.extended ())
+
 (* counters, integral and fractional gauges (including ones %.6g writes
    in exponent form) and timers, integral seconds among them *)
 let metrics_snapshot =
@@ -105,7 +154,8 @@ let metrics_digests () =
   [ ("metrics values_to_json", hex (Metrics.values_to_json metrics_snapshot)) ]
 
 (* recorded with the sprintf-based printers and their separate escapers;
-   the design rows with the map_children-based IR walk *)
+   the design rows with the map_children-based IR walk; the par and dse
+   rows with every design lowered in full at each parallelism factor *)
 let golden =
   [ ("profile outerprod baseline", "42d733fbc109f94c2182968e371bbada");
     ("profile outerprod +tiling", "8d9f3b393cffb0b77f4b08b698787dae");
@@ -221,6 +271,126 @@ let golden =
     ("design spmv baseline", "1326cbe16d1e8303973abed1f6731f7a");
     ("design spmv +tiling", "d00d8f0405c96030bd1822aab51355d0");
     ("design spmv +tiling+metapipelining", "5fa9c2982a2c20141d87e876a300f5ea");
+    ("design outerprod baseline par 1", "f5f0906def0fa057b977a65d7eeb7401");
+    ("design outerprod baseline par 4", "75a04ded8ad556b4145cd7d3ad94b10e");
+    ("design outerprod baseline par 64", "663db7de99cb2f6f43d0b4399dd25078");
+    ("design outerprod +tiling par 1", "07cdfff0a9c5d0da71af59d12047c24a");
+    ("design outerprod +tiling par 4", "aa5acbb834a8bddbb6e1afc034eae9f7");
+    ("design outerprod +tiling par 64", "7abbb1802bf7a64cdf8933ca7ea22626");
+    ("design outerprod +tiling+metapipelining par 1", "2580d163bf3259a8de8532ee5b97d021");
+    ("design outerprod +tiling+metapipelining par 4", "58601c854da03044395923146acad23d");
+    ("design outerprod +tiling+metapipelining par 64", "c2cd183dd5a0a9cc31e81ce5da274bd8");
+    ("design sumrows baseline par 1", "ec4f9f9a4a96e3dc224ddbd5893d143f");
+    ("design sumrows baseline par 4", "2541a576c5494cf07eef65bbf34e49d7");
+    ("design sumrows baseline par 64", "403ee592a897ae8796154a1f69495826");
+    ("design sumrows +tiling par 1", "835239d05c62f135aa11360526abbe9f");
+    ("design sumrows +tiling par 4", "a0ff07eb6ebd4b4b472fdc10471208ab");
+    ("design sumrows +tiling par 64", "384453ed4585d1f9f87c03cf7d713591");
+    ("design sumrows +tiling+metapipelining par 1", "74cfe023178208a71252c53197a5c3c2");
+    ("design sumrows +tiling+metapipelining par 4", "2a7fb3170b28e39452e1b3c319f90ea4");
+    ("design sumrows +tiling+metapipelining par 64", "4dcf43a498e39599ee66c7e1ad800f9e");
+    ("design gemm baseline par 1", "f6a000b3b208e4fcfed20612aee610ae");
+    ("design gemm baseline par 4", "e591542df5ac6970786147e8ab390d7c");
+    ("design gemm baseline par 64", "b952f66c1f402692770d2ac53912843a");
+    ("design gemm +tiling par 1", "fdbef1f08e9a5f77a366d7b77580e24e");
+    ("design gemm +tiling par 4", "88b499a03125c8f9b7c27e83ef0f7ab5");
+    ("design gemm +tiling par 64", "32dcde2f697cf91c5ff765320fd9f2ec");
+    ("design gemm +tiling+metapipelining par 1", "d6baf1905c4b902950896c7c599dce3f");
+    ("design gemm +tiling+metapipelining par 4", "534b7de756f3306a3542becbac122c34");
+    ("design gemm +tiling+metapipelining par 64", "f8c3e71cd8caed025b79dc1f437dfb6c");
+    ("design tpchq6 baseline par 1", "62b30cf288b9871211bde4b05a48774d");
+    ("design tpchq6 baseline par 4", "18e70e1cb6ecc4edb0d65ea47d4096d6");
+    ("design tpchq6 baseline par 64", "1d759e5f2ddcad4664a4ae78c56a7295");
+    ("design tpchq6 +tiling par 1", "991102f460335148b6bcd1b88706c2ed");
+    ("design tpchq6 +tiling par 4", "b4079a82ff290a888bd60d7f1a22934b");
+    ("design tpchq6 +tiling par 64", "c5a176f72e006c83b80415e3f86f0f4c");
+    ("design tpchq6 +tiling+metapipelining par 1", "69ec6cc16c1ada14d390f1cf0810fc80");
+    ("design tpchq6 +tiling+metapipelining par 4", "388573afe2fd333ce3c04dcd1f302f2b");
+    ("design tpchq6 +tiling+metapipelining par 64", "1a3b18af4daf6f3fc2b790207c878b41");
+    ("design gda baseline par 1", "c93c6c5584bd05daeeda4e6c500640a3");
+    ("design gda baseline par 4", "c804b14e9b2f5704c3fd7d9bdd08b3f0");
+    ("design gda baseline par 64", "54fa01c0b578c00827cfdaab555bed8d");
+    ("design gda +tiling par 1", "567f8014aa40e2c3f631eaf2fa4e06d5");
+    ("design gda +tiling par 4", "60f8f16ab3745200ecdf57856a631ebd");
+    ("design gda +tiling par 64", "dad60e5cb1ce1a78c3b7f3013f23bd9b");
+    ("design gda +tiling+metapipelining par 1", "820c8438405af17b777c8abcb35c7b21");
+    ("design gda +tiling+metapipelining par 4", "040b1f66eead6aeb56195c8fd9821bb1");
+    ("design gda +tiling+metapipelining par 64", "25c02f169e9fe7d8be2562392d0d2fc8");
+    ("design kmeans baseline par 1", "da22aff30c7724d038d1b01ef5d10e2e");
+    ("design kmeans baseline par 4", "361e343d74f9b0c18584d6f9d1e4c687");
+    ("design kmeans baseline par 64", "0b29200ecb54537f9647e9c443601389");
+    ("design kmeans +tiling par 1", "dde0942db7b093825c54e5e70b58aa62");
+    ("design kmeans +tiling par 4", "b028a3ca5fa6367041261c910d7165e4");
+    ("design kmeans +tiling par 64", "5229f721c42273c6cc3e777e69a3f714");
+    ("design kmeans +tiling+metapipelining par 1", "ef7cbbbc00f105e50b41d2e23ae4a3a2");
+    ("design kmeans +tiling+metapipelining par 4", "1f80cd62237eeeb491e9a3454fbdac5a");
+    ("design kmeans +tiling+metapipelining par 64", "a83434cbd7fe5da62518a9c0e38392b1");
+    ("design histogram baseline par 1", "369b1095d85ec52d92cc07936a5c7dba");
+    ("design histogram baseline par 4", "89fc7bc101a26f80a8de3a7d53a522ce");
+    ("design histogram baseline par 64", "c735582e680c18b5ef9942ee37cb1afc");
+    ("design histogram +tiling par 1", "e2b75bf5f2924ad8a4b1192731a8293a");
+    ("design histogram +tiling par 4", "63ff9e19c72f16d7726435e64a52dc49");
+    ("design histogram +tiling par 64", "a885e8b3d30b4db41beb10e0b16c864d");
+    ("design histogram +tiling+metapipelining par 1", "c202a59f349c48e0d295a90388837921");
+    ("design histogram +tiling+metapipelining par 4", "a15e8c744d6facbea64ff115fd0c8994");
+    ("design histogram +tiling+metapipelining par 64", "9ad55d1dd5d27c0441db224da00b6c84");
+    ("design conv2d baseline par 1", "05f1e2550b193eaebd8bad9ec3fd65b6");
+    ("design conv2d baseline par 4", "8136077509be5267c21f090aa24d2664");
+    ("design conv2d baseline par 64", "d30bef301cca03ed621f68529fc513a1");
+    ("design conv2d +tiling par 1", "2e0a1ba5140337959e51767d82df61a6");
+    ("design conv2d +tiling par 4", "301a672240ae82e59fbbd5033c6fd00f");
+    ("design conv2d +tiling par 64", "26cf7e583fda18ca34f9e3aab307e89a");
+    ("design conv2d +tiling+metapipelining par 1", "eedda530b067e3c3d512b660b71cc4cb");
+    ("design conv2d +tiling+metapipelining par 4", "56b52de21fa86bd675b1a65377fd2954");
+    ("design conv2d +tiling+metapipelining par 64", "c095b16f02b5cd4a8a3e7ffafb5e5c3c");
+    ("design logreg baseline par 1", "53829b49b59d330d500280c7901d1162");
+    ("design logreg baseline par 4", "e92c988096b2e5f5e31aff3dc5836564");
+    ("design logreg baseline par 64", "45230c930f9d6b54995b73c1b89955a1");
+    ("design logreg +tiling par 1", "cb341d65212c24fabcd5f8cd68673bdd");
+    ("design logreg +tiling par 4", "8876924d86cf7a842934b59ab8d10a78");
+    ("design logreg +tiling par 64", "27bd75a1a9594c1a62214ed010f747d1");
+    ("design logreg +tiling+metapipelining par 1", "819c222b490bfa723d4939cc3dc95ba5");
+    ("design logreg +tiling+metapipelining par 4", "f1b9879487c0d4e962a00ff4159ebe2b");
+    ("design logreg +tiling+metapipelining par 64", "0b32904daf3f3b65618466c54185cb8d");
+    ("design blackscholes baseline par 1", "98ec239ff72045d348ac7bdbdfe5ed6b");
+    ("design blackscholes baseline par 4", "b84c2ee3e82becd359c4d968a6de4ed4");
+    ("design blackscholes baseline par 64", "4ef367718dacb59702bf32e79cb63a35");
+    ("design blackscholes +tiling par 1", "d64184c142d9c48c26b6686e55ebec6a");
+    ("design blackscholes +tiling par 4", "8c5aff0f7114e2116fcab4ee864bf0e1");
+    ("design blackscholes +tiling par 64", "8792a5839d02fe78c0dddf974a7b54e9");
+    ("design blackscholes +tiling+metapipelining par 1", "aa6ee652d83cd81e1dbe65ddb11dbf21");
+    ("design blackscholes +tiling+metapipelining par 4", "cfbf0cabb50a8e752433eef754b2e936");
+    ("design blackscholes +tiling+metapipelining par 64", "25ef837c2217292c10fbe3a19b1feb0c");
+    ("design matvec baseline par 1", "c2ade2c794fc0ddf4cfe39165f38684d");
+    ("design matvec baseline par 4", "995c34781f0eeebba0484997d3046d08");
+    ("design matvec baseline par 64", "60576d6d7c5761b1b4ecd16e1481cfd3");
+    ("design matvec +tiling par 1", "9a00bfe724a8a95b5b4e52fe34f08592");
+    ("design matvec +tiling par 4", "6eae636841cde3cd60a65410f8edd756");
+    ("design matvec +tiling par 64", "b7e7c0e689cda3112c26774c2dcda27e");
+    ("design matvec +tiling+metapipelining par 1", "2f5d895d994b12dae5673026c50f2b96");
+    ("design matvec +tiling+metapipelining par 4", "c6f47662d8e47dcee212444b6d54e3df");
+    ("design matvec +tiling+metapipelining par 64", "eae25408d7651af31470decbf25041b5");
+    ("design spmv baseline par 1", "d471bd0c28577401c20ac5e5aea0225b");
+    ("design spmv baseline par 4", "494d305c8441121b7d79fc8d382930f1");
+    ("design spmv baseline par 64", "1cc181f1d01709d2ddd4b5cf70f564f4");
+    ("design spmv +tiling par 1", "69d717cf2ee1f344a9b9f9d0ead6aeac");
+    ("design spmv +tiling par 4", "e9ca8c0b878a34cc8d5835b5c2ebda4b");
+    ("design spmv +tiling par 64", "26ebeb4c159106384d1d329dd35c425a");
+    ("design spmv +tiling+metapipelining par 1", "08e14a5a304b19b59caf332ac92911bd");
+    ("design spmv +tiling+metapipelining par 4", "075e6c1800bfaee924c0fa38f2d45213");
+    ("design spmv +tiling+metapipelining par 64", "0f66ea36c459302145e34bfbd1763ac8");
+    ("dse outerprod", "c868beab1862b5279dd8f76d1c537a5c");
+    ("dse sumrows", "af00c787e540e3f1d8562ccc747bb3a8");
+    ("dse gemm", "f51922d807a0346c68f3a5515f960b1c");
+    ("dse tpchq6", "ad66186ff36654d9ab7b4d72181b84fc");
+    ("dse gda", "90a35c6fcc89aafa0c93ef31642eae49");
+    ("dse kmeans", "04ff4fa8b82888d0f404519cb75d88ce");
+    ("dse histogram", "e5334b6196530eb80a3bed20460da173");
+    ("dse conv2d", "46f1332eb3742a80d51191790a4287c6");
+    ("dse logreg", "4bd8c9ea4de0451b43dfe492a47e79a3");
+    ("dse blackscholes", "6804eee49a9d738e3a36d6b78ae4701c");
+    ("dse matvec", "6a28d03b4dfe8e799a41700618f651f5");
+    ("dse spmv", "6681b35c6da22b0ce3e7923ce0a88d8d");
     ("metrics values_to_json", "0235ba2fa5fb8ab409881a02e3feb178") ]
 
 let test_golden () =
@@ -230,7 +400,9 @@ let test_golden () =
     profile_digests () @ ppl_lint_digests () @ hw_lint_digests ()
   in
   let designs = design_digests () in
-  let actual = reports @ designs @ metrics_digests () in
+  let par_designs = par_design_digests () in
+  let sweeps = dse_digests () in
+  let actual = reports @ designs @ par_designs @ sweeps @ metrics_digests () in
   if actual <> golden then
     Alcotest.failf "report digests drifted; the current table is\n%s"
       (String.concat "\n"
