@@ -4,12 +4,6 @@ module V = Value
 type mode = Sequential | Chunked of int | Parallel of int
 type env = V.t Sym.Map.t
 
-(* Parallel mode only fans out at the outermost reduction: worker domains
-   carry this flag and evaluate nested patterns in chunked (but
-   single-domain) fashion, so the result is bit-identical to [Chunked]
-   with the same chunk size. *)
-let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-
 exception Eval_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Eval_error s)) fmt
@@ -233,52 +227,26 @@ and reduce_domain : 'a.
   | [] -> init ()
   | d0 :: _ -> (
       let outer = dom_extent ~mode env d0 in
-      let chunked c =
+      (* [map] evaluates the chunks: [List.map], or [Pool.map] in
+         Parallel mode.  A reduction nested in a chunk maps while the pool
+         is serving, so it runs inline on its domain; either way the
+         partials merge in chunk order and the value equals [Chunked]. *)
+      let chunked map c =
         let c = Int.max 1 c in
         let nchunks = (outer + c - 1) / c in
         if nchunks <= 1 then run_range 0 outer
         else
           let partials =
-            List.init nchunks (fun k ->
-                run_range (k * c) (Int.min outer ((k + 1) * c)))
+            map
+              (fun k -> run_range (k * c) (Int.min outer ((k + 1) * c)))
+              (List.init nchunks Fun.id)
           in
           List.fold_left combine (List.hd partials) (List.tl partials)
       in
       match mode with
       | Sequential -> run_range 0 outer
-      | Chunked c -> chunked c
-      | Parallel c when Domain.DLS.get in_worker -> chunked c
-      | Parallel c ->
-          let c = Int.max 1 c in
-          let nchunks = (outer + c - 1) / c in
-          if nchunks <= 1 then run_range 0 outer
-          else begin
-            (* one result slot per chunk; a bounded set of worker domains
-               processes chunks round-robin, then partials merge in chunk
-               order (so the value equals Chunked exactly) *)
-            let results = Array.make nchunks None in
-            let workers =
-              Int.max 1
-                (Int.min nchunks (Domain.recommended_domain_count () - 1))
-            in
-            let spawn j =
-              Domain.spawn (fun () ->
-                  Domain.DLS.set in_worker true;
-                  let k = ref j in
-                  while !k < nchunks do
-                    results.(!k) <-
-                      Some (run_range (!k * c) (Int.min outer ((!k + 1) * c)));
-                    k := !k + workers
-                  done)
-            in
-            let doms_ = List.init workers spawn in
-            List.iter Domain.join doms_;
-            let partials =
-              Array.to_list results
-              |> List.map (function Some v -> v | None -> assert false)
-            in
-            List.fold_left combine (List.hd partials) (List.tl partials)
-          end)
+      | Chunked c -> chunked List.map c
+      | Parallel c -> chunked (fun f ks -> Pool.map f ks) c)
 
 and eval_multifold ~mode env { odims; oidxs; oinit; olets; oouts; ocomb; _ } =
   let multi = List.length oouts > 1 in

@@ -10,8 +10,9 @@
       combine functions are correct, the property the tiling
       transformations of Section 4 rely on.
     - [Parallel c]: like [Chunked c], but the outermost reduction's chunks
-      run on separate OCaml 5 domains (nested patterns stay single-domain).
-      Produces bit-identical results to [Chunked c].  Not compatible with
+      run on the domains of {!Pool} (a reduction nested in a chunk runs
+      inline on its domain, by the pool's inline rule).  Produces
+      bit-identical results to [Chunked c].  Not compatible with
       the {!with_hook} instrumentation. *)
 
 type mode = Sequential | Chunked of int | Parallel of int

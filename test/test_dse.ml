@@ -378,6 +378,18 @@ let test_duplicate_pars () =
     (Dse.explore_bench ~pars:[ 4 ] bench)
     (Dse.explore_bench ~pars:[ 4; 4 ] bench)
 
+let test_repeated_parallel_sweeps () =
+  (* back-to-back sweeps reuse the pool's helper domains; every one must
+     still equal the one-domain sweep, point for point *)
+  let bench = Suite.find (Suite.all ()) "gemm" in
+  let seq = Dse.explore_bench ~domains:1 ~pars:[ 4; 16 ] bench in
+  for k = 1 to 20 do
+    check_same_result
+      (Printf.sprintf "sweep %d" k)
+      seq
+      (Dse.explore_bench ~domains:2 ~pars:[ 4; 16 ] bench)
+  done
+
 let () =
   Alcotest.run "dse"
     [ ( "exploration",
@@ -393,7 +405,9 @@ let () =
             test_joint_par_exploration ] );
       ( "parallel",
         [ Alcotest.test_case "parallel matches sequential" `Quick
-            test_parallel_matches_sequential ] );
+            test_parallel_matches_sequential;
+          Alcotest.test_case "repeated parallel sweeps" `Quick
+            test_repeated_parallel_sweeps ] );
       ( "staged sweep",
         [ Alcotest.test_case "matches per-point Tiling.run" `Quick
             test_staged_matches_oracle;
