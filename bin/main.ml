@@ -56,6 +56,25 @@ let check_maxsizes cmd (prog : Ir.program) sizes =
       | _ -> ())
     sizes
 
+(* A tile larger than its size parameter describes no tiling of the
+   program: reject it as a usage error too.  The size is the --sizes
+   value when one is given, else the declared maxsize. *)
+let check_tiles cmd (prog : Ir.program) ~tiles ~sizes =
+  List.iter
+    (fun (s, tile) ->
+      let bound =
+        match List.find_opt (fun (k, _) -> Sym.equal k s) sizes with
+        | Some (_, v) -> Some ("size", v)
+        | None -> Option.map (fun v -> ("maxsize", v)) (Ir.max_sizes_bound prog s)
+      in
+      match bound with
+      | Some (what, v) when tile > v ->
+          Printf.eprintf "%s: --tiles %s=%d exceeds %s %s=%d\n" cmd (Sym.base s)
+            tile what (Sym.base s) v;
+          exit 124
+      | _ -> ())
+    tiles
+
 let tiles_arg ~doc =
   Arg.(
     value
@@ -557,6 +576,7 @@ let compile_cmd =
     let tiles = resolve tiles_spec in
     let sizes = resolve sizes_spec in
     check_maxsizes "compile" prog sizes;
+    check_tiles "compile" prog ~tiles ~sizes;
     let r = Tiling.run ~tiles prog in
     print_endline (Pp.program_to_string r.Tiling.tiled);
     let d = Lower.program Lower.default_opts r.Tiling.tiled in
@@ -1105,7 +1125,9 @@ let profile_cmd =
             target;
           exit 2
         end;
-        let r = Tiling.run ~tiles:(resolve tiles_spec) prog in
+        let tiles = resolve tiles_spec in
+        check_tiles "profile" prog ~tiles ~sizes;
+        let r = Tiling.run ~tiles prog in
         (Lower.program Lower.default_opts r.Tiling.tiled, sizes)
       end
       else

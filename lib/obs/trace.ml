@@ -1,17 +1,25 @@
 type arg = Int of int | Float of float | Str of string
 
-type ph = B | E | X | M
-
-type event = {
-  ph : ph;
-  name : string;
-  cat : string;
-  pid : int;
-  track : string;
-  ts : float;
-  dur : float;  (* X events only *)
-  args : (string * arg) list;
-}
+(* One record per traced span: a wall-clock pass is written as one
+   complete ("X") event, a virtual-cycle span as a begin/end ("B"/"E")
+   pair. *)
+type event =
+  | Wall of {
+      name : string;
+      cat : string;
+      track : string;
+      ts : float;
+      dur : float;
+      args : (string * arg) list;
+    }
+  | Virtual of {
+      name : string;
+      cat : string;
+      track : string;
+      start : float;
+      finish : float;
+      args : (string * arg) list;
+    }
 
 let wall_pid = 0
 let virtual_pid = 1
@@ -23,10 +31,6 @@ let enabled_flag = Atomic.make false
 let events : event list ref = ref []  (* newest first *)
 let epoch = ref 0.0
 
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
 let enabled () = Atomic.get enabled_flag
 
 let enable () =
@@ -34,11 +38,9 @@ let enable () =
   Atomic.set enabled_flag true
 
 let disable () = Atomic.set enabled_flag false
-let clear () = with_lock (fun () -> events := [])
+let clear () = Mutex.protect lock (fun () -> events := [])
 let now_us () = (Unix.gettimeofday () -. !epoch) *. 1e6
-
-let record evs =
-  with_lock (fun () -> events := List.rev_append evs !events)
+let record ev = Mutex.protect lock (fun () -> events := ev :: !events)
 
 (* one wall track per domain, so pass spans inside a Pool sweep nest on
    the domain that ran them instead of interleaving on one track *)
@@ -50,10 +52,9 @@ let with_span ?(cat = "pass") ?args name f =
     let t0 = now_us () in
     let finish () =
       let t1 = now_us () in
-      let a = match args with None -> [] | Some g -> g () in
+      let args = match args with None -> [] | Some g -> g () in
       record
-        [ { ph = X; name; cat; pid = wall_pid; track = wall_track ();
-            ts = t0; dur = t1 -. t0; args = a } ]
+        (Wall { name; cat; track = wall_track (); ts = t0; dur = t1 -. t0; args })
     in
     match f () with
     | v ->
@@ -65,65 +66,62 @@ let with_span ?(cat = "pass") ?args name f =
   end
 
 let virtual_span ?(cat = "sim") ~track ~name ~start ~finish ?(args = []) () =
-  if enabled () then
-    record
-      [ { ph = B; name; cat; pid = virtual_pid; track; ts = start; dur = 0.0;
-          args };
-        { ph = E; name; cat; pid = virtual_pid; track; ts = finish; dur = 0.0;
-          args = [] } ]
+  if enabled () then record (Virtual { name; cat; track; start; finish; args })
 
 (* --------------------------- serialization ------------------------- *)
 
 (* fraction digits of trace floats; integral ones print without any *)
 let prec = 4
 
-let ph_str = function B -> "B" | E -> "E" | X -> "X" | M -> "M"
-
-(* one event as one JSON object, straight into [b] *)
-let add_event b tid ev =
-  let str = Buffer.add_string b in
-  str "{\"ph\": \"";
-  str (ph_str ev.ph);
-  str "\", \"name\": ";
-  Json_out.add_string b ev.name;
-  str ", \"cat\": ";
-  Json_out.add_string b ev.cat;
-  str ", \"pid\": ";
-  Json_out.add_int b ev.pid;
-  str ", \"tid\": ";
-  Json_out.add_int b tid;
-  str ", \"ts\": ";
-  Json_out.add_float ~prec b ev.ts;
-  if ev.ph = X then begin
-    str ", \"dur\": ";
-    Json_out.add_float ~prec b ev.dur
-  end;
-  str ", \"args\": {";
+let add_args b args =
+  Buffer.add_string b ", \"args\": {";
   Json_out.add_list b
     (fun b (k, v) ->
       Json_out.add_string b k;
-      str ": ";
+      Buffer.add_string b ": ";
       match v with
       | Int n -> Json_out.add_int b n
       | Float f -> Json_out.add_float ~prec b f
       | Str s -> Json_out.add_string b s)
-    ev.args;
-  str "}}"
+    args;
+  Buffer.add_string b "}}"
 
-let snapshot () = with_lock (fun () -> List.rev !events)
+(* The text between an event's category and its timestamp is fixed per
+   track, [, "pid": <pid>, "tid": <tid>, "ts": ], so it is built once. *)
+let track_text pid tid =
+  Printf.sprintf ", \"pid\": %d, \"tid\": %d, \"ts\": " pid tid
+
+(* [{"ph": <ph>, "name": <name>, "cat": <cat>], the track's text, [ts] *)
+let add_head b ph name cat text ts =
+  Buffer.add_string b "{\"ph\": \"";
+  Buffer.add_string b ph;
+  Buffer.add_string b "\", \"name\": ";
+  Json_out.add_string b name;
+  Buffer.add_string b ", \"cat\": ";
+  Json_out.add_string b cat;
+  Buffer.add_string b text;
+  Json_out.add_float ~prec b ts
+
+let snapshot () = Mutex.protect lock (fun () -> List.rev !events)
 
 let to_json () =
-  let newest_first = with_lock (fun () -> !events) in
+  let newest_first = Mutex.protect lock (fun () -> !events) in
   (* each pid's events grouped by track; consing newest-first leaves every
      group in record order (the recorder guarantees per-track timestamp
      order) *)
   let vgroups = Hashtbl.create 64 and wgroups = Hashtbl.create 16 in
+  let records = ref 0 in
   List.iter
     (fun e ->
-      let groups = if e.pid = virtual_pid then vgroups else wgroups in
-      match Hashtbl.find_opt groups e.track with
+      incr records;
+      let groups, track =
+        match e with
+        | Virtual { track; _ } -> (vgroups, track)
+        | Wall { track; _ } -> (wgroups, track)
+      in
+      match Hashtbl.find_opt groups track with
       | Some g -> g := e :: !g
-      | None -> Hashtbl.add groups e.track (ref [ e ]))
+      | None -> Hashtbl.add groups track (ref [ e ]))
     newest_first;
   (* a track's tid is its 1-based rank among its pid's track names *)
   let by_name groups =
@@ -132,33 +130,50 @@ let to_json () =
       (Hashtbl.fold (fun track g acc -> (track, !g) :: acc) groups [])
   in
   let vtracks = by_name vgroups and wtracks = by_name wgroups in
-  let b = Buffer.create (128 * (List.length newest_first + 16)) in
+  let ntracks = List.length vtracks + List.length wtracks in
+  (* a virtual span's B/E pair is about 210 bytes, so 256 per record
+     seldom regrows the buffer *)
+  let b = Buffer.create (4096 + (256 * !records) + (128 * ntracks)) in
   Buffer.add_string b "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
   let first = ref true in
-  let emit tid ev =
-    if !first then first := false else Buffer.add_string b ",\n";
-    add_event b tid ev
-  in
+  let sep () = if !first then first := false else Buffer.add_string b ",\n" in
   (* process/thread names first, so Perfetto labels the tracks; metadata
      for the wall pid is tagged onto it and stripped with it *)
   let names pid process tracks =
-    let meta name track label =
-      { ph = M; name; cat = "meta"; pid; track; ts = 0.0; dur = 0.0;
-        args = [ ("name", Str label) ] }
+    let meta name tid label =
+      sep ();
+      add_head b "M" name "meta" (track_text pid tid) 0.0;
+      add_args b [ ("name", Str label) ]
     in
     if tracks <> [] then begin
-      emit 1 (meta "process_name" "" process);
-      List.iteri
-        (fun i (track, _) -> emit (i + 1) (meta "thread_name" track track))
-        tracks
+      meta "process_name" 1 process;
+      List.iteri (fun i (track, _) -> meta "thread_name" (i + 1) track) tracks
     end
   in
   names virtual_pid "simulator (virtual cycles)" vtracks;
   names wall_pid "compiler (wall clock, us)" wtracks;
   (* then virtual events (deterministic) before wall, track by track *)
+  let emit text = function
+    | Virtual { name; cat; start; finish; args; _ } ->
+        sep ();
+        add_head b "B" name cat text start;
+        add_args b args;
+        sep ();
+        add_head b "E" name cat text finish;
+        add_args b []
+    | Wall { name; cat; ts; dur; args; _ } ->
+        sep ();
+        add_head b "X" name cat text ts;
+        Buffer.add_string b ", \"dur\": ";
+        Json_out.add_float ~prec b dur;
+        add_args b args
+  in
   List.iter
-    (List.iteri (fun i (_, evs) -> List.iter (emit (i + 1)) evs))
-    [ vtracks; wtracks ];
+    (fun (pid, tracks) ->
+      List.iteri
+        (fun i (_, evs) -> List.iter (emit (track_text pid (i + 1))) evs)
+        tracks)
+    [ (virtual_pid, vtracks); (wall_pid, wtracks) ];
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
 
@@ -174,41 +189,32 @@ type track_acc = {
   mutable busy : float;
   mutable first : float;
   mutable last : float;
-  mutable open_ts : float;
 }
 
 let summary () =
   let evs = snapshot () in
   let buf = Buffer.create 512 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  (* virtual tracks: reconstruct span durations from the B/E pairs *)
+  (* virtual tracks: span counts and durations, per track *)
   let vt : (string, track_acc) Hashtbl.t = Hashtbl.create 16 in
   let makespan = ref 0.0 in
   List.iter
-    (fun e ->
-      if e.pid = virtual_pid then begin
-        let acc =
-          match Hashtbl.find_opt vt e.track with
-          | Some a -> a
-          | None ->
-              let a =
-                { spans = 0; busy = 0.0; first = infinity; last = 0.0;
-                  open_ts = 0.0 }
-              in
-              Hashtbl.add vt e.track a;
-              a
-        in
-        match e.ph with
-        | B ->
-            acc.open_ts <- e.ts;
-            if e.ts < acc.first then acc.first <- e.ts
-        | E ->
-            acc.spans <- acc.spans + 1;
-            acc.busy <- acc.busy +. (e.ts -. acc.open_ts);
-            if e.ts > acc.last then acc.last <- e.ts;
-            if e.ts > !makespan then makespan := e.ts
-        | _ -> ()
-      end)
+    (function
+      | Virtual { track; start; finish; _ } ->
+          let acc =
+            match Hashtbl.find_opt vt track with
+            | Some a -> a
+            | None ->
+                let a = { spans = 0; busy = 0.0; first = infinity; last = 0.0 } in
+                Hashtbl.add vt track a;
+                a
+          in
+          if start < acc.first then acc.first <- start;
+          acc.spans <- acc.spans + 1;
+          acc.busy <- acc.busy +. (finish -. start);
+          if finish > acc.last then acc.last <- finish;
+          if finish > !makespan then makespan := finish
+      | Wall _ -> ())
     evs;
   if Hashtbl.length vt > 0 then begin
     pr "virtual timeline (makespan %s cycles)\n"
@@ -229,12 +235,13 @@ let summary () =
   (* wall spans aggregated by name *)
   let wt : (string, float * int) Hashtbl.t = Hashtbl.create 16 in
   List.iter
-    (fun e ->
-      if e.pid = wall_pid && e.ph = X then
-        let t, n =
-          match Hashtbl.find_opt wt e.name with Some x -> x | None -> (0.0, 0)
-        in
-        Hashtbl.replace wt e.name (t +. e.dur, n + 1))
+    (function
+      | Wall { name; dur; _ } ->
+          let t, n =
+            match Hashtbl.find_opt wt name with Some x -> x | None -> (0.0, 0)
+          in
+          Hashtbl.replace wt name (t +. dur, n + 1)
+      | Virtual _ -> ())
     evs;
   if Hashtbl.length wt > 0 then begin
     pr "wall-clock spans (total ms, by name)\n";

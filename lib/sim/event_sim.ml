@@ -80,6 +80,11 @@ module Dram_calendar = struct
         coalesced = c.coalesced + 1 }
     end
 
+  (* past the end of every span: a new span after the last *)
+  let append c cursor dur =
+    let fin = cursor +. dur in
+    (bound { c with cal = Cal.add cursor fin c.cal; count = c.count + 1 }, fin)
+
   (* The interface time-multiplexes outstanding transfers at burst
      granularity, so a request simply consumes the idle gaps of the
      calendar in time order (preemptive FIFO) rather than needing one
@@ -88,47 +93,194 @@ module Dram_calendar = struct
     if dur <= 0.0 then (c, t)
     else begin
       let cursor = Float.max t 0.0 in
-      (* every span before the last one starting at or before [cursor]
-         ends before it *)
-      let from =
-        match Cal.find_last_opt (fun s -> s <= cursor) c.cal with
-        | Some (s, _) -> s
-        | None -> cursor
-      in
-      let rec consume cursor remaining spans pieces =
-        match spans () with
-        | Seq.Nil -> ((cursor, cursor +. remaining) :: pieces, cursor +. remaining)
-        | Seq.Cons ((s, e), rest) ->
-            if e <= cursor then consume cursor remaining rest pieces
-            else if s <= cursor then consume e remaining rest pieces
-            else begin
-              let gap = s -. cursor in
-              if gap >= remaining then
+      match Cal.max_binding_opt c.cal with
+      | Some (s, e) when s <= cursor ->
+          (* the tail path, at or after the last span's start *)
+          if cursor <= e then begin
+            (* inside the last span or at its end: the request books the
+               time right after it, which the closed rule merges into it
+               (the span count, already bounded, is kept) *)
+            let fin = e +. dur in
+            ({ c with cal = Cal.add s fin c.cal }, fin)
+          end
+          else append c cursor dur
+      | None -> append c cursor dur
+      | Some _ ->
+          (* every span before the last one starting at or before
+             [cursor] ends before it *)
+          let from =
+            match Cal.find_last_opt (fun s -> s <= cursor) c.cal with
+            | Some (s, _) -> s
+            | None -> cursor
+          in
+          let rec consume cursor remaining spans pieces =
+            match spans () with
+            | Seq.Nil ->
                 ((cursor, cursor +. remaining) :: pieces, cursor +. remaining)
-              else consume e (remaining -. gap) rest ((cursor, s) :: pieces)
-            end
-      in
-      let pieces, fin = consume cursor dur (Cal.to_seq_from from c.cal) [] in
-      (bound (List.fold_left insert c pieces), fin)
+            | Seq.Cons ((s, e), rest) ->
+                if e <= cursor then consume cursor remaining rest pieces
+                else if s <= cursor then consume e remaining rest pieces
+                else begin
+                  let gap = s -. cursor in
+                  if gap >= remaining then
+                    ((cursor, cursor +. remaining) :: pieces, cursor +. remaining)
+                  else consume e (remaining -. gap) rest ((cursor, s) :: pieces)
+                end
+          in
+          let pieces, fin = consume cursor dur (Cal.to_seq_from from c.cal) [] in
+          (bound (List.fold_left insert c pieces), fin)
     end
 end
 
-module Smap = Map.Make (String)
+(* ------------------------- the resolved design ------------------------ *)
+
+(* What one instance of a controller does is a function of (machine,
+   sizes, controller) only, so [run] works it out once per controller
+   before scheduling any instance: trip counts, leaf compute cycles and
+   the words and cycles of every transfer.  Each (direction, array) pair
+   becomes a slot index into the run's traffic sums. *)
+
+type xfer = {
+  slot : int;  (** the traffic sum the words add to *)
+  words : float;
+  cycles : float;  (** DRAM time the transfer books *)
+}
+
+type node =
+  | Pipe of { compute : float; xfers : xfer array }
+      (** compute and direct transfers all start with the instance *)
+  | Tile of xfer  (** a tile load or store: one transfer *)
+  | Seq of node list
+  | Par of node list
+  | Loop of { iters : int; stages : node list }  (** sequential iteration *)
+  | Meta of { iters : int; stages : stage array }  (** metapipeline *)
+  | Fallback of analytic Lazy.t
+      (** a loop beyond the event budget, costed by {!Simulate} *)
+  | Traced of { name : string; node : node }
+      (** a top-level controller of a recorded run: one span per run *)
+
+and stage = { node : node; track : string; prefix : string (** ["<stage>#"] *) }
+
+and analytic = {
+  a_cycles : float;
+  a_dram : float;
+  a_traffic : xfer list;
+      (** reads then writes, each by array name; books no DRAM time of
+          its own ([a_dram] covers it) *)
+}
+
+(* (write, array) -> slot, numbered in first-seen order *)
+let slot slots ~write arr =
+  match Hashtbl.find_opt slots (write, arr) with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length slots in
+      Hashtbl.add slots (write, arr) i;
+      i
+
+let trip_count sizes trips =
+  let x = List.fold_left (fun acc t -> acc *. Hw.trip_eval sizes t) 1.0 trips in
+  Float.max 1.0 x
+
+let tile_xfer (m : Machine.t) slots ~write arr w =
+  { slot = slot slots ~write arr; words = w;
+    cycles = m.Machine.tile_latency +. (w /. m.Machine.stream_words_per_cycle) }
+
+(* the analytic engine's cost of one invocation of [c]; every array it
+   reports already has its slot, from resolving [c]'s leaves *)
+let analytic m sizes slots c =
+  let rep =
+    Simulate.run ~machine:m
+      { Hw.design_name = "sub"; mems = []; top = c; par_factor = 1 }
+      ~sizes
+  in
+  let traffic write =
+    List.map (fun (arr, w) ->
+        { slot = Hashtbl.find slots (write, arr); words = w; cycles = 0.0 })
+  in
+  { a_cycles = rep.Simulate.cycles; a_dram = rep.Simulate.dram_cycles;
+    a_traffic = traffic false rep.Simulate.reads @ traffic true rep.Simulate.writes }
+
+(* [c] resolved, and the number of controller instances it schedules *)
+let rec resolve (m : Machine.t) sizes slots (c : Hw.ctrl) : node * float =
+  let all cs =
+    let ns, count =
+      List.fold_left
+        (fun (ns, count) ch ->
+          let n, k = resolve m sizes slots ch in
+          (n :: ns, count +. k))
+        ([], 1.0) cs
+    in
+    (List.rev ns, count)
+  in
+  match c with
+  | Hw.Pipe { trips; par; depth; ii; dram; _ } ->
+      let iters = trip_count sizes trips in
+      let compute =
+        float_of_int depth
+        +. (ceil (iters /. float_of_int (Int.max 1 par)) *. float_of_int ii)
+      in
+      let xfer (da : Hw.dram_access) =
+        let words = Simulate.direct_words m sizes da in
+        let cycles, words =
+          match da.Hw.da_kind with
+          | `Cached ->
+              let fp = Float.min (Simulate.cached_footprint m sizes da) words in
+              (fp /. m.Machine.stream_words_per_cycle, fp)
+          | _ -> (Simulate.direct_cycles m sizes par words da, words)
+        in
+        { slot = slot slots ~write:(da.Hw.da_kind = `Write) da.Hw.da_array;
+          words; cycles }
+      in
+      (Pipe { compute; xfers = Array.of_list (List.map xfer dram) }, 1.0)
+  | Hw.Tile_load { words; reuse; array; _ } ->
+      let w = Hw.trip_eval sizes words /. float_of_int (Int.max 1 reuse) in
+      (Tile (tile_xfer m slots ~write:false array w), 1.0)
+  | Hw.Tile_store { words; array; _ } ->
+      (Tile (tile_xfer m slots ~write:true array (Hw.trip_eval sizes words)), 1.0)
+  | Hw.Seq { children; _ } ->
+      let ns, count = all children in
+      (Seq ns, count)
+  | Hw.Par { children; _ } ->
+      let ns, count = all children in
+      (Par ns, count)
+  | Hw.Loop { name; trips; meta; stages; _ } ->
+      let ns, per_iter = all stages in
+      let trips = trip_count sizes trips in
+      let count = 1.0 +. (trips *. per_iter) in
+      let iters = int_of_float trips in
+      let node =
+        if count > float_of_int max_events then
+          Fallback (lazy (analytic m sizes slots c))
+        else if (not meta) || List.length stages <= 1 then
+          Loop { iters; stages = ns }
+        else
+          Meta
+            { iters;
+              stages =
+                Array.of_list
+                  (List.map2
+                     (fun node st ->
+                       let sname = Hw.ctrl_name st in
+                       { node; track = name ^ "." ^ sname; prefix = sname ^ "#" })
+                     ns stages) }
+      in
+      (node, count)
+
+(* ------------------------------ scheduling ----------------------------- *)
 
 (* Mutable simulation state: the DRAM busy calendar (a request is granted
    the earliest idle time at or after its request time, so a transfer
    issued by a later-visited controller can still use memory idle time
-   before an earlier-visited one), the event budget, and traffic
-   accumulators keyed by array name. *)
+   before an earlier-visited one), the event budget, and per-slot traffic
+   sums (each adds in visit order; a slot is reported once touched). *)
 type st = {
-  machine : Machine.t;
-  sizes : (Sym.t * int) list;
   mutable dram_cal : Dram_calendar.t;
   mutable dram_busy : float;  (** accumulated DRAM-busy cycles *)
   mutable events : int;
   mutable fallbacks : int;
-  mutable reads : float Smap.t;
-  mutable writes : float Smap.t;
+  sums : float array;
+  seen : bool array;
   record : bool;  (** collect the timeline *)
   mutable spans : span list;  (** newest first *)
 }
@@ -140,14 +292,12 @@ let push_span st ~track ~name ~start ~finish args =
         sp_args = args }
       :: st.spans
 
-(* per-array sums add in visit order *)
-let add st table (arr, words) =
-  let go =
-    Smap.update arr (function None -> Some words | Some w -> Some (w +. words))
-  in
-  match table with
-  | `R -> st.reads <- go st.reads
-  | `W -> st.writes <- go st.writes
+let add st x =
+  if st.seen.(x.slot) then st.sums.(x.slot) <- st.sums.(x.slot) +. x.words
+  else begin
+    st.seen.(x.slot) <- true;
+    st.sums.(x.slot) <- x.words
+  end
 
 (* Acquire [dur] cycles of DRAM time starting no earlier than [t]; returns
    the completion time. *)
@@ -160,163 +310,100 @@ let dram_transfer st t dur =
     fin
   end
 
-let trip_count st trips =
-  let x =
-    List.fold_left (fun acc t -> acc *. Hw.trip_eval st.sizes t) 1.0 trips
-  in
-  Float.max 1.0 x
-
-(* One invocation of a leaf, starting at [t]; returns its finish time. *)
-let leaf st t (c : Hw.ctrl) =
-  st.events <- st.events + 1;
-  match c with
-  | Hw.Pipe { trips; par; depth; ii; dram; _ } ->
-      let iters = trip_count st trips in
-      let compute =
-        float_of_int depth
-        +. (ceil (iters /. float_of_int (Int.max 1 par)) *. float_of_int ii)
-      in
-      let mem_end =
-        List.fold_left
-          (fun acc da ->
-            let words = Simulate.direct_words st.machine st.sizes da in
-            let cyc, words =
-              match da.Hw.da_kind with
-              | `Cached ->
-                  let fp =
-                    Float.min (Simulate.cached_footprint st.machine st.sizes da) words
-                  in
-                  (fp /. st.machine.Machine.stream_words_per_cycle, fp)
-              | _ ->
-                  (Simulate.direct_cycles st.machine st.sizes par words da, words)
-            in
-            add st (match da.Hw.da_kind with `Write -> `W | _ -> `R)
-              (da.Hw.da_array, words);
-            Float.max acc (dram_transfer st t cyc))
-          t dram
-      in
-      Float.max (t +. compute) mem_end
-  | Hw.Tile_load { words; reuse; array; _ } ->
-      let w =
-        Hw.trip_eval st.sizes words /. float_of_int (Int.max 1 reuse)
-      in
-      add st `R (array, w);
-      dram_transfer st t
-        (st.machine.Machine.tile_latency
-        +. (w /. st.machine.Machine.stream_words_per_cycle))
-  | Hw.Tile_store { words; array; _ } ->
-      let w = Hw.trip_eval st.sizes words in
-      add st `W (array, w);
-      dram_transfer st t
-        (st.machine.Machine.tile_latency
-        +. (w /. st.machine.Machine.stream_words_per_cycle))
-  | _ -> t
-
-(* fall back to the analytic engine for an oversized subtree *)
-let analytic_fallback st t c =
-  st.fallbacks <- st.fallbacks + 1;
-  let rep =
-    Simulate.run ~machine:st.machine
-      { Hw.design_name = "sub"; mems = []; top = c; par_factor = 1 }
-      ~sizes:st.sizes
-  in
-  List.iter (fun rw -> add st `R rw) rep.Simulate.reads;
-  List.iter (fun rw -> add st `W rw) rep.Simulate.writes;
-  ignore (dram_transfer st t rep.Simulate.dram_cycles);
-  t +. rep.Simulate.cycles
-
-(* static count of controller instances a subtree would schedule *)
-let rec instance_count st (c : Hw.ctrl) =
-  match c with
-  | Hw.Pipe _ | Hw.Tile_load _ | Hw.Tile_store _ -> 1.0
-  | Hw.Seq { children; _ } | Hw.Par { children; _ } ->
-      List.fold_left (fun acc ch -> acc +. instance_count st ch) 1.0 children
-  | Hw.Loop { trips; stages; _ } ->
-      let per_iter =
-        List.fold_left (fun acc ch -> acc +. instance_count st ch) 1.0 stages
-      in
-      1.0 +. (trip_count st trips *. per_iter)
-
-let rec exec st t (c : Hw.ctrl) =
-  match c with
-  | Hw.Pipe _ | Hw.Tile_load _ | Hw.Tile_store _ -> leaf st t c
-  | Hw.Seq { children; _ } ->
-      List.fold_left (fun now ch -> exec st now ch) t children
-  | Hw.Par { children; _ } ->
+let rec exec st t = function
+  | Pipe { compute; xfers } ->
+      st.events <- st.events + 1;
+      let mem_end = ref t in
+      Array.iter
+        (fun x ->
+          add st x;
+          mem_end := Float.max !mem_end (dram_transfer st t x.cycles))
+        xfers;
+      Float.max (t +. compute) !mem_end
+  | Tile x ->
+      st.events <- st.events + 1;
+      add st x;
+      dram_transfer st t x.cycles
+  | Seq children -> List.fold_left (fun now ch -> exec st now ch) t children
+  | Par children ->
       (* all start together; the DRAM queue serializes their transfers in
          list order *)
       List.fold_left (fun fin ch -> Float.max fin (exec st t ch)) t children
-  | Hw.Loop { name; trips; meta; stages; _ } ->
-      if instance_count st c > float_of_int max_events then
-        analytic_fallback st t c
-      else begin
-        let iters = int_of_float (trip_count st trips) in
-        if (not meta) || List.length stages <= 1 then begin
-          let now = ref t in
-          for _ = 1 to iters do
-            List.iter (fun s -> now := exec st !now s) stages
-          done;
-          !now
-        end
-        else begin
-          (* metapipeline: stage s of iteration i waits for stage s-1 of
-             iteration i and for its own iteration i-1 (double buffer) *)
-          let nstages = List.length stages in
-          let avail = Array.make nstages t in
-          let finish_last = ref t in
-          for i = 1 to iters do
-            let prev_done = ref t in
-            List.iteri
-              (fun s stage ->
-                let start = Float.max !prev_done avail.(s) in
-                let fin = exec st start stage in
-                (* Gantt: one track per metapipeline stage, one span per
-                   iteration instance; stage instances never overlap on
-                   their own track (avail.(s) serializes them) *)
-                push_span st
-                  ~track:(name ^ "." ^ Hw.ctrl_name stage)
-                  ~name:(Printf.sprintf "%s#%d" (Hw.ctrl_name stage) i)
-                  ~start ~finish:fin
-                  [ ("iteration", float_of_int i) ];
-                avail.(s) <- fin;
-                prev_done := fin;
-                if s = nstages - 1 then finish_last := fin)
-              stages
-          done;
-          !finish_last
-        end
-      end
+  | Loop { iters; stages } ->
+      let now = ref t in
+      for _ = 1 to iters do
+        List.iter (fun s -> now := exec st !now s) stages
+      done;
+      !now
+  | Meta { iters; stages } ->
+      (* metapipeline: stage s of iteration i waits for stage s-1 of
+         iteration i and for its own iteration i-1 (double buffer) *)
+      let nstages = Array.length stages in
+      let avail = Array.make nstages t in
+      let finish_last = ref t in
+      for i = 1 to iters do
+        let prev_done = ref t in
+        Array.iteri
+          (fun s stage ->
+            let start = Float.max !prev_done avail.(s) in
+            let fin = exec st start stage.node in
+            (* Gantt: one track per metapipeline stage, one span per
+               iteration instance; stage instances never overlap on their
+               own track (avail.(s) serializes them) *)
+            push_span st ~track:stage.track
+              ~name:(stage.prefix ^ string_of_int i)
+              ~start ~finish:fin
+              [ ("iteration", float_of_int i) ];
+            avail.(s) <- fin;
+            prev_done := fin;
+            if s = nstages - 1 then finish_last := fin)
+          stages
+      done;
+      !finish_last
+  | Fallback a ->
+      let a = Lazy.force a in
+      st.fallbacks <- st.fallbacks + 1;
+      List.iter (add st) a.a_traffic;
+      ignore (dram_transfer st t a.a_dram);
+      t +. a.a_cycles
+  | Traced { name; node } ->
+      let fin = exec st t node in
+      push_span st ~track:name ~name ~start:t ~finish:fin [ ("top-level", 1.0) ];
+      fin
 
 let run ?(machine = Machine.default) ?(record = false) (d : Hw.design) ~sizes =
-  let st =
-    { machine; sizes; dram_cal = Dram_calendar.empty; dram_busy = 0.0;
-      events = 0; fallbacks = 0; reads = Smap.empty; writes = Smap.empty;
-      record; spans = [] }
-  in
+  let slots = Hashtbl.create 16 in
+  let node c = fst (resolve machine sizes slots c) in
   (* when recording, each top-level controller also gets a span on its
      own track (the same schedule exec applies: Seq chains, Par forks) *)
-  let traced_child now ch =
-    let fin = exec st now ch in
-    push_span st ~track:(Hw.ctrl_name ch) ~name:(Hw.ctrl_name ch) ~start:now
-      ~finish:fin
-      [ ("top-level", 1.0) ];
-    fin
+  let traced =
+    List.map (fun ch -> Traced { name = Hw.ctrl_name ch; node = node ch })
   in
-  let fin =
+  let top =
     match d.Hw.top with
-    | Hw.Seq { children; _ } when record ->
-        List.fold_left traced_child 0.0 children
-    | Hw.Par { children; _ } when record ->
-        List.fold_left
-          (fun fin ch -> Float.max fin (traced_child 0.0 ch))
-          0.0 children
-    | top -> exec st 0.0 top
+    | Hw.Seq { children; _ } when record -> Seq (traced children)
+    | Hw.Par { children; _ } when record -> Par (traced children)
+    | top -> node top
+  in
+  let n = Hashtbl.length slots in
+  let st =
+    { dram_cal = Dram_calendar.empty; dram_busy = 0.0; events = 0; fallbacks = 0;
+      sums = Array.make n 0.0; seen = Array.make n false; record; spans = [] }
+  in
+  let fin = exec st 0.0 top in
+  (* touched slots, by array name *)
+  let traffic write =
+    Hashtbl.fold
+      (fun (w, arr) i acc ->
+        if w = write && st.seen.(i) then (arr, st.sums.(i)) :: acc else acc)
+      slots []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   { report =
       { Simulate.cycles = fin;
         dram_cycles = st.dram_busy;
-        reads = Smap.bindings st.reads;
-        writes = Smap.bindings st.writes };
+        reads = traffic false;
+        writes = traffic true };
     events = st.events;
     fallbacks = st.fallbacks;
     coalesced = Dram_calendar.coalesced st.dram_cal;
@@ -328,24 +415,34 @@ let run ?(machine = Machine.default) ?(record = false) (d : Hw.design) ~sizes =
              tl_makespan = fin }
        else None) }
 
+(* per-track occupancy, accumulated in place *)
+type track_acc = {
+  track : string;
+  mutable n : int;
+  mutable busy : float;
+  mutable first : float;
+  mutable last : float;
+}
+
 let track_stats tl =
-  let tbl : (string, track_stats) Hashtbl.t = Hashtbl.create 16 in
+  let tbl : (string, track_acc) Hashtbl.t = Hashtbl.create 16 in
   let touch track start finish =
     match Hashtbl.find_opt tbl track with
-    | Some tk ->
-        Hashtbl.replace tbl track
-          { tk with
-            tk_spans = tk.tk_spans + 1;
-            tk_busy = tk.tk_busy +. (finish -. start);
-            tk_first = Float.min tk.tk_first start;
-            tk_last = Float.max tk.tk_last finish }
+    | Some a ->
+        a.n <- a.n + 1;
+        a.busy <- a.busy +. (finish -. start);
+        a.first <- Float.min a.first start;
+        a.last <- Float.max a.last finish
     | None ->
         Hashtbl.add tbl track
-          { tk_track = track; tk_spans = 1; tk_busy = finish -. start;
-            tk_first = start; tk_last = finish }
+          { track; n = 1; busy = finish -. start; first = start; last = finish }
   in
   List.iter (fun sp -> touch sp.sp_track sp.sp_start sp.sp_finish) tl.tl_spans;
   List.iter (fun (s, e) -> touch "DRAM" s e) tl.tl_dram_busy;
-  List.sort
-    (fun a b -> String.compare a.tk_track b.tk_track)
-    (Hashtbl.fold (fun _ v acc -> v :: acc) tbl [])
+  Hashtbl.fold
+    (fun _ a acc ->
+      { tk_track = a.track; tk_spans = a.n; tk_busy = a.busy; tk_first = a.first;
+        tk_last = a.last }
+      :: acc)
+    tbl []
+  |> List.sort (fun a b -> String.compare a.tk_track b.tk_track)

@@ -73,8 +73,9 @@ val max_events : int
     for [dur] cycles at time [t] consumes the calendar's idle gaps in time
     order from [max t 0] on (the interface time-multiplexes transfers at
     burst granularity, so a request need not fit one contiguous slot).
-    Each transfer costs O(log n) in the calendar's span count n, plus
-    O(log n) per idle gap it consumes. *)
+    A request at or after the last span's start extends that span or
+    appends one after it; any other transfer costs O(log n) in the
+    calendar's span count n, plus O(log n) per idle gap it consumes. *)
 module Dram_calendar : sig
   type t
 

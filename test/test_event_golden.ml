@@ -5,18 +5,20 @@
    fallback counts, every recorded span, the DRAM busy calendar and the
    trace JSON text.  Any drift in a schedule, its traffic or its trace
    bytes fails here.  A deliberate model change regenerates the table
-   from the failure message. *)
+   from the failure message.  The same designs run unrecorded must report
+   exactly what the recorded runs report, and a design that mixes an
+   analytic fallback with event-simulated leaves on one array pins its
+   traffic sum bit for bit. *)
 
 let configs = [ Experiments.Baseline; Experiments.Tiled; Experiments.Tiled_meta ]
 
 let key (b : Suite.bench) cfg =
   b.Suite.name ^ " " ^ Experiments.config_name cfg
 
-let digest_of (b : Suite.bench) cfg =
-  let d = Experiments.design_of cfg b in
+let digest_of d ~sizes =
   Trace.clear ();
   Trace.enable ();
-  let r = Event_sim.run ~record:true d ~sizes:b.Suite.sim_sizes in
+  let r = Event_sim.run ~record:true d ~sizes in
   Option.iter Sim_trace.record r.Event_sim.timeline;
   Trace.disable ();
   let json = Trace.to_json () in
@@ -41,7 +43,28 @@ let digest_of (b : Suite.bench) cfg =
         tl.Event_sim.tl_spans;
       List.iter (fun (s, e) -> pr "D %h %h\n" s e) tl.Event_sim.tl_dram_busy);
   pr "%s" json;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  (Digest.to_hex (Digest.string (Buffer.contents buf)), r)
+
+(* every bench x config: its key, design, digest and recorded result *)
+let runs =
+  lazy
+    (List.concat_map
+       (fun b ->
+         List.map
+           (fun cfg ->
+             let d = Experiments.design_of cfg b in
+             let h, r = digest_of d ~sizes:b.Suite.sim_sizes in
+             (key b cfg, d, b.Suite.sim_sizes, h, r))
+           configs)
+       (Suite.extended ()))
+
+(* a report in exact [%h] form *)
+let report_text (rep : Simulate.report) =
+  let traffic tag ts =
+    String.concat "" (List.map (fun (a, w) -> Printf.sprintf " %s %s %h" tag a w) ts)
+  in
+  Printf.sprintf "cycles %h dram %h%s%s" rep.Simulate.cycles rep.Simulate.dram_cycles
+    (traffic "R" rep.Simulate.reads) (traffic "W" rep.Simulate.writes)
 
 (* recorded with the list-based DRAM calendar, before it became an ordered
    map *)
@@ -84,18 +107,83 @@ let golden =
     ("spmv +tiling+metapipelining", "aeb6ca415d83ee5db898ce78a7765105") ]
 
 let test_golden () =
-  let actual =
-    List.concat_map
-      (fun b -> List.map (fun cfg -> (key b cfg, digest_of b cfg)) configs)
-      (Suite.extended ())
-  in
+  let actual = List.map (fun (k, _, _, h, _) -> (k, h)) (Lazy.force runs) in
   if actual <> golden then
     Alcotest.failf "event-engine digests drifted; the current table is\n%s"
       (String.concat "\n"
          (List.map (fun (k, h) -> Printf.sprintf "    (%S, %S);" k h) actual))
 
+(* recording only adds the timeline: the unrecorded run schedules the
+   same instances and reports the same floats *)
+let test_unrecorded () =
+  List.iter
+    (fun (k, d, sizes, _, (r : Event_sim.result)) ->
+      let u = Event_sim.run ~record:false d ~sizes in
+      Alcotest.(check string) (k ^ " report") (report_text r.Event_sim.report)
+        (report_text u.Event_sim.report);
+      Alcotest.(check (list int)) (k ^ " events, fallbacks, coalesced")
+        [ r.Event_sim.events; r.Event_sim.fallbacks; r.Event_sim.coalesced ]
+        [ u.Event_sim.events; u.Event_sim.fallbacks; u.Event_sim.coalesced ];
+      Alcotest.(check bool) (k ^ " no timeline") true (u.Event_sim.timeline = None))
+    (Lazy.force runs)
+
+(* Array [x] is read by an event-simulated tile load, then by a loop of
+   10^9 iterations that the engine hands to the analytic one, then by a
+   direct pipe read; [y] is written before, inside and after the loop.
+   Each array's three terms add in that visit order (another order rounds
+   differently).  The pinned text was taken from the engine before it
+   resolved designs once per run. *)
+let test_fallback_traffic () =
+  let load words name =
+    Hw.Tile_load
+      { name; mem = "buf"; array = "x"; words = Hw.Tconst words; path = [];
+        reuse = 1; prov = Prov.none }
+  and store words name =
+    Hw.Tile_store
+      { name; mem = None; array = "y"; words = Hw.Tconst words; path = [];
+        prov = Prov.none }
+  in
+  let pipe =
+    Hw.Pipe
+      { name = "p"; trips = [ Hw.Tconst 3.0 ]; template = Hw.Vector; par = 1;
+        depth = 10; ii = 1;
+        ops =
+          { Hw.flops = 1; int_ops = 0; cmp_ops = 0; mem_reads = 1; mem_writes = 1 };
+        body = None;
+        dram =
+          [ { Hw.da_array = "x"; da_path = [ (Hw.Tconst 0.3, true) ];
+              da_contiguous = true; da_affine = true; da_row_words = Hw.Tconst 0.3;
+              da_kind = `Read } ];
+        uses = []; defines = []; prov = Prov.none }
+  in
+  let huge =
+    Hw.Loop
+      { name = "huge"; trips = [ Hw.Tconst 1e9 ]; meta = false;
+        stages = [ load 0.1 "ld_in"; store 0.1 "st_in" ]; prov = Prov.none }
+  in
+  let top =
+    Hw.Seq
+      { name = "top";
+        children = [ load 0.1 "ld"; store 0.1 "st0"; huge; pipe; store 0.3 "st" ];
+        prov = Prov.none }
+  in
+  let d = { Hw.design_name = "mixed"; mems = []; top; par_factor = 1 } in
+  List.iter
+    (fun record ->
+      let r = Event_sim.run ~record d ~sizes:[] in
+      Alcotest.(check int) "one fallback" 1 r.Event_sim.fallbacks;
+      Alcotest.(check string) "cycles, DRAM time and traffic sums in visit order"
+        ("cycles 0x1.74935a4bc88p+37 dram 0x1.74935a4b86e66p+37"
+       ^ " R x 0x1.7d78401999999p+26 W y 0x1.7d78401999999p+26")
+        (report_text r.Event_sim.report))
+    [ false; true ]
+
 let () =
   Alcotest.run "event_golden"
     [ ( "golden",
         [ Alcotest.test_case "schedules and traces byte-identical" `Quick
-            test_golden ] ) ]
+            test_golden;
+          Alcotest.test_case "unrecorded runs report the same" `Quick
+            test_unrecorded;
+          Alcotest.test_case "fallback and event traffic on one array" `Quick
+            test_fallback_traffic ] ) ]

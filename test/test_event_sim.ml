@@ -214,8 +214,9 @@ let same_spans a b =
    booked so far (a long run of them outgrows 2048 spans); the rest
    repeat the previous request time (ties), start where the previous
    request's duration would end (touching spans), reach far into the
-   past, back-fill at fractional times with inexact durations, or ask for
-   nothing.  Completion times must agree bit for bit at every step, the
+   past, back-fill at fractional times with inexact durations, ask for
+   nothing, or land inside the last booked span, exactly at its end or
+   just past it.  Completion times must agree bit for bit at every step, the
    span lists every 64 steps and at the end.  The first [warm] requests
    are all fresh.  Returns the number of coalescings. *)
 let replay ?(warm = 0) ~fresh ~n seed =
@@ -236,12 +237,19 @@ let replay ?(warm = 0) ~fresh ~n seed =
         if i < warm || Random.State.float rng 1.0 < fresh then
           (horizon +. 1.0 +. int 8, 1.0 +. int 4)
         else
-          match Random.State.int rng 6 with
+          (* the last booked span, where the calendar's tail path answers *)
+          let s_last, e_last =
+            match List.rev o.List_calendar.cal with [] -> (0.0, 0.0) | sp :: _ -> sp
+          in
+          match Random.State.int rng 9 with
           | 0 -> (t0, int 5)
           | 1 -> (t0 +. d0, 1.0 +. int 3)
           | 2 -> (-.Random.State.float rng 100.0, int 50)
           | 3 -> (Random.State.float rng (Float.max 1.0 horizon), (1.0 +. int 20) /. 7.0)
           | 4 -> (Random.State.float rng horizon, -1.0)
+          | 5 -> (s_last +. Random.State.float rng (e_last -. s_last), (1.0 +. int 20) /. 7.0)
+          | 6 -> (e_last, 1.0 +. int 4)
+          | 7 -> (e_last +. ((1.0 +. int 4) /. 8.0), 1.0 +. int 4)
           | _ -> (int (1 + int_of_float horizon), int 30)
       in
       let c, fin = C.acquire c t dur in

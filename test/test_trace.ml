@@ -518,6 +518,30 @@ let test_track_order () =
          {|]}|} ])
     json
 
+(* the per-track table [ppl-fpga timeline conv2d] prints on stderr:
+   counts, fractional busy cycles, utilization and stall per virtual track *)
+let test_summary () =
+  let bench = Suite.find (Suite.extended ()) "conv2d" in
+  let d = Experiments.design_of Experiments.Tiled_meta bench in
+  Trace.clear ();
+  Trace.enable ();
+  let r = Event_sim.run ~record:true d ~sizes:bench.Suite.sim_sizes in
+  Option.iter Sim_trace.record r.Event_sim.timeline;
+  Trace.disable ();
+  let summary = Trace.summary () in
+  Trace.clear ();
+  Alcotest.(check string) "virtual-track table"
+    (lines
+       [ "virtual timeline (makespan 596717.1250 cycles)";
+         "  track                                     spans    busy cycles    util   stall cycles";
+         "  DRAM                                         56    209509.1250   35.1%         387208";
+         "  load_kernel_1                                 1       101.1250    0.0%              0";
+         "  mf_loop_6                                     1         596616  100.0%              0";
+         "  mf_loop_6.load_img_2                         64          91268   15.3%              0";
+         "  mf_loop_6.pipe_4                             64         593344   99.4%              0";
+         "  mf_loop_6.store_result_5                     64         137472   23.0%         448749" ])
+    summary
+
 (* wall clock values vary run to run: mask the number after [key] *)
 let mask key line =
   let k = "\"" ^ key ^ "\": " in
@@ -561,7 +585,8 @@ let () =
         [ Alcotest.test_case "escaping" `Quick test_escaping;
           Alcotest.test_case "float text" `Quick test_float_text;
           Alcotest.test_case "track order" `Quick test_track_order;
-          Alcotest.test_case "wall event" `Quick test_wall_event ] );
+          Alcotest.test_case "wall event" `Quick test_wall_event;
+          Alcotest.test_case "summary table" `Quick test_summary ] );
       ( "spans",
         [ Alcotest.test_case "B/E balance per track" `Quick test_be_balance;
           Alcotest.test_case "virtual timestamps" `Quick
