@@ -5,7 +5,9 @@
    the design linter over every suite design; the MaxJ, listing and
    Graphviz texts of every suite design, also at parallelism factors 1,
    4 and 64; every point of each bench's design-space sweep at those
-   three factors; and the metrics JSON of a fixed snapshot.  Any change to a printer's bytes, including number
+   three factors; the metrics JSON of a fixed snapshot; and the
+   simulator's breakdown and bottleneck tables, text and floats, at the
+   profile's sizes.  Any change to a printer's bytes, including number
    formatting and string escaping, fails here.  A deliberate format
    change regenerates the table from the failure message. *)
 
@@ -152,6 +154,47 @@ let metrics_snapshot =
 
 let metrics_digests () =
   [ ("metrics values_to_json", hex (Metrics.values_to_json metrics_snapshot)) ]
+
+(* the analytic simulator's own reports: the breakdown and bottleneck
+   texts, and every float behind them and behind [run] in hex, so a
+   last-bit change in the cost rules shows *)
+let sim_report_digests () =
+  List.concat_map
+    (fun (b : Suite.bench) ->
+      List.map
+        (fun cfg ->
+          let d = Experiments.design_of cfg b in
+          let buf = Buffer.create 16384 in
+          List.iter
+            (fun k ->
+              let sizes = scale_sizes k b.Suite.sim_sizes in
+              let r = Simulate.run d ~sizes in
+              let rows = Simulate.breakdown d ~sizes in
+              let bns = Simulate.bottlenecks d ~sizes in
+              Printf.bprintf buf "run|%h|%h\n" r.Simulate.cycles
+                r.Simulate.dram_cycles;
+              List.iter
+                (fun (a, w) -> Printf.bprintf buf "%s|%h\n" a w)
+                (r.Simulate.reads @ r.Simulate.writes);
+              List.iter
+                (fun (r : Simulate.breakdown_row) ->
+                  Printf.bprintf buf "br|%h|%h\n" r.Simulate.br_cycles
+                    r.Simulate.br_invocations)
+                rows;
+              List.iter
+                (fun (r : Simulate.bottleneck_row) ->
+                  Printf.bprintf buf "bn|%h|%h|%h|%h\n" r.Simulate.bn_iters
+                    r.Simulate.bn_stage_cycles r.Simulate.bn_dram_sum
+                    r.Simulate.bn_frac)
+                bns;
+              Buffer.add_string buf
+                (Format.asprintf "%a%a" Simulate.pp_breakdown rows
+                   Simulate.pp_bottlenecks bns))
+            scales;
+          ( "sim " ^ b.Suite.name ^ " " ^ Experiments.config_name cfg,
+            hex (Buffer.contents buf) ))
+        configs)
+    (Suite.extended ())
 
 (* recorded with the sprintf-based printers and their separate escapers;
    the design rows with the map_children-based IR walk; the par and dse
@@ -391,7 +434,43 @@ let golden =
     ("dse blackscholes", "6804eee49a9d738e3a36d6b78ae4701c");
     ("dse matvec", "6a28d03b4dfe8e799a41700618f651f5");
     ("dse spmv", "6681b35c6da22b0ce3e7923ce0a88d8d");
-    ("metrics values_to_json", "0235ba2fa5fb8ab409881a02e3feb178") ]
+    ("metrics values_to_json", "0235ba2fa5fb8ab409881a02e3feb178");
+    ("sim outerprod baseline", "0f04d6f86ac9425448ba57f8d45ce16f");
+    ("sim outerprod +tiling", "33d9383e092f580442a564828e47546b");
+    ("sim outerprod +tiling+metapipelining", "4f253e1d6d67e09764212230d148101d");
+    ("sim sumrows baseline", "811a56061eec1592d9fde7ab0cbf4659");
+    ("sim sumrows +tiling", "1f93f11136d74834ac47ec212626a6f5");
+    ("sim sumrows +tiling+metapipelining", "2ea435d069ec5bb7899b6aa826eadc38");
+    ("sim gemm baseline", "44222dc4670743c7b44859115834b2e8");
+    ("sim gemm +tiling", "87dd2a91b21e1f2ffbb7bc6203a4d199");
+    ("sim gemm +tiling+metapipelining", "dbdabacab26d21053c4a526dfdc37e21");
+    ("sim tpchq6 baseline", "dd93c878e5b58aee6f863efe1ca55756");
+    ("sim tpchq6 +tiling", "d8c9ba441c3524faa5c78ca6fbef79ee");
+    ("sim tpchq6 +tiling+metapipelining", "990a05ed6e7b6b6c0f952d497659cbc3");
+    ("sim gda baseline", "5fa765b30eb0d2a7081bb00ea304bb1f");
+    ("sim gda +tiling", "a9051fdef7cb3bf10a6713f583e2e199");
+    ("sim gda +tiling+metapipelining", "c88d0e806d7abcab30463e01c7b94481");
+    ("sim kmeans baseline", "56dd891b818483eb3866f124c0b8e86a");
+    ("sim kmeans +tiling", "f2265fa77ea046c01848b3ce5494520a");
+    ("sim kmeans +tiling+metapipelining", "f555f98b3872aa757d1d482cb822b989");
+    ("sim histogram baseline", "150a7bc69a52da1d15ccfc393555a9c5");
+    ("sim histogram +tiling", "cb84939ff227260fa64702532bd5dcbf");
+    ("sim histogram +tiling+metapipelining", "cbc2ebf6ceae7dec8ba10c7427b331d3");
+    ("sim conv2d baseline", "264b23ff26a1d4d28fc9730b0a4dfe42");
+    ("sim conv2d +tiling", "b1ab83a3c0483c69e98ac268795cc9ff");
+    ("sim conv2d +tiling+metapipelining", "838d1fb2fb72bfd76afdb9e9b25a37f6");
+    ("sim logreg baseline", "e9ad09db24bf0d3ca52bdda65e7f8073");
+    ("sim logreg +tiling", "5c705accaa54d9327e51cf842f311416");
+    ("sim logreg +tiling+metapipelining", "8410fbdcfdddcf793ff69e283bac0cb8");
+    ("sim blackscholes baseline", "48a1892c15732a1f93222d43ef76023e");
+    ("sim blackscholes +tiling", "4f7d21bef5ba17a5f74692a0f7332bd7");
+    ("sim blackscholes +tiling+metapipelining", "aef26f0fe7afd1ae467c7238a7ec5c9b");
+    ("sim matvec baseline", "7ecb39a4cc3bee74eaf17118edf61ba4");
+    ("sim matvec +tiling", "f3a8b8ffb5bb70d8ffc16005d571a243");
+    ("sim matvec +tiling+metapipelining", "e91c47c5247d098f468772425ddda798");
+    ("sim spmv baseline", "6398835814a495e92666fe1c70c48f72");
+    ("sim spmv +tiling", "296f0d47980d8fc254717cf512f7ae45");
+    ("sim spmv +tiling+metapipelining", "867d50ee6e171ea5a1df1344eb92738c") ]
 
 let test_golden () =
   (* the texts print fresh symbol numbers, so the reports are built in a
@@ -402,7 +481,10 @@ let test_golden () =
   let designs = design_digests () in
   let par_designs = par_design_digests () in
   let sweeps = dse_digests () in
-  let actual = reports @ designs @ par_designs @ sweeps @ metrics_digests () in
+  let sims = sim_report_digests () in
+  let actual =
+    reports @ designs @ par_designs @ sweeps @ metrics_digests () @ sims
+  in
   if actual <> golden then
     Alcotest.failf "report digests drifted; the current table is\n%s"
       (String.concat "\n"
