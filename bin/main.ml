@@ -192,9 +192,7 @@ let observe_event_run ctx trace (r : Event_sim.result) =
 let observe_cache cache =
   let st = Simulate.cache_stats cache in
   Metrics.incr ~by:st.Simulate.hits "sim.cache.hits";
-  Metrics.incr ~by:st.Simulate.misses "sim.cache.misses";
-  Metrics.set_gauge "sim.cache.nodes"
-    (float_of_int (Simulate.cache_nodes cache))
+  Metrics.incr ~by:st.Simulate.misses "sim.cache.misses"
 
 (* Machine-readable simulation report, shared by `simulate --json` and
    `timeline --json`.  Numbers go through the same writer and precision as
@@ -354,8 +352,8 @@ let simulate_cmd =
   let run bench config engine breakdown bottlenecks json trace metrics =
     obs_wrap trace metrics @@ fun () ->
     let d = Experiments.design_of config bench in
-    (* one memo cache serves the report, the breakdown and the
-       bottleneck table — each subtree is simulated once *)
+    (* the report, the breakdown and the bottleneck table are read from
+       one annotation *)
     let cache = Simulate.cache () in
     let rep =
       match engine with

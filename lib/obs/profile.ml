@@ -64,142 +64,77 @@ type t = {
 
 let sum f l = List.fold_left (fun acc x -> acc +. f x) 0.0 l
 
-let trips_product sizes trips =
-  Float.max 1.0
-    (List.fold_left (fun acc t -> acc *. Hw.trip_eval sizes t) 1.0 trips)
-
 (* local scheduling transients of one controller, given the factor [f]
    scaling its per-invocation cycles up to its attributed total *)
-let local_split sizes f (c : Hw.ctrl) (r : Simulate.node_report)
-    (stage_rs : Simulate.node_report list) =
-  match c with
-  | Hw.Pipe { trips; par; depth; ii; _ } ->
-      let iters =
-        List.fold_left (fun acc t -> acc *. Hw.trip_eval sizes t) 1.0 trips
-      in
-      let compute =
-        float_of_int depth
-        +. (ceil (iters /. float_of_int (Int.max 1 par)) *. float_of_int ii)
-      in
-      let fill = f *. float_of_int depth in
-      let dram = f *. Float.max 0.0 (r.Simulate.nr_dram -. compute) in
-      (fill, dram)
-  | Hw.Tile_load _ | Hw.Tile_store _ -> (0.0, f *. r.Simulate.nr_cycles)
-  | Hw.Loop { trips; meta = true; _ } when List.length stage_rs > 1 ->
-      let iter = trips_product sizes trips in
-      let per_iter_sum = sum (fun s -> s.Simulate.nr_cycles) stage_rs in
-      let slowest =
-        List.fold_left
-          (fun acc s -> Float.max acc s.Simulate.nr_cycles)
-          0.0 stage_rs
-      in
-      let dram_sum = sum (fun s -> s.Simulate.nr_dram) stage_rs in
-      let steady_rate = Float.max slowest dram_sum in
-      let fill = f *. Float.max 0.0 (per_iter_sum -. steady_rate) in
-      let dram =
-        f *. (iter -. 1.0) *. Float.max 0.0 (dram_sum -. slowest)
-      in
-      (fill, dram)
+let local_split f (a : Simulate.annot) =
+  match (a.ctrl, a.steady) with
+  | Hw.Pipe { depth; _ }, _ ->
+      (f *. float_of_int depth, f *. Float.max 0.0 (a.dram -. a.compute))
+  | (Hw.Tile_load _ | Hw.Tile_store _), _ -> (0.0, f *. a.cycles)
+  | _, Some s ->
+      (* the steady state beyond the slowest stage waits on DRAM *)
+      let slowest = (List.nth a.children s.slowest).cycles in
+      ( f *. Float.max 0.0 (s.fill -. s.rate),
+        f *. (a.iters -. 1.0) *. (s.rate -. slowest) )
   | _ -> (0.0, 0.0)
 
 (* weights by which a controller's total is split among its children;
    they sum to the parent's own per-invocation cycles by construction *)
-let child_weights sizes (c : Hw.ctrl) (rs : Simulate.node_report list) =
-  match c with
-  | Hw.Loop { trips; meta = true; _ } when List.length rs > 1 ->
-      let iter = trips_product sizes trips in
-      let slowest =
-        List.fold_left
-          (fun acc r -> Float.max acc r.Simulate.nr_cycles)
-          0.0 rs
-      in
-      let dram_sum = sum (fun r -> r.Simulate.nr_dram) rs in
-      let steady_rate = Float.max slowest dram_sum in
-      let stage_bound = slowest >= dram_sum in
-      (* first slowest stage wins ties, deterministically *)
-      let argmax =
-        let rec go i best besti = function
-          | [] -> besti
-          | r :: rest ->
-              if r.Simulate.nr_cycles > best then
-                go (i + 1) r.Simulate.nr_cycles i rest
-              else go (i + 1) best besti rest
-        in
-        go 0 Float.neg_infinity (-1) rs
-      in
+let child_weights (a : Simulate.annot) =
+  match a.steady with
+  | Some s ->
       List.mapi
-        (fun i r ->
+        (fun i (k : Simulate.annot) ->
           let steady_share =
-            if stage_bound then if i = argmax then steady_rate else 0.0
-            else if dram_sum > 0.0 then
-              steady_rate *. r.Simulate.nr_dram /. dram_sum
+            if s.stage_bound then if i = s.slowest then s.rate else 0.0
+            else if s.dram_sum > 0.0 then s.rate *. k.dram /. s.dram_sum
             else 0.0
           in
-          r.Simulate.nr_cycles +. ((iter -. 1.0) *. steady_share))
-        rs
-  | _ -> List.map (fun r -> r.Simulate.nr_cycles) rs
+          k.cycles +. ((a.iters -. 1.0) *. steady_share))
+        a.children
+  | None -> List.map (fun (k : Simulate.annot) -> k.cycles) a.children
 
-let child_invocations sizes (c : Hw.ctrl) invocations =
-  match c with
-  | Hw.Loop { trips; _ } -> invocations *. trips_product sizes trips
-  | _ -> invocations
+let scale_traffic k t =
+  List.map (fun (a, w) -> (a, k *. w)) (Simulate.traffic t)
 
-let scale_traffic k t = List.map (fun (a, w) -> (a, k *. w)) t
-
-let of_design ?(machine = Machine.default) ?cache (d : Hw.design) ~sizes =
-  let q = Simulate.measure ~machine ?cache d ~sizes in
+let of_design ?machine ?cache (d : Hw.design) ~sizes =
   let fill_acc = ref 0.0 and dram_acc = ref 0.0 in
-  let rec build c ~total ~invocations =
-    let r = q c in
-    let f =
-      if r.Simulate.nr_cycles > 0.0 then total /. r.Simulate.nr_cycles
-      else 0.0
-    in
-    let kids = Hw.children c in
-    let krs = List.map q kids in
-    let fill, dram = local_split sizes f c r krs in
+  let rec build (a : Simulate.annot) ~total ~invocations =
+    let f = if a.cycles > 0.0 then total /. a.cycles else 0.0 in
+    let fill, dram = local_split f a in
     fill_acc := !fill_acc +. fill;
     dram_acc := !dram_acc +. dram;
-    let weights = child_weights sizes c krs in
+    let weights = child_weights a in
     let wsum = List.fold_left ( +. ) 0.0 weights in
-    let kinv = child_invocations sizes c invocations in
     let children =
       List.map2
         (fun k w ->
           let share = if wsum > 0.0 then total *. w /. wsum else 0.0 in
-          build k ~total:share ~invocations:kinv)
-        kids weights
+          build k ~total:share ~invocations:(invocations *. a.iters))
+        a.children weights
     in
     let self = total -. sum (fun n -> n.total) children in
-    { name = Hw.ctrl_name c;
-      kind = Simulate.kind_of c;
-      prov = Hw.ctrl_prov c;
+    { name = Hw.ctrl_name a.ctrl;
+      kind = Simulate.kind_of a.ctrl;
+      prov = Hw.ctrl_prov a.ctrl;
       total;
       self;
       invocations;
       fill;
       steady = Float.max 0.0 (total -. fill -. dram);
       dram;
-      reads = scale_traffic invocations r.Simulate.nr_reads;
-      writes = scale_traffic invocations r.Simulate.nr_writes;
-      area = Area_model.ctrl_cost c;
+      reads = scale_traffic invocations a.reads;
+      writes = scale_traffic invocations a.writes;
+      area = Area_model.ctrl_cost a.ctrl;
       children }
   in
-  let root_r = q d.Hw.top in
-  let root =
-    build d.Hw.top ~total:root_r.Simulate.nr_cycles ~invocations:1.0
-  in
+  let top = Simulate.annotate ?machine ?cache d ~sizes in
+  let root = build top ~total:top.cycles ~invocations:1.0 in
   (* by-origin aggregation *)
   let tbl = Hashtbl.create 16 in
-  let rec visit n =
+  let add prov f =
     let origin =
-      match Prov.frames n.prov with o :: _ -> o | [] -> "<unattributed>"
-    in
-    let words =
-      (* leaves own the traffic; interior nodes would double-count it *)
-      if n.children = [] then
-        sum snd n.reads +. sum snd n.writes
-      else 0.0
+      match Prov.frames prov with o :: _ -> o | [] -> "<unattributed>"
     in
     let prev =
       match Hashtbl.find_opt tbl origin with
@@ -208,32 +143,29 @@ let of_design ?(machine = Machine.default) ?cache (d : Hw.design) ~sizes =
           { origin; o_cycles = 0.0; o_share = 0.0; o_traffic = 0.0;
             o_area = Area_model.zero; o_ctrls = 0 }
     in
-    Hashtbl.replace tbl origin
-      { prev with
-        o_cycles = prev.o_cycles +. n.self;
-        o_traffic = prev.o_traffic +. words;
-        o_area = Area_model.add prev.o_area n.area;
-        o_ctrls = prev.o_ctrls + 1 };
+    Hashtbl.replace tbl origin (f prev)
+  in
+  let rec visit n =
+    let words =
+      (* leaves own the traffic; interior nodes would double-count it *)
+      if n.children = [] then
+        sum snd n.reads +. sum snd n.writes
+      else 0.0
+    in
+    add n.prov (fun prev ->
+        { prev with
+          o_cycles = prev.o_cycles +. n.self;
+          o_traffic = prev.o_traffic +. words;
+          o_area = Area_model.add prev.o_area n.area;
+          o_ctrls = prev.o_ctrls + 1 });
     List.iter visit n.children
   in
   visit root;
   (* memories join the rows of the pattern they serve *)
   List.iter
     (fun m ->
-      let origin =
-        match Prov.frames m.Hw.mem_prov with
-        | o :: _ -> o
-        | [] -> "<unattributed>"
-      in
-      let prev =
-        match Hashtbl.find_opt tbl origin with
-        | Some row -> row
-        | None ->
-            { origin; o_cycles = 0.0; o_share = 0.0; o_traffic = 0.0;
-              o_area = Area_model.zero; o_ctrls = 0 }
-      in
-      Hashtbl.replace tbl origin
-        { prev with o_area = Area_model.add prev.o_area (Area_model.mem_cost m) })
+      add m.Hw.mem_prov (fun prev ->
+          { prev with o_area = Area_model.add prev.o_area (Area_model.mem_cost m) }))
     d.Hw.mems;
   let total = root.total in
   let origins =
@@ -250,7 +182,7 @@ let of_design ?(machine = Machine.default) ?cache (d : Hw.design) ~sizes =
   let dram = Float.min !dram_acc (total -. fill) in
   { design_name = d.Hw.design_name;
     total_cycles = total;
-    dram_cycles = root_r.Simulate.nr_dram;
+    dram_cycles = top.dram;
     fill_cycles = fill;
     steady_cycles = Float.max 0.0 (total -. fill -. dram);
     dram_serial_cycles = dram;
@@ -261,12 +193,7 @@ let of_design ?(machine = Machine.default) ?cache (d : Hw.design) ~sizes =
 let total_cycles t = t.total_cycles
 
 let top_sinks t k =
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  take k (List.filter (fun r -> r.o_cycles > 0.0) t.origins)
+  List.filteri (fun i _ -> i < k) (List.filter (fun r -> r.o_cycles > 0.0) t.origins)
 
 let fold_nodes f acc t =
   let rec go acc n = List.fold_left go (f acc n) n.children in

@@ -135,10 +135,10 @@ end
 (* ------------------------- the resolved design ------------------------ *)
 
 (* What one instance of a controller does is a function of (machine,
-   sizes, controller) only, so [run] works it out once per controller
-   before scheduling any instance: trip counts, leaf compute cycles and
-   the words and cycles of every transfer.  Each (direction, array) pair
-   becomes a slot index into the run's traffic sums. *)
+   sizes, controller) only, so [run] reads it from the design's
+   {!Simulate.annotate} before scheduling any instance: trip counts, and
+   each leaf's compute cycles and transfers.  Each (direction, array)
+   pair becomes a slot index into the run's traffic sums. *)
 
 type xfer = {
   slot : int;  (** the traffic sum the words add to *)
@@ -147,14 +147,14 @@ type xfer = {
 }
 
 type node =
-  | Pipe of { compute : float; xfers : xfer array }
-      (** compute and direct transfers all start with the instance *)
-  | Tile of xfer  (** a tile load or store: one transfer *)
+  | Leaf of { compute : float; xfers : xfer array }
+      (** a pipe or tile unit: compute and transfers all start with the
+          instance *)
   | Seq of node list
   | Par of node list
   | Loop of { iters : int; stages : node list }  (** sequential iteration *)
   | Meta of { iters : int; stages : stage array }  (** metapipeline *)
-  | Fallback of analytic Lazy.t
+  | Fallback of analytic
       (** a loop beyond the event budget, costed by {!Simulate} *)
   | Traced of { name : string; node : node }
       (** a top-level controller of a recorded run: one span per run *)
@@ -178,82 +178,51 @@ let slot slots ~write arr =
       Hashtbl.add slots (write, arr) i;
       i
 
-let trip_count sizes trips =
-  let x = List.fold_left (fun acc t -> acc *. Hw.trip_eval sizes t) 1.0 trips in
-  Float.max 1.0 x
-
-let tile_xfer (m : Machine.t) slots ~write arr w =
-  { slot = slot slots ~write arr; words = w;
-    cycles = m.Machine.tile_latency +. (w /. m.Machine.stream_words_per_cycle) }
-
-(* the analytic engine's cost of one invocation of [c]; every array it
-   reports already has its slot, from resolving [c]'s leaves *)
-let analytic m sizes slots c =
-  let rep =
-    Simulate.run ~machine:m
-      { Hw.design_name = "sub"; mems = []; top = c; par_factor = 1 }
-      ~sizes
-  in
-  let traffic write =
-    List.map (fun (arr, w) ->
+(* the analytic engine's cost of one invocation; every array it reports
+   already has its slot, from resolving the subtree's leaves *)
+let analytic slots (a : Simulate.annot) =
+  let traffic write words =
+    List.map
+      (fun (arr, w) ->
         { slot = Hashtbl.find slots (write, arr); words = w; cycles = 0.0 })
+      (Simulate.traffic words)
   in
-  { a_cycles = rep.Simulate.cycles; a_dram = rep.Simulate.dram_cycles;
-    a_traffic = traffic false rep.Simulate.reads @ traffic true rep.Simulate.writes }
+  { a_cycles = a.cycles; a_dram = a.dram;
+    a_traffic = traffic false a.reads @ traffic true a.writes }
 
-(* [c] resolved, and the number of controller instances it schedules *)
-let rec resolve (m : Machine.t) sizes slots (c : Hw.ctrl) : node * float =
-  let all cs =
+(* [a] resolved, and the number of controller instances it schedules *)
+let rec resolve slots (a : Simulate.annot) : node * float =
+  let all () =
     let ns, count =
       List.fold_left
         (fun (ns, count) ch ->
-          let n, k = resolve m sizes slots ch in
+          let n, k = resolve slots ch in
           (n :: ns, count +. k))
-        ([], 1.0) cs
+        ([], 1.0) a.children
     in
     (List.rev ns, count)
   in
-  match c with
-  | Hw.Pipe { trips; par; depth; ii; dram; _ } ->
-      let iters = trip_count sizes trips in
-      let compute =
-        float_of_int depth
-        +. (ceil (iters /. float_of_int (Int.max 1 par)) *. float_of_int ii)
+  match a.ctrl with
+  | Hw.Pipe _ | Hw.Tile_load _ | Hw.Tile_store _ ->
+      let xfer (x : Simulate.xfer) =
+        { slot = slot slots ~write:x.write x.array; words = x.words;
+          cycles = x.cycles }
       in
-      let xfer (da : Hw.dram_access) =
-        let words = Simulate.direct_words m sizes da in
-        let cycles, words =
-          match da.Hw.da_kind with
-          | `Cached ->
-              let fp = Float.min (Simulate.cached_footprint m sizes da) words in
-              (fp /. m.Machine.stream_words_per_cycle, fp)
-          | _ -> (Simulate.direct_cycles m sizes par words da, words)
-        in
-        { slot = slot slots ~write:(da.Hw.da_kind = `Write) da.Hw.da_array;
-          words; cycles }
-      in
-      (Pipe { compute; xfers = Array.of_list (List.map xfer dram) }, 1.0)
-  | Hw.Tile_load { words; reuse; array; _ } ->
-      let w = Hw.trip_eval sizes words /. float_of_int (Int.max 1 reuse) in
-      (Tile (tile_xfer m slots ~write:false array w), 1.0)
-  | Hw.Tile_store { words; array; _ } ->
-      (Tile (tile_xfer m slots ~write:true array (Hw.trip_eval sizes words)), 1.0)
-  | Hw.Seq { children; _ } ->
-      let ns, count = all children in
+      let xfers = Array.of_list (List.map xfer a.xfers) in
+      (Leaf { compute = a.compute; xfers }, 1.0)
+  | Hw.Seq _ ->
+      let ns, count = all () in
       (Seq ns, count)
-  | Hw.Par { children; _ } ->
-      let ns, count = all children in
+  | Hw.Par _ ->
+      let ns, count = all () in
       (Par ns, count)
-  | Hw.Loop { name; trips; meta; stages; _ } ->
-      let ns, per_iter = all stages in
-      let trips = trip_count sizes trips in
-      let count = 1.0 +. (trips *. per_iter) in
-      let iters = int_of_float trips in
+  | Hw.Loop { name; stages; _ } ->
+      let ns, per_iter = all () in
+      let count = 1.0 +. (a.iters *. per_iter) in
+      let iters = int_of_float a.iters in
       let node =
-        if count > float_of_int max_events then
-          Fallback (lazy (analytic m sizes slots c))
-        else if (not meta) || List.length stages <= 1 then
-          Loop { iters; stages = ns }
+        if count > float_of_int max_events then Fallback (analytic slots a)
+        else if a.steady = None then Loop { iters; stages = ns }
         else
           Meta
             { iters;
@@ -311,7 +280,7 @@ let dram_transfer st t dur =
   end
 
 let rec exec st t = function
-  | Pipe { compute; xfers } ->
+  | Leaf { compute; xfers } ->
       st.events <- st.events + 1;
       let mem_end = ref t in
       Array.iter
@@ -320,10 +289,6 @@ let rec exec st t = function
           mem_end := Float.max !mem_end (dram_transfer st t x.cycles))
         xfers;
       Float.max (t +. compute) !mem_end
-  | Tile x ->
-      st.events <- st.events + 1;
-      add st x;
-      dram_transfer st t x.cycles
   | Seq children -> List.fold_left (fun now ch -> exec st now ch) t children
   | Par children ->
       (* all start together; the DRAM queue serializes their transfers in
@@ -361,7 +326,6 @@ let rec exec st t = function
       done;
       !finish_last
   | Fallback a ->
-      let a = Lazy.force a in
       st.fallbacks <- st.fallbacks + 1;
       List.iter (add st) a.a_traffic;
       ignore (dram_transfer st t a.a_dram);
@@ -373,17 +337,19 @@ let rec exec st t = function
 
 let run ?(machine = Machine.default) ?(record = false) (d : Hw.design) ~sizes =
   let slots = Hashtbl.create 16 in
-  let node c = fst (resolve machine sizes slots c) in
+  let node a = fst (resolve slots a) in
+  let top = Simulate.annotate ~machine d ~sizes in
   (* when recording, each top-level controller also gets a span on its
      own track (the same schedule exec applies: Seq chains, Par forks) *)
   let traced =
-    List.map (fun ch -> Traced { name = Hw.ctrl_name ch; node = node ch })
+    List.map (fun (ch : Simulate.annot) ->
+        Traced { name = Hw.ctrl_name ch.ctrl; node = node ch })
   in
   let top =
-    match d.Hw.top with
-    | Hw.Seq { children; _ } when record -> Seq (traced children)
-    | Hw.Par { children; _ } when record -> Par (traced children)
-    | top -> node top
+    match top.ctrl with
+    | Hw.Seq _ when record -> Seq (traced top.children)
+    | Hw.Par _ when record -> Par (traced top.children)
+    | _ -> node top
   in
   let n = Hashtbl.length slots in
   let st =

@@ -21,23 +21,6 @@ let add_words t arr words =
 let merge_traffic a b = Smap.union (fun _ x y -> Some (x +. y)) a b
 let scale_traffic f t = Smap.map (fun w -> f *. w) t
 
-(* per-invocation result of one controller *)
-type node_res = {
-  n_cycles : float;
-  n_dram : float;
-  n_reads : float Smap.t;
-  n_writes : float Smap.t;
-}
-
-let zero =
-  { n_cycles = 0.0; n_dram = 0.0; n_reads = Smap.empty; n_writes = Smap.empty }
-
-let seq_compose a b =
-  { n_cycles = a.n_cycles +. b.n_cycles;
-    n_dram = a.n_dram +. b.n_dram;
-    n_reads = merge_traffic a.n_reads b.n_reads;
-    n_writes = merge_traffic a.n_writes b.n_writes }
-
 (* Direct-access traffic: outermost-in, dependent loops multiply; an
    independent loop multiplies only when the footprint beneath it exceeds
    the stream cache. *)
@@ -56,9 +39,9 @@ let direct_words (m : Machine.t) sizes (da : Hw.dram_access) =
   in
   go da.Hw.da_path
 
-let direct_cycles (m : Machine.t) sizes par words (da : Hw.dram_access) =
+(* [group] is the pipe's parallelism factor, already at least 1 *)
+let direct_cycles (m : Machine.t) sizes group words (da : Hw.dram_access) =
   let transfer = words /. m.Machine.stream_words_per_cycle in
-  let group = float_of_int (Int.max 1 par) in
   let requests =
     if not da.Hw.da_affine then
       (* data-dependent: one request per vector group of *iterations* —
@@ -82,7 +65,7 @@ let direct_cycles (m : Machine.t) sizes par words (da : Hw.dram_access) =
 
 (* compulsory words for a cache-served access: a cache captures the reuse,
    so only the dependent extents are fetched *)
-let cached_footprint (_m : Machine.t) sizes (da : Hw.dram_access) =
+let cached_footprint sizes (da : Hw.dram_access) =
   let rec go = function
     | [] -> 1.0
     | (trip, dep) :: rest ->
@@ -91,186 +74,169 @@ let cached_footprint (_m : Machine.t) sizes (da : Hw.dram_access) =
   in
   go da.Hw.da_path
 
-(* ------------------------- memoized sim ---------------------------- *)
+let trip_product sizes trips =
+  List.fold_left (fun acc t -> acc *. Hw.trip_eval sizes t) 1.0 trips
 
-(* Identity-keyed table over controller subtrees.  A node's result is a
-   function of (machine, sizes, structure) only, so memoizing on physical
-   identity is sound; physically equal nodes are structurally equal, so
-   the default structural hash (bounded-depth, O(1)) is a valid hash for
-   ( == ). *)
-module Ctbl = Hashtbl.Make (struct
-  type t = Hw.ctrl
+(* ------------------------- leaf costs ------------------------------ *)
 
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
+type xfer = { array : string; write : bool; words : float; cycles : float }
+
+(* one invocation of a pipe or tile unit: its compute cycles and its
+   transfers *)
+let leaf (m : Machine.t) sizes (c : Hw.ctrl) =
+  let tile ~write array words =
+    ( 0.0,
+      [ { array; write; words;
+          cycles =
+            m.Machine.tile_latency +. (words /. m.Machine.stream_words_per_cycle)
+        } ] )
+  in
+  match c with
+  | Hw.Pipe { trips; par; depth; ii; dram; _ } ->
+      let group = float_of_int (Int.max 1 par) in
+      let xfer (da : Hw.dram_access) =
+        let words = direct_words m sizes da in
+        match da.Hw.da_kind with
+        | `Cached ->
+            let fp = Float.min (cached_footprint sizes da) words in
+            { array = da.Hw.da_array; write = false; words = fp;
+              cycles = fp /. m.Machine.stream_words_per_cycle }
+        | (`Read | `Write) as k ->
+            { array = da.Hw.da_array; write = k = `Write; words;
+              cycles = direct_cycles m sizes group words da }
+      in
+      ( float_of_int depth
+        +. (ceil (trip_product sizes trips /. group) *. float_of_int ii),
+        List.map xfer dram )
+  | Hw.Tile_load { words; reuse; array; _ } ->
+      tile ~write:false array
+        (Hw.trip_eval sizes words /. float_of_int (Int.max 1 reuse))
+  | Hw.Tile_store { words; array; _ } ->
+      tile ~write:true array (Hw.trip_eval sizes words)
+  | Hw.Seq _ | Hw.Par _ | Hw.Loop _ -> invalid_arg "Simulate.leaf"
+
+(* ------------------------- annotation ------------------------------ *)
+
+type words = float Smap.t
+
+type steady = {
+  slowest : int;
+  fill : float;
+  dram_sum : float;
+  rate : float;
+  stage_bound : bool;
+}
+
+type annot = {
+  ctrl : Hw.ctrl;
+  cycles : float;
+  dram : float;
+  reads : words;
+  writes : words;
+  iters : float;
+  compute : float;
+  xfers : xfer list;
+  steady : steady option;
+  children : annot list;
+}
+
+let traffic = Smap.bindings
+let sum f l = List.fold_left (fun acc x -> acc +. f x) 0.0 l
+
+let merged f l =
+  List.fold_left (fun acc a -> merge_traffic acc (f a)) Smap.empty l
+
+(* the first stage with the most cycles: its index and its cycles *)
+let first_slowest = function
+  | [] -> (0, 0.0)
+  | a :: rest ->
+      let rec go i ((_, best) as slowest) = function
+        | [] -> slowest
+        | s :: rest ->
+            go (i + 1) (if s.cycles > best then (i, s.cycles) else slowest) rest
+      in
+      go 1 (0, a.cycles) rest
+
+let rec annotate_ctrl (m : Machine.t) sizes (c : Hw.ctrl) =
+  match c with
+  | Hw.Pipe _ | Hw.Tile_load _ | Hw.Tile_store _ ->
+      let compute, xfers = leaf m sizes c in
+      let dram, reads, writes =
+        List.fold_left
+          (fun (dram, reads, writes) x ->
+            if x.write then
+              (dram +. x.cycles, reads, add_words writes x.array x.words)
+            else (dram +. x.cycles, add_words reads x.array x.words, writes))
+          (0.0, Smap.empty, Smap.empty) xfers
+      in
+      { ctrl = c; cycles = Float.max compute dram; dram; reads; writes;
+        iters = 1.0; compute; xfers; steady = None; children = [] }
+  | Hw.Seq { children; _ } | Hw.Par { children; _ }
+  | Hw.Loop { stages = children; _ } ->
+      let kids = List.map (annotate_ctrl m sizes) children in
+      let per_iter = sum (fun a -> a.cycles) kids in
+      let dram = sum (fun a -> a.dram) kids in
+      let cycles, iters, steady =
+        match c with
+        | Hw.Loop { trips; meta; _ } -> (
+            let iters = Float.max (trip_product sizes trips) 1.0 in
+            match kids with
+            | _ :: _ :: _ when meta ->
+                (* fill once, then the steady-state bottleneck per iteration:
+                   the slowest stage, but at least the DRAM serialization *)
+                let slowest, slow = first_slowest kids in
+                let rate = Float.max slow dram in
+                ( per_iter +. ((iters -. 1.0) *. rate),
+                  iters,
+                  Some
+                    { slowest; fill = per_iter; dram_sum = dram; rate;
+                      stage_bound = slow >= dram } )
+            | _ -> (iters *. per_iter, iters, None))
+        | Hw.Par _ ->
+            let slowest =
+              List.fold_left (fun acc a -> Float.max acc a.cycles) 0.0 kids
+            in
+            (Float.max slowest dram, 1.0, None)
+        | _ -> (per_iter, 1.0, None)
+      in
+      (* scaling by one iteration is exact: skip the copy *)
+      let scale t = if iters = 1.0 then t else scale_traffic iters t in
+      { ctrl = c; cycles; dram = iters *. dram;
+        reads = scale (merged (fun a -> a.reads) kids);
+        writes = scale (merged (fun a -> a.writes) kids);
+        iters; compute = 0.0; xfers = []; steady; children = kids }
+
+(* ------------------------- one-slot cache -------------------------- *)
 
 type cache = {
-  mutable ckey : (Machine.t * (Sym.t * int) list) option;
-  tbl : node_res Ctbl.t;
-  mutable hits : int;  (** lifetime lookup hits (survive resets) *)
-  mutable misses : int;  (** lifetime misses = distinct subtrees simulated *)
+  mutable last : (Machine.t * (Sym.t * int) list * Hw.design * annot) option;
+  mutable hits : int;
+  mutable misses : int;
 }
 
 type cache_stats = { hits : int; misses : int }
 
-let cache () = { ckey = None; tbl = Ctbl.create 64; hits = 0; misses = 0 }
+let cache () = { last = None; hits = 0; misses = 0 }
 let cache_stats (c : cache) = { hits = c.hits; misses = c.misses }
-let cache_nodes c = Ctbl.length c.tbl
 
-(* a cache is only valid for one (machine, sizes) pair: reset on change
-   (the hit/miss counters are lifetime totals and are not reset) *)
-let prepare cache machine sizes =
-  match cache.ckey with
-  | Some (m, s) when m == machine && s == sizes -> ()
-  | Some (m, s) when m = machine && s = sizes -> ()
-  | _ ->
-      Ctbl.reset cache.tbl;
-      cache.ckey <- Some (machine, sizes)
+let annotate ?(machine = Machine.default) ?cache (d : Hw.design) ~sizes =
+  match cache with
+  | None -> annotate_ctrl machine sizes d.Hw.top
+  | Some c -> (
+      match c.last with
+      | Some (m, s, d', a) when d' == d && m = machine && s = sizes ->
+          c.hits <- c.hits + 1;
+          a
+      | _ ->
+          let a = annotate_ctrl machine sizes d.Hw.top in
+          c.last <- Some (machine, sizes, d, a);
+          c.misses <- c.misses + 1;
+          a)
 
-let rec sim cc (m : Machine.t) sizes (c : Hw.ctrl) : node_res =
-  match Ctbl.find_opt cc.tbl c with
-  | Some r ->
-      cc.hits <- cc.hits + 1;
-      r
-  | None ->
-      cc.misses <- cc.misses + 1;
-      let r = sim_uncached cc m sizes c in
-      Ctbl.add cc.tbl c r;
-      r
-
-and sim_uncached cc (m : Machine.t) sizes (c : Hw.ctrl) : node_res =
-  match c with
-  | Hw.Seq { children; _ } ->
-      List.fold_left (fun acc ch -> seq_compose acc (sim cc m sizes ch)) zero
-        children
-  | Hw.Par { children; _ } ->
-      let rs = List.map (sim cc m sizes) children in
-      { n_cycles =
-          Float.max
-            (List.fold_left (fun acc r -> Float.max acc r.n_cycles) 0.0 rs)
-            (List.fold_left (fun acc r -> acc +. r.n_dram) 0.0 rs);
-        n_dram = List.fold_left (fun acc r -> acc +. r.n_dram) 0.0 rs;
-        n_reads =
-          List.fold_left
-            (fun acc r -> merge_traffic acc r.n_reads)
-            Smap.empty rs;
-        n_writes =
-          List.fold_left
-            (fun acc r -> merge_traffic acc r.n_writes)
-            Smap.empty rs }
-  | Hw.Loop { trips; meta; stages; _ } ->
-      let rs = List.map (sim cc m sizes) stages in
-      let iter =
-        List.fold_left (fun acc t -> acc *. Hw.trip_eval sizes t) 1.0 trips
-      in
-      let iter = Float.max iter 1.0 in
-      let per_iter_sum =
-        List.fold_left (fun acc r -> acc +. r.n_cycles) 0.0 rs
-      in
-      let cycles =
-        if meta && List.length rs > 1 then begin
-          (* fill once, then the steady-state bottleneck per iteration:
-             the slowest stage, but at least the DRAM serialization *)
-          let slowest =
-            List.fold_left (fun acc r -> Float.max acc r.n_cycles) 0.0 rs
-          in
-          let dram_sum = List.fold_left (fun acc r -> acc +. r.n_dram) 0.0 rs in
-          per_iter_sum +. ((iter -. 1.0) *. Float.max slowest dram_sum)
-        end
-        else iter *. per_iter_sum
-      in
-      { n_cycles = cycles;
-        n_dram =
-          iter *. List.fold_left (fun acc r -> acc +. r.n_dram) 0.0 rs;
-        n_reads =
-          scale_traffic iter
-            (List.fold_left
-               (fun acc r -> merge_traffic acc r.n_reads)
-               Smap.empty rs);
-        n_writes =
-          scale_traffic iter
-            (List.fold_left
-               (fun acc r -> merge_traffic acc r.n_writes)
-               Smap.empty rs) }
-  | Hw.Pipe { trips; par; depth; ii; dram; _ } ->
-      let iters =
-        List.fold_left (fun acc t -> acc *. Hw.trip_eval sizes t) 1.0 trips
-      in
-      let compute =
-        float_of_int depth
-        +. (ceil (iters /. float_of_int (Int.max 1 par)) *. float_of_int ii)
-      in
-      let dram_res =
-        List.fold_left
-          (fun acc da ->
-            let words = direct_words m sizes da in
-            let cyc = direct_cycles m sizes par words da in
-            let acc = { acc with n_dram = acc.n_dram +. cyc } in
-            match da.Hw.da_kind with
-            | `Read ->
-                { acc with n_reads = add_words acc.n_reads da.Hw.da_array words }
-            | `Cached ->
-                let fp = Float.min (cached_footprint m sizes da) words in
-                { acc with
-                  n_dram = acc.n_dram -. cyc +. (fp /. m.Machine.stream_words_per_cycle);
-                  n_reads = add_words acc.n_reads da.Hw.da_array fp }
-            | `Write ->
-                { acc with n_writes = add_words acc.n_writes da.Hw.da_array words })
-          zero dram
-      in
-      { n_cycles = Float.max compute dram_res.n_dram;
-        n_dram = dram_res.n_dram;
-        n_reads = dram_res.n_reads;
-        n_writes = dram_res.n_writes }
-  | Hw.Tile_load { words; reuse; array; _ } ->
-      let w = Hw.trip_eval sizes words /. float_of_int (Int.max 1 reuse) in
-      let cyc = m.Machine.tile_latency +. (w /. m.Machine.stream_words_per_cycle) in
-      { n_cycles = cyc;
-        n_dram = cyc;
-        n_reads = Smap.singleton array w;
-        n_writes = Smap.empty }
-  | Hw.Tile_store { words; array; _ } ->
-      let w = Hw.trip_eval sizes words in
-      let cyc = m.Machine.tile_latency +. (w /. m.Machine.stream_words_per_cycle) in
-      { n_cycles = cyc;
-        n_dram = cyc;
-        n_reads = Smap.empty;
-        n_writes = Smap.singleton array w }
-
-let scratch_or machine sizes = function
-  | Some c ->
-      prepare c machine sizes;
-      c
-  | None -> cache ()
-
-let run ?(machine = Machine.default) ?cache:c (d : Hw.design) ~sizes =
-  let cc = scratch_or machine sizes c in
-  let r = sim cc machine sizes d.Hw.top in
-  { cycles = r.n_cycles;
-    dram_cycles = r.n_dram;
-    reads = Smap.bindings r.n_reads;
-    writes = Smap.bindings r.n_writes }
-
-(* ------------------------- per-node measurement -------------------- *)
-
-type node_report = {
-  nr_cycles : float;
-  nr_dram : float;
-  nr_reads : traffic;
-  nr_writes : traffic;
-}
-
-let measure ?(machine = Machine.default) ?cache:c (d : Hw.design) ~sizes =
-  let cc = scratch_or machine sizes c in
-  (* fill the memo table once from the root so per-node queries are O(1) *)
-  ignore (sim cc machine sizes d.Hw.top);
-  fun ctrl ->
-    let r = sim cc machine sizes ctrl in
-    { nr_cycles = r.n_cycles;
-      nr_dram = r.n_dram;
-      nr_reads = Smap.bindings r.n_reads;
-      nr_writes = Smap.bindings r.n_writes }
+let run ?machine ?cache d ~sizes =
+  let a = annotate ?machine ?cache d ~sizes in
+  { cycles = a.cycles; dram_cycles = a.dram; reads = traffic a.reads;
+    writes = traffic a.writes }
 
 (* ------------------------- breakdown ------------------------------- *)
 
@@ -297,35 +263,16 @@ let kind_of = function
   | Hw.Tile_load _ -> "tile-load"
   | Hw.Tile_store _ -> "tile-store"
 
-let breakdown ?(machine = Machine.default) ?cache:c (d : Hw.design) ~sizes =
-  (* one memo table serves every node: the root's sim fills it, so the
-     per-node lookups below are O(1) instead of re-simulating each
-     subtree once per ancestor (O(n * depth)) *)
-  let cc = scratch_or machine sizes c in
-  let rows = ref [] in
-  let rec go depth invocations c =
-    let r = sim cc machine sizes c in
-    rows :=
-      { br_name = Hw.ctrl_name c;
-        br_depth = depth;
-        br_kind = kind_of c;
-        br_cycles = r.n_cycles;
-        br_invocations = invocations }
-      :: !rows;
-    let child_invocations =
-      match c with
-      | Hw.Loop { trips; _ } ->
-          invocations
-          *. Float.max 1.0
-               (List.fold_left
-                  (fun acc t -> acc *. Hw.trip_eval sizes t)
-                  1.0 trips)
-      | _ -> invocations
+let breakdown ?machine ?cache d ~sizes =
+  let rec go depth invocations rows a =
+    let rows =
+      { br_name = Hw.ctrl_name a.ctrl; br_depth = depth; br_kind = kind_of a.ctrl;
+        br_cycles = a.cycles; br_invocations = invocations }
+      :: rows
     in
-    List.iter (go (depth + 1) child_invocations) (Hw.children c)
+    List.fold_left (go (depth + 1) (invocations *. a.iters)) rows a.children
   in
-  go 0 1.0 d.Hw.top;
-  List.rev !rows
+  List.rev (go 0 1.0 [] (annotate ?machine ?cache d ~sizes))
 
 let pp_breakdown fmt rows =
   Format.fprintf fmt "%-34s %-14s %14s %12s@." "controller" "kind"
@@ -350,46 +297,23 @@ type bottleneck_row = {
   bn_frac : float;
 }
 
-let bottlenecks ?(machine = Machine.default) ?cache:c (d : Hw.design) ~sizes =
-  let cc = scratch_or machine sizes c in
-  let rows = ref [] in
-  Hw.iter_ctrls
-    (fun c ->
-      match c with
-      | Hw.Loop { name; trips; meta = true; stages; _ } when List.length stages > 1
-        ->
-          let rs =
-            List.map (fun s -> (Hw.ctrl_name s, sim cc machine sizes s)) stages
-          in
-          let iters =
-            Float.max 1.0
-              (List.fold_left
-                 (fun acc t -> acc *. Hw.trip_eval sizes t)
-                 1.0 trips)
-          in
-          let slow_name, slow =
-            List.fold_left
-              (fun ((_, sc) as best) ((_, r) as cand) ->
-                if r.n_cycles > sc.n_cycles then cand else best)
-              (List.hd rs) (List.tl rs)
-          in
-          let dram_sum =
-            List.fold_left (fun acc (_, r) -> acc +. r.n_dram) 0.0 rs
-          in
-          let steady = Float.max slow.n_cycles dram_sum in
-          rows :=
-            { bn_loop = name;
-              bn_iters = iters;
-              bn_stage = slow_name;
-              bn_stage_cycles = slow.n_cycles;
-              bn_dram_sum = dram_sum;
-              bn_bound = (if slow.n_cycles >= dram_sum then `Stage else `Dram);
-              bn_frac = (if steady > 0.0 then slow.n_cycles /. steady else 1.0)
-            }
-            :: !rows
-      | _ -> ())
-    d.Hw.top;
-  List.rev !rows
+let bottlenecks ?machine ?cache d ~sizes =
+  let rec go rows a =
+    let rows =
+      match a.steady with
+      | Some s ->
+          let slow = List.nth a.children s.slowest in
+          { bn_loop = Hw.ctrl_name a.ctrl; bn_iters = a.iters;
+            bn_stage = Hw.ctrl_name slow.ctrl; bn_stage_cycles = slow.cycles;
+            bn_dram_sum = s.dram_sum;
+            bn_bound = (if s.stage_bound then `Stage else `Dram);
+            bn_frac = (if s.rate > 0.0 then slow.cycles /. s.rate else 1.0) }
+          :: rows
+      | None -> rows
+    in
+    List.fold_left go rows a.children
+  in
+  List.rev (go [] (annotate ?machine ?cache d ~sizes))
 
 let pp_bottlenecks fmt rows =
   Format.fprintf fmt "%-22s %10s  %-28s %12s %12s  %s@." "metapipeline" "iters"
@@ -405,16 +329,16 @@ let pp_bottlenecks fmt rows =
         | `Dram -> "DRAM serialization"))
     rows
 
-let read_words r arr =
+let read_words (r : report) arr =
   match List.assoc_opt arr r.reads with Some w -> w | None -> 0.0
 
-let written_words r arr =
+let written_words (r : report) arr =
   match List.assoc_opt arr r.writes with Some w -> w | None -> 0.0
 
-let total_read r = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 r.reads
-let total_written r = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 r.writes
+let total_read (r : report) = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 r.reads
+let total_written (r : report) = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 r.writes
 
-let pp_report fmt r =
+let pp_report fmt (r : report) =
   Format.fprintf fmt "cycles: %.0f (dram-busy %.0f)@." r.cycles r.dram_cycles;
   List.iter
     (fun (a, w) -> Format.fprintf fmt "  read  %-16s %12.0f words@." a w)

@@ -32,27 +32,79 @@ type report = {
   writes : traffic;  (** words written per DRAM array *)
 }
 
+(** {1 Annotation}
+
+    One bottom-up pass over a design gives every controller its
+    per-invocation cost.  {!run}, {!breakdown}, {!bottlenecks}, the
+    attribution profiler and the event engine's leaf costs are all read
+    from it. *)
+
+type xfer = {
+  array : string;
+  write : bool;
+  words : float;  (** words moved per invocation *)
+  cycles : float;  (** DRAM-busy cycles the transfer books *)
+}
+(** One DRAM transfer of a leaf: a pipe's direct access or a tile unit's
+    load or store. *)
+
+type words
+(** per-invocation words, by DRAM array *)
+
+val traffic : words -> traffic
+(** ascending by array name *)
+
+type steady = {
+  slowest : int;  (** index of the first slowest stage *)
+  fill : float;  (** one iteration of every stage: the sum of their cycles *)
+  dram_sum : float;  (** the stages' summed DRAM-busy cycles *)
+  rate : float;  (** cycles per steady-state iteration: the larger of the
+                     slowest stage and [dram_sum] *)
+  stage_bound : bool;  (** the slowest stage, not DRAM, sets [rate] *)
+}
+
+type annot = {
+  ctrl : Hw.ctrl;
+  cycles : float;  (** per invocation *)
+  dram : float;  (** DRAM-busy cycles per invocation *)
+  reads : words;
+  writes : words;
+  iters : float;
+      (** times each child runs per invocation: a loop's trip product,
+          at least 1; 1 for any other controller *)
+  compute : float;  (** a pipe's compute cycles; 0 for any other *)
+  xfers : xfer list;
+      (** a pipe's direct accesses in order, or a tile unit's one
+          transfer; [] for any other controller *)
+  steady : steady option;
+      (** present for a metapipelined loop of more than one stage, whose
+          cycles are [fill + (iters - 1) * rate] *)
+  children : annot list;
+}
+
 type cache
-(** Identity-keyed memo over controller subtrees.  One [sim] pass fills
-    it; {!run}, {!breakdown} and {!bottlenecks} sharing a cache then
-    reuse each node's result instead of re-simulating every subtree once
-    per ancestor.  A cache is valid for one (machine, sizes) pair and
-    resets itself transparently when either changes.  Memoized calls
-    return exactly what the unmemoized ones return. *)
+(** The last annotation made through it.  [simulate --breakdown
+    --bottlenecks] asks for several reports of one design; sharing a
+    cache builds its annotation once.  The slot is reused when the design
+    is physically the same and the machine and sizes are equal, and
+    replaced otherwise.  Cached calls return exactly what uncached ones
+    return. *)
 
 val cache : unit -> cache
 
 type cache_stats = { hits : int; misses : int }
-(** Lifetime lookup totals for a cache: [hits] counts memo-table hits,
-    [misses] counts distinct subtrees actually simulated.  The counters
-    survive the transparent reset on a (machine, sizes) change, so a
-    second report sharing the cache at the same sizes is all hits. *)
+(** Lifetime totals: [misses] counts annotations built, [hits] counts
+    annotations reused. *)
 
 val cache_stats : cache -> cache_stats
 
-val cache_nodes : cache -> int
-(** Memoized controller subtrees currently held (resets with the table
-    on a (machine, sizes) change). *)
+val annotate :
+  ?machine:Machine.t ->
+  ?cache:cache ->
+  Hw.design ->
+  sizes:(Sym.t * int) list ->
+  annot
+(** The annotation of the design's top controller. *)
 
 val run :
   ?machine:Machine.t ->
@@ -60,46 +112,7 @@ val run :
   Hw.design ->
   sizes:(Sym.t * int) list ->
   report
-
-(** {1 Cost primitives}
-
-    Shared with the event-driven engine ({!Event_sim}). *)
-
-val direct_words :
-  Machine.t -> (Sym.t * int) list -> Hw.dram_access -> float
-(** Words actually fetched by a direct access, after the burst-locality
-    reuse rule over its loop path. *)
-
-val direct_cycles :
-  Machine.t -> (Sym.t * int) list -> int -> float -> Hw.dram_access -> float
-(** [direct_cycles m sizes par words da]: DRAM-busy cycles for a direct
-    access that moves [words], under the request-cost model. *)
-
-val cached_footprint :
-  Machine.t -> (Sym.t * int) list -> Hw.dram_access -> float
-(** Compulsory words for a cache-served access (dependent extents only). *)
-
-(** {1 Per-node measurement} *)
-
-type node_report = {
-  nr_cycles : float;  (** per-invocation cycles of the subtree *)
-  nr_dram : float;  (** per-invocation DRAM-busy cycles *)
-  nr_reads : traffic;  (** per-invocation words read, per DRAM array *)
-  nr_writes : traffic;
-}
-
-val measure :
-  ?machine:Machine.t ->
-  ?cache:cache ->
-  Hw.design ->
-  sizes:(Sym.t * int) list ->
-  Hw.ctrl ->
-  node_report
-(** [measure d ~sizes] simulates the design once (filling the memo
-    table) and returns an O(1) query for any controller subtree of [d]:
-    exactly the (cycles, DRAM-busy, traffic) the composing simulator
-    assigned that node per invocation.  Querying the root reproduces
-    {!run}.  The attribution profiler is the main client. *)
+(** The top controller's annotation as a report. *)
 
 (** {1 Breakdown} *)
 

@@ -355,26 +355,33 @@ let test_memo_cache_consistency () =
     [ "kmeans"; "gda"; "sumrows" ]
 
 let test_cache_stats () =
-  (* two reports sharing one cache: the second is answered entirely from
-     the memo table — no new misses, only hits *)
+  (* the cache holds one annotation: the first report builds it, later
+     reports of the same design at the same sizes reuse it, and a sizes
+     change builds a new one *)
   let bench = Suite.find (Suite.all ()) "gemm" in
   let d = Experiments.design_of Experiments.Tiled_meta bench in
   let sizes = bench.Suite.sim_sizes in
   let cache = Simulate.cache () in
+  let stats () =
+    let s = Simulate.cache_stats cache in
+    (s.Simulate.hits, s.Simulate.misses)
+  in
   let r1 = Simulate.run ~cache d ~sizes in
-  let s1 = Simulate.cache_stats cache in
-  Alcotest.(check bool) "first run misses" true (s1.Simulate.misses > 0);
+  Alcotest.(check (pair int int)) "first report misses" (0, 1) (stats ());
   let r2 = Simulate.run ~cache d ~sizes in
-  let s2 = Simulate.cache_stats cache in
-  Alcotest.(check int) "second run adds no misses" s1.Simulate.misses
-    s2.Simulate.misses;
-  Alcotest.(check bool) "second run is all hits" true
-    (s2.Simulate.hits > s1.Simulate.hits);
+  ignore (Simulate.breakdown ~cache d ~sizes);
+  ignore (Simulate.bottlenecks ~cache d ~sizes);
+  Alcotest.(check (pair int int)) "later reports hit" (3, 1) (stats ());
   Alcotest.(check bool) "reports identical" true (r1 = r2);
-  (* memoized distinct subtrees are exactly the lifetime misses while the
-     key stays fixed *)
-  Alcotest.(check int) "nodes = misses" s2.Simulate.misses
-    (Simulate.cache_nodes cache)
+  (* equal sizes in a fresh list still hit *)
+  ignore (Simulate.run ~cache d ~sizes:(List.map Fun.id sizes));
+  Alcotest.(check (pair int int)) "equal sizes hit" (4, 1) (stats ());
+  let sizes' = List.map (fun (s, v) -> (s, v * 2)) sizes in
+  ignore (Simulate.run ~cache d ~sizes:sizes');
+  Alcotest.(check (pair int int)) "a sizes change misses" (4, 2) (stats ());
+  ignore (Simulate.run ~cache d ~sizes);
+  Alcotest.(check (pair int int)) "one slot: going back misses" (4, 3)
+    (stats ())
 
 (* ---------------- rebalancing ---------------- *)
 
