@@ -63,6 +63,39 @@ let prop_pipeline =
     QCheck.(int_range 0 1_000_000)
     run_case
 
+(* the reports read from one annotation agree: the profile attributes
+   exactly the simulated total, and all of it; the breakdown's root row
+   is the simulated run; each bottleneck's slowest stage has the cycles
+   its breakdown row gives *)
+let check_reports shape_id seed d ~sizes =
+  let fail fmt =
+    QCheck.Test.fail_reportf ("shape %d seed %d: " ^^ fmt) shape_id seed
+  in
+  let rep = Simulate.run d ~sizes in
+  let p = Profile.of_design d ~sizes in
+  if Profile.total_cycles p <> rep.Simulate.cycles then
+    fail "profile total %h <> run %h" (Profile.total_cycles p)
+      rep.Simulate.cycles;
+  let self = Profile.fold_nodes (fun acc n -> acc +. n.Profile.self) 0.0 p in
+  if Float.abs (self -. rep.Simulate.cycles) > 1e-9 *. rep.Simulate.cycles then
+    fail "self cycles sum to %h, total %h" self rep.Simulate.cycles;
+  let rows = Simulate.breakdown d ~sizes in
+  (match rows with
+  | root :: _
+    when root.Simulate.br_cycles = rep.Simulate.cycles
+         && root.Simulate.br_invocations = 1.0 ->
+      ()
+  | _ -> fail "the root breakdown row is not the run");
+  List.iter
+    (fun (bn : Simulate.bottleneck_row) ->
+      match
+        List.find_opt (fun r -> r.Simulate.br_name = bn.Simulate.bn_stage) rows
+      with
+      | Some r when r.Simulate.br_cycles = bn.Simulate.bn_stage_cycles -> ()
+      | _ -> fail "stage %s of %s disagrees with the breakdown"
+               bn.Simulate.bn_stage bn.Simulate.bn_loop)
+    (Simulate.bottlenecks d ~sizes)
+
 (* the generated hardware must also be constructible and simulable *)
 let prop_lowering_total =
   QCheck.Test.make ~name:"random programs: lowering and simulation total"
@@ -93,6 +126,28 @@ let prop_lowering_total =
           if ratio < 0.5 || ratio > 2.0 then
             QCheck.Test.fail_reportf
               "shape %d seed %d: engines disagree (%.2f)" shape_id seed ratio;
+          check_reports shape_id seed d ~sizes;
+          (* a shared cache, reused after a sizes change, answers as a
+             fresh simulation does *)
+          let cache = Simulate.cache () in
+          List.iter
+            (fun sizes ->
+              let cached =
+                ( Simulate.run ~cache d ~sizes,
+                  Simulate.breakdown ~cache d ~sizes,
+                  Simulate.bottlenecks ~cache d ~sizes,
+                  Profile.to_json (Profile.of_design ~cache d ~sizes) )
+              in
+              let fresh =
+                ( Simulate.run d ~sizes,
+                  Simulate.breakdown d ~sizes,
+                  Simulate.bottlenecks d ~sizes,
+                  Profile.to_json (Profile.of_design d ~sizes) )
+              in
+              if cached <> fresh then
+                QCheck.Test.fail_reportf
+                  "shape %d seed %d: cached reports differ" shape_id seed)
+            [ sizes; [ (s.n, 97); (s.m, 5) ]; sizes ];
           ignore (Area_model.of_design d))
         [ Lower.default_opts; { Lower.default_opts with Lower.meta = false } ];
       true)

@@ -331,7 +331,7 @@ let test_bottlenecks () =
   Alcotest.(check bool) "sumrows dram-bound" true
     (List.exists (fun r -> r.Simulate.bn_bound = `Dram) rows)
 
-(* ---------------- memoization ---------------- *)
+(* ---------------- annotation cache ---------------- *)
 
 let test_memo_cache_consistency () =
   (* one cache shared across run/breakdown/bottlenecks must reproduce the
@@ -348,7 +348,7 @@ let test_memo_cache_consistency () =
         (Simulate.breakdown ~cache d ~sizes = Simulate.breakdown d ~sizes);
       Alcotest.(check bool) (name ^ ": bottlenecks matches") true
         (Simulate.bottlenecks ~cache d ~sizes = Simulate.bottlenecks d ~sizes);
-      (* reusing the cache at different sizes must transparently reset *)
+      (* reusing the cache at different sizes must build a new annotation *)
       let sizes' = List.map (fun (s, v) -> (s, v * 2)) sizes in
       Alcotest.(check bool) (name ^ ": cache resets on new sizes") true
         (Simulate.run ~cache d ~sizes:sizes' = Simulate.run d ~sizes:sizes'))

@@ -356,9 +356,9 @@ let test_warm_cache_timeline () =
   let cache = Simulate.cache () in
   let r1 = Simulate.run ~cache d ~sizes in
   let r2 = Simulate.run ~cache d ~sizes in
-  Alcotest.(check bool) "memoized re-run returns identical report" true
+  Alcotest.(check bool) "cached re-run returns identical report" true
     (r1 = r2);
-  Alcotest.(check bool) "second run hit the memo table" true
+  Alcotest.(check bool) "second run reused the annotation" true
     ((Simulate.cache_stats cache).Simulate.hits > 0);
   let warm_json, warm_cycles = capture () in
   Alcotest.(check bool) "cycle total identical warm vs cold" true
