@@ -29,19 +29,29 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-(* A .ppl file that does not parse or type-check is bad input, not a
-   bug: say what is wrong with it and exit 1. *)
+(* A file that cannot be read or written, or a .ppl file that does not
+   parse or type-check, is bad input, not a bug: say what is wrong with
+   it as FILE: message and exit 1. *)
+let file_error file msg =
+  let prefix = file ^ ": " in
+  prerr_endline (if String.starts_with ~prefix msg then msg else prefix ^ msg);
+  exit 1
+
+let write_file file contents =
+  try Out_channel.with_open_text file (fun oc -> output_string oc contents)
+  with Sys_error msg -> file_error file msg
+
 let read_program file =
-  let text = In_channel.with_open_text file In_channel.input_all in
   match
+    let text = In_channel.with_open_text file In_channel.input_all in
     let prog = Parser.program_of_string text in
     ignore (Validate.check_program prog);
     prog
   with
   | prog -> prog
-  | exception (Parser.Parse_error msg | Validate.Type_error msg) ->
-      Printf.eprintf "%s: %s\n" file msg;
-      exit 1
+  | exception (Parser.Parse_error msg | Validate.Type_error msg | Sys_error msg)
+    ->
+      file_error file msg
 
 (* A size above the maxsize its program declares describes a design the
    program rules out: reject it as a usage error before any compiling. *)
@@ -164,7 +174,7 @@ let obs_wrap trace metrics f =
       (match trace with
       | Some file ->
           Trace.disable ();
-          Trace.write file;
+          write_file file (Trace.to_json ());
           prerr_string (Trace.summary ());
           Printf.eprintf "trace: wrote %s (open in https://ui.perfetto.dev)\n"
             file
@@ -638,11 +648,10 @@ let export_cmd =
       & info [ "o"; "outdir" ] ~docv:"DIR" ~doc:"Output directory.")
   in
   let run outdir =
-    (try Unix.mkdir outdir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    (try if not (Sys.file_exists outdir) then Sys.mkdir outdir 0o755
+     with Sys_error msg -> file_error outdir msg);
     let write name contents =
-      let oc = open_out (Filename.concat outdir name) in
-      output_string oc contents;
-      close_out oc;
+      write_file (Filename.concat outdir name) contents;
       Printf.printf "  wrote %s\n" (Filename.concat outdir name)
     in
     List.iter
@@ -1027,9 +1036,7 @@ let timeline_cmd =
     let trace_json = Trace.to_json () in
     (match out with
     | Some file ->
-        let oc = open_out file in
-        output_string oc trace_json;
-        close_out oc;
+        write_file file trace_json;
         Printf.eprintf "timeline: wrote %s (open in https://ui.perfetto.dev)\n"
           file
     | None -> if not json then print_string trace_json);
@@ -1140,9 +1147,7 @@ let profile_cmd =
     let p = Profile.of_design design ~sizes in
     (match folded with
     | Some file ->
-        let oc = open_out file in
-        output_string oc (Profile.to_folded p);
-        close_out oc;
+        write_file file (Profile.to_folded p);
         Printf.eprintf
           "profile: wrote %s (render with flamegraph.pl or speedscope)\n" file
     | None -> ());

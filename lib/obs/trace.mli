@@ -18,7 +18,7 @@
       balanced.  Virtual events are bit-deterministic across runs and
       domain counts.
 
-    The serialized form ({!to_json}, {!write}) is the Chrome trace-event
+    The serialized form ({!to_json}) is the Chrome trace-event
     JSON array format: load it at [ui.perfetto.dev] or
     [chrome://tracing].  One event per line, events ordered virtual
     first then wall, each track's events in record order — so stripping
@@ -62,9 +62,6 @@ val virtual_span :
 
 val to_json : unit -> string
 (** Serialize the collected events as Chrome trace-event JSON. *)
-
-val write : string -> unit
-(** [write file] writes {!to_json} to [file]. *)
 
 val summary : unit -> string
 (** Human-readable digest: per-virtual-track span counts, busy cycles,
