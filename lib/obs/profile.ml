@@ -199,13 +199,20 @@ let fold_nodes f acc t =
   let rec go acc n = List.fold_left go (f acc n) n.children in
   go acc t.root
 
+(* Both report buffers start just under 2 KB, small enough for OCaml to
+   allocate them on the minor heap (at most 256 words).  Most suite
+   reports fit; a larger start is a major-heap allocation at every call,
+   and major-heap allocation sets how much work each major collection
+   slice does. *)
+let initial_bytes = 2000
+
 (* ------------------------- text backend ---------------------------- *)
 
 (* The report is appended to one buffer and handed to the formatter in a
    single write.  Columns are padded by hand: [left w] is printf's [%-ws]
    and [col w] its [" %ws"]; [cycles] is [%.0f]. *)
 let pp_text fmt t =
-  let b = Buffer.create 4096 in
+  let b = Buffer.create initial_bytes in
   let str = Buffer.add_string b in
   let pad n = for _ = 1 to n do Buffer.add_char b ' ' done in
   let left w s =
@@ -277,7 +284,7 @@ let add_area b (a : Area_model.t) =
 (* the whole report in one pass over one buffer; [num key v] writes a
    field separator and key, then the number *)
 let to_json t =
-  let b = Buffer.create 8192 in
+  let b = Buffer.create initial_bytes in
   let str = Buffer.add_string b in
   let num key v =
     str key;
