@@ -147,9 +147,9 @@ type xfer = {
 }
 
 type node =
-  | Leaf of { compute : float; xfers : xfer array }
-      (** a pipe or tile unit: compute and transfers all start with the
-          instance *)
+  | Pipe of { compute : float; xfers : xfer array }
+      (** compute and direct transfers all start with the instance *)
+  | Tile of xfer  (** a tile load or store: one transfer *)
   | Seq of node list
   | Par of node list
   | Loop of { iters : int; stages : node list }  (** sequential iteration *)
@@ -202,14 +202,18 @@ let rec resolve slots (a : Simulate.annot) : node * float =
     in
     (List.rev ns, count)
   in
+  let xfer (x : Simulate.xfer) =
+    { slot = slot slots ~write:x.write x.array; words = x.words;
+      cycles = x.cycles }
+  in
   match a.ctrl with
-  | Hw.Pipe _ | Hw.Tile_load _ | Hw.Tile_store _ ->
-      let xfer (x : Simulate.xfer) =
-        { slot = slot slots ~write:x.write x.array; words = x.words;
-          cycles = x.cycles }
-      in
+  | Hw.Pipe _ ->
       let xfers = Array.of_list (List.map xfer a.xfers) in
-      (Leaf { compute = a.compute; xfers }, 1.0)
+      (Pipe { compute = a.compute; xfers }, 1.0)
+  | Hw.Tile_load _ | Hw.Tile_store _ -> (
+      match a.xfers with
+      | [ x ] -> (Tile (xfer x), 1.0)
+      | _ -> invalid_arg "Event_sim: a tile unit makes one transfer")
   | Hw.Seq _ ->
       let ns, count = all () in
       (Seq ns, count)
@@ -280,7 +284,7 @@ let dram_transfer st t dur =
   end
 
 let rec exec st t = function
-  | Leaf { compute; xfers } ->
+  | Pipe { compute; xfers } ->
       st.events <- st.events + 1;
       let mem_end = ref t in
       Array.iter
@@ -289,6 +293,10 @@ let rec exec st t = function
           mem_end := Float.max !mem_end (dram_transfer st t x.cycles))
         xfers;
       Float.max (t +. compute) !mem_end
+  | Tile x ->
+      st.events <- st.events + 1;
+      add st x;
+      dram_transfer st t x.cycles
   | Seq children -> List.fold_left (fun now ch -> exec st now ch) t children
   | Par children ->
       (* all start together; the DRAM queue serializes their transfers in

@@ -147,15 +147,13 @@ let merged f l =
   List.fold_left (fun acc a -> merge_traffic acc (f a)) Smap.empty l
 
 (* the first stage with the most cycles: its index and its cycles *)
-let first_slowest = function
-  | [] -> (0, 0.0)
-  | a :: rest ->
-      let rec go i ((_, best) as slowest) = function
-        | [] -> slowest
-        | s :: rest ->
-            go (i + 1) (if s.cycles > best then (i, s.cycles) else slowest) rest
-      in
-      go 1 (0, a.cycles) rest
+let first_slowest first rest =
+  let rec go i ((_, best) as slowest) = function
+    | [] -> slowest
+    | s :: rest ->
+        go (i + 1) (if s.cycles > best then (i, s.cycles) else slowest) rest
+  in
+  go 1 (0, first.cycles) rest
 
 let rec annotate_ctrl (m : Machine.t) sizes (c : Hw.ctrl) =
   match c with
@@ -181,10 +179,10 @@ let rec annotate_ctrl (m : Machine.t) sizes (c : Hw.ctrl) =
         | Hw.Loop { trips; meta; _ } -> (
             let iters = Float.max (trip_product sizes trips) 1.0 in
             match kids with
-            | _ :: _ :: _ when meta ->
+            | first :: (_ :: _ as rest) when meta ->
                 (* fill once, then the steady-state bottleneck per iteration:
                    the slowest stage, but at least the DRAM serialization *)
-                let slowest, slow = first_slowest kids in
+                let slowest, slow = first_slowest first rest in
                 let rate = Float.max slow dram in
                 ( per_iter +. ((iters -. 1.0) *. rate),
                   iters,
