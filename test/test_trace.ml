@@ -542,6 +542,55 @@ let test_summary () =
          "  mf_loop_6.store_result_5                     64         137472   23.0%         448749" ])
     summary
 
+(* the per-track gauges [Sim_trace.record] publishes for the same
+   timeline, exact to the bit; they are set even when tracing is off *)
+let test_track_gauges () =
+  let bench = Suite.find (Suite.extended ()) "conv2d" in
+  let d = Experiments.design_of Experiments.Tiled_meta bench in
+  Trace.clear ();
+  Metrics.reset_all ();
+  let r = Event_sim.run ~record:true d ~sizes:bench.Suite.sim_sizes in
+  Option.iter Sim_trace.record r.Event_sim.timeline;
+  let gauges =
+    List.filter_map
+      (function
+        | name, Metrics.Gauge v
+          when name = "sim.makespan_cycles"
+               || String.starts_with ~prefix:"sim.track." name ->
+            Some (Printf.sprintf "%s %h" name v)
+        | _ -> None)
+      (Metrics.snapshot ())
+  in
+  Alcotest.(check bool) "nothing traced" true (Trace.summary () = "");
+  Alcotest.(check string) "sim.* gauges"
+    (lines
+       [ "sim.makespan_cycles 0x1.235da4p+19";
+         "sim.track.DRAM.busy_cycles 0x1.99329p+17";
+         "sim.track.DRAM.spans 0x1.cp+5";
+         "sim.track.DRAM.stall_cycles 0x1.7a22p+18";
+         "sim.track.DRAM.util 0x1.6787861bad55ap-2";
+         "sim.track.load_kernel_1.busy_cycles 0x1.948p+6";
+         "sim.track.load_kernel_1.spans 0x1p+0";
+         "sim.track.load_kernel_1.stall_cycles 0x0p+0";
+         "sim.track.load_kernel_1.util 0x1.6366ed76955fbp-13";
+         "sim.track.mf_loop_6.busy_cycles 0x1.2351p+19";
+         "sim.track.mf_loop_6.load_img_2.busy_cycles 0x1.6484p+16";
+         "sim.track.mf_loop_6.load_img_2.spans 0x1p+6";
+         "sim.track.mf_loop_6.load_img_2.stall_cycles 0x0p+0";
+         "sim.track.mf_loop_6.load_img_2.util 0x1.393df38756effp-3";
+         "sim.track.mf_loop_6.pipe_4.busy_cycles 0x1.21b8p+19";
+         "sim.track.mf_loop_6.pipe_4.spans 0x1p+6";
+         "sim.track.mf_loop_6.pipe_4.stall_cycles 0x0p+0";
+         "sim.track.mf_loop_6.pipe_4.util 0x1.fd1b135eac99ap-1";
+         "sim.track.mf_loop_6.spans 0x1p+0";
+         "sim.track.mf_loop_6.stall_cycles 0x0p+0";
+         "sim.track.mf_loop_6.store_result_5.busy_cycles 0x1.0c8p+17";
+         "sim.track.mf_loop_6.store_result_5.spans 0x1p+6";
+         "sim.track.mf_loop_6.store_result_5.stall_cycles 0x1.b63b4p+18";
+         "sim.track.mf_loop_6.store_result_5.util 0x1.d7d1bd9f026d5p-3";
+         "sim.track.mf_loop_6.util 0x1.ffe9c9912896bp-1" ])
+    (lines gauges)
+
 (* wall clock values vary run to run: mask the number after [key] *)
 let mask key line =
   let k = "\"" ^ key ^ "\": " in
@@ -586,7 +635,8 @@ let () =
           Alcotest.test_case "float text" `Quick test_float_text;
           Alcotest.test_case "track order" `Quick test_track_order;
           Alcotest.test_case "wall event" `Quick test_wall_event;
-          Alcotest.test_case "summary table" `Quick test_summary ] );
+          Alcotest.test_case "summary table" `Quick test_summary;
+          Alcotest.test_case "track gauges" `Quick test_track_gauges ] );
       ( "spans",
         [ Alcotest.test_case "B/E balance per track" `Quick test_be_balance;
           Alcotest.test_case "virtual timestamps" `Quick
