@@ -1,11 +1,9 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (printed first, in paper-shaped rows), then times each
-   compiler/simulator stage with Bechamel — one Test.make per artifact.
+(* Regenerates every table, figure and ablation of the paper's evaluation
+   as deterministic text.  [dune runtest] diffs the printout against
+   [artifacts.expected]; after a deliberate model change, refresh that
+   file with [dune promote].
 
    Run: dune exec bench/main.exe *)
-
-open Bechamel
-open Toolkit
 
 (* ------------------------------------------------------------------ *)
 (* Paper artifacts: print the regenerated numbers                      *)
@@ -240,233 +238,7 @@ let print_ablations () =
   | None -> print_endline "  no feasible point");
   print_newline ()
 
-(* ------------------------------------------------------------------ *)
-(* Parallel DSE wall-clock banner                                      *)
-(* ------------------------------------------------------------------ *)
-
-let print_parallel_dse () =
-  rule ();
-  let par_domains = Int.max 2 (Pool.default_domains ()) in
-  Printf.printf
-    "Parallel DSE — joint tile/par sweeps, wall-clock (recommended domain \
-     count %d; parallel leg uses %d)\n"
-    (Pool.default_domains ()) par_domains;
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  List.iter
-    (fun name ->
-      let bench = Suite.find (Suite.all ()) name in
-      let sweep domains () =
-        Dse.explore_bench ~domains ~pars:[ 4; 16; 64 ] bench
-      in
-      let seq, t_seq = time (sweep 1) in
-      let par, t_par = time (sweep par_domains) in
-      let identical =
-        seq.Dse.points = par.Dse.points && seq.Dse.best = par.Dse.best
-      in
-      Printf.printf
-        "  %-8s %3d points  1 domain %6.3fs  %d domains %6.3fs  speedup \
-         %.2fx  %s\n"
-        name
-        (List.length seq.Dse.points)
-        t_seq par_domains t_par
-        (t_seq /. Float.max 1e-9 t_par)
-        (if identical then "(results identical)" else "** RESULTS DIFFER **"))
-    [ "gemm"; "kmeans" ];
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Timed benchmarks                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let staged = Staged.stage
-
-(* Table 1: one strip-mining rule application per pattern *)
-let table1_tests =
-  let mk_map () =
-    let d = Dsl.size "d" in
-    let x = Dsl.input "x" Ty.float_ [ Ir.Var d ] in
-    Dsl.program ~name:"map" ~sizes:[ d ] ~inputs:[ x ]
-      (Dsl.map1 (Dsl.dfull (Ir.Var d)) (fun i ->
-           Dsl.( *! ) (Dsl.f 2.0) (Dsl.read (Dsl.in_var x) [ i ])))
-  in
-  let mk_fold () =
-    let d = Dsl.size "d" in
-    let x = Dsl.input "x" Ty.float_ [ Ir.Var d ] in
-    Dsl.program ~name:"fold" ~sizes:[ d ] ~inputs:[ x ]
-      (Dsl.fold1 (Dsl.dfull (Ir.Var d)) ~init:(Dsl.f 0.0)
-         ~comb:(fun a b -> Dsl.( +! ) a b)
-         (fun i acc -> Dsl.( +! ) acc (Dsl.read (Dsl.in_var x) [ i ])))
-  in
-  let mk_flatmap () = (Tpchq6.make ()).Tpchq6.prog in
-  let mk_gbf () = (Histogram.make ()).Histogram.prog in
-  List.map
-    (fun (name, mk) ->
-      let p = mk () in
-      let tiles = List.map (fun s -> (s, 64)) p.Ir.size_params in
-      Test.make ~name:(Printf.sprintf "table1/strip-mine-%s" name)
-        (staged (fun () -> ignore (Strip_mine.program ~tiles p))))
-    [ ("map", mk_map); ("multifold", mk_fold); ("flatmap", mk_flatmap);
-      ("groupbyfold", mk_gbf) ]
-
-(* Table 2: strip mining the worked examples *)
-let table2_tests =
-  List.map
-    (fun name ->
-      let bench = Suite.find (Suite.all ()) name in
-      Test.make ~name:(Printf.sprintf "table2/%s" name)
-        (staged (fun () ->
-             ignore
-               (Strip_mine.program ~tiles:bench.Suite.tiles bench.Suite.prog))))
-    [ "sumrows"; "outerprod" ]
-
-(* Table 3: gemm interchange *)
-let table3_tests =
-  let t = Gemm.make () in
-  let stripped =
-    Strip_mine.program
-      ~tiles:[ (t.Gemm.m, 64); (t.Gemm.n, 64); (t.Gemm.p, 64) ]
-      t.Gemm.prog
-  in
-  [ Test.make ~name:"table3/gemm-interchange"
-      (staged (fun () -> ignore (Interchange.program stripped))) ]
-
-(* Fig. 5a/5b: the full k-means tiling pipeline *)
-let fig5_tests =
-  let t = Kmeans.make () in
-  [ Test.make ~name:"fig5/kmeans-tiling-pipeline"
-      (staged (fun () ->
-           ignore
-             (Tiling.run
-                ~tiles:[ (t.Kmeans.n, 64); (t.Kmeans.k, 16) ]
-                t.Kmeans.prog))) ]
-
-(* Fig. 5c: traffic counters *)
-let fig5c_tests =
-  [ Test.make ~name:"fig5c/kmeans-traffic"
-      (staged (fun () ->
-           ignore (Experiments.fig5c ~n:1024 ~k:256 ~d:32 ~b0:64 ~b1:16 ()))) ]
-
-(* Table 4 / Fig. 6: hardware generation per benchmark *)
-let table4_tests =
-  List.map
-    (fun (bench : Suite.bench) ->
-      let r = Tiling.run ~tiles:bench.Suite.tiles bench.Suite.prog in
-      Test.make ~name:(Printf.sprintf "table4/lower-%s" bench.Suite.name)
-        (staged (fun () ->
-             ignore (Lower.program Lower.default_opts r.Tiling.tiled))))
-    (Suite.all ())
-
-(* Fig. 7: simulation of each benchmark in each configuration *)
-let fig7_tests =
-  List.concat_map
-    (fun (bench : Suite.bench) ->
-      List.map
-        (fun (cname, cfg) ->
-          let d = Experiments.design_of cfg bench in
-          Test.make
-            ~name:(Printf.sprintf "fig7/sim-%s-%s" bench.Suite.name cname)
-            (staged (fun () ->
-                 ignore (Simulate.run d ~sizes:bench.Suite.sim_sizes))))
-        [ ("baseline", Experiments.Baseline);
-          ("tiled", Experiments.Tiled);
-          ("meta", Experiments.Tiled_meta) ])
-    (Suite.all ())
-
-(* ablation timing: DSE sweep *)
-let dse_tests =
-  [ Test.make ~name:"ablation/dse-gemm"
-      (staged (fun () ->
-           ignore (Dse.explore_bench (Suite.find (Suite.all ()) "gemm")))) ]
-
-(* event-engine validation of the Fig. 7 designs *)
-let event_tests =
-  List.map
-    (fun (bench : Suite.bench) ->
-      let d = Experiments.design_of Experiments.Tiled_meta bench in
-      Test.make ~name:(Printf.sprintf "fig7/event-%s" bench.Suite.name)
-        (staged (fun () ->
-             ignore (Event_sim.run d ~sizes:bench.Suite.sim_sizes))))
-    (Suite.all ())
-
-(* Fig. 7 area bars *)
-let area_tests =
-  List.map
-    (fun (bench : Suite.bench) ->
-      let d = Experiments.design_of Experiments.Tiled_meta bench in
-      Test.make ~name:(Printf.sprintf "fig7/area-%s" bench.Suite.name)
-        (staged (fun () -> ignore (Area_model.of_design d))))
-    (Suite.all ())
-
-(* reference interpreter on the validation workloads *)
-let interp_tests =
-  List.map
-    (fun (bench : Suite.bench) ->
-      let sizes = bench.Suite.test_sizes in
-      let inputs = bench.Suite.gen ~sizes ~seed:7 in
-      Test.make ~name:(Printf.sprintf "interp/%s" bench.Suite.name)
-        (staged (fun () ->
-             ignore (Eval.eval_program bench.Suite.prog ~sizes ~inputs))))
-    (Suite.all ())
-
-(* toolchain stages beyond the paper's artifacts: concrete-syntax parse,
-   static bounds verification, design validation *)
-let tooling_tests =
-  let kb = Suite.find (Suite.all ()) "kmeans" in
-  let r = Tiling.run ~tiles:kb.Suite.tiles kb.Suite.prog in
-  let text = Pp.program_to_string r.Tiling.tiled in
-  let d = Experiments.design_of Experiments.Tiled_meta kb in
-  [ Test.make ~name:"tooling/parse-tiled-kmeans"
-      (staged (fun () -> ignore (Parser.program_of_string text)));
-    Test.make ~name:"tooling/bounds-tiled-kmeans"
-      (staged (fun () -> ignore (Bounds.check_program r.Tiling.tiled)));
-    Test.make ~name:"tooling/hw-check-kmeans"
-      (staged (fun () -> ignore (Hw_check.check d)));
-    Test.make ~name:"tooling/bottlenecks-kmeans"
-      (staged (fun () ->
-           ignore (Simulate.bottlenecks d ~sizes:kb.Suite.sim_sizes))) ]
-
-let all_tests =
-  table1_tests @ table2_tests @ table3_tests @ fig5_tests @ fig5c_tests
-  @ table4_tests @ fig7_tests @ event_tests @ area_tests @ dse_tests
-  @ interp_tests @ tooling_tests
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel driver                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let run_timings () =
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.2) ~kde:None () in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  Printf.printf "%-40s %14s\n" "benchmark" "time/run";
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ Instance.monotonic_clock ] test in
-      let analyzed = Analyze.all ols Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name est ->
-          match Analyze.OLS.estimates est with
-          | Some (t :: _) ->
-              let unit, v =
-                if t > 1e9 then ("s ", t /. 1e9)
-                else if t > 1e6 then ("ms", t /. 1e6)
-                else if t > 1e3 then ("us", t /. 1e3)
-                else ("ns", t)
-              in
-              Printf.printf "%-40s %11.2f %s\n" name v unit
-          | _ -> Printf.printf "%-40s %14s\n" name "n/a")
-        analyzed)
-    all_tests
-
 let () =
   print_artifacts ();
   print_ablations ();
-  print_parallel_dse ();
-  rule ();
-  print_endline "Timing (Bechamel, monotonic clock, OLS estimate per run)";
-  run_timings ()
+  rule ()

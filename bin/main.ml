@@ -423,29 +423,6 @@ let simulate_cmd =
       const run $ bench_arg $ config_arg $ engine_arg $ breakdown_flag
       $ bottlenecks_flag $ json_flag $ trace_arg $ metrics_flag)
 
-let verify_cmd =
-  let run bench =
-    let r = tiling_of bench in
-    let sizes = bench.Suite.test_sizes in
-    let inputs = bench.Suite.gen ~sizes ~seed:2026 in
-    let reference = Eval.eval_program bench.Suite.prog ~sizes ~inputs in
-    List.iter
-      (fun (name, prog) ->
-        let v = Eval.eval_program prog ~sizes ~inputs in
-        Printf.printf "%-22s %s\n" name
-          (if Value.equal ~eps:1e-6 reference v then "ok" else "MISMATCH"))
-      [ ("fused", r.Tiling.fused);
-        ("strip-mined", r.Tiling.stripped);
-        ("strip-mined+copies", r.Tiling.stripped_with_copies);
-        ("interchanged", r.Tiling.tiled) ]
-  in
-  Cmd.v
-    (Cmd.info "verify"
-       ~doc:
-         "Evaluate every tiling stage with the reference interpreter and \
-          check it against the untiled program.")
-    Term.(const run $ bench_arg)
-
 let fig5c_cmd =
   let n = Arg.(value & opt int 1024 & info [ "n" ] ~doc:"Number of points.") in
   let k = Arg.(value & opt int 256 & info [ "k" ] ~doc:"Number of clusters.") in
@@ -1176,9 +1153,6 @@ let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
-let verbose_arg =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Trace compiler passes.")
-
 let () =
   let info =
     Cmd.info "ppl-fpga" ~version:"1.0.0"
@@ -1186,7 +1160,6 @@ let () =
         "Configurable hardware from parallel patterns: tiling and \
          metapipelining compiler with an FPGA performance model."
   in
-  ignore verbose_arg;
   (* light-weight: -v anywhere on the command line enables pass tracing
      (stripped before cmdliner parses the rest) *)
   let verbose = Array.exists (fun a -> a = "-v" || a = "--verbose") Sys.argv in
@@ -1201,6 +1174,6 @@ let () =
     (Cmd.eval ~argv
        (Cmd.group ~default info
           [ list_cmd; ir_cmd; design_cmd; maxj_cmd; dot_cmd; simulate_cmd;
-            profile_cmd; timeline_cmd; verify_cmd; check_cmd; lint_cmd;
+            profile_cmd; timeline_cmd; check_cmd; lint_cmd;
             lint_ir_cmd; traffic_cmd; stats_cmd; bounds_cmd; compile_cmd;
             dse_cmd; export_cmd; fig5c_cmd; fig7_cmd ]))

@@ -177,7 +177,7 @@ let to_json () =
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
 
-(* ----------------------------- summary ----------------------------- *)
+(* -------------------------- track occupancy ------------------------ *)
 
 type track_acc = {
   mutable spans : int;
@@ -186,28 +186,44 @@ type track_acc = {
   mutable last : float;
 }
 
+type tracks = (string, track_acc) Hashtbl.t
+
+let tracks () : tracks = Hashtbl.create 16
+
+let add_track_span (tbl : tracks) ~track ~start ~finish =
+  match Hashtbl.find tbl track with
+  | a ->
+      a.spans <- a.spans + 1;
+      a.busy <- a.busy +. (finish -. start);
+      if start < a.first then a.first <- start;
+      if finish > a.last then a.last <- finish
+  | exception Not_found ->
+      Hashtbl.add tbl track
+        { spans = 1; busy = finish -. start; first = start; last = finish }
+
+let iter_tracks (tbl : tracks) ~makespan f =
+  List.iter
+    (fun (track, a) ->
+      f track ~spans:a.spans ~busy:a.busy
+        ~util:(if makespan > 0.0 then a.busy /. makespan else 0.0)
+        ~stall:(Float.max 0.0 (a.last -. a.first -. a.busy)))
+    (List.sort
+       (fun (a, _) (b, _) -> String.compare a b)
+       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []))
+
+(* ----------------------------- summary ----------------------------- *)
+
 let summary () =
   let evs = snapshot () in
   let buf = Buffer.create 512 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   (* virtual tracks: span counts and durations, per track *)
-  let vt : (string, track_acc) Hashtbl.t = Hashtbl.create 16 in
+  let vt = tracks () in
   let makespan = ref 0.0 in
   List.iter
     (function
       | Virtual { track; start; finish; _ } ->
-          let acc =
-            match Hashtbl.find_opt vt track with
-            | Some a -> a
-            | None ->
-                let a = { spans = 0; busy = 0.0; first = infinity; last = 0.0 } in
-                Hashtbl.add vt track a;
-                a
-          in
-          if start < acc.first then acc.first <- start;
-          acc.spans <- acc.spans + 1;
-          acc.busy <- acc.busy +. (finish -. start);
-          if finish > acc.last then acc.last <- finish;
+          add_track_span vt ~track ~start ~finish;
           if finish > !makespan then makespan := finish
       | Wall _ -> ())
     evs;
@@ -216,16 +232,11 @@ let summary () =
       (Json_out.float_str ~prec !makespan);
     pr "  %-38s %8s %14s %7s %14s\n" "track" "spans" "busy cycles" "util"
       "stall cycles";
-    List.iter
-      (fun (track, a) ->
-        let util = if !makespan > 0.0 then a.busy /. !makespan else 0.0 in
-        let stall = a.last -. a.first -. a.busy in
-        pr "  %-38s %8d %14s %6.1f%% %14s\n" track a.spans
-          (Json_out.float_str ~prec a.busy)
+    iter_tracks vt ~makespan:!makespan (fun track ~spans ~busy ~util ~stall ->
+        pr "  %-38s %8d %14s %6.1f%% %14s\n" track spans
+          (Json_out.float_str ~prec busy)
           (100.0 *. util)
-          (Json_out.float_str ~prec (Float.max 0.0 stall)))
-      (List.sort compare
-         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) vt []))
+          (Json_out.float_str ~prec stall))
   end;
   (* wall spans aggregated by name *)
   let wt : (string, float * int) Hashtbl.t = Hashtbl.create 16 in

@@ -63,6 +63,25 @@ val virtual_span :
 val to_json : unit -> string
 (** Serialize the collected events as Chrome trace-event JSON. *)
 
+type tracks
+(** Per-track occupancy of virtual spans, accumulated in place: span
+    count, summed span cycles, earliest start and latest finish. *)
+
+val tracks : unit -> tracks
+(** An empty accumulator. *)
+
+val add_track_span :
+  tracks -> track:string -> start:float -> finish:float -> unit
+(** Count one span on [track]. *)
+
+val iter_tracks :
+  tracks -> makespan:float ->
+  (string -> spans:int -> busy:float -> util:float -> stall:float -> unit) ->
+  unit
+(** Visit every track in name order with its span count, busy cycles,
+    utilization [busy /. makespan] (0 when [makespan] is not positive)
+    and stall [last -. first -. busy] (clamped at 0). *)
+
 val summary : unit -> string
 (** Human-readable digest: per-virtual-track span counts, busy cycles,
     utilization and stall against the overall makespan, and the top

@@ -12,14 +12,6 @@ type timeline = {
   tl_makespan : float;
 }
 
-type track_stats = {
-  tk_track : string;
-  tk_spans : int;
-  tk_busy : float;
-  tk_first : float;
-  tk_last : float;
-}
-
 type result = {
   report : Simulate.report;
   events : int;
@@ -388,35 +380,3 @@ let run ?(machine = Machine.default) ?(record = false) (d : Hw.design) ~sizes =
              tl_dram_busy = Dram_calendar.spans st.dram_cal;
              tl_makespan = fin }
        else None) }
-
-(* per-track occupancy, accumulated in place *)
-type track_acc = {
-  track : string;
-  mutable n : int;
-  mutable busy : float;
-  mutable first : float;
-  mutable last : float;
-}
-
-let track_stats tl =
-  let tbl : (string, track_acc) Hashtbl.t = Hashtbl.create 16 in
-  let touch track start finish =
-    match Hashtbl.find_opt tbl track with
-    | Some a ->
-        a.n <- a.n + 1;
-        a.busy <- a.busy +. (finish -. start);
-        a.first <- Float.min a.first start;
-        a.last <- Float.max a.last finish
-    | None ->
-        Hashtbl.add tbl track
-          { track; n = 1; busy = finish -. start; first = start; last = finish }
-  in
-  List.iter (fun sp -> touch sp.sp_track sp.sp_start sp.sp_finish) tl.tl_spans;
-  List.iter (fun (s, e) -> touch "DRAM" s e) tl.tl_dram_busy;
-  Hashtbl.fold
-    (fun _ a acc ->
-      { tk_track = a.track; tk_spans = a.n; tk_busy = a.busy; tk_first = a.first;
-        tk_last = a.last }
-      :: acc)
-    tbl []
-  |> List.sort (fun a b -> String.compare a.tk_track b.tk_track)

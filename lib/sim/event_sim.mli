@@ -43,19 +43,6 @@ type timeline = {
   tl_makespan : float;  (** = [report.cycles] *)
 }
 
-type track_stats = {
-  tk_track : string;
-  tk_spans : int;
-  tk_busy : float;  (** summed span cycles on the track *)
-  tk_first : float;
-  tk_last : float;
-}
-
-val track_stats : timeline -> track_stats list
-(** Per-track occupancy (including the synthetic [DRAM] track), sorted
-    by track name.  Utilization is [tk_busy /. tl_makespan]; stall is
-    [(tk_last -. tk_first) -. tk_busy]. *)
-
 type result = {
   report : Simulate.report;
   events : int;  (** controller instances scheduled *)
