@@ -625,6 +625,202 @@ let test_wall_event () =
       {|]}|}; "" ]
     masked
 
+(* ----------------------- the writer's line cache ---------------------- *)
+
+(* a line's category, pid and tid are written from text built once per
+   run of one category on one track: switching category mid-track and
+   back must rebuild it each time *)
+let test_category_switch () =
+  let json =
+    capture_virtual (fun () ->
+        List.iter
+          (fun (track, cat, name, start) ->
+            Trace.virtual_span ~cat ~track ~name ~start ~finish:(start +. 1.0)
+              ())
+          [ ("t", "a", "s1", 0.0); ("u", "a", "u1", 0.0); ("t", "a", "s2", 1.0);
+            ("t", "b\"", "s3", 2.0); ("t", "a", "s4", 3.0);
+            ("u", "b\"", "u2", 1.0) ])
+  in
+  Alcotest.(check string) "category runs on one track"
+    (lines
+       [ {|{"displayTimeUnit": "ms",|};
+         {|"traceEvents": [|};
+         {|{"ph": "M", "name": "process_name", "cat": "meta", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "simulator (virtual cycles)"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "t"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": 2, "ts": 0, "args": {"name": "u"}},|};
+         {|{"ph": "B", "name": "s1", "cat": "a", "pid": 1, "tid": 1, "ts": 0, "args": {}},|};
+         {|{"ph": "E", "name": "s1", "cat": "a", "pid": 1, "tid": 1, "ts": 1, "args": {}},|};
+         {|{"ph": "B", "name": "s2", "cat": "a", "pid": 1, "tid": 1, "ts": 1, "args": {}},|};
+         {|{"ph": "E", "name": "s2", "cat": "a", "pid": 1, "tid": 1, "ts": 2, "args": {}},|};
+         {|{"ph": "B", "name": "s3", "cat": "b\"", "pid": 1, "tid": 1, "ts": 2, "args": {}},|};
+         {|{"ph": "E", "name": "s3", "cat": "b\"", "pid": 1, "tid": 1, "ts": 3, "args": {}},|};
+         {|{"ph": "B", "name": "s4", "cat": "a", "pid": 1, "tid": 1, "ts": 3, "args": {}},|};
+         {|{"ph": "E", "name": "s4", "cat": "a", "pid": 1, "tid": 1, "ts": 4, "args": {}},|};
+         {|{"ph": "B", "name": "u1", "cat": "a", "pid": 1, "tid": 2, "ts": 0, "args": {}},|};
+         {|{"ph": "E", "name": "u1", "cat": "a", "pid": 1, "tid": 2, "ts": 1, "args": {}},|};
+         {|{"ph": "B", "name": "u2", "cat": "b\"", "pid": 1, "tid": 2, "ts": 1, "args": {}},|};
+         {|{"ph": "E", "name": "u2", "cat": "b\"", "pid": 1, "tid": 2, "ts": 2, "args": {}}|};
+         {|]}|} ])
+    json
+
+(* arg keys are escaped once per distinct key and reused; escaped keys,
+   keys shared across spans and every value kind *)
+let test_arg_keys () =
+  let json =
+    capture_virtual (fun () ->
+        Trace.virtual_span ~track:"t" ~name:"a" ~start:0.0 ~finish:1.0
+          ~args:
+            [ ("iteration", Trace.Float 0.0); ("k\"q", Trace.Int 2);
+              ("tab\tkey", Trace.Str "v") ]
+          ();
+        Trace.virtual_span ~track:"t" ~name:"b" ~start:1.0 ~finish:2.5
+          ~args:[ ("iteration", Trace.Float 1.0); ("k\"q", Trace.Float 0.5) ]
+          ();
+        Trace.virtual_span ~track:"d" ~name:"c" ~start:0.0 ~finish:2.0
+          ~args:[ ("iteration", Trace.Str "x\\y"); ("\x01", Trace.Int (-1)) ]
+          ())
+  in
+  Alcotest.(check string) "arg keys"
+    (lines
+       [ {|{"displayTimeUnit": "ms",|};
+         {|"traceEvents": [|};
+         {|{"ph": "M", "name": "process_name", "cat": "meta", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "simulator (virtual cycles)"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "d"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": 2, "ts": 0, "args": {"name": "t"}},|};
+         {|{"ph": "B", "name": "c", "cat": "sim", "pid": 1, "tid": 1, "ts": 0, "args": {"iteration": "x\\y", "\u0001": -1}},|};
+         {|{"ph": "E", "name": "c", "cat": "sim", "pid": 1, "tid": 1, "ts": 2, "args": {}},|};
+         {|{"ph": "B", "name": "a", "cat": "sim", "pid": 1, "tid": 2, "ts": 0, "args": {"iteration": 0, "k\"q": 2, "tab\tkey": "v"}},|};
+         {|{"ph": "E", "name": "a", "cat": "sim", "pid": 1, "tid": 2, "ts": 1, "args": {}},|};
+         {|{"ph": "B", "name": "b", "cat": "sim", "pid": 1, "tid": 2, "ts": 1, "args": {"iteration": 1, "k\"q": 0.5000}},|};
+         {|{"ph": "E", "name": "b", "cat": "sim", "pid": 1, "tid": 2, "ts": 2.5000, "args": {}}|};
+         {|]}|} ])
+    json
+
+(* a wall domain's track name, [wall-d<id>]: the main domain's is
+   [wall-d0]; any other id depends on how many domains ran before *)
+let mask_domain line =
+  let k = "wall-d" in
+  let nk = String.length k and n = String.length line in
+  let rec find i =
+    if i + nk > n then line
+    else if String.sub line i nk = k then begin
+      let j = ref (i + nk) in
+      while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do incr j done;
+      if String.sub line (i + nk) (!j - i - nk) = "0" then line
+      else String.sub line 0 (i + nk) ^ "#" ^ String.sub line !j (n - !j)
+    end
+    else find (i + 1)
+  in
+  find 0
+
+(* wall complete events on two domains' tracks, recorded between virtual
+   spans; wall clock values and the second domain's id are masked *)
+let test_wall_tracks () =
+  let wall name =
+    Trace.with_span ~cat:"pass"
+      ~args:(fun () -> [ ("nodes", Trace.Int 3); ("k\"", Trace.Str name) ])
+      name
+      (fun () -> ())
+  in
+  let json =
+    capture_virtual (fun () ->
+        wall "fusion";
+        Trace.virtual_span ~track:"t" ~name:"v1" ~start:0.0 ~finish:4.0 ();
+        Domain.join (Domain.spawn (fun () -> wall "lower"));
+        Trace.virtual_span ~track:"t" ~name:"v2" ~start:4.0 ~finish:5.0 ();
+        wall "cse")
+  in
+  let masked =
+    List.map
+      (fun l ->
+        if contains_sub l "\"pid\": 0" then
+          mask_domain (mask "dur" (mask "ts" l))
+        else l)
+      (String.split_on_char '\n' json)
+  in
+  Alcotest.(check string) "wall tracks mixed with virtual spans"
+    (lines
+       [ {|{"displayTimeUnit": "ms",|};
+         {|"traceEvents": [|};
+         {|{"ph": "M", "name": "process_name", "cat": "meta", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "simulator (virtual cycles)"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "t"}},|};
+         {|{"ph": "M", "name": "process_name", "cat": "meta", "pid": 0, "tid": 1, "ts": #, "args": {"name": "compiler (wall clock, us)"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 0, "tid": 1, "ts": #, "args": {"name": "wall-d0"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 0, "tid": 2, "ts": #, "args": {"name": "wall-d#"}},|};
+         {|{"ph": "B", "name": "v1", "cat": "sim", "pid": 1, "tid": 1, "ts": 0, "args": {}},|};
+         {|{"ph": "E", "name": "v1", "cat": "sim", "pid": 1, "tid": 1, "ts": 4, "args": {}},|};
+         {|{"ph": "B", "name": "v2", "cat": "sim", "pid": 1, "tid": 1, "ts": 4, "args": {}},|};
+         {|{"ph": "E", "name": "v2", "cat": "sim", "pid": 1, "tid": 1, "ts": 5, "args": {}},|};
+         {|{"ph": "X", "name": "fusion", "cat": "pass", "pid": 0, "tid": 1, "ts": #, "dur": #, "args": {"nodes": 3, "k\"": "fusion"}},|};
+         {|{"ph": "X", "name": "cse", "cat": "pass", "pid": 0, "tid": 1, "ts": #, "dur": #, "args": {"nodes": 3, "k\"": "cse"}},|};
+         {|{"ph": "X", "name": "lower", "cat": "pass", "pid": 0, "tid": 2, "ts": #, "dur": #, "args": {"nodes": 3, "k\"": "lower"}}|};
+         {|]}|} ])
+    (String.concat "\n" masked)
+
+(* --------------------------- buffer reuse --------------------------- *)
+
+let two_spans () =
+  capture_virtual (fun () ->
+      Trace.virtual_span ~track:"x" ~name:"p" ~start:0.0 ~finish:2.0
+        ~args:[ ("iteration", Trace.Float 0.0) ] ();
+      Trace.virtual_span ~track:"x" ~name:"q" ~start:2.0 ~finish:3.0 ())
+
+let two_spans_text =
+  lines
+    [ {|{"displayTimeUnit": "ms",|};
+      {|"traceEvents": [|};
+      {|{"ph": "M", "name": "process_name", "cat": "meta", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "simulator (virtual cycles)"}},|};
+      {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "x"}},|};
+      {|{"ph": "B", "name": "p", "cat": "sim", "pid": 1, "tid": 1, "ts": 0, "args": {"iteration": 0}},|};
+      {|{"ph": "E", "name": "p", "cat": "sim", "pid": 1, "tid": 1, "ts": 2, "args": {}},|};
+      {|{"ph": "B", "name": "q", "cat": "sim", "pid": 1, "tid": 1, "ts": 2, "args": {}},|};
+      {|{"ph": "E", "name": "q", "cat": "sim", "pid": 1, "tid": 1, "ts": 3, "args": {}}|};
+      {|]}|} ]
+
+(* [timeline gemm]'s trace, as taken before the writer kept its buffer *)
+let gemm_timeline_digest = "62a1f9ff3458a8f9956ef30726e8f508"
+
+(* the writer's buffer outlives a call: a small trace written after a
+   large one has no stale tail, and neither result changes when the
+   buffer is refilled *)
+let test_buffer_reuse () =
+  let big = capture_timeline () in
+  let big_digest = Digest.to_hex (Digest.string big) in
+  Alcotest.(check string) "large trace" gemm_timeline_digest big_digest;
+  let small = two_spans () in
+  Alcotest.(check string) "small after large" two_spans_text small;
+  Alcotest.(check string) "large result kept" big_digest
+    (Digest.to_hex (Digest.string big));
+  let small' = two_spans () in
+  let big' = capture_timeline () in
+  Alcotest.(check string) "large after small" big_digest
+    (Digest.to_hex (Digest.string big'));
+  Alcotest.(check string) "small result kept" two_spans_text small';
+  Alcotest.(check string) "first small result kept" two_spans_text small
+
+(* concurrent calls share the one buffer under the collector's lock: every
+   domain's result equals the sequential one *)
+let test_concurrent_to_json () =
+  let bench = gemm () in
+  let d = Experiments.design_of Experiments.Tiled_meta bench in
+  Trace.clear ();
+  Trace.enable ();
+  let r = Event_sim.run ~record:true d ~sizes:bench.Suite.sim_sizes in
+  Option.iter Sim_trace.record r.Event_sim.timeline;
+  Trace.disable ();
+  let expected = Trace.to_json () in
+  let domains =
+    List.init 3 (fun _ ->
+        Domain.spawn (fun () -> List.init 3 (fun _ -> Trace.to_json ())))
+  in
+  let here = List.init 3 (fun _ -> Trace.to_json ()) in
+  let results = here @ List.concat_map Domain.join domains in
+  Trace.clear ();
+  Alcotest.(check int) "results" 12 (List.length results);
+  List.iter
+    (fun j -> Alcotest.(check bool) "equals sequential" true (String.equal expected j))
+    results
+
 let () =
   Alcotest.run "trace"
     [ ( "json",
@@ -636,7 +832,13 @@ let () =
           Alcotest.test_case "track order" `Quick test_track_order;
           Alcotest.test_case "wall event" `Quick test_wall_event;
           Alcotest.test_case "summary table" `Quick test_summary;
-          Alcotest.test_case "track gauges" `Quick test_track_gauges ] );
+          Alcotest.test_case "track gauges" `Quick test_track_gauges;
+          Alcotest.test_case "category switch" `Quick test_category_switch;
+          Alcotest.test_case "arg keys" `Quick test_arg_keys;
+          Alcotest.test_case "wall tracks" `Quick test_wall_tracks;
+          Alcotest.test_case "buffer reuse" `Quick test_buffer_reuse;
+          Alcotest.test_case "concurrent calls" `Quick
+            test_concurrent_to_json ] );
       ( "spans",
         [ Alcotest.test_case "B/E balance per track" `Quick test_be_balance;
           Alcotest.test_case "virtual timestamps" `Quick
