@@ -1010,13 +1010,12 @@ let timeline_cmd =
     warn_fallbacks bench.Suite.name r;
     Option.iter Sim_trace.record r.Event_sim.timeline;
     Trace.disable ();
-    let trace_json = Trace.to_json () in
     (match out with
     | Some file ->
-        write_file file trace_json;
+        write_file file (Trace.to_json ());
         Printf.eprintf "timeline: wrote %s (open in https://ui.perfetto.dev)\n"
           file
-    | None -> if not json then print_string trace_json);
+    | None -> if not json then print_string (Trace.to_json ()));
     if json then
       (* --json parity with `simulate`: the same report object on stdout
          (write the trace itself with -o FILE) *)

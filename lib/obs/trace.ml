@@ -73,77 +73,100 @@ let virtual_span ?(cat = "sim") ~track ~name ~start ~finish ?(args = []) () =
 (* fraction digits of trace floats; integral ones print without any *)
 let prec = 4
 
-let add_args b args =
-  Buffer.add_string b ", \"args\": {";
-  Json_out.add_list b
-    (fun b (k, v) ->
-      Json_out.add_string b k;
-      Buffer.add_string b ": ";
-      match v with
-      | Int n -> Json_out.add_int b n
-      | Float f -> Json_out.add_float ~prec b f
-      | Str s -> Json_out.add_string b s)
-    args;
-  Buffer.add_string b "}}"
+(* The writer's output buffer.  It is kept across calls, cleared (never
+   reset) and filled only while [lock] is held, so a call allocates no
+   buffer of its own; it keeps the capacity of the largest trace written. *)
+let out = Buffer.create 4096
 
-(* The text between an event's category and its timestamp is fixed per
-   track, [, "pid": <pid>, "tid": <tid>, "ts": ], so it is built once. *)
-let track_text pid tid =
-  Printf.sprintf ", \"pid\": %d, \"tid\": %d, \"ts\": " pid tid
+(* A line is its head, the escaped name, the text fixed by its category
+   and track, [, "cat": <cat>, "pid": <pid>, "tid": <tid>, "ts": ], then
+   the timestamp.  An E line's head also closes the B line before it. *)
+let b_head = "{\"ph\": \"B\", \"name\": "
+let e_head = "}},\n{\"ph\": \"E\", \"name\": "
+let x_head = "{\"ph\": \"X\", \"name\": "
+let m_head = "{\"ph\": \"M\", \"name\": "
 
-(* [{"ph": <ph>, "name": <name>, "cat": <cat>], the track's text, [ts] *)
-let add_head b ph name cat text ts =
-  Buffer.add_string b "{\"ph\": \"";
-  Buffer.add_string b ph;
-  Buffer.add_string b "\", \"name\": ";
-  Json_out.add_string b name;
+let line_text cat pid tid =
+  let b = Buffer.create 64 in
   Buffer.add_string b ", \"cat\": ";
   Json_out.add_string b cat;
+  Printf.bprintf b ", \"pid\": %d, \"tid\": %d, \"ts\": " pid tid;
+  Buffer.contents b
+
+(* track names and arg keys, hashed and compared as strings *)
+module Names = Hashtbl.Make (String)
+
+let add_line b head name text ts =
+  Buffer.add_string b head;
+  Json_out.add_string b name;
   Buffer.add_string b text;
   Json_out.add_float ~prec b ts
 
 let snapshot () = Mutex.protect lock (fun () -> List.rev !events)
 
 let to_json () =
-  let newest_first = Mutex.protect lock (fun () -> !events) in
+  Mutex.protect lock @@ fun () ->
   (* each pid's events grouped by track; consing newest-first leaves every
      group in record order (the recorder guarantees per-track timestamp
      order) *)
-  let vgroups = Hashtbl.create 64 and wgroups = Hashtbl.create 16 in
-  let records = ref 0 in
+  let vgroups = Names.create 64 and wgroups = Names.create 16 in
   List.iter
     (fun e ->
-      incr records;
       let groups, track =
         match e with
         | Virtual { track; _ } -> (vgroups, track)
         | Wall { track; _ } -> (wgroups, track)
       in
-      match Hashtbl.find_opt groups track with
+      match Names.find_opt groups track with
       | Some g -> g := e :: !g
-      | None -> Hashtbl.add groups track (ref [ e ]))
-    newest_first;
+      | None -> Names.add groups track (ref [ e ]))
+    !events;
   (* a track's tid is its 1-based rank among its pid's track names *)
   let by_name groups =
     List.sort
       (fun (a, _) (b, _) -> String.compare a b)
-      (Hashtbl.fold (fun track g acc -> (track, !g) :: acc) groups [])
+      (Names.fold (fun track g acc -> (track, !g) :: acc) groups [])
   in
   let vtracks = by_name vgroups and wtracks = by_name wgroups in
-  let ntracks = List.length vtracks + List.length wtracks in
-  (* a virtual span's B/E pair is about 210 bytes, so 256 per record
-     seldom regrows the buffer *)
-  let b = Buffer.create (4096 + (256 * !records) + (128 * ntracks)) in
+  let b = out in
+  Buffer.clear b;
   Buffer.add_string b "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
   let first = ref true in
   let sep () = if !first then first := false else Buffer.add_string b ",\n" in
+  (* an arg key's escaped text and [": "], escaped once per distinct key *)
+  let keys = Names.create 8 in
+  let add_key k =
+    match Names.find_opt keys k with
+    | Some text -> Buffer.add_string b text
+    | None ->
+        let kb = Buffer.create 16 in
+        Json_out.add_string kb k;
+        Buffer.add_string kb ": ";
+        let text = Buffer.contents kb in
+        Names.add keys k text;
+        Buffer.add_string b text
+  in
+  (* [, "args": {...] left open: the next head or [}}] closes it *)
+  let add_args args =
+    Buffer.add_string b ", \"args\": {";
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_string b ", ";
+        add_key k;
+        match v with
+        | Int n -> Json_out.add_int b n
+        | Float f -> Json_out.add_float ~prec b f
+        | Str s -> Json_out.add_string b s)
+      args
+  in
   (* process/thread names first, so Perfetto labels the tracks; metadata
      for the wall pid is tagged onto it and stripped with it *)
   let names pid process tracks =
     let meta name tid label =
       sep ();
-      add_head b "M" name "meta" (track_text pid tid) 0.0;
-      add_args b [ ("name", Str label) ]
+      add_line b m_head name (line_text "meta" pid tid) 0.0;
+      add_args [ ("name", Str label) ];
+      Buffer.add_string b "}}"
     in
     if tracks <> [] then begin
       meta "process_name" 1 process;
@@ -152,28 +175,38 @@ let to_json () =
   in
   names virtual_pid "simulator (virtual cycles)" vtracks;
   names wall_pid "compiler (wall clock, us)" wtracks;
-  (* then virtual events (deterministic) before wall, track by track *)
-  let emit text = function
-    | Virtual { name; cat; start; finish; args; _ } ->
-        sep ();
-        add_head b "B" name cat text start;
-        add_args b args;
-        sep ();
-        add_head b "E" name cat text finish;
-        add_args b []
-    | Wall { name; cat; ts; dur; args; _ } ->
-        sep ();
-        add_head b "X" name cat text ts;
-        Buffer.add_string b ", \"dur\": ";
-        Json_out.add_float ~prec b dur;
-        add_args b args
+  (* then virtual events (deterministic) before wall, track by track; the
+     line text is rebuilt only where a track's category changes *)
+  let track pid tid evs =
+    let run = ref None in
+    let text_for cat =
+      match !run with
+      | Some (c, text) when String.equal c cat -> text
+      | _ ->
+          let text = line_text cat pid tid in
+          run := Some (cat, text);
+          text
+    in
+    List.iter
+      (function
+        | Virtual { name; cat; start; finish; args; _ } ->
+            let text = text_for cat in
+            sep ();
+            add_line b b_head name text start;
+            add_args args;
+            add_line b e_head name text finish;
+            Buffer.add_string b ", \"args\": {}}"
+        | Wall { name; cat; ts; dur; args; _ } ->
+            sep ();
+            add_line b x_head name (text_for cat) ts;
+            Buffer.add_string b ", \"dur\": ";
+            Json_out.add_float ~prec b dur;
+            add_args args;
+            Buffer.add_string b "}}")
+      evs
   in
-  List.iter
-    (fun (pid, tracks) ->
-      List.iteri
-        (fun i (_, evs) -> List.iter (emit (track_text pid (i + 1))) evs)
-        tracks)
-    [ (virtual_pid, vtracks); (wall_pid, wtracks) ];
+  List.iteri (fun i (_, evs) -> track virtual_pid (i + 1) evs) vtracks;
+  List.iteri (fun i (_, evs) -> track wall_pid (i + 1) evs) wtracks;
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
 

@@ -61,7 +61,11 @@ val virtual_span :
     (the simulator's per-stage schedules guarantee both). *)
 
 val to_json : unit -> string
-(** Serialize the collected events as Chrome trace-event JSON. *)
+(** Serialize the collected events as Chrome trace-event JSON.  The
+    text is written into one buffer the collector keeps across calls
+    (it retains the capacity of the largest trace written so far) while
+    the collector's lock is held, so concurrent calls and recording wait
+    for each other; the result is a fresh string. *)
 
 type tracks
 (** Per-track occupancy of virtual spans, accumulated in place: span
