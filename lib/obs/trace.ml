@@ -135,24 +135,23 @@ let to_json () =
   let sep () = if !first then first := false else Buffer.add_string b ",\n" in
   (* an arg key's escaped text and [": "], escaped once per distinct key *)
   let keys = Names.create 8 in
-  let add_key k =
+  let key_text k =
     match Names.find_opt keys k with
-    | Some text -> Buffer.add_string b text
+    | Some text -> text
     | None ->
         let kb = Buffer.create 16 in
         Json_out.add_string kb k;
         Buffer.add_string kb ": ";
         let text = Buffer.contents kb in
         Names.add keys k text;
-        Buffer.add_string b text
+        text
   in
   (* [, "args": {...] left open: the next head or [}}] closes it *)
   let add_args args =
     Buffer.add_string b ", \"args\": {";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string b ", ";
-        add_key k;
+    Json_out.add_list b
+      (fun b (k, v) ->
+        Buffer.add_string b (key_text k);
         match v with
         | Int n -> Json_out.add_int b n
         | Float f -> Json_out.add_float ~prec b f
