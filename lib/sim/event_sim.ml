@@ -22,105 +22,116 @@ type result = {
 
 let max_events = 200_000
 
-(* The DRAM interface as a calendar of busy intervals: an ordered map from
-   span start to span end.  Spans are disjoint and never touch (touching
-   spans merge), so the span holding or preceding a request time is one
-   [find_last_opt] away. *)
+(* The DRAM interface as a calendar of busy intervals, owned by one run:
+   span [i] is [starts.(i), stops.(i)] for [i < n], sorted by start.
+   Spans are disjoint and never touch (touching spans merge), so the span
+   holding or preceding a request time is one binary search away. *)
 module Dram_calendar = struct
-  module Cal = Map.Make (Float)
+  type t = {
+    mutable starts : float array;
+    mutable stops : float array;
+    mutable n : int;
+    mutable coalesced : int;
+  }
 
-  type t = { cal : float Cal.t; count : int; coalesced : int }
+  let create () =
+    { starts = Array.make 8 0.0; stops = Array.make 8 0.0; n = 0; coalesced = 0 }
 
-  let empty = { cal = Cal.empty; count = 0; coalesced = 0 }
-  let spans c = Cal.bindings c.cal
+  let spans c = List.init c.n (fun i -> (c.starts.(i), c.stops.(i)))
   let coalesced c = c.coalesced
   let max_spans = 2048
 
-  (* add the busy span [a, b], merged with every span it touches (closed
-     rule: [e1 >= s2] merges) *)
-  let insert c (a, b) =
-    let start, stop, cal, removed =
-      match Cal.find_last_opt (fun s -> s <= a) c.cal with
-      | Some (s, e) when e >= a -> (s, Float.max e b, Cal.remove s c.cal, 1)
-      | _ -> (a, b, c.cal, 0)
-    in
-    let rec absorb stop cal removed =
-      match Cal.find_first_opt (fun s -> s >= start) cal with
-      | Some (s, e) when s <= stop ->
-          absorb (Float.max stop e) (Cal.remove s cal) (removed + 1)
-      | _ -> (stop, cal, removed)
-    in
-    let stop, cal, removed = absorb stop cal removed in
-    { c with cal = Cal.add start stop cal; count = c.count + 1 - removed }
+  (* move spans [from, n) to start at [dst], doubling the arrays if they
+     would overflow *)
+  let shift c ~from ~dst =
+    if dst <> from then begin
+      let n' = c.n + dst - from in
+      if n' > Array.length c.starts then begin
+        let grow a = Array.append a (Array.make (Array.length a) 0.0) in
+        c.starts <- grow c.starts;
+        c.stops <- grow c.stops
+      end;
+      Array.blit c.starts from c.starts dst (c.n - from);
+      Array.blit c.stops from c.stops dst (c.n - from);
+      c.n <- n'
+    end
 
   (* keep the calendar bounded: beyond [max_spans] spans, conservatively
      coalesce the oldest half into one busy span (requests rarely
      back-fill that far; the approximation is pessimistic) *)
   let bound c =
-    if c.count <= max_spans then c
-    else begin
-      let k = c.count / 2 in
-      let s0, _ = Cal.min_binding c.cal in
-      let rec drop i cal e_last =
-        if i = 0 then (cal, e_last)
-        else
-          let s, e = Cal.min_binding cal in
-          drop (i - 1) (Cal.remove s cal) e
-      in
-      let cal, e_last = drop k c.cal s0 in
-      { cal = Cal.add s0 e_last cal; count = c.count - k + 1;
-        coalesced = c.coalesced + 1 }
+    if c.n > max_spans then begin
+      let k = c.n / 2 in
+      c.stops.(0) <- c.stops.(k - 1);
+      shift c ~from:k ~dst:1;
+      c.coalesced <- c.coalesced + 1
     end
 
-  (* past the end of every span: a new span after the last *)
-  let append c cursor dur =
-    let fin = cursor +. dur in
-    (bound { c with cal = Cal.add cursor fin c.cal; count = c.count + 1 }, fin)
+  (* the last span starting at or before [x], or -1 *)
+  let find c x =
+    let rec go lo hi =
+      (* starts.(lo) <= x (or lo = -1), and starts.(hi) > x (or hi = n) *)
+      if hi - lo <= 1 then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if c.starts.(mid) <= x then go mid hi else go lo mid
+    in
+    go (-1) c.n
 
   (* The interface time-multiplexes outstanding transfers at burst
      granularity, so a request simply consumes the idle gaps of the
      calendar in time order (preemptive FIFO) rather than needing one
      contiguous slot. *)
   let acquire c t dur =
-    if dur <= 0.0 then (c, t)
+    if dur <= 0.0 then t
     else begin
       let cursor = Float.max t 0.0 in
-      match Cal.max_binding_opt c.cal with
-      | Some (s, e) when s <= cursor ->
-          (* the tail path, at or after the last span's start *)
-          if cursor <= e then begin
-            (* inside the last span or at its end: the request books the
-               time right after it, which the closed rule merges into it
-               (the span count, already bounded, is kept) *)
-            let fin = e +. dur in
-            ({ c with cal = Cal.add s fin c.cal }, fin)
-          end
-          else append c cursor dur
-      | None -> append c cursor dur
-      | Some _ ->
-          (* every span before the last one starting at or before
-             [cursor] ends before it *)
-          let from =
-            match Cal.find_last_opt (fun s -> s <= cursor) c.cal with
-            | Some (s, _) -> s
-            | None -> cursor
-          in
-          let rec consume cursor remaining spans pieces =
-            match spans () with
-            | Seq.Nil ->
-                ((cursor, cursor +. remaining) :: pieces, cursor +. remaining)
-            | Seq.Cons ((s, e), rest) ->
-                if e <= cursor then consume cursor remaining rest pieces
-                else if s <= cursor then consume e remaining rest pieces
-                else begin
-                  let gap = s -. cursor in
-                  if gap >= remaining then
-                    ((cursor, cursor +. remaining) :: pieces, cursor +. remaining)
-                  else consume e (remaining -. gap) rest ((cursor, s) :: pieces)
-                end
-          in
-          let pieces, fin = consume cursor dur (Cal.to_seq_from from c.cal) [] in
-          (bound (List.fold_left insert c pieces), fin)
+      let last = c.n - 1 in
+      let i0 =
+        if last >= 0 && c.starts.(last) <= cursor then last else find c cursor
+      in
+      if i0 >= 0 && i0 = last && cursor <= c.stops.(last) then begin
+        (* the tail path: inside the last span or at its end, the request
+           books the time right after it, which the closed rule merges
+           into it *)
+        let fin = c.stops.(last) +. dur in
+        c.stops.(last) <- fin;
+        fin
+      end
+      else begin
+        (* span [i0], if any, ends before [cursor] or holds it; the request
+           fills consecutive gaps from [first] on, so with the spans
+           between those gaps it books all of [first, fin] *)
+        let first =
+          if i0 >= 0 && c.stops.(i0) > cursor then c.stops.(i0) else cursor
+        in
+        let rec consume cursor remaining j =
+          if j = c.n then cursor +. remaining
+          else
+            let gap = c.starts.(j) -. cursor in
+            if gap >= remaining then cursor +. remaining
+            else consume c.stops.(j) (remaining -. gap) (j + 1)
+        in
+        let fin = consume first dur (i0 + 1) in
+        (* replace spans [lo, hi), the ones [first, fin] touches (closed
+           rule: [e1 >= s2] merges), with their union *)
+        let lo = if i0 >= 0 && c.stops.(i0) >= first then i0 else i0 + 1 in
+        let start, stop =
+          if lo = i0 then (c.starts.(i0), Float.max c.stops.(i0) fin)
+          else (first, fin)
+        in
+        let rec absorb stop j =
+          if j < c.n && c.starts.(j) <= stop then
+            absorb (Float.max stop c.stops.(j)) (j + 1)
+          else (stop, j)
+        in
+        let stop, hi = absorb stop (i0 + 1) in
+        shift c ~from:hi ~dst:(lo + 1);
+        c.starts.(lo) <- start;
+        c.stops.(lo) <- stop;
+        bound c;
+        fin
+      end
     end
 end
 
@@ -240,7 +251,7 @@ let rec resolve slots (a : Simulate.annot) : node * float =
    before an earlier-visited one), the event budget, and per-slot traffic
    sums (each adds in visit order; a slot is reported once touched). *)
 type st = {
-  mutable dram_cal : Dram_calendar.t;
+  dram_cal : Dram_calendar.t;
   mutable dram_busy : float;  (** accumulated DRAM-busy cycles *)
   mutable events : int;
   mutable fallbacks : int;
@@ -249,6 +260,20 @@ type st = {
   record : bool;  (** collect the timeline *)
   mutable spans : span list;  (** newest first *)
 }
+
+(* [prefix ^ string_of_int i] for [i >= 0], written straight into one
+   exact-length string *)
+let label prefix i =
+  let rec digits k v = if v < 10 then k else digits (k + 1) (v / 10) in
+  let plen = String.length prefix and nd = digits 1 i in
+  let b = Bytes.create (plen + nd) in
+  Bytes.blit_string prefix 0 b 0 plen;
+  let rec write j v =
+    Bytes.set b j (Char.unsafe_chr (Char.code '0' + (v mod 10)));
+    if v >= 10 then write (j - 1) (v / 10)
+  in
+  write (plen + nd - 1) i;
+  Bytes.unsafe_to_string b
 
 let push_span st ~track ~name ~start ~finish args =
   if st.record then
@@ -270,9 +295,7 @@ let dram_transfer st t dur =
   if dur <= 0.0 then t
   else begin
     st.dram_busy <- st.dram_busy +. dur;
-    let cal, fin = Dram_calendar.acquire st.dram_cal t dur in
-    st.dram_cal <- cal;
-    fin
+    Dram_calendar.acquire st.dram_cal t dur
   end
 
 let rec exec st t = function
@@ -316,7 +339,7 @@ let rec exec st t = function
                iteration instance; stage instances never overlap on their
                own track (avail.(s) serializes them) *)
             push_span st ~track:stage.track
-              ~name:(stage.prefix ^ string_of_int i)
+              ~name:(label stage.prefix i)
               ~start ~finish:fin
               [ ("iteration", float_of_int i) ];
             avail.(s) <- fin;
@@ -353,7 +376,7 @@ let run ?(machine = Machine.default) ?(record = false) (d : Hw.design) ~sizes =
   in
   let n = Hashtbl.length slots in
   let st =
-    { dram_cal = Dram_calendar.empty; dram_busy = 0.0; events = 0; fallbacks = 0;
+    { dram_cal = Dram_calendar.create (); dram_busy = 0.0; events = 0; fallbacks = 0;
       sums = Array.make n 0.0; seen = Array.make n false; record; spans = [] }
   in
   let fin = exec st 0.0 top in

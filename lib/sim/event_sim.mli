@@ -9,7 +9,9 @@
       only once stage [s-1] has finished iteration [i] {e and} stage [s]
       itself has finished iteration [i-1];
     - {b DRAM serialization}: all tile load/store units and direct-access
-      streams contend for one memory interface, granted in request order.
+      streams contend for one memory interface.  Each transfer is granted
+      the earliest idle time at or after its request, so it can back-fill
+      a gap left before transfers booked earlier.
 
     Agreement between the two engines (checked in the test suite) validates
     the analytic metapipeline formula [fill + (trips-1) * max(slowest
@@ -61,17 +63,21 @@ val max_events : int
     order from [max t 0] on (the interface time-multiplexes transfers at
     burst granularity, so a request need not fit one contiguous slot).
     A request at or after the last span's start extends that span or
-    appends one after it; any other transfer costs O(log n) in the
-    calendar's span count n, plus O(log n) per idle gap it consumes. *)
+    appends one after it: O(1) amortized, with no allocation beyond the
+    arrays' doubling.  Any other request costs an O(log n) search in the
+    calendar's span count n, the walk over the idle gaps it consumes,
+    and one shift of at most 2,049 spans. *)
 module Dram_calendar : sig
   type t
+  (** mutable; one calendar belongs to one run *)
 
-  val empty : t
+  val create : unit -> t
+  (** an empty calendar *)
 
-  val acquire : t -> float -> float -> t * float
-  (** [acquire c t dur] books [dur] cycles no earlier than [t] and returns
-      the new calendar and the completion time.  [dur <= 0] books
-      nothing and completes at [t]. *)
+  val acquire : t -> float -> float -> float
+  (** [acquire c t dur] books [dur] cycles of [c] no earlier than [t] and
+      returns the completion time.  [dur <= 0] books nothing and
+      completes at [t]. *)
 
   val spans : t -> (float * float) list
   (** the busy intervals, ascending, disjoint and non-touching *)

@@ -215,10 +215,13 @@ let same_spans a b =
    repeat the previous request time (ties), start where the previous
    request's duration would end (touching spans), reach far into the
    past, back-fill at fractional times with inexact durations, ask for
-   nothing, or land inside the last booked span, exactly at its end or
-   just past it.  Completion times must agree bit for bit at every step, the
-   span lists every 64 steps and at the end.  The first [warm] requests
-   are all fresh.  Returns the number of coalescings. *)
+   nothing, land inside the last booked span, exactly at its end or
+   just past it, start at an interior span's end and fill exactly the gap
+   after it (touching both neighbours), span two or three gaps, or land
+   before the first span while it starts after 0.  Completion times must
+   agree bit for bit at every step, the span lists every 64 steps and at
+   the end.  The first [warm] requests are all fresh.  Returns the number
+   of coalescings. *)
 let replay ?(warm = 0) ~fresh ~n seed =
   let module C = Event_sim.Dram_calendar in
   let rng = Random.State.make [| seed |] in
@@ -227,7 +230,8 @@ let replay ?(warm = 0) ~fresh ~n seed =
     same_spans (C.spans c) o.List_calendar.cal
     && C.coalesced c = o.List_calendar.coalesced
   in
-  let rec go i c o horizon (t0, d0) =
+  let c = C.create () in
+  let rec go i o horizon (t0, d0) =
     if i = n then begin
       if not (agree c o) then QCheck.Test.fail_report "final calendars differ";
       C.coalesced c
@@ -241,7 +245,9 @@ let replay ?(warm = 0) ~fresh ~n seed =
           let s_last, e_last =
             match List.rev o.List_calendar.cal with [] -> (0.0, 0.0) | sp :: _ -> sp
           in
-          match Random.State.int rng 9 with
+          let cal = Array.of_list o.List_calendar.cal in
+          let len = Array.length cal in
+          match Random.State.int rng 12 with
           | 0 -> (t0, int 5)
           | 1 -> (t0 +. d0, 1.0 +. int 3)
           | 2 -> (-.Random.State.float rng 100.0, int 50)
@@ -250,19 +256,39 @@ let replay ?(warm = 0) ~fresh ~n seed =
           | 5 -> (s_last +. Random.State.float rng (e_last -. s_last), (1.0 +. int 20) /. 7.0)
           | 6 -> (e_last, 1.0 +. int 4)
           | 7 -> (e_last +. ((1.0 +. int 4) /. 8.0), 1.0 +. int 4)
+          | 9 when len >= 2 ->
+              (* an interior span's end, for exactly the gap after it *)
+              let k = Random.State.int rng (len - 1) in
+              (snd cal.(k), fst cal.(k + 1) -. snd cal.(k))
+          | 10 when len >= 3 ->
+              (* from the middle of gap k: the rest of it, [g - 2] whole
+                 gaps, then 1/4 to 5/4 of the next one, so [g] = 2 or 3
+                 gaps in all, one more when that share passes 1 *)
+              let k = Random.State.int rng (len - 2) in
+              let g = Int.min (2 + Random.State.int rng 2) (len - 1 - k) in
+              let t = snd cal.(k) +. ((fst cal.(k + 1) -. snd cal.(k)) /. 2.0) in
+              let full = ref (fst cal.(k + 1) -. t) in
+              for j = k + 1 to k + g - 2 do
+                full := !full +. (fst cal.(j + 1) -. snd cal.(j))
+              done;
+              let last_gap = fst cal.(k + g) -. snd cal.(k + g - 1) in
+              (t, !full +. (last_gap *. (1.0 +. int 4) /. 4.0))
+          | 11 when len >= 1 && fst cal.(0) > 0.0 ->
+              (* before the first span, which starts after 0 *)
+              (Random.State.float rng (fst cal.(0)), 1.0 +. int 4)
           | _ -> (int (1 + int_of_float horizon), int 30)
       in
-      let c, fin = C.acquire c t dur in
+      let fin = C.acquire c t dur in
       let o, fin' = List_calendar.acquire o t dur in
       if not (Int64.equal (bits fin) (bits fin')) then
         QCheck.Test.fail_reportf "request %d (%h, %h): finishes %h vs %h" i t
           dur fin fin';
       if i mod 64 = 0 && not (agree c o) then
         QCheck.Test.fail_reportf "calendars differ after request %d" i;
-      go (i + 1) c o (Float.max horizon fin) (t, dur)
+      go (i + 1) o (Float.max horizon fin) (t, dur)
     end
   in
-  go 0 C.empty List_calendar.empty 0.0 (0.0, 1.0)
+  go 0 List_calendar.empty 0.0 (0.0, 1.0)
 
 let prop_calendar_matches_oracle =
   QCheck.Test.make ~name:"map calendar = list calendar (mixed requests)"
@@ -282,6 +308,61 @@ let prop_calendar_coalesces_like_oracle =
         QCheck.Test.fail_report "coalescing never fired";
       true)
 
+(* -------------------- one calendar per run -------------------- *)
+
+(* Recorded runs on three domains at once each get exactly the sequential
+   result: the DRAM calendar and the schedule belong to one run, with no
+   shared buffers ([check] and [fig7] run the engine inside [Pool]).
+   Tiled outerprod at twice its simulation sizes folds its calendar. *)
+let test_concurrent_runs () =
+  let bench name = List.find (fun b -> b.Suite.name = name) (Suite.all ()) in
+  let gemm = bench "gemm" and outerprod = bench "outerprod" in
+  let cases =
+    [ ("gemm meta", Experiments.design_of Experiments.Tiled_meta gemm,
+       gemm.Suite.sim_sizes);
+      ("outerprod tiled x2", Experiments.design_of Experiments.Tiled outerprod,
+       List.map (fun (s, v) -> (s, 2 * v)) outerprod.Suite.sim_sizes) ]
+  in
+  let fingerprint (r : Event_sim.result) =
+    let buf = Buffer.create 65536 in
+    let pr fmt = Printf.bprintf buf fmt in
+    pr "cycles %h events %d coalesced %d\n" r.report.Simulate.cycles r.events
+      r.coalesced;
+    Option.iter
+      (fun (tl : Event_sim.timeline) ->
+        List.iter
+          (fun (sp : Event_sim.span) ->
+            pr "S %s %s %h %h" sp.sp_track sp.sp_name sp.sp_start sp.sp_finish;
+            List.iter (fun (k, v) -> pr " %s=%h" k v) sp.sp_args;
+            pr "\n")
+          tl.tl_spans;
+        List.iter (fun (s, e) -> pr "D %h %h\n" s e) tl.tl_dram_busy)
+      r.timeline;
+    Buffer.contents buf
+  in
+  let run_all () =
+    List.map (fun (_, d, sizes) -> Event_sim.run ~record:true d ~sizes) cases
+  in
+  let sequential = run_all () in
+  if (List.nth sequential 1).Event_sim.coalesced = 0 then
+    Alcotest.fail "outerprod tiled x2 no longer folds its calendar";
+  let sequential = List.map fingerprint sequential in
+  let domains =
+    List.init 3 (fun _ ->
+        Domain.spawn (fun () ->
+            List.concat (List.init 3 (fun _ -> List.map fingerprint (run_all ())))))
+  in
+  List.iter
+    (fun dom ->
+      List.iteri
+        (fun i got ->
+          let name, _, _ = List.nth cases (i mod 2) in
+          if not (String.equal got (List.nth sequential (i mod 2))) then
+            Alcotest.failf "%s: a concurrent run differs from the sequential one"
+              name)
+        (Domain.join dom))
+    domains
+
 let () =
   Alcotest.run "event_sim"
     [ ( "unit",
@@ -299,6 +380,9 @@ let () =
       ( "dram calendar",
         List.map QCheck_alcotest.to_alcotest
           [ prop_calendar_matches_oracle; prop_calendar_coalesces_like_oracle ] );
+      ( "concurrency",
+        [ Alcotest.test_case "runs on 3 domains = sequential" `Quick
+            test_concurrent_runs ] );
       ( "cross-validation",
         [ Alcotest.test_case "suite x configs within 2%" `Quick
             test_cross_validation ] ) ]
