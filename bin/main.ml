@@ -5,18 +5,35 @@ open Cmdliner
 
 let benches () = Suite.extended ()
 
+(* The suite benchmark of that name, or the one message every command
+   gives for a name it does not know. *)
+let find_bench s =
+  match Suite.find (benches ()) s with
+  | b -> Ok b
+  | exception Not_found ->
+      Error
+        (`Msg
+           (Printf.sprintf "unknown benchmark %S (try: %s)" s
+              (String.concat ", "
+                 (List.map (fun b -> b.Suite.name) (benches ())))))
+
 let bench_conv =
+  Arg.conv (find_bench, fun fmt b -> Format.pp_print_string fmt b.Suite.name)
+
+(* A program target: a path that exists is a .ppl file, anything else
+   must name a suite benchmark. *)
+type target = File of string | Bench of Suite.bench
+
+let target_conv =
   let parse s =
-    match Suite.find (benches ()) s with
-    | b -> Ok b
-    | exception Not_found ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown benchmark %S (try: %s)" s
-                (String.concat ", "
-                   (List.map (fun b -> b.Suite.name) (benches ())))))
+    if Sys.file_exists s then Ok (File s)
+    else Result.map (fun b -> Bench b) (find_bench s)
   in
-  Arg.conv (parse, fun fmt b -> Format.pp_print_string fmt b.Suite.name)
+  let print fmt = function
+    | File f -> Format.pp_print_string fmt f
+    | Bench b -> Format.pp_print_string fmt b.Suite.name
+  in
+  Arg.conv (parse, print)
 
 (* Tile sizes, size-parameter values and parallelism factors below 1
    cannot take effect: reject them as usage errors before any compiling. *)
@@ -41,55 +58,108 @@ let write_file file contents =
   try Out_channel.with_open_text file (fun oc -> output_string oc contents)
   with Sys_error msg -> file_error file msg
 
-let read_program file =
-  match
-    let text = In_channel.with_open_text file In_channel.input_all in
-    let prog = Parser.program_of_string text in
-    ignore (Validate.check_program prog);
-    prog
-  with
-  | prog -> prog
-  | exception (Parser.Parse_error msg | Validate.Type_error msg | Sys_error msg)
-    ->
-      file_error file msg
+let usage_error cmd fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "%s: %s\n" cmd msg;
+      exit 124)
+    fmt
 
-(* A size above the maxsize its program declares describes a design the
-   program rules out: reject it as a usage error before any compiling. *)
-let check_maxsizes cmd (prog : Ir.program) sizes =
+type resolved = {
+  name : string;
+  prog : Ir.program;
+  tiles : (Sym.t * int) list;
+  sizes : (Sym.t * int) list;
+}
+
+(* The one boundary between a command line and the compiler: a target
+   plus its --tiles and --sizes specs (size-parameter base name, value)
+   become a program, its tile sizes and its size values.  A benchmark
+   supplies its default tiles and simulation sizes, which the specs
+   override by name; a file has no defaults.  Sizes are all or nothing
+   (all when [need_sizes]).  An unknown or repeated name, a missing
+   size, a size above its declared maxsize and a tile above its size
+   (else its maxsize) describe no design of the program: they are usage
+   errors, exit 124, before any compiling. *)
+let resolve ~cmd ?(need_sizes = false) ?(tiles = []) ?(sizes = []) target =
+  let name, prog, default_tiles, default_sizes =
+    match target with
+    | Bench b -> (b.Suite.name, b.Suite.prog, b.Suite.tiles, b.Suite.sim_sizes)
+    | File f -> (
+        try
+          let prog =
+            Parser.program_of_string
+              (In_channel.with_open_text f In_channel.input_all)
+          in
+          ignore (Validate.check_program prog);
+          (Filename.basename f, prog, [], [])
+        with
+        | Parser.Parse_error msg | Validate.Type_error msg | Sys_error msg ->
+          file_error f msg)
+  in
+  let params = prog.Ir.size_params in
+  let find s l =
+    List.find_map (fun (k, v) -> if Sym.equal k s then Some v else None) l
+  in
+  let override flag defaults spec =
+    let given =
+      List.fold_left
+        (fun acc (n, v) ->
+          match List.find_opt (fun s -> Sym.base s = n) params with
+          | None ->
+              usage_error cmd "--%s: %s has no size parameter %s (it has: %s)"
+                flag prog.Ir.pname n
+                (String.concat ", " (List.map Sym.base params))
+          | Some s when find s acc <> None ->
+              usage_error cmd "--%s: %s given twice" flag n
+          | Some s -> acc @ [ (s, v) ])
+        [] spec
+    in
+    List.map (fun (s, v) -> (s, Option.value (find s given) ~default:v)) defaults
+    @ List.filter (fun (s, _) -> find s defaults = None) given
+  in
+  let tiles = override "tiles" default_tiles tiles in
+  let sizes = override "sizes" default_sizes sizes in
+  (match List.find_opt (fun s -> find s sizes = None) params with
+  | Some s when sizes <> [] || need_sizes ->
+      usage_error cmd "--sizes: no value for %s (give every size parameter%s)"
+        (Sym.base s)
+        (if need_sizes then "" else " or none")
+  | _ -> ());
+  let within what bound_name bound (s, v) =
+    match bound s with
+    | Some b when v > b ->
+        usage_error cmd "%s %s=%d exceeds %s %s=%d" what (Sym.base s) v
+          bound_name (Sym.base s) b
+    | _ -> ()
+  in
+  let maxsize = Ir.max_sizes_bound prog in
+  List.iter (within "size" "maxsize" maxsize) sizes;
   List.iter
-    (fun (s, v) ->
-      match Ir.max_sizes_bound prog s with
-      | Some bound when v > bound ->
-          Printf.eprintf "%s: --sizes %s=%d exceeds maxsize %s %d\n" cmd
-            (Sym.base s) v (Sym.base s) bound;
-          exit 124
-      | _ -> ())
-    sizes
+    (if sizes = [] then within "tile" "maxsize" maxsize
+     else within "tile" "size" (fun s -> find s sizes))
+    tiles;
+  { name; prog; tiles; sizes }
 
-(* A tile larger than its size parameter describes no tiling of the
-   program: reject it as a usage error too.  The size is the --sizes
-   value when one is given, else the declared maxsize. *)
-let check_tiles cmd (prog : Ir.program) ~tiles ~sizes =
-  List.iter
-    (fun (s, tile) ->
-      let bound =
-        match List.find_opt (fun (k, _) -> Sym.equal k s) sizes with
-        | Some (_, v) -> Some ("size", v)
-        | None -> Option.map (fun v -> ("maxsize", v)) (Ir.max_sizes_bound prog s)
-      in
-      match bound with
-      | Some (what, v) when tile > v ->
-          Printf.eprintf "%s: --tiles %s=%d exceeds %s %s=%d\n" cmd (Sym.base s)
-            tile what (Sym.base s) v;
-          exit 124
-      | _ -> ())
-    tiles
-
-let tiles_arg ~doc =
+let spec_arg name ~docv ~doc =
   Arg.(
     value
     & opt (list (pair ~sep:'=' string positive_int)) []
-    & info [ "tiles" ] ~docv:"NAME=SIZE,..." ~doc)
+    & info [ name ] ~docv ~doc)
+
+let tiles_arg =
+  spec_arg "tiles" ~docv:"NAME=SIZE,..."
+    ~doc:
+      "Tile sizes by size-parameter base name, in place of a benchmark's \
+       default tiles.  A tile may not exceed its size (without \
+       $(b,--sizes), its declared maxsize)."
+
+let sizes_arg ~doc =
+  spec_arg "sizes" ~docv:"NAME=N,..."
+    ~doc:
+      ("Size-parameter values by base name, in place of a benchmark's \
+        simulation sizes: every size parameter or none, and none above \
+        its declared maxsize.  " ^ doc)
 
 let bench_arg =
   Arg.(
@@ -146,15 +216,14 @@ let trace_arg =
            or chrome://tracing.  A per-track summary is printed to \
            stderr.  See doc/OBSERVABILITY.md.")
 
+let flag_arg name doc = Arg.(value & flag & info [ name ] ~doc)
+
 let metrics_flag =
-  Arg.(
-    value & flag
-    & info [ "metrics" ]
-        ~doc:
-          "Print the metrics recorded by this invocation (pass timers, \
-           simulator cache hit/miss counters, pool task counts, ...) \
-           after the run.  The registry is process-global; the report is \
-           the delta against a snapshot taken at command entry.")
+  flag_arg "metrics"
+    "Print the metrics recorded by this invocation (pass timers, \
+     simulator cache hit/miss counters, pool task counts, ...) \
+     after the run.  The registry is process-global; the report is \
+     the delta against a snapshot taken at command entry."
 
 (* Run a command body under the observability flags: tracing is enabled
    for the duration when --trace FILE is given (the JSON is written and a
@@ -199,6 +268,21 @@ let observe_event_run ctx trace (r : Event_sim.result) =
   Metrics.incr ~by:r.Event_sim.coalesced "sim.event.dram_coalesced";
   if trace <> None then Option.iter Sim_trace.record r.Event_sim.timeline
 
+(* Simulate a design on the chosen engine; the event run comes back too
+   when there is one.  The virtual timeline always comes from the event
+   engine, so a trace has a simulator section under either engine. *)
+let simulate_design ?cache engine trace ctx d ~sizes =
+  match engine with
+  | `Analytic ->
+      let rep = Simulate.run ?cache d ~sizes in
+      if trace <> None then
+        observe_event_run ctx trace (Event_sim.run ~record:true d ~sizes);
+      (rep, None)
+  | `Event ->
+      let r = Event_sim.run ~record:(trace <> None) d ~sizes in
+      observe_event_run ctx trace r;
+      (r.Event_sim.report, Some r)
+
 let observe_cache cache =
   let st = Simulate.cache_stats cache in
   Metrics.incr ~by:st.Simulate.hits "sim.cache.hits";
@@ -240,27 +324,47 @@ let report_json ~bench ~config ~engine (rep : Simulate.report) area =
   str "}\n";
   Buffer.contents b
 
-(* `lint --json` and `lint-ir --json`: an array with one object per
-   target, its string fields first, then its diagnostics *)
-let diagnostics_json rows =
-  let b = Buffer.create 4096 in
-  Buffer.add_char b '[';
-  Json_out.add_list b
-    (fun b (fields, ds) ->
-      Buffer.add_char b '{';
-      List.iter
-        (fun (k, v) ->
-          Json_out.add_string b k;
-          Buffer.add_string b ": ";
-          Json_out.add_string b v;
-          Buffer.add_string b ", ")
-        fields;
-      Buffer.add_string b "\"diagnostics\": ";
-      Buffer.add_string b (Diagnostic.list_to_json ds);
-      Buffer.add_char b '}')
-    rows;
-  Buffer.add_string b "]\n";
-  Buffer.contents b
+(* `lint` and `lint-ir`: each target's label, summary and diagnostics
+   as text or, with --json, an array with one object per target (its
+   string fields, its summary, then its diagnostics).  Exit 1 iff any
+   diagnostic is an error. *)
+let report_diagnostics json rows =
+  if json then begin
+    let b = Buffer.create 4096 in
+    Buffer.add_char b '[';
+    Json_out.add_list b
+      (fun b (_, fields, ds) ->
+        Buffer.add_char b '{';
+        List.iter
+          (fun (k, v) ->
+            Json_out.add_string b k;
+            Buffer.add_string b ": ";
+            Json_out.add_string b v;
+            Buffer.add_string b ", ")
+          (fields @ [ ("summary", Diagnostic.summary ds) ]);
+        Buffer.add_string b "\"diagnostics\": ";
+        Buffer.add_string b (Diagnostic.list_to_json ds);
+        Buffer.add_char b '}')
+      rows;
+    Buffer.add_string b "]\n";
+    print_string (Buffer.contents b)
+  end
+  else
+    List.iter
+      (fun (label, _, ds) ->
+        Printf.printf "%s: %s\n" label (Diagnostic.summary ds);
+        Format.printf "%a" Diagnostic.pp_list ds)
+      rows;
+  if List.exists (fun (_, _, ds) -> Diagnostic.has_errors ds) rows then exit 1
+
+(* a design's top-3 cycle sinks by source pattern, one line each *)
+let top_sinks ~indent p =
+  String.concat ""
+    (List.map
+       (fun (o : Profile.origin_row) ->
+         Printf.sprintf "%s%-36s %14.0f cycles  %5.1f%%\n" indent
+           o.Profile.origin o.Profile.o_cycles (100.0 *. o.Profile.o_share))
+       (Profile.top_sinks p 3))
 
 let tiling_of bench = Tiling.run ~tiles:bench.Suite.tiles bench.Suite.prog
 
@@ -338,25 +442,19 @@ let engine_arg =
            handshakes and a DRAM calendar).")
 
 let breakdown_flag =
-  Arg.(value & flag & info [ "breakdown" ] ~doc:"Per-controller timing table.")
+  flag_arg "breakdown" "Per-controller timing table."
 
 let bottlenecks_flag =
-  Arg.(
-    value & flag
-    & info [ "bottlenecks" ]
-        ~doc:
-          "Per-metapipeline bottleneck table: the slowest stage and \
-           whether compute or DRAM sets the steady state (the analysis \
-           behind the gda rebalancing).")
+  flag_arg "bottlenecks"
+    "Per-metapipeline bottleneck table: the slowest stage and \
+     whether compute or DRAM sets the steady state (the analysis \
+     behind the gda rebalancing)."
 
 let json_flag =
-  Arg.(
-    value & flag
-    & info [ "json" ]
-        ~doc:
-          "Machine-readable output: one JSON object with cycles, DRAM \
-           traffic and area (numbers formatted as in $(b,profile --json), \
-           so totals compare byte-for-byte).")
+  flag_arg "json"
+    "Machine-readable output: one JSON object with cycles, DRAM \
+     traffic and area (numbers formatted as in $(b,profile --json), \
+     so totals compare byte-for-byte)."
 
 let simulate_cmd =
   let run bench config engine breakdown bottlenecks json trace metrics =
@@ -365,28 +463,16 @@ let simulate_cmd =
     (* the report, the breakdown and the bottleneck table are read from
        one annotation *)
     let cache = Simulate.cache () in
-    let rep =
-      match engine with
-      | `Analytic ->
-          let rep = Simulate.run ~cache d ~sizes:bench.Suite.sim_sizes in
-          (* the virtual timeline always comes from the event engine, so a
-             trace has a simulator section under either engine *)
-          if trace <> None then
-            observe_event_run bench.Suite.name trace
-              (Event_sim.run ~record:true d ~sizes:bench.Suite.sim_sizes);
-          rep
-      | `Event ->
-          let r =
-            Event_sim.run ~record:(trace <> None) d
-              ~sizes:bench.Suite.sim_sizes
-          in
-          if not json then
-            Printf.printf
-              "(event engine: %d controller instances, %d fallbacks)\n"
-              r.Event_sim.events r.Event_sim.fallbacks;
-          observe_event_run bench.Suite.name trace r;
-          r.Event_sim.report
+    let rep, event_run =
+      simulate_design ~cache engine trace bench.Suite.name d
+        ~sizes:bench.Suite.sim_sizes
     in
+    if not json then
+      Option.iter
+        (fun (r : Event_sim.result) ->
+          Printf.printf "(event engine: %d controller instances, %d fallbacks)\n"
+            r.Event_sim.events r.Event_sim.fallbacks)
+        event_run;
     let a = Area_model.of_design d in
     if json then
       print_string
@@ -473,13 +559,10 @@ let dse_cmd =
              sizes (default: the single default factor).")
   in
   let profile_flag =
-    Arg.(
-      value & flag
-      & info [ "profile" ]
-          ~doc:
-            "After the sweep, rebuild the selected design and print its \
-             top-3 cycle sinks by source pattern — what to optimize next \
-             at the chosen tile sizes.")
+    flag_arg "profile"
+      "After the sweep, rebuild the selected design and print its \
+       top-3 cycle sinks by source pattern — what to optimize next \
+       at the chosen tile sizes."
   in
   let run bench budget pars domains profile trace metrics =
     obs_wrap trace metrics @@ fun () ->
@@ -492,11 +575,9 @@ let dse_cmd =
       match res.Dse.best with
       | None -> print_endline "\nprofile: no feasible point to profile"
       | Some best ->
-          let r = Tiling.run ~tiles:best.Dse.tiles bench.Suite.prog in
           let d =
-            Lower.program
-              { Lower.default_opts with Lower.par = best.Dse.par }
-              r.Tiling.tiled
+            Experiments.lower ~par:best.Dse.par Experiments.Tiled_meta
+              (Tiling.run ~tiles:best.Dse.tiles bench.Suite.prog)
           in
           let p = Profile.of_design d ~sizes:bench.Suite.sim_sizes in
           Printf.printf "\ntop cycle sinks for the selected tile (%s, par %d)\n"
@@ -505,12 +586,7 @@ let dse_cmd =
                   (fun (s, b) -> Printf.sprintf "%s=%d" (Sym.base s) b)
                   best.Dse.tiles))
             best.Dse.par;
-          List.iter
-            (fun (o : Profile.origin_row) ->
-              Printf.printf "  %-36s %14.0f cycles  %5.1f%%\n" o.Profile.origin
-                o.Profile.o_cycles
-                (100.0 *. o.Profile.o_share))
-            (Profile.top_sinks p 3)
+          print_string (top_sinks ~indent:"  " p)
   in
   Cmd.v
     (Cmd.info "dse"
@@ -530,41 +606,19 @@ let compile_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE" ~doc:"A .ppl program (the syntax ir/export emit).")
   in
-  let tiles_arg =
-    tiles_arg ~doc:"Tile configuration by size-parameter base name."
-  in
   let sizes_arg =
-    Arg.(
-      value & opt (list (pair ~sep:'=' string positive_int)) []
-      & info [ "sizes" ] ~docv:"NAME=N,..."
-          ~doc:
-            "Concrete size-parameter values; when given, the compiled \
-             design is also simulated at them.")
+    sizes_arg ~doc:"When given, the compiled design is also simulated at them."
   in
-  let run file tiles_spec sizes_spec engine trace metrics =
+  let run file tiles sizes engine trace metrics =
     obs_wrap trace metrics @@ fun () ->
-    let prog = read_program file in
+    let { prog; tiles; sizes; _ } =
+      resolve ~cmd:"compile" ~tiles ~sizes (File file)
+    in
     Printf.printf "parsed %s: %d IR nodes, result type ok\n" prog.Ir.pname
       (Rewrite.node_count prog.Ir.body);
-    let resolve spec =
-      List.filter_map
-        (fun (name, v) ->
-          match
-            List.find_opt (fun s -> Sym.base s = name) prog.Ir.size_params
-          with
-          | Some s -> Some (s, v)
-          | None ->
-              Printf.printf "warning: no size parameter %s\n" name;
-              None)
-        spec
-    in
-    let tiles = resolve tiles_spec in
-    let sizes = resolve sizes_spec in
-    check_maxsizes "compile" prog sizes;
-    check_tiles "compile" prog ~tiles ~sizes;
     let r = Tiling.run ~tiles prog in
     print_endline (Pp.program_to_string r.Tiling.tiled);
-    let d = Lower.program Lower.default_opts r.Tiling.tiled in
+    let d = Experiments.lower Experiments.Tiled_meta r in
     print_string (Hw_pp.design_to_string d);
     (match Hw_lint.check_all d with
     | [] -> print_endline "design check: ok"
@@ -575,19 +629,7 @@ let compile_cmd =
     match sizes with
     | [] -> ignore engine
     | sizes ->
-        let rep =
-          match engine with
-          | `Analytic ->
-              let rep = Simulate.run d ~sizes in
-              if trace <> None then
-                observe_event_run prog.Ir.pname trace
-                  (Event_sim.run ~record:true d ~sizes);
-              rep
-          | `Event ->
-              let r = Event_sim.run ~record:(trace <> None) d ~sizes in
-              observe_event_run prog.Ir.pname trace r;
-              r.Event_sim.report
-        in
+        let rep, _ = simulate_design engine trace prog.Ir.pname d ~sizes in
         Format.printf "%a" Simulate.pp_report rep;
         let a = Area_model.of_design d in
         Format.printf "area: %a@." Area_model.pp a
@@ -615,7 +657,8 @@ let bounds_cmd =
   Cmd.v
     (Cmd.info "bounds"
        ~doc:
-         "Statically verify that every input access of the (tiled) program           stays within its declared shape.")
+         "Statically verify that every input access of the (tiled) program \
+          stays within its declared shape.")
     Term.(const run $ bench_arg $ stage_arg)
 
 let export_cmd =
@@ -646,17 +689,15 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export"
        ~doc:
-         "Write every benchmark's tiled IR, MaxJ-like kernel, Graphviz           diagram and design listing to a directory.")
+         "Write every benchmark's tiled IR, MaxJ-like kernel, Graphviz \
+          diagram and design listing to a directory.")
     Term.(const run $ outdir)
 
 let traffic_cmd =
   let profile_flag =
-    Arg.(
-      value & flag
-      & info [ "profile" ]
-          ~doc:
-            "Also execute the tiled program in the interpreter (at test \
-             sizes) and report its independent per-input word counts.")
+    flag_arg "profile"
+      "Also execute the tiled program in the interpreter (at test \
+       sizes) and report its independent per-input word counts."
   in
   let run bench profile =
     let rows = Experiments.traffic ~profile bench in
@@ -681,12 +722,9 @@ let check_cmd =
           ~doc:"Benchmark to check; omitted = the whole suite.")
   in
   let profile_flag =
-    Arg.(
-      value & flag
-      & info [ "profile" ]
-          ~doc:
-            "After the checks, print each benchmark's top-3 cycle sinks \
-             by source pattern (meta configuration, simulation sizes).")
+    flag_arg "profile"
+      "After the checks, print each benchmark's top-3 cycle sinks \
+       by source pattern (meta configuration, simulation sizes)."
   in
   (* each bench's checks print into its own buffer, so the whole suite
      can run benches on parallel domains and still report in order *)
@@ -699,19 +737,20 @@ let check_cmd =
         (if detail = "" then "" else " (" ^ detail ^ ")");
       if not ok then incr failures
     in
+    let detail ds =
+      String.concat "; " (List.map (Format.asprintf "%a" Diagnostic.pp) ds)
+    in
+    (* error-severity findings fail a lint; the rest are summarized *)
+    let report_lint name ds =
+      let errors = Diagnostic.errors ds in
+      report name (errors = [])
+        (if errors = [] then Diagnostic.summary ds else detail errors)
+    in
     pr "%s\n" bench.Suite.name;
     (* 0. the source program is PPL-lint-clean at error severity — this
        runs before any tiling, where a race or legality finding still
        points at the pattern that caused it *)
-    let src_lints = Ppl_lint.check_all bench.Suite.prog in
-    report "lint-ir: source"
-      (not (Diagnostic.has_errors src_lints))
-      (if Diagnostic.has_errors src_lints then
-         String.concat "; "
-           (List.map
-              (Format.asprintf "%a" Diagnostic.pp)
-              (Diagnostic.errors src_lints))
-       else Diagnostic.summary src_lints);
+    report_lint "lint-ir: source" (Ppl_lint.check_all bench.Suite.prog);
     let r = tiling_of bench in
     let stages =
       [ ("fused", r.Tiling.fused);
@@ -767,21 +806,8 @@ let check_cmd =
       (fun cfg ->
         let d = Experiments.design_of cfg bench in
         let fs = Hw_check.check d in
-        report
-          ("design: " ^ Experiments.config_name cfg)
-          (fs = [])
-          (String.concat "; "
-             (List.map (Format.asprintf "%a" Diagnostic.pp) fs));
-        let ls = Hw_lint.check d in
-        report
-          ("lint: " ^ Experiments.config_name cfg)
-          (not (Diagnostic.has_errors ls))
-          (if Diagnostic.has_errors ls then
-             String.concat "; "
-               (List.map
-                  (Format.asprintf "%a" Diagnostic.pp)
-                  (Diagnostic.errors ls))
-           else Diagnostic.summary ls);
+        report ("design: " ^ Experiments.config_name cfg) (fs = []) (detail fs);
+        report_lint ("lint: " ^ Experiments.config_name cfg) (Hw_lint.check d);
         (* the source linter's tile-vs-cache predictions must agree with
            the memories Lower actually instantiated for this config *)
         let lowered_prog, cache_leftover =
@@ -791,11 +817,8 @@ let check_cmd =
               (r.Tiling.tiled, true)
         in
         let xs = Ppl_lint.crosscheck ~cache_leftover lowered_prog d in
-        report
-          ("access classes: " ^ Experiments.config_name cfg)
-          (xs = [])
-          (String.concat "; "
-             (List.map (Format.asprintf "%a" Diagnostic.pp) xs)))
+        report ("access classes: " ^ Experiments.config_name cfg) (xs = [])
+          (detail xs))
       [ Experiments.Baseline; Experiments.Tiled; Experiments.Tiled_meta ];
     (* 6. the two simulation engines agree on the final design *)
     let d = Experiments.design_of Experiments.Tiled_meta bench in
@@ -810,13 +833,7 @@ let check_cmd =
     report "fits Stratix V" (Area_model.fits area) "";
     if profile then begin
       let p = Profile.of_design d ~sizes:bench.Suite.sim_sizes in
-      pr "  top cycle sinks (meta):\n";
-      List.iter
-        (fun (o : Profile.origin_row) ->
-          pr "    %-36s %14.0f cycles  %5.1f%%\n" o.Profile.origin
-            o.Profile.o_cycles
-            (100.0 *. o.Profile.o_share))
-        (Profile.top_sinks p 3)
+      pr "  top cycle sinks (meta):\n%s" (top_sinks ~indent:"    " p)
     end;
     !failures
   in
@@ -865,44 +882,24 @@ let lint_cmd =
           ~doc:"Benchmark to lint; omitted = the whole suite.")
   in
   let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Machine-readable output: a JSON array of per-design objects, \
-             each with the design name and its diagnostics.")
+    flag_arg "json"
+      "Machine-readable output: a JSON array of per-design objects, \
+       each with the design name and its diagnostics."
   in
   let run bench_opt config json =
     let targets =
       match bench_opt with Some b -> [ b ] | None -> benches ()
     in
-    let results =
-      List.map
-        (fun (b : Suite.bench) ->
-          let d = Experiments.design_of config b in
-          (b.Suite.name, d.Hw.design_name, Hw_lint.check_all d))
-        targets
-    in
-    if json then
-      print_string
-        (diagnostics_json
-           (List.map
-              (fun (bench, design, ds) ->
-                ( [ ("bench", bench); ("design", design);
-                    ("config", Experiments.config_name config);
-                    ("summary", Diagnostic.summary ds) ],
-                  ds ))
-              results))
-    else
-      List.iter
-        (fun (bench, _, ds) ->
-          Printf.printf "%s / %s: %s\n" bench
-            (Experiments.config_name config)
-            (Diagnostic.summary ds);
-          Format.printf "%a" Diagnostic.pp_list ds)
-        results;
-    if List.exists (fun (_, _, ds) -> Diagnostic.has_errors ds) results then
-      exit 1
+    let cfg = Experiments.config_name config in
+    report_diagnostics json
+      (List.map
+         (fun (b : Suite.bench) ->
+           let d = Experiments.design_of config b in
+           ( b.Suite.name ^ " / " ^ cfg,
+             [ ("bench", b.Suite.name); ("design", d.Hw.design_name);
+               ("config", cfg) ],
+             Hw_lint.check_all d ))
+         targets)
   in
   Cmd.v
     (Cmd.info "lint"
@@ -919,53 +916,29 @@ let lint_ir_cmd =
   let target =
     Arg.(
       value
-      & pos 0 (some string) None
+      & pos 0 (some target_conv) None
       & info [] ~docv:"TARGET"
           ~doc:
             "Benchmark name or a .ppl source file; omitted = the whole \
              suite.")
   in
   let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Machine-readable output: a JSON array of per-program objects, \
-             each with the program name and its diagnostics.")
+    flag_arg "json"
+      "Machine-readable output: a JSON array of per-program objects, \
+       each with the program name and its diagnostics."
   in
   let run target json =
-    let progs =
+    let targets =
       match target with
-      | None ->
-          List.map
-            (fun (b : Suite.bench) -> (b.Suite.name, b.Suite.prog))
-            (benches ())
-      | Some t when Sys.file_exists t -> [ (Filename.basename t, read_program t) ]
-      | Some t -> (
-          match Suite.find (benches ()) t with
-          | b -> [ (b.Suite.name, b.Suite.prog) ]
-          | exception Not_found ->
-              Printf.eprintf "unknown benchmark or file %S\n" t;
-              exit 2)
+      | Some t -> [ t ]
+      | None -> List.map (fun b -> Bench b) (benches ())
     in
-    let results =
-      List.map (fun (name, prog) -> (name, Ppl_lint.check_all prog)) progs
-    in
-    if json then
-      print_string
-        (diagnostics_json
-           (List.map
-              (fun (name, ds) ->
-                ([ ("program", name); ("summary", Diagnostic.summary ds) ], ds))
-              results))
-    else
-      List.iter
-        (fun (name, ds) ->
-          Printf.printf "%s: %s\n" name (Diagnostic.summary ds);
-          Format.printf "%a" Diagnostic.pp_list ds)
-        results;
-    if List.exists (fun (_, ds) -> Diagnostic.has_errors ds) results then
-      exit 1
+    report_diagnostics json
+      (List.map
+         (fun t ->
+           let { name; prog; _ } = resolve ~cmd:"lint-ir" t in
+           (name, [ ("program", name) ], Ppl_lint.check_all prog))
+         targets)
   in
   Cmd.v
     (Cmd.info "lint-ir"
@@ -1044,29 +1017,17 @@ let profile_cmd =
   let target =
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some target_conv) None
       & info [] ~docv:"TARGET"
           ~doc:"Benchmark name or a .ppl source file.")
   in
-  let tiles_arg =
-    tiles_arg
-      ~doc:"Tile configuration by size-parameter base name (.ppl targets)."
-  in
   let sizes_arg =
-    Arg.(
-      value & opt (list (pair ~sep:'=' string positive_int)) []
-      & info [ "sizes" ] ~docv:"NAME=N,..."
-          ~doc:
-            "Concrete size-parameter values to profile at (required for \
-             .ppl targets; benchmarks default to their simulation sizes).")
+    sizes_arg ~doc:"The design is profiled at them; a .ppl file needs them."
   in
   let profile_json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Machine-readable output: the full attribution tree and \
-             per-origin table as one JSON object.")
+    flag_arg "json"
+      "Machine-readable output: the full attribution tree and \
+       per-origin table as one JSON object."
   in
   let folded_arg =
     Arg.(
@@ -1079,47 +1040,12 @@ let profile_cmd =
              weight = self cycles) to $(docv); feed to flamegraph.pl or \
              speedscope.")
   in
-  let run target config tiles_spec sizes_spec json folded trace metrics =
+  let run target config tiles sizes json folded trace metrics =
     obs_wrap trace metrics @@ fun () ->
-    let design, sizes =
-      if Sys.file_exists target then begin
-        let prog = read_program target in
-        let resolve spec =
-          List.filter_map
-            (fun (name, v) ->
-              match
-                List.find_opt
-                  (fun s -> Sym.base s = name)
-                  prog.Ir.size_params
-              with
-              | Some s -> Some (s, v)
-              | None ->
-                  Printf.eprintf "warning: no size parameter %s\n" name;
-                  None)
-            spec
-        in
-        let sizes = resolve sizes_spec in
-        check_maxsizes "profile" prog sizes;
-        if sizes = [] then begin
-          Printf.eprintf
-            "profile: %s: --sizes NAME=N,... is required for .ppl targets\n"
-            target;
-          exit 2
-        end;
-        let tiles = resolve tiles_spec in
-        check_tiles "profile" prog ~tiles ~sizes;
-        let r = Tiling.run ~tiles prog in
-        (Lower.program Lower.default_opts r.Tiling.tiled, sizes)
-      end
-      else
-        match Suite.find (benches ()) target with
-        | b -> (Experiments.design_of config b, b.Suite.sim_sizes)
-        | exception Not_found ->
-            Printf.eprintf "unknown benchmark or file %S (try: %s)\n" target
-              (String.concat ", "
-                 (List.map (fun b -> b.Suite.name) (benches ())));
-            exit 2
+    let { prog; tiles; sizes; _ } =
+      resolve ~cmd:"profile" ~need_sizes:true ~tiles ~sizes target
     in
+    let design = Experiments.lower config (Tiling.run ~tiles prog) in
     let p = Profile.of_design design ~sizes in
     (match folded with
     | Some file ->

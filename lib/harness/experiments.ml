@@ -5,13 +5,18 @@ let config_name = function
   | Tiled -> "+tiling"
   | Tiled_meta -> "+tiling+metapipelining"
 
+let lower ?par config (r : Tiling.result) =
+  let opts, prog =
+    match config with
+    | Baseline -> (Lower.baseline_opts, r.Tiling.fused)
+    | Tiled -> ({ Lower.default_opts with Lower.meta = false }, r.Tiling.tiled)
+    | Tiled_meta -> (Lower.default_opts, r.Tiling.tiled)
+  in
+  let par = Option.value par ~default:opts.Lower.par in
+  Lower.program { opts with Lower.par } prog
+
 let design_of config (bench : Suite.bench) =
-  let r = Tiling.run ~tiles:bench.Suite.tiles bench.Suite.prog in
-  match config with
-  | Baseline -> Lower.program Lower.baseline_opts r.Tiling.fused
-  | Tiled ->
-      Lower.program { Lower.default_opts with Lower.meta = false } r.Tiling.tiled
-  | Tiled_meta -> Lower.program Lower.default_opts r.Tiling.tiled
+  lower config (Tiling.run ~tiles:bench.Suite.tiles bench.Suite.prog)
 
 (* ------------------------------ Fig. 7 ------------------------------ *)
 
@@ -274,12 +279,8 @@ let traffic ?machine ?(profile = false) ?sizes (bench : Suite.bench) =
     | None -> if profile then bench.Suite.test_sizes else bench.Suite.sim_sizes
   in
   let r = Tiling.run ~tiles:bench.Suite.tiles bench.Suite.prog in
-  let base = Lower.program Lower.baseline_opts r.Tiling.fused in
-  let tiled =
-    Lower.program { Lower.default_opts with Lower.meta = false } r.Tiling.tiled
-  in
-  let rep_b = Simulate.run ?machine base ~sizes in
-  let rep_t = Simulate.run ?machine tiled ~sizes in
+  let rep_b = Simulate.run ?machine (lower Baseline r) ~sizes in
+  let rep_t = Simulate.run ?machine (lower Tiled r) ~sizes in
   let prof =
     if profile then
       let inputs = bench.Suite.gen ~sizes ~seed:2026 in

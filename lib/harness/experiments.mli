@@ -8,8 +8,15 @@ type config = Baseline | Tiled | Tiled_meta
 
 val config_name : config -> string
 
+val lower : ?par:int -> config -> Tiling.result -> Hw.design
+(** The design of a tiled program under a configuration: [Baseline]
+    lowers the fused form with {!Lower.baseline_opts}, [Tiled] the tiled
+    form without metapipelining, [Tiled_meta] the tiled form with
+    {!Lower.default_opts}.  [?par] replaces the configuration's
+    parallelism factor. *)
+
 val design_of : config -> Suite.bench -> Hw.design
-(** Run the tiling pipeline appropriate to the configuration and lower. *)
+(** [lower config] of the benchmark tiled at its default tile sizes. *)
 
 (** {1 Figure 7} *)
 
