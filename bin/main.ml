@@ -115,7 +115,9 @@ let resolve ~cmd ?(need_sizes = false) ?(tiles = []) ?(sizes = []) target =
           | Some s -> acc @ [ (s, v) ])
         [] spec
     in
-    List.map (fun (s, v) -> (s, Option.value (find s given) ~default:v)) defaults
+    List.map
+      (fun (s, v) -> (s, Option.value (find s given) ~default:v))
+      defaults
     @ List.filter (fun (s, _) -> find s defaults = None) given
   in
   let tiles = override "tiles" default_tiles tiles in
@@ -470,7 +472,8 @@ let simulate_cmd =
     if not json then
       Option.iter
         (fun (r : Event_sim.result) ->
-          Printf.printf "(event engine: %d controller instances, %d fallbacks)\n"
+          Printf.printf
+            "(event engine: %d controller instances, %d fallbacks)\n"
             r.Event_sim.events r.Event_sim.fallbacks)
         event_run;
     let a = Area_model.of_design d in
@@ -657,8 +660,7 @@ let bounds_cmd =
   Cmd.v
     (Cmd.info "bounds"
        ~doc:
-         "Statically verify that every input access of the (tiled) program \
-          stays within its declared shape.")
+         "Statically verify that every input access of the (tiled) program           stays within its declared shape.")
     Term.(const run $ bench_arg $ stage_arg)
 
 let export_cmd =
@@ -689,8 +691,7 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export"
        ~doc:
-         "Write every benchmark's tiled IR, MaxJ-like kernel, Graphviz \
-          diagram and design listing to a directory.")
+         "Write every benchmark's tiled IR, MaxJ-like kernel, Graphviz           diagram and design listing to a directory.")
     Term.(const run $ outdir)
 
 let traffic_cmd =
