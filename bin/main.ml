@@ -805,7 +805,7 @@ let check_cmd =
        is lint-clean at error severity *)
     List.iter
       (fun cfg ->
-        let d = Experiments.design_of cfg bench in
+        let d = Experiments.lower cfg r in
         let fs = Hw_check.check d in
         report ("design: " ^ Experiments.config_name cfg) (fs = []) (detail fs);
         report_lint ("lint: " ^ Experiments.config_name cfg) (Hw_lint.check d);
@@ -822,7 +822,7 @@ let check_cmd =
           (detail xs))
       [ Experiments.Baseline; Experiments.Tiled; Experiments.Tiled_meta ];
     (* 6. the two simulation engines agree on the final design *)
-    let d = Experiments.design_of Experiments.Tiled_meta bench in
+    let d = Experiments.lower Experiments.Tiled_meta r in
     let a = (Simulate.run d ~sizes:bench.Suite.sim_sizes).Simulate.cycles in
     let er = Event_sim.run d ~sizes:bench.Suite.sim_sizes in
     warn_fallbacks (bench.Suite.name ^ " (engines agree)") er;

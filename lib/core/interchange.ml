@@ -4,6 +4,7 @@ type ctx = {
   budget : int;
   tenv : Ty.t Sym.Map.t;
   bound : exp -> int option;
+  fired : bool ref;  (* set when any rule rewrites a node *)
 }
 
 let add_ty ctx s t = { ctx with tenv = Sym.Map.add s t ctx.tenv }
@@ -12,7 +13,7 @@ let add_idxs ctx idxs =
   { ctx with
     tenv = List.fold_left (fun m s -> Sym.Map.add s Ty.int_ m) ctx.tenv idxs }
 
-let infer ctx e = Validate.infer ctx.tenv e
+let type_of ctx e = Validate.type_of ctx.tenv e
 
 let rec is_elt_ty = function
   | Ty.Scalar _ -> true
@@ -35,7 +36,7 @@ let try_rule1 ctx { mdims; midxs; mbody; mprov } =
         fprov }
     when unstrided mdims -> (
       let ctx_i = add_idxs ctx midxs in
-      match infer ctx_i finit with
+      match type_of ctx_i finit with
       | exception Validate.Type_error _ -> None
       | acc_t when is_elt_ty acc_t ->
           let kk' = Sym.fresh (Sym.base kk) in
@@ -230,7 +231,7 @@ let try_split ctx ({ odims; oidxs; olets; _ } as mf) =
       match bexp with
       | Fold { fdims = [ Dtiles _ ]; _ } -> (
       let ctx_i = add_idxs ctx oidxs in
-      match infer ctx_i bexp with
+      match type_of ctx_i bexp with
       | exception Validate.Type_error _ -> None
       | elt_t
         when is_elt_ty elt_t
@@ -274,6 +275,10 @@ let try_split ctx ({ odims; oidxs; olets; _ } as mf) =
 (* Bottom-up driver with type-environment threading                   *)
 (* ----------------------------------------------------------------- *)
 
+let fire ctx e =
+  ctx.fired := true;
+  e
+
 let rec ic ctx e =
   match e with
   | Var _ | Cf _ | Ci _ | Cb _ | EmptyArr _ | Zeros _ -> e
@@ -281,18 +286,18 @@ let rec ic ctx e =
   | ArrLit _ ->
       Rewrite.map_children (ic ctx) e
   | Let (s, e1, e2) ->
-      let t1 = infer ctx e1 in
+      let t1 = type_of ctx e1 in
       Let (s, ic ctx e1, ic (add_ty ctx s t1) e2)
   | Map m -> (
       let m' = { m with mbody = ic (add_idxs ctx m.midxs) m.mbody } in
-      match try_rule1 ctx m' with Some e' -> e' | None -> Map m')
+      match try_rule1 ctx m' with Some e' -> fire ctx e' | None -> Map m')
   | Fold f -> (
-      let acc_t = infer ctx f.finit in
+      let acc_t = type_of ctx f.finit in
       let ctx_b = add_ty (add_idxs ctx f.fidxs) f.facc acc_t in
       let f' = { f with finit = ic ctx f.finit; fupd = ic ctx_b f.fupd } in
-      match try_rule2 ctx f' with Some e' -> e' | None -> Fold f')
+      match try_rule2 ctx f' with Some e' -> fire ctx e' | None -> Fold f')
   | MultiFold mf -> (
-      let init_t = infer ctx mf.oinit in
+      let init_t = type_of ctx mf.oinit in
       let comp_tys =
         match (init_t, mf.oouts) with
         | Ty.Tuple ts, _ :: _ :: _ -> ts
@@ -302,7 +307,7 @@ let rec ic ctx e =
       let ctx_i, olets' =
         List.fold_left
           (fun (c, acc) (s, e1) ->
-            let t1 = infer c e1 in
+            let t1 = type_of c e1 in
             (add_ty c s t1, (s, ic c e1) :: acc))
           (ctx_i, []) mf.olets
       in
@@ -322,16 +327,16 @@ let rec ic ctx e =
           mf.oouts comp_tys
       in
       let mf' = { mf with oinit = ic ctx mf.oinit; olets = olets'; oouts = oouts' } in
-      match try_split ctx mf' with Some e' -> e' | None -> MultiFold mf')
+      match try_split ctx mf' with Some e' -> fire ctx e' | None -> MultiFold mf')
   | FlatMap fm ->
       FlatMap { fm with fmbody = ic (add_idxs ctx [ fm.fmidx ]) fm.fmbody }
   | GroupByFold g ->
-      let v_t = infer ctx g.ginit in
+      let v_t = type_of ctx g.ginit in
       let ctx_i = add_idxs ctx g.gidxs in
       let ctx_i, glets' =
         List.fold_left
           (fun (c, acc) (s, e1) ->
-            let t1 = infer c e1 in
+            let t1 = type_of c e1 in
             (add_ty c s t1, (s, ic c e1) :: acc))
           (ctx_i, []) g.glets
       in
@@ -342,7 +347,12 @@ let rec ic ctx e =
           gkey = ic ctx_i g.gkey;
           gupd = ic (add_ty ctx_i g.gacc v_t) g.gupd }
 
-let exp ~budget_words ~tenv ~bound e = ic { budget = budget_words; tenv; bound } e
+let run ~budget_words ~tenv ~bound e =
+  let fired = ref false in
+  let e' = ic { budget = budget_words; tenv; bound; fired } e in
+  (e', !fired)
+
+let exp ~budget_words ~tenv ~bound e = fst (run ~budget_words ~tenv ~bound e)
 
 let program ?(budget_words = 1 lsl 18) (p : program) =
   let tenv = Validate.initial_env p in
@@ -356,8 +366,11 @@ let program ?(budget_words = 1 lsl 18) (p : program) =
      interchange can expose another, so iterate to a fixpoint (bounded —
      each application strictly restructures a nest). *)
   let rec fix n body =
-    let body' = exp ~budget_words ~tenv ~bound body in
-    if n = 0 || Rewrite.node_count body' = Rewrite.node_count body then body'
+    let body', fired = run ~budget_words ~tenv ~bound body in
+    (* a pass where no rule fired rebuilt the same tree: nothing to count *)
+    if n = 0 || (not fired)
+       || Rewrite.node_count body' = Rewrite.node_count body
+    then body'
     else fix (n - 1) body'
   in
   { p with body = fix 3 p.body }

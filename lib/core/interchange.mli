@@ -26,7 +26,10 @@
 
 val program : ?budget_words:int -> Ir.program -> Ir.program
 (** Default budget: 2^18 words (1 MB of 32-bit elements — a fraction of a
-    Stratix V's on-chip RAM, leaving room for the data tiles). *)
+    Stratix V's on-chip RAM, leaving room for the data tiles).  The
+    program must type-check ({!Tiling} checks the strip-mined form it
+    passes here); binder types are synthesized with
+    {!Validate.type_of}, not re-checked. *)
 
 val exp :
   budget_words:int ->

@@ -58,7 +58,7 @@ let add_idxs ctx idxs =
     tenv = List.fold_left (fun m s -> Sym.Map.add s Ty.int_ m) ctx.tenv idxs }
 
 let add_buf ctx s names = { ctx with bufs = (s, names) :: ctx.bufs }
-let infer ctx e = Validate.infer ctx.tenv e
+let type_of ctx e = Validate.type_of ctx.tenv e
 
 let rec width_of_ty = function
   | Ty.Scalar _ -> 32
@@ -655,11 +655,11 @@ let rec lower_stages ctx e ~dest : Hw.ctrl list =
             prov = Prov.push bprov name } ]
   | Let (s, Copy c, rest) ->
       let mem_name, load = lower_copy ctx s c in
-      let t = infer ctx (Copy c) in
+      let t = type_of ctx (Copy c) in
       let ctx' = add_buf (add_ty ctx s t) s [ mem_name ] in
       load :: lower_stages ctx' rest ~dest
   | Let (s, rhs, rest) when is_pattern rhs ->
-      let t = infer ctx rhs in
+      let t = type_of ctx rhs in
       (* the intermediate's storage belongs to the pattern computing it *)
       let ctx_a = under_prov ctx (node_prov ctx (pat_prov rhs)) in
       let names =
@@ -686,7 +686,7 @@ let rec lower_stages ctx e ~dest : Hw.ctrl list =
       stage @ lower_stages ctx' rest ~dest
   | Let (s, (Var _ as alias), rest) ->
       (* alias: propagate buffer/dram bindings *)
-      let t = infer ctx alias in
+      let t = type_of ctx alias in
       let ctx' =
         match alias with
         | Var a -> (
@@ -698,7 +698,7 @@ let rec lower_stages ctx e ~dest : Hw.ctrl list =
       lower_stages ctx' rest ~dest
   | Let (s, rhs, rest) ->
       (* scalar or small expression: a register stage *)
-      let t = infer ctx rhs in
+      let t = type_of ctx rhs in
       let name =
         alloc_mem ctx ~name:(Sym.name s) ~kind:Hw.Reg ~width:(width_of_ty t)
           ~depth:1 ~banked:false
@@ -722,7 +722,7 @@ and lower_flatmap_body ctx e ~fifo : Hw.ctrl list =
   match e with
   | Let (s, Copy c, rest) ->
       let mem_name, load = lower_copy ctx s c in
-      let t = infer ctx (Copy c) in
+      let t = type_of ctx (Copy c) in
       let ctx' = add_buf (add_ty ctx s t) s [ mem_name ] in
       load :: lower_flatmap_body ctx' rest ~fifo
   | e -> [ lower_leaf ctx ~defines:[ fifo ] "filter" e ]
@@ -765,7 +765,7 @@ and lower_leaf_value ctx e ~dest : Hw.ctrl list =
       let ctx_i =
         List.fold_left
           (fun c (s, rhs) ->
-            match infer c rhs with
+            match type_of c rhs with
             | t -> add_ty c s t
             | exception Validate.Type_error _ -> c)
           ctx_i mf.olets
@@ -823,7 +823,7 @@ and lower_fold ctx ({ fdims; fidxs; finit; facc; fupd; fcomb = _; fprov; _ } as 
     ~dest : Hw.ctrl list =
   let bprov = node_prov ctx fprov in
   let ctx = under_prov ctx bprov in
-  let acc_t = infer ctx finit in
+  let acc_t = type_of ctx finit in
   let acc_names =
     match dest with
     | Onchip names -> names
@@ -875,7 +875,7 @@ and lower_multifold ctx
     Hw.ctrl list =
   let bprov = node_prov ctx oprov in
   let ctx = under_prov ctx bprov in
-  let init_t = infer ctx oinit in
+  let init_t = type_of ctx oinit in
   match dest with
   | Onchip names ->
       (* on-chip accumulator: stage the shared bindings, then the updates *)
@@ -887,7 +887,7 @@ and lower_multifold ctx
           (fun (c, acc) (s, rhs) ->
             if is_pattern rhs || (match rhs with Copy _ -> true | _ -> false)
             then begin
-              let t = infer c rhs in
+              let t = type_of c rhs in
               match rhs with
               | Copy cp ->
                   let mem_name, load = lower_copy c s cp in
@@ -904,7 +904,7 @@ and lower_multifold ctx
                   (add_buf (add_ty c s t) s bnames, List.rev stage @ acc)
             end
             else
-              let t = infer c rhs in
+              let t = type_of c rhs in
               (add_ty c s t, acc))
           (ctx_i, []) olets
       in
@@ -940,11 +940,11 @@ and lower_multifold ctx
               (fun (c, acc) (s, rhs) ->
                 match rhs with
                 | Copy cp ->
-                    let t = infer c rhs in
+                    let t = type_of c rhs in
                     let mem_name, load = lower_copy c s cp in
                     (add_buf (add_ty c s t) s [ mem_name ], load :: acc)
                 | _ ->
-                    let t = infer c rhs in
+                    let t = type_of c rhs in
                     (add_ty c s t, acc))
               (ctx_i, []) olets
           in
@@ -1113,7 +1113,7 @@ and lower_groupbyfold ctx g ~dest : Hw.ctrl list =
           (fun (c, acc) (s, rhs) ->
             match rhs with
             | Copy cp ->
-                let t = infer c rhs in
+                let t = type_of c rhs in
                 let mem_name, load = lower_copy c s cp in
                 (add_buf (add_ty c s t) s [ mem_name ], load :: acc)
             | _ -> (c, acc))
@@ -1147,7 +1147,7 @@ and lower_groupbyfold ctx g ~dest : Hw.ctrl list =
    order of [design.mems]. *)
 type shaped = { design : Hw.design; banked : bool list }
 
-let lower_design opts (p : program) result_ty =
+let lower_design opts (p : program) =
   let rec bound e =
     match e with
     | Ci c -> Some c
@@ -1178,6 +1178,7 @@ let lower_design opts (p : program) result_ty =
       counter = ref 0;
       prov = Prov.root (p.pname ^ "/top") }
   in
+  let result_ty = type_of ctx p.body in
   (* the program result: on-chip if it fits (then stored once at the end),
      DRAM-resident otherwise (stores happen inside the loops) *)
   let rec final_exp = function Let (_, _, rest) -> final_exp rest | e -> e in
@@ -1260,16 +1261,15 @@ let lower_design opts (p : program) result_ty =
   { design; banked }
 
 let shape opts p =
-  (* defensive: untiled (baseline) programs reach here without going
-     through Tiling.run, so stamp source-pattern ids now (idempotent) *)
+  (* a program built without Tiling arrives unstamped; a Tiling output
+     is stamped throughout and comes back unchanged *)
   let p = Prov_stamp.program p in
-  let result_ty = Validate.check_program p in
   Metrics.time "pass.lower" (fun () ->
-      if not (Trace.enabled ()) then lower_design opts p result_ty
+      if not (Trace.enabled ()) then lower_design opts p
       else begin
         let args = ref [] in
         Trace.with_span ~cat:"pass" ~args:(fun () -> !args) "lower" (fun () ->
-            let s = lower_design opts p result_ty in
+            let s = lower_design opts p in
             let d = s.design in
             let ctrls = Hw.fold_ctrls (fun n _ -> n + 1) 0 d.Hw.top in
             args :=

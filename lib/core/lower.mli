@@ -52,11 +52,17 @@ type shaped
     bound, with a record of which memories are banked by it. *)
 
 val shape : opts -> Ir.program -> shaped
-(** Stamp source-pattern provenance ({!Prov_stamp}, idempotent),
-    type-check and lower the program.  [opts.par] is ignored.  The
-    lowering is timed as the [pass.lower] metric and, when tracing is on,
-    recorded as a ["lower"] span.
-    @raise Validate.Type_error on an ill-typed program. *)
+(** Stamp source-pattern provenance ({!Prov_stamp}, idempotent) and
+    lower the program.  [opts.par] is ignored.  The lowering is timed as
+    the [pass.lower] metric and, when tracing is on, recorded as a
+    ["lower"] span.
+
+    The program must already have passed {!Validate.check_program}.
+    {!Tiling} checks both forms the configurations lower: [fused] once
+    per program and [tiled] once per tile point.  [shape] does not check
+    again; it synthesizes the result type and every binder's type with
+    {!Validate.type_of}, so on an ill-typed program the design is
+    unspecified. *)
 
 val bind : int -> shaped -> Hw.design
 (** [bind par s] is the design of [s] at parallelism factor [par]: every
@@ -67,6 +73,6 @@ val bind : int -> shaped -> Hw.design
     @raise Invalid_argument if [par] is below 1. *)
 
 val program : opts -> Ir.program -> Hw.design
-(** [program opts p] is [bind opts.par (shape opts p)].
-    @raise Validate.Type_error on an ill-typed program.
+(** [program opts p] is [bind opts.par (shape opts p)]; [p] must have
+    passed {!Validate.check_program}, as for {!shape}.
     @raise Invalid_argument if [opts.par] is below 1. *)

@@ -8,4 +8,7 @@
     advances over stamped nodes, so ids are stable for a given tree. *)
 
 val exp : pname:string -> Ir.exp -> Ir.exp
+
 val program : Ir.program -> Ir.program
+(** Stamp the program's body.  A program whose every pattern is already
+    stamped is returned as is (physically equal), without a rebuild. *)

@@ -11,7 +11,7 @@ let add_idxs ctx idxs =
   { ctx with
     tenv = List.fold_left (fun m s -> Sym.Map.add s Ty.int_ m) ctx.tenv idxs }
 
-let infer ctx e = Validate.infer ctx.tenv e
+let type_of ctx e = Validate.type_of ctx.tenv e
 
 (* --------------------------------------------------------------- *)
 (* Dimension plans                                                  *)
@@ -82,7 +82,7 @@ let rec sm ctx e =
   | ArrLit _ ->
       Rewrite.map_children (sm ctx) e
   | Let (s, e1, e2) ->
-      let t1 = infer ctx e1 in
+      let t1 = type_of ctx e1 in
       Let (s, sm ctx e1, sm (add_ty ctx s t1) e2)
   | Map m -> sm_map ctx m
   | Fold f -> sm_fold ctx f
@@ -104,7 +104,7 @@ and sm_map ctx ({ mdims; midxs; mbody; mprov } as m) =
   let plans = plan_dims ctx mdims midxs in
   if not (any_tiled plans) then Map { m with mbody = body' }
   else begin
-    let elt = infer ctx_body mbody in
+    let elt = type_of ctx_body mbody in
     let sigma = index_subst plans midxs in
     let inner_map =
       Map
@@ -143,7 +143,7 @@ and sm_map ctx ({ mdims; midxs; mbody; mprov } as m) =
    function (Table 1, second rule restricted to whole-accumulator
    updates). *)
 and sm_fold ctx { fdims; fidxs; finit; facc; fupd; fcomb; fprov } =
-  let acc_t = infer ctx finit in
+  let acc_t = type_of ctx finit in
   let finit' = sm ctx finit in
   let ctx_body = add_ty (add_idxs ctx fidxs) facc acc_t in
   let fupd' = sm ctx_body fupd in
@@ -177,7 +177,7 @@ and sm_fold ctx { fdims; fidxs; finit; facc; fupd; fcomb; fprov } =
   end
 
 and sm_multifold ctx ({ odims; oidxs; oinit; olets; oouts; ocomb; oprov } as mf) =
-  let init_t = infer ctx oinit in
+  let init_t = type_of ctx oinit in
   let comp_tys =
     match (init_t, oouts) with
     | Ty.Tuple ts, _ :: _ :: _ -> ts
@@ -189,7 +189,7 @@ and sm_multifold ctx ({ odims; oidxs; oinit; olets; oouts; ocomb; oprov } as mf)
   let ctx_i, olets' =
     List.fold_left
       (fun (c, acc) (s, e1) ->
-        let t1 = infer c e1 in
+        let t1 = type_of c e1 in
         (add_ty c s t1, (s, sm c e1) :: acc))
       (ctx_i, []) olets
   in
@@ -417,13 +417,13 @@ and sm_flatmap ctx { fmdim; fmidx; fmbody; fmprov } =
    same elements through the same buckets). *)
 and sm_groupbyfold ctx
     { gdims; gidxs; ginit; glets; gkey; gacc; gupd; gcomb; gprov } =
-  let v_t = infer ctx ginit in
+  let v_t = type_of ctx ginit in
   let ginit' = sm ctx ginit in
   let ctx_i = add_idxs ctx gidxs in
   let ctx_i, glets' =
     List.fold_left
       (fun (c, acc) (s, e1) ->
-        let t1 = infer c e1 in
+        let t1 = type_of c e1 in
         (add_ty c s t1, (s, sm c e1) :: acc))
       (ctx_i, []) glets
   in
@@ -463,7 +463,6 @@ and sm_groupbyfold ctx
 let exp ~tiles ~tenv ~bound e = sm { tiles; tenv; bound } e
 
 let program ~tiles (p : program) =
-  ignore (Validate.check_program p);
   let tenv = Validate.initial_env p in
   let bound e =
     match e with

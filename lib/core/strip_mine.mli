@@ -23,8 +23,11 @@
 
 val program : tiles:(Sym.t * int) list -> Ir.program -> Ir.program
 (** [program ~tiles p] strip mines every pattern of [p] whose domain size
-    is [Var s] for some [(s, b)] in [tiles].  The program must type check.
-    @raise Validate.Type_error if it does not. *)
+    is [Var s] for some [(s, b)] in [tiles].  [p] must already have passed
+    {!Validate.check_program}: {!Tiling} checks the fused form it passes
+    here once per sweep, and checks the strip-mined result.  [p] is not
+    re-checked; binder types are synthesized with {!Validate.type_of}, so
+    on an ill-typed [p] the result is unspecified. *)
 
 val exp :
   tiles:(Sym.t * int) list ->
@@ -32,6 +35,7 @@ val exp :
   bound:(Ir.exp -> int option) ->
   Ir.exp ->
   Ir.exp
-(** Expression-level entry point; [tenv] types the free symbols and
-    [bound] gives static upper bounds of size expressions (used for the
-    [max_len] annotations on update regions). *)
+(** Expression-level entry point; [tenv] types the free symbols, under
+    which the expression must type-check, and [bound] gives static upper
+    bounds of size expressions (used for the [max_len] annotations on
+    update regions). *)

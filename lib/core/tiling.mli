@@ -7,7 +7,16 @@
 
     Intermediate programs are retained so the evaluation can report them
     separately — Fig. 5c compares main-memory traffic of the {e fused},
-    {e strip-mined} and {e interchanged} forms of k-means. *)
+    {e strip-mined} and {e interchanged} forms of k-means.
+
+    This module is where programs are type-checked
+    ({!Validate.check_program}), each once, where it is made: the
+    provenance-stamped source and the fused form in {!front}, the
+    strip-mined and the final form in each {!tiled} call, and the
+    reporting form in {!run}.  The passes it drives ({!Strip_mine},
+    {!Interchange}, {!Copy_insert}) and {!Lower} do not check their
+    input again; they require a checked program and synthesize binder
+    types with {!Validate.type_of}. *)
 
 type result = {
   fused : Ir.program;  (** after fusion, CSE, code motion, simplification *)
@@ -26,7 +35,8 @@ val run :
   result
 (** [run ~tiles p] is {!front} followed by {!tiled}, plus the
     [stripped_with_copies] reporting form, which only [run] builds.
-    Every stage it returns has passed {!Validate.check_program}.
+    [p] may be ill-typed.  Every stage it returns has passed
+    {!Validate.check_program}, so each may be lowered as is.
 
     @raise Invalid_argument on a tile size below 1 or a tile on a name
     that is not a size parameter of [p].
@@ -45,7 +55,8 @@ type front
 val front : Ir.program -> front
 (** Provenance stamping, validation of the input, {!canonicalize_lens},
     fusion and cleanup (CSE, code motion, simplification), and
-    validation of the fused form.  Never raises {!Validate.Type_error}:
+    validation of the fused form: the two checks a sweep makes once.
+    The input may be ill-typed.  Never raises {!Validate.Type_error}:
     an ill-typed input is held and re-raised by {!fused} and {!tiled}. *)
 
 val fused : front -> Ir.program
@@ -55,7 +66,8 @@ val fused : front -> Ir.program
 val tiled : front -> tiles:(Sym.t * int) list -> Ir.program
 (** The tile checks, strip mining + simplification (validated), then
     interchange + copy insertion + cleanup (validated): the final form,
-    {!Alpha.equal} to [(run ~tiles p).tiled].  A rejected tile configuration
+    {!Alpha.equal} to [(run ~tiles p).tiled].  The two validations are
+    the only type checks a tile point makes.  A rejected tile configuration
     takes precedence over an ill-typed input, as in {!run}.
     @raise Invalid_argument on a rejected tile configuration.
     @raise Validate.Type_error if the input program is ill-typed or a

@@ -15,8 +15,11 @@ let lower ?par config (r : Tiling.result) =
   let par = Option.value par ~default:opts.Lower.par in
   Lower.program { opts with Lower.par } prog
 
-let design_of config (bench : Suite.bench) =
-  lower config (Tiling.run ~tiles:bench.Suite.tiles bench.Suite.prog)
+(* the benchmark tiled at its default tile sizes *)
+let tile (bench : Suite.bench) =
+  Tiling.run ~tiles:bench.Suite.tiles bench.Suite.prog
+
+let design_of config bench = lower config (tile bench)
 
 (* ------------------------------ Fig. 7 ------------------------------ *)
 
@@ -36,10 +39,11 @@ let fig7 ?machine ?domains benches =
   let rows =
     Pool.map ?domains ~tally
       (fun (bench : Suite.bench) ->
+      let r = tile bench in
       let per_config =
         List.map
           (fun cfg ->
-            let d = design_of cfg bench in
+            let d = lower cfg r in
             let rep = Simulate.run ?machine d ~sizes:bench.Suite.sim_sizes in
             (cfg, (rep.Simulate.cycles, Area_model.of_design d)))
           configs
@@ -114,16 +118,17 @@ let machine_variants =
     ("burst-window x2",
      { m with Machine.stream_cache_bytes = m.Machine.stream_cache_bytes / 2 }) ]
 
+(* each bench tiled once, lowered as the baseline and as the meta design *)
+let base_and_meta benches =
+  List.map
+    (fun (bench : Suite.bench) ->
+      let r = tile bench in
+      (bench, lower Baseline r, lower Tiled_meta r))
+    benches
+
 let sensitivity benches =
   (* build designs once; re-simulate under each machine *)
-  let designs =
-    List.map
-      (fun (bench : Suite.bench) ->
-        ( bench,
-          design_of Baseline bench,
-          design_of Tiled_meta bench ))
-      benches
-  in
+  let designs = base_and_meta benches in
   List.map
     (fun (variant, machine) ->
       { variant;
@@ -153,12 +158,7 @@ let print_sensitivity rows =
         rows
 
 let scaling benches =
-  let designs =
-    List.map
-      (fun (bench : Suite.bench) ->
-        (bench, design_of Baseline bench, design_of Tiled_meta bench))
-      benches
-  in
+  let designs = base_and_meta benches in
   List.map
     (fun (label, scale) ->
       { variant = label;
@@ -278,7 +278,7 @@ let traffic ?machine ?(profile = false) ?sizes (bench : Suite.bench) =
     | Some s -> s
     | None -> if profile then bench.Suite.test_sizes else bench.Suite.sim_sizes
   in
-  let r = Tiling.run ~tiles:bench.Suite.tiles bench.Suite.prog in
+  let r = tile bench in
   let rep_b = Simulate.run ?machine (lower Baseline r) ~sizes in
   let rep_t = Simulate.run ?machine (lower Tiled r) ~sizes in
   let prof =

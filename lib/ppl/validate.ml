@@ -309,6 +309,18 @@ and infer_prim env p args =
       | [ t ] -> err "toInt on %s" (Ty.to_string t)
       | _ -> assert false)
 
+(* Synthesis skips every subtree that cannot change the type of an
+   already-checked expression: a pattern's type is fixed by its init or
+   its body alone, so the rest of the pattern is never re-walked. *)
+let rec type_of env e =
+  match e with
+  | Let (s, e1, e2) -> type_of (Sym.Map.add s (type_of env e1) env) e2
+  | Map { mdims; midxs; mbody; _ } ->
+      Ty.Array (type_of (bind_idxs env midxs) mbody, List.length mdims)
+  | Fold { finit; _ } -> type_of env finit
+  | MultiFold { oinit; _ } -> type_of env oinit
+  | e -> infer env e
+
 let initial_env (p : program) =
   let env =
     List.fold_left

@@ -11,6 +11,15 @@ val infer : Ty.t Sym.Map.t -> Ir.exp -> Ty.t
 (** Infer the type of an expression under the given environment.
     @raise Type_error on any violation. *)
 
+val type_of : Ty.t Sym.Map.t -> Ir.exp -> Ty.t
+(** [type_of env e] is [infer env e] for an expression [e] that already
+    type-checks under [env], without re-checking it: a [Fold] or
+    [MultiFold] gives its init's type, a [Map] gives [Array (body, rank)]
+    and a [Let] follows its body, so a pattern's update, domains and
+    combine function are never walked.  Any other form is {!infer}red.
+    On an expression that does not check, the result is unspecified: a
+    type, or {!Type_error}. *)
+
 val check_program : Ir.program -> Ty.t
 (** Validate a whole program and return its result type.  Size parameters
     are bound at type [Int], inputs at their declared array types. *)

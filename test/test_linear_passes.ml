@@ -5,7 +5,9 @@
    - [Code_motion.exp] re-running until the whole tree is structurally
      unchanged;
    - copy insertion keyed on printed offsets ([Ref_copy_insert]);
-   - [Rewrite.iter_exp] walking through [map_children].
+   - [Rewrite.iter_exp] walking through [map_children];
+   - [Validate.infer] re-checking every subtree whose type the tiling
+     passes and [Lower] now synthesize with [Validate.type_of].
    They are checked on every stage of every suite program and of random
    programs. *)
 
@@ -39,6 +41,73 @@ let visits iter e =
   iter (fun n -> acc := n :: !acc) e;
   List.rev !acc
 
+(* Every node of [e] outside domains and regions, each under the
+   environment the checker types it in, in pre-order. *)
+let typing_sites env e =
+  let sites = ref [] in
+  let idxs env is = List.fold_left (fun m s -> Sym.Map.add s Ty.int_ m) env is in
+  let rec go env e =
+    sites := (env, e) :: !sites;
+    match e with
+    | Ir.Let (s, e1, e2) ->
+        go env e1;
+        go (Sym.Map.add s (Validate.infer env e1) env) e2
+    | Ir.Map m -> go (idxs env m.Ir.midxs) m.Ir.mbody
+    | Ir.Fold f ->
+        go env f.Ir.finit;
+        let acc_t = Validate.infer env f.Ir.finit in
+        go (Sym.Map.add f.Ir.facc acc_t (idxs env f.Ir.fidxs)) f.Ir.fupd;
+        comb env acc_t f.Ir.fcomb
+    | Ir.MultiFold mf ->
+        go env mf.Ir.oinit;
+        let init_t = Validate.infer env mf.Ir.oinit in
+        let env_i = lets (idxs env mf.Ir.oidxs) mf.Ir.olets in
+        let comp_tys =
+          match (init_t, mf.Ir.oouts) with
+          | Ty.Tuple ts, _ :: _ :: _ -> ts
+          | t, _ -> [ t ]
+        in
+        List.iter2
+          (fun out comp_t ->
+            let elt = match comp_t with Ty.Array (t, _) -> t | t -> t in
+            let scalar =
+              List.for_all (fun (_, l, _) -> l = Ir.Ci 1) out.Ir.oregion
+            in
+            let acc_t =
+              if scalar then elt else Ty.Array (elt, List.length out.Ir.oregion)
+            in
+            go (Sym.Map.add out.Ir.oacc acc_t env_i) out.Ir.oupd)
+          mf.Ir.oouts comp_tys;
+        Option.iter (comb env init_t) mf.Ir.ocomb
+    | Ir.FlatMap fm -> go (idxs env [ fm.Ir.fmidx ]) fm.Ir.fmbody
+    | Ir.GroupByFold g ->
+        go env g.Ir.ginit;
+        let v_t = Validate.infer env g.Ir.ginit in
+        let env_i = lets (idxs env g.Ir.gidxs) g.Ir.glets in
+        go env_i g.Ir.gkey;
+        go (Sym.Map.add g.Ir.gacc v_t env_i) g.Ir.gupd;
+        comb env v_t g.Ir.gcomb
+    | e -> Rewrite.iter_children (go env) e
+  and lets env ls =
+    List.fold_left
+      (fun env (s, e1) ->
+        go env e1;
+        Sym.Map.add s (Validate.infer env e1) env)
+      env ls
+  and comb env t c =
+    go (Sym.Map.add c.Ir.ca t (Sym.Map.add c.Ir.cb t env)) c.Ir.cbody
+  in
+  go env e;
+  List.rev !sites
+
+(* the first node of a checked program whose synthesized type differs
+   from the checked one *)
+let type_of_mismatch (p : Ir.program) =
+  List.find_opt
+    (fun (env, e) ->
+      not (Ty.equal (Validate.type_of env e) (Validate.infer env e)))
+    (typing_sites (Validate.initial_env p) p.Ir.body)
+
 (* [None] when every pass agrees with its reference on [p], else the name
    of the first that does not *)
 let disagreement (p : Ir.program) =
@@ -53,6 +122,7 @@ let disagreement (p : Ir.program) =
   else if
     not (List.equal ( == ) (visits Rewrite.iter_exp e) (visits old_iter_exp e))
   then Some "iter_exp order"
+  else if Option.is_some (type_of_mismatch p) then Some "type_of"
   else None
 
 let stages (r : Tiling.result) source =

@@ -40,6 +40,49 @@ let source_origins (bench : Suite.bench) =
     p.Ir.body;
   !acc
 
+let unstamped = function
+  | Ir.Map { Ir.mprov = prov; _ }
+  | Ir.Fold { Ir.fprov = prov; _ }
+  | Ir.MultiFold { Ir.oprov = prov; _ }
+  | Ir.FlatMap { Ir.fmprov = prov; _ }
+  | Ir.GroupByFold { Ir.gprov = prov; _ } ->
+      Prov.is_none prov
+  | _ -> false
+
+(* a source program gets the preorder ids of the per-node stamping *)
+let test_stamp_source () =
+  List.iter
+    (fun (bench : Suite.bench) ->
+      let p = bench.Suite.prog in
+      Alcotest.(check bool)
+        (bench.Suite.name ^ ": source unstamped") true
+        (Rewrite.exists_exp unstamped p.Ir.body);
+      let stamped = Prov_stamp.program p in
+      Alcotest.(check bool)
+        (bench.Suite.name ^ ": every pattern stamped") false
+        (Rewrite.exists_exp unstamped stamped.Ir.body);
+      Alcotest.(check bool)
+        (bench.Suite.name ^ ": per-node stamping") true
+        (stamped = { p with Ir.body = Prov_stamp.exp ~pname:p.Ir.pname p.Ir.body }))
+    (Suite.extended ())
+
+(* every stage Tiling returns is stamped throughout, so restamping it
+   (as Lower.shape does) hands the same program back *)
+let test_restamp_tiling_output () =
+  List.iter
+    (fun (bench : Suite.bench) ->
+      let r = Tiling.run ~tiles:bench.Suite.tiles bench.Suite.prog in
+      List.iter
+        (fun (stage, p) ->
+          if Prov_stamp.program p != p then
+            Alcotest.failf "%s %s: restamping rebuilt the program"
+              bench.Suite.name stage)
+        [ ("fused", r.Tiling.fused);
+          ("stripped", r.Tiling.stripped);
+          ("stripped+copies", r.Tiling.stripped_with_copies);
+          ("tiled", r.Tiling.tiled) ])
+    (Suite.extended ())
+
 let rec iter_ctrl f c =
   f c;
   match c with
@@ -236,7 +279,11 @@ let test_folded_deterministic () =
 
 let () =
   Alcotest.run "provenance"
-    [ ( "preservation",
+    [ ( "stamping",
+        [ Alcotest.test_case "source programs" `Quick test_stamp_source;
+          Alcotest.test_case "restamping tiling output is a no-op" `Quick
+            test_restamp_tiling_output ] );
+      ( "preservation",
         [ Alcotest.test_case "every controller rooted at a source pattern"
             `Quick test_ctrl_provenance ] );
       ( "attribution",
