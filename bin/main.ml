@@ -759,14 +759,8 @@ let check_cmd =
         ("strip-mined+copies", r.Tiling.stripped_with_copies);
         ("interchanged", r.Tiling.tiled) ]
     in
-    (* 1. every stage type-checks *)
-    List.iter
-      (fun (name, prog) ->
-        match Validate.check_program prog with
-        | _ -> report ("types: " ^ name) true ""
-        | exception Validate.Type_error msg -> report ("types: " ^ name) false msg)
-      stages;
-    (* 2. every stage evaluates to the reference result *)
+    (* 1. every stage evaluates to the reference result (Tiling.run has
+       type-checked each of them) *)
     let sizes = bench.Suite.test_sizes in
     let inputs = bench.Suite.gen ~sizes ~seed:2026 in
     let reference = Eval.eval_program bench.Suite.prog ~sizes ~inputs in
@@ -775,7 +769,7 @@ let check_cmd =
         let v = Eval.eval_program prog ~sizes ~inputs in
         report ("semantics: " ^ name) (Value.equal ~eps:1e-6 reference v) "")
       stages;
-    (* 3. printed tiled IR parses back to an equivalent program *)
+    (* 2. printed tiled IR parses back to an equivalent program *)
     (match
        let parsed = Parser.program_of_string (Pp.program_to_string r.Tiling.tiled) in
        (* the parser mints fresh symbols: rebind sizes by base name and
@@ -794,14 +788,14 @@ let check_cmd =
      with
     | v -> report "printer/parser roundtrip" (Value.equal ~eps:1e-6 reference v) ""
     | exception e -> report "printer/parser roundtrip" false (Printexc.to_string e));
-    (* 4. static bounds on the tiled program *)
+    (* 3. static bounds on the tiled program *)
     let accesses, ds = Bounds.audit r.Tiling.tiled in
     let v = List.length (Diagnostic.errors ds) in
     let u = List.length ds - v in
     report "bounds: tiled accesses" (v = 0)
       (Printf.sprintf "%d proven, %d unknown, %d violations"
          (accesses - u - v) u v);
-    (* 5. every configuration's design passes the hardware validator and
+    (* 4. every configuration's design passes the hardware validator and
        is lint-clean at error severity *)
     List.iter
       (fun cfg ->
@@ -811,17 +805,14 @@ let check_cmd =
         report_lint ("lint: " ^ Experiments.config_name cfg) (Hw_lint.check d);
         (* the source linter's tile-vs-cache predictions must agree with
            the memories Lower actually instantiated for this config *)
-        let lowered_prog, cache_leftover =
-          match cfg with
-          | Experiments.Baseline -> (r.Tiling.fused, false)
-          | Experiments.Tiled | Experiments.Tiled_meta ->
-              (r.Tiling.tiled, true)
+        let opts, prog = Experiments.form cfg r in
+        let xs =
+          Ppl_lint.crosscheck ~cache_leftover:opts.Lower.cache_leftover prog d
         in
-        let xs = Ppl_lint.crosscheck ~cache_leftover lowered_prog d in
         report ("access classes: " ^ Experiments.config_name cfg) (xs = [])
           (detail xs))
       [ Experiments.Baseline; Experiments.Tiled; Experiments.Tiled_meta ];
-    (* 6. the two simulation engines agree on the final design *)
+    (* 5. the two simulation engines agree on the final design *)
     let d = Experiments.lower Experiments.Tiled_meta r in
     let a = (Simulate.run d ~sizes:bench.Suite.sim_sizes).Simulate.cycles in
     let er = Event_sim.run d ~sizes:bench.Suite.sim_sizes in
@@ -829,7 +820,7 @@ let check_cmd =
     let e = er.Event_sim.report.Simulate.cycles in
     let dev = Float.abs (a -. e) /. Float.max a e in
     report "engines agree" (dev < 0.02) (Printf.sprintf "deviation %.2f%%" (100.0 *. dev));
-    (* 7. the design fits the chip *)
+    (* 6. the design fits the chip *)
     let area = Area_model.of_design d in
     report "fits Stratix V" (Area_model.fits area) "";
     if profile then begin
@@ -867,9 +858,9 @@ let check_cmd =
        ~doc:
          "Run every validator on a benchmark (or the suite, with benchmarks \
           checked in parallel across OCaml domains): source-level pattern \
-          lint (Ppl_lint, before tiling), type checker on all tiling \
-          stages, interpreter equivalence against the source program, \
-          printer/parser roundtrip, static bounds, access-classification \
+          lint (Ppl_lint, before tiling), interpreter equivalence of every \
+          tiling stage against the source program, printer/parser \
+          roundtrip, static bounds, access-classification \
           cross-check against the lowered memories, analytic/event engine \
           agreement, and chip fit.")
     Term.(const run $ bench_opt $ domains_arg $ profile_flag)

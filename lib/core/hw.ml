@@ -6,8 +6,8 @@ type mem = {
   width_bits : int;
   depth : int;
   banks : int;
-  mutable readers : int;
-  mutable writers : int;
+  readers : int;
+  writers : int;
   mem_prov : Prov.t;
 }
 
@@ -181,6 +181,45 @@ let with_prov c prov =
   | Pipe r -> Pipe { r with prov }
   | Tile_load r -> Tile_load { r with prov }
   | Tile_store r -> Tile_store { r with prov }
+
+let mem_refs = function
+  | Pipe { defines; uses; _ } -> (defines, uses)
+  | Tile_load { mem; _ } -> ([ mem ], [])
+  | Tile_store { mem = Some m; _ } -> ([], [ m ])
+  | Seq _ | Par _ | Loop _ | Tile_store { mem = None; _ } -> ([], [])
+
+let subtree_refs c =
+  let writes, reads =
+    fold_ctrls
+      (fun (ws, rs) c ->
+        let w, r = mem_refs c in
+        (w @ ws, r @ rs))
+      ([], []) c
+  in
+  (List.sort_uniq String.compare writes, List.sort_uniq String.compare reads)
+
+let port_counts top =
+  let counts = Hashtbl.create 16 in
+  let get n = Option.value ~default:(0, 0) (Hashtbl.find_opt counts n) in
+  let bump f n = Hashtbl.replace counts n (f (get n)) in
+  iter_ctrls
+    (fun c ->
+      let writes, reads = mem_refs c in
+      List.iter (bump (fun (r, w) -> (r, w + 1))) writes;
+      List.iter (bump (fun (r, w) -> (r + 1, w))) reads)
+    top;
+  get
+
+let count_ports d =
+  let ports = port_counts d.top in
+  let mems =
+    List.map
+      (fun m ->
+        let readers, writers = ports m.mem_name in
+        { m with readers; writers })
+      d.mems
+  in
+  { d with mems }
 
 let find_mem d name =
   match List.find_opt (fun m -> m.mem_name = name) d.mems with

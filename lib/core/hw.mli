@@ -24,8 +24,8 @@ type mem = {
   width_bits : int;  (** element width *)
   depth : int;  (** static element capacity *)
   banks : int;  (** banking factor for parallel access *)
-  mutable readers : int;
-  mutable writers : int;
+  readers : int;  (** read ports: see {!port_counts} *)
+  writers : int;  (** write ports *)
   mem_prov : Prov.t;  (** source pattern the buffer serves; metadata only *)
 }
 
@@ -165,3 +165,32 @@ val iter_ctrls_path : (string list -> ctrl -> unit) -> ctrl -> unit
 val children : ctrl -> ctrl list
 val find_mem : design -> string -> mem
 (** @raise Not_found *)
+
+(** {1 Memory references}
+
+    The one rule for which memories a controller touches.  It decides
+    double-buffer promotion between metapipeline stages ({!Metapipe}),
+    the dataflow and race checks ({!Hw_check}, {!Hw_lint}) and the
+    port counts the area model prices. *)
+
+val mem_refs : ctrl -> string list * string list
+(** [(writes, reads)] of one node, not of its children: a [Pipe] writes
+    its [defines] and reads its [uses], a [Tile_load] writes its [mem],
+    a [Tile_store] reads its [mem] when it has one (a stream store names
+    nothing), and [Seq]/[Par]/[Loop] reference nothing.  Duplicates are
+    kept. *)
+
+val subtree_refs : ctrl -> string list * string list
+(** [(writes, reads)] of every node of a subtree, each list sorted and
+    deduplicated. *)
+
+val port_counts : ctrl -> string -> int * int
+(** [port_counts top name] is [(readers, writers)] of memory [name]:
+    one per occurrence of [name] in the reads, resp. the writes, of
+    {!mem_refs} over every node of [top], so a name listed twice in one
+    pipe's [uses] counts two reads.  [(0, 0)] for a name never
+    referenced.  Apply it to a tree once and query it per name. *)
+
+val count_ports : design -> design
+(** The design with every memory's [readers]/[writers] set from
+    {!port_counts} of its [top]; memories are matched by name. *)

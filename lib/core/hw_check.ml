@@ -1,12 +1,3 @@
-(* memory names referenced by a controller, split into write-side and
-   read-side references *)
-let mem_refs c =
-  match c with
-  | Hw.Pipe { uses; defines; _ } -> (defines, uses)
-  | Hw.Tile_load { mem; _ } -> ([ mem ], [])
-  | Hw.Tile_store { mem = Some m; _ } -> ([], [ m ])
-  | _ -> ([], [])
-
 let check (d : Hw.design) =
   let diags = ref [] in
   let bad ?(path = []) ~code where fmt =
@@ -48,7 +39,7 @@ let check (d : Hw.design) =
   let written = Hashtbl.create 16 and read = Hashtbl.create 16 in
   let under_meta = Hashtbl.create 16 in
   let rec walk path meta c =
-    let w, r = mem_refs c in
+    let w, r = Hw.mem_refs c in
     let here = path @ [ Hw.ctrl_name c ] in
     List.iter
       (fun n ->

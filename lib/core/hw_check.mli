@@ -16,8 +16,8 @@ val check : Hw.design -> Diagnostic.t list
 (** All violations found; empty = well-formed.  Checked invariants
     (codes in [doc/LINTS.md]):
 
-    - HW004/HW005: every memory referenced by a controller ([uses],
-      [defines], tile-load/store [mem]) is declared in [mems];
+    - HW004/HW005: every memory a controller references
+      ({!Hw.mem_refs}) is declared in [mems];
     - HW006: every declared memory is referenced by some controller;
     - HW001/HW002: memory names are unique; controller names are unique;
     - HW003: every memory has positive width, depth and banks;

@@ -64,30 +64,9 @@ let rates_disagree ta tb =
 
 (* ----------------------- design traversals ---------------------- *)
 
-(* memories written / read anywhere in a controller subtree *)
-let subtree_writes c =
-  dedup
-    (Hw.fold_ctrls
-       (fun acc c ->
-         match c with
-         | Hw.Pipe { defines; _ } -> defines @ acc
-         | Hw.Tile_load { mem; _ } -> mem :: acc
-         | _ -> acc)
-       [] c)
-
-let subtree_reads c =
-  dedup
-    (Hw.fold_ctrls
-       (fun acc c ->
-         match c with
-         | Hw.Pipe { uses; _ } -> uses @ acc
-         | Hw.Tile_store { mem = Some m; _ } -> m :: acc
-         | _ -> acc)
-       [] c)
-
 let rec effectful c =
   match c with
-  | Hw.Pipe { defines; dram; _ } -> defines <> [] || dram <> []
+  | Hw.Pipe { dram; _ } -> dram <> [] || fst (Hw.mem_refs c) <> []
   | Hw.Tile_load _ | Hw.Tile_store _ -> true
   | _ -> List.exists effectful (Hw.children c)
 
@@ -116,33 +95,23 @@ type mem_ref = {
 
 let collect_refs (d : Hw.design) =
   let refs = ref [] in
-  let add r = refs := r :: !refs in
   let rec go path loops c =
     let name = Hw.ctrl_name c in
-    (match c with
-    | Hw.Pipe { trips; uses; defines; _ } ->
-        let own = Hw.trip_product trips in
-        List.iter
-          (fun n ->
-            add
-              { r_mem = n; r_write = true; r_path = path; r_node = name;
-                r_own = own; r_loops = loops })
-          (dedup defines);
-        List.iter
-          (fun n ->
-            add
-              { r_mem = n; r_write = false; r_path = path; r_node = name;
-                r_own = own; r_loops = loops })
-          (dedup uses)
-    | Hw.Tile_load { mem; words; _ } ->
-        add
-          { r_mem = mem; r_write = true; r_path = path; r_node = name;
-            r_own = words; r_loops = loops }
-    | Hw.Tile_store { mem = Some m; words; _ } ->
-        add
-          { r_mem = m; r_write = false; r_path = path; r_node = name;
-            r_own = words; r_loops = loops }
-    | _ -> ());
+    let own =
+      match c with
+      | Hw.Pipe { trips; _ } -> Hw.trip_product trips
+      | Hw.Tile_load { words; _ } | Hw.Tile_store { words; _ } -> words
+      | Hw.Seq _ | Hw.Par _ | Hw.Loop _ -> Hw.Tconst 0.0 (* no references *)
+    in
+    let add r_write n =
+      refs :=
+        { r_mem = n; r_write; r_path = path; r_node = name; r_own = own;
+          r_loops = loops }
+        :: !refs
+    in
+    let writes, reads = Hw.mem_refs c in
+    List.iter (add true) (dedup writes);
+    List.iter (add false) (dedup reads);
     let loops' =
       match c with
       | Hw.Loop { trips; _ } -> loops @ [ (name, trips) ]
@@ -234,16 +203,14 @@ let check (d : Hw.design) =
       match c with
       | Hw.Loop { name; meta = true; stages; _ } ->
           let infos =
-            List.map
-              (fun s -> (Hw.ctrl_name s, subtree_writes s, subtree_reads s))
-              stages
+            List.map (fun s -> (Hw.ctrl_name s, Hw.subtree_refs s)) stages
           in
           List.iteri
-            (fun i (wname, writes, _) ->
+            (fun i (wname, (writes, _)) ->
               List.iter
                 (fun mn ->
                   List.iteri
-                    (fun j (rname, _, reads) ->
+                    (fun j (rname, (_, reads)) ->
                       if i <> j && List.mem mn reads then begin
                         Hashtbl.replace coupled mn ();
                         if not (Hashtbl.mem race_seen (mn, name)) then begin
@@ -294,7 +261,8 @@ let check (d : Hw.design) =
   Hw.iter_ctrls_path
     (fun path c ->
       match c with
-      | Hw.Pipe { name; par; uses; defines; _ } when par > 1 ->
+      | Hw.Pipe { name; par; _ } when par > 1 ->
+          let writes, reads = Hw.mem_refs c in
           List.iter
             (fun n ->
               match mem n with
@@ -308,30 +276,16 @@ let check (d : Hw.design) =
                     par n m.Hw.banks
                     (if m.Hw.banks = 1 then "" else "s")
               | _ -> ())
-            (dedup (uses @ defines))
+            (dedup (reads @ writes))
       | _ -> ())
     d.Hw.top;
-  (* recount reader/writer ports exactly as Metapipe.finalize does and
-     flag disagreement with the declared counts *)
-  let readers = Hashtbl.create 16 and writers = Hashtbl.create 16 in
-  let bump tbl n =
-    Hashtbl.replace tbl n (1 + Option.value ~default:0 (Hashtbl.find_opt tbl n))
-  in
-  Hw.iter_ctrls
-    (fun c ->
-      match c with
-      | Hw.Pipe { uses; defines; _ } ->
-          List.iter (bump readers) uses;
-          List.iter (bump writers) defines
-      | Hw.Tile_load { mem; _ } -> bump writers mem
-      | Hw.Tile_store { mem = Some m; _ } -> bump readers m
-      | _ -> ())
-    d.Hw.top;
+  (* derive reader/writer ports from the tree and flag disagreement
+     with the declared counts *)
+  let ports = Hw.port_counts d.Hw.top in
   List.iter
     (fun m ->
       let n = m.Hw.mem_name in
-      let r = Option.value ~default:0 (Hashtbl.find_opt readers n) in
-      let w = Option.value ~default:0 (Hashtbl.find_opt writers n) in
+      let r, w = ports n in
       if m.Hw.readers <> r || m.Hw.writers <> w then
         emit ~code:"HW111" ~severity:Diagnostic.Error n
           "declared ports (R=%d W=%d) disagree with the controller tree \
@@ -433,9 +387,7 @@ let check (d : Hw.design) =
         when List.length stages >= 2 ->
           (* overlap-eligible: a forward cross-stage producer/consumer
              chain is exactly what metapipelining overlaps *)
-          let infos =
-            List.map (fun s -> (subtree_writes s, subtree_reads s)) stages
-          in
+          let infos = List.map Hw.subtree_refs stages in
           let eligible =
             List.exists
               (fun i ->

@@ -15,16 +15,16 @@
     - {b Metapipeline races} — HW101 (error): a memory written by one
       stage and read by a different stage of a metapipelined loop must
       be a [Double_buffer]; the lint independently re-derives the
-      coupling set {!Metapipe.finalize} promotes and flags
-      disagreement.  HW102 (warning): a [Double_buffer] that never
+      coupling set {!Metapipe.finalize} promotes (sharing only the
+      reference rule {!Hw.subtree_refs}) and flags disagreement.  HW102 (warning): a [Double_buffer] that never
       couples two distinct stages (over-promotion wastes area).  HW103
       (warning): a scalar [Reg] or [Cache] coupling overlapped stages
       (finalize does not promote those, so values can be overwritten a
       full outer iteration early).
     - {b Banking / ports} — HW110 (error): a pipe with [par = P]
       touching a banked scratchpad with [banks < P].  HW111 (error):
-      declared [readers]/[writers] port counts disagreeing with the
-      controller tree.
+      declared [readers]/[writers] port counts disagreeing with
+      {!Hw.port_counts} of the controller tree.
     - {b FIFO rates} — HW120 (error): producer and consumer move
       provably different element counts per activation (compared with
       {!Hw.trip} algebra: symbolically when the trip expressions match

@@ -1291,11 +1291,9 @@ let rec bind_ctrl par (c : Hw.ctrl) =
 let bind par { design; banked } =
   if par < 1 then
     invalid_arg (Printf.sprintf "Lower.bind: par %d is below 1" par);
-  (* every record is copied, so no two bound designs share a mutable
-     reader/writer count *)
   let mems =
     List.map2
-      (fun m banked -> { m with Hw.banks = (if banked then par else 1) })
+      (fun m banked -> if banked then { m with Hw.banks = par } else m)
       design.Hw.mems banked
   in
   { design with Hw.mems; top = bind_ctrl par design.Hw.top; par_factor = par }

@@ -67,9 +67,7 @@ val shape : opts -> Ir.program -> shaped
 val bind : int -> shaped -> Hw.design
 (** [bind par s] is the design of [s] at parallelism factor [par]: every
     pipe's [par] and the design's [par_factor] are [par], and the banked
-    memories get [par] banks (all others keep one).  Each call returns
-    fresh {!Hw.mem} records, so the mutable reader/writer counts of two
-    bound designs never alias.
+    memories get [par] banks (all others keep one).
     @raise Invalid_argument if [par] is below 1. *)
 
 val program : opts -> Ir.program -> Hw.design

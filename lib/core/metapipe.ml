@@ -1,34 +1,10 @@
-let dedup l = List.sort_uniq String.compare l
-
-let stage_writes c =
-  dedup
-    (Hw.fold_ctrls
-       (fun acc c ->
-         match c with
-         | Hw.Pipe { defines; _ } -> defines @ acc
-         | Hw.Tile_load { mem; _ } -> mem :: acc
-         | _ -> acc)
-       [] c)
-
-let stage_reads c =
-  dedup
-    (Hw.fold_ctrls
-       (fun acc c ->
-         match c with
-         | Hw.Pipe { uses; _ } -> uses @ acc
-         | Hw.Tile_store { mem = Some m; _ } -> m :: acc
-         | _ -> acc)
-       [] c)
-
 (* memories that couple two different stages of a metapipeline *)
 let promoted design =
   let promote = Hashtbl.create 16 in
   Hw.iter_ctrls
     (function
       | Hw.Loop { meta = true; stages; _ } ->
-          let infos =
-            List.map (fun s -> (stage_writes s, stage_reads s)) stages
-          in
+          let infos = List.map Hw.subtree_refs stages in
           List.iteri
             (fun i (writes, _) ->
               List.iter
@@ -87,40 +63,7 @@ let finalize_uninstrumented (design : Hw.design) =
         else m)
       design.Hw.mems
   in
-  (* reader/writer port counts *)
-  List.iter
-    (fun m ->
-      m.Hw.readers <- 0;
-      m.Hw.writers <- 0)
-    mems;
-  let find name = List.find_opt (fun m -> m.Hw.mem_name = name) mems in
-  Hw.iter_ctrls
-    (fun c ->
-      match c with
-      | Hw.Pipe { uses; defines; _ } ->
-          List.iter
-            (fun n ->
-              match find n with
-              | Some m -> m.Hw.readers <- m.Hw.readers + 1
-              | None -> ())
-            uses;
-          List.iter
-            (fun n ->
-              match find n with
-              | Some m -> m.Hw.writers <- m.Hw.writers + 1
-              | None -> ())
-            defines
-      | Hw.Tile_load { mem; _ } -> (
-          match find mem with
-          | Some m -> m.Hw.writers <- m.Hw.writers + 1
-          | None -> ())
-      | Hw.Tile_store { mem = Some mem; _ } -> (
-          match find mem with
-          | Some m -> m.Hw.readers <- m.Hw.readers + 1
-          | None -> ())
-      | _ -> ())
-    design.Hw.top;
-  { design with Hw.mems }
+  Hw.count_ports { design with Hw.mems }
 
 let finalize (design : Hw.design) =
   Metrics.time "pass.metapipe" (fun () ->

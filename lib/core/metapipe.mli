@@ -8,12 +8,8 @@
     preloaded top-level buffers (Fig. 6: the points tile is double
     buffered, the centroids preload is not).
 
-    Also fills in each memory's reader/writer port counts from the
-    finished controller tree. *)
+    Also sets each memory's reader/writer port counts from the finished
+    controller tree ({!Hw.count_ports}).  The input design is not
+    modified. *)
 
 val finalize : Hw.design -> Hw.design
-
-val stage_writes : Hw.ctrl -> string list
-(** All on-chip memories written anywhere within a controller subtree. *)
-
-val stage_reads : Hw.ctrl -> string list

@@ -5,13 +5,14 @@ let config_name = function
   | Tiled -> "+tiling"
   | Tiled_meta -> "+tiling+metapipelining"
 
-let lower ?par config (r : Tiling.result) =
-  let opts, prog =
-    match config with
-    | Baseline -> (Lower.baseline_opts, r.Tiling.fused)
-    | Tiled -> ({ Lower.default_opts with Lower.meta = false }, r.Tiling.tiled)
-    | Tiled_meta -> (Lower.default_opts, r.Tiling.tiled)
-  in
+let form config (r : Tiling.result) =
+  match config with
+  | Baseline -> (Lower.baseline_opts, r.Tiling.fused)
+  | Tiled -> ({ Lower.default_opts with Lower.meta = false }, r.Tiling.tiled)
+  | Tiled_meta -> (Lower.default_opts, r.Tiling.tiled)
+
+let lower ?par config r =
+  let opts, prog = form config r in
   let par = Option.value par ~default:opts.Lower.par in
   Lower.program { opts with Lower.par } prog
 

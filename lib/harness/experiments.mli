@@ -8,12 +8,16 @@ type config = Baseline | Tiled | Tiled_meta
 
 val config_name : config -> string
 
+val form : config -> Tiling.result -> Lower.opts * Ir.program
+(** The lowering options and the program form of a configuration:
+    [Baseline] is the fused form with {!Lower.baseline_opts}, [Tiled] the
+    tiled form without metapipelining, [Tiled_meta] the tiled form with
+    {!Lower.default_opts}. *)
+
 val lower : ?par:int -> config -> Tiling.result -> Hw.design
-(** The design of a tiled program under a configuration: [Baseline]
-    lowers the fused form with {!Lower.baseline_opts}, [Tiled] the tiled
-    form without metapipelining, [Tiled_meta] the tiled form with
-    {!Lower.default_opts}.  [?par] replaces the configuration's
-    parallelism factor. *)
+(** The design of a tiled program under a configuration: {!Lower.program}
+    of its {!form}.  [?par] replaces the configuration's parallelism
+    factor. *)
 
 val design_of : config -> Suite.bench -> Hw.design
 (** [lower config] of the benchmark tiled at its default tile sizes. *)

@@ -25,35 +25,10 @@ let mem ?(kind = Hw.Buffer) ?(depth = 64) ?(banks = 4) name =
   { Hw.mem_name = name; kind; width_bits = 32; depth; banks;
     readers = 0; writers = 0; mem_prov = Prov.none }
 
-(* the port recount Metapipe.finalize performs, without its promotion —
-   adversarial designs stay adversarial but carry honest port counts *)
-let recount (d : Hw.design) =
-  List.iter
-    (fun m ->
-      m.Hw.readers <- 0;
-      m.Hw.writers <- 0)
-    d.Hw.mems;
-  let find n = List.find_opt (fun m -> m.Hw.mem_name = n) d.Hw.mems in
-  let bump_r n =
-    match find n with Some m -> m.Hw.readers <- m.Hw.readers + 1 | None -> ()
-  in
-  let bump_w n =
-    match find n with Some m -> m.Hw.writers <- m.Hw.writers + 1 | None -> ()
-  in
-  Hw.iter_ctrls
-    (fun c ->
-      match c with
-      | Hw.Pipe { uses; defines; _ } ->
-          List.iter bump_r uses;
-          List.iter bump_w defines
-      | Hw.Tile_load { mem; _ } -> bump_w mem
-      | Hw.Tile_store { mem = Some m; _ } -> bump_r m
-      | _ -> ())
-    d.Hw.top;
-  d
-
+(* honest port counts without Metapipe.finalize's promotion, so the
+   adversarial designs stay adversarial *)
 let design ?(mems = []) top =
-  recount { Hw.design_name = "t"; mems; top; par_factor = 4 }
+  Hw.count_ports { Hw.design_name = "t"; mems; top; par_factor = 4 }
 
 let codes d = List.map (fun f -> f.Diagnostic.code) (Hw_lint.check d)
 let has_code d c = List.mem c (codes d)
@@ -166,9 +141,48 @@ let test_port_counts () =
   let d = design ~mems:[ mem "m"; mem "out" ] top in
   check_not d "HW111";
   (* stale declared counts are flagged *)
-  let m = Hw.find_mem d "m" in
-  m.Hw.readers <- 5;
-  check_has d "HW111"
+  let stale m = if m.Hw.mem_name = "m" then { m with Hw.readers = 5 } else m in
+  check_has { d with Hw.mems = List.map stale d.Hw.mems } "HW111"
+
+(* the one memory-reference rule every analysis shares *)
+let test_reference_rule () =
+  let words = Hw.Tconst 16.0 in
+  let load =
+    Hw.Tile_load
+      { name = "load"; mem = "a"; array = "x"; words; path = []; reuse = 1;
+        prov = Prov.none }
+  in
+  let store mem name =
+    Hw.Tile_store { name; mem; array = "y"; words; path = []; prov = Prov.none }
+  in
+  let p = pipe ~uses:[ "a"; "a" ] ~defines:[ "out" ] "p" in
+  let loop = meta_loop "l" [ p; store (Some "out") "store" ] in
+  let par = Hw.Par { name = "par"; children = [ loop ]; prov = Prov.none } in
+  let stream = store None "stream" in
+  let top =
+    Hw.Seq { name = "top"; children = [ load; par; stream ]; prov = Prov.none }
+  in
+  let refs = Alcotest.(pair (list string) (list string)) in
+  let none = ([], []) in
+  Alcotest.check refs "stream store names nothing" none (Hw.mem_refs stream);
+  List.iter
+    (fun c -> Alcotest.check refs (Hw.ctrl_name c) none (Hw.mem_refs c))
+    [ top; par; loop ];
+  Alcotest.check refs "pipe keeps duplicates" ([ "out" ], [ "a"; "a" ])
+    (Hw.mem_refs p);
+  Alcotest.check refs "subtree sorted, deduplicated"
+    ([ "a"; "out" ], [ "a"; "out" ])
+    (Hw.subtree_refs top);
+  let ports = Hw.port_counts top in
+  let rw = Alcotest.(pair int int) in
+  Alcotest.check rw "a: two reads, one write" (2, 1) (ports "a");
+  Alcotest.check rw "out: one read, one write" (1, 1) (ports "out");
+  Alcotest.check rw "DRAM arrays have no ports" (0, 0) (ports "y");
+  (* counted by name: a duplicated name (HW001) gets the count twice *)
+  let d = design ~mems:[ mem "a"; mem "a"; mem "out" ] top in
+  Alcotest.(check (list (pair int int)))
+    "declared counts" [ (2, 1); (2, 1); (1, 1) ]
+    (List.map (fun m -> (m.Hw.readers, m.Hw.writers)) d.Hw.mems)
 
 (* ------------------- 3. FIFO rates / deadlock ------------------- *)
 
@@ -438,7 +452,8 @@ let () =
         [ Alcotest.test_case "bank conflict" `Quick test_bank_conflict;
           Alcotest.test_case "register broadcast exempt" `Quick
             test_reg_broadcast_exempt;
-          Alcotest.test_case "port counts" `Quick test_port_counts ] );
+          Alcotest.test_case "port counts" `Quick test_port_counts;
+          Alcotest.test_case "reference rule" `Quick test_reference_rule ] );
       ( "fifo",
         [ Alcotest.test_case "constant rate mismatch" `Quick
             test_fifo_rate_mismatch;

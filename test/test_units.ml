@@ -160,24 +160,19 @@ let test_metapipe_stage_sets () =
   (* every memory reported as written by the top controller is a declared
      memory, and port counts in the finalized design are consistent *)
   let names = List.map (fun m -> m.Hw.mem_name) d.Hw.mems in
+  let writes, reads = Hw.subtree_refs d.Hw.top in
   List.iter
-    (fun w ->
-      Alcotest.(check bool) (w ^ " declared") true (List.mem w names))
-    (Metapipe.stage_writes d.Hw.top);
-  List.iter
-    (fun r ->
-      Alcotest.(check bool) (r ^ " declared") true (List.mem r names))
-    (Metapipe.stage_reads d.Hw.top)
+    (fun n ->
+      Alcotest.(check bool) (n ^ " declared") true (List.mem n names))
+    (writes @ reads)
 
 let test_metapipe_ports_positive () =
   let b = Suite.find (Suite.all ()) "gemm" in
   let d = Experiments.design_of Experiments.Tiled_meta b in
+  let writes, reads = Hw.subtree_refs d.Hw.top in
   List.iter
     (fun m ->
-      let used =
-        List.mem m.Hw.mem_name (Metapipe.stage_reads d.Hw.top)
-        || List.mem m.Hw.mem_name (Metapipe.stage_writes d.Hw.top)
-      in
+      let used = List.mem m.Hw.mem_name (reads @ writes) in
       if used then
         Alcotest.(check bool)
           (m.Hw.mem_name ^ " has ports")
