@@ -405,33 +405,33 @@ let ir_cmd =
     Term.(const run $ bench_arg $ stage_arg)
 
 let design_cmd =
-  let run bench config =
-    print_string
-      (Hw_pp.design_to_string (Experiments.design_of config bench))
+  let format_arg =
+    Arg.(
+      value
+      & opt
+          (enum [ ("hw", `Hw); ("maxj", `Maxj); ("dot", `Dot) ])
+          `Hw
+      & info [ "format" ] ~docv:"FORMAT"
+          ~doc:
+            "Output format: $(b,hw) (the controller tree and memory \
+             table), $(b,maxj) (the MaxJ-like HGL kernel) or $(b,dot) (a \
+             Graphviz block diagram, the Fig. 6 view).")
+  in
+  let run bench config format =
+    let print =
+      match format with
+      | `Hw -> Hw_pp.design_to_string
+      | `Maxj -> Maxj.emit
+      | `Dot -> Dot.emit
+    in
+    print_string (print (Experiments.design_of config bench))
   in
   Cmd.v
     (Cmd.info "design"
-       ~doc:"Print the generated hardware design (controllers + memories).")
-    Term.(const run $ bench_arg $ config_arg)
-
-let maxj_cmd =
-  let run bench config =
-    print_string (Maxj.emit (Experiments.design_of config bench))
-  in
-  Cmd.v
-    (Cmd.info "maxj" ~doc:"Emit the MaxJ-like HGL kernel for a benchmark.")
-    Term.(const run $ bench_arg $ config_arg)
-
-let dot_cmd =
-  let run bench config =
-    print_string (Dot.emit (Experiments.design_of config bench))
-  in
-  Cmd.v
-    (Cmd.info "dot"
        ~doc:
-         "Emit a Graphviz block diagram of the generated hardware (the \
-          Fig. 6 view).")
-    Term.(const run $ bench_arg $ config_arg)
+         "Print the generated hardware design: its controllers and \
+          memories, its MaxJ-like kernel or its Graphviz diagram.")
+    Term.(const run $ bench_arg $ config_arg $ format_arg)
 
 let engine_arg =
   Arg.(
@@ -1090,7 +1090,7 @@ let () =
   exit
     (Cmd.eval ~argv
        (Cmd.group ~default info
-          [ list_cmd; ir_cmd; design_cmd; maxj_cmd; dot_cmd; simulate_cmd;
+          [ list_cmd; ir_cmd; design_cmd; simulate_cmd;
             profile_cmd; timeline_cmd; check_cmd; lint_cmd;
             lint_ir_cmd; traffic_cmd; stats_cmd; bounds_cmd; compile_cmd;
             dse_cmd; export_cmd; fig5c_cmd; fig7_cmd ]))

@@ -65,15 +65,32 @@ let trip_product = function
   | [] -> Tconst 1.0
   | t :: rest -> List.fold_left (fun acc x -> Tmul (acc, x)) t rest
 
-let rec pp_trip fmt = function
+(* integral constants as [%.0f], everything else as [%g] *)
+let rec add_trip b = function
   | Tconst c ->
-      if Float.is_integer c then Format.fprintf fmt "%.0f" c
-      else Format.fprintf fmt "%g" c
-  | Tsize s -> Sym.pp fmt s
-  | Tceil_div (t, b) -> Format.fprintf fmt "ceil(%a/%d)" pp_trip t b
-  | Tavg_tail { total; tile } -> Format.fprintf fmt "avg(%a@%d)" pp_trip total tile
-  | Tmul (a, b) -> Format.fprintf fmt "%a*%a" pp_trip a pp_trip b
-  | Tscale (f, t) -> Format.fprintf fmt "%g*%a" f pp_trip t
+      if Float.is_integer c then Json_out.add_float ~prec:0 b c
+      else Json_out.add_general ~prec:6 b c
+  | Tsize s -> Buffer.add_string b (Sym.name s)
+  | Tceil_div (t, d) ->
+      Buffer.add_string b "ceil(";
+      add_trip b t;
+      Buffer.add_char b '/';
+      Json_out.add_int b d;
+      Buffer.add_char b ')'
+  | Tavg_tail { total; tile } ->
+      Buffer.add_string b "avg(";
+      add_trip b total;
+      Buffer.add_char b '@';
+      Json_out.add_int b tile;
+      Buffer.add_char b ')'
+  | Tmul (x, y) ->
+      add_trip b x;
+      Buffer.add_char b '*';
+      add_trip b y
+  | Tscale (f, t) ->
+      Json_out.add_general ~prec:6 b f;
+      Buffer.add_char b '*';
+      add_trip b t
 
 type dram_access = {
   da_array : string;

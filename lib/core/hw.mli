@@ -47,7 +47,15 @@ type trip =
 val trip_of_dom : Ir.dom -> trip
 val trip_eval : (Sym.t * int) list -> trip -> float
 val trip_product : trip list -> trip
-val pp_trip : Format.formatter -> trip -> unit
+
+val add_trip : Buffer.t -> trip -> unit
+(** The one text of a trip count, shared by {!Maxj}, {!Hw_pp}, {!Dot}
+    and {!Hw_lint}: an integral constant as C's [%.0f]
+    ({!Json_out.add_float} at precision 0), a fractional one, nan, ±inf
+    and a [Tscale] factor as [%g] ({!Json_out.add_general} at precision
+    6), a size as {!Sym.name}, [Tceil_div (t, b)] as [ceil(t/b)],
+    [Tavg_tail] as [avg(total@tile)], [Tmul (a, b)] as [a*b] and
+    [Tscale (f, t)] as [f*t]. *)
 
 (** {1 Direct DRAM traffic}
 

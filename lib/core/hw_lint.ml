@@ -46,7 +46,10 @@ let normalize t =
             dynamic := true;
             const := !const *. f;
             go t'
-        | atom -> atoms := Format.asprintf "%a" Hw.pp_trip atom :: !atoms)
+        | atom ->
+            let b = Buffer.create 16 in
+            Hw.add_trip b atom;
+            atoms := Buffer.contents b :: !atoms)
   in
   go t;
   (!const, List.sort String.compare !atoms, !dynamic)

@@ -30,7 +30,7 @@ type ctx = {
 
 let fresh_name ctx base =
   incr ctx.counter;
-  Printf.sprintf "%s_%d" base !(ctx.counter)
+  base ^ "_" ^ string_of_int !(ctx.counter)
 
 (* provenance carried by a pattern node, if any *)
 let pat_prov = function
@@ -66,9 +66,22 @@ let rec width_of_ty = function
   | Ty.Array (elt, _) -> width_of_ty elt
   | Ty.Assoc (k, v) -> width_of_ty k + width_of_ty v
 
+(* A source symbol's name ([<base>_<id>]) can spell a name [fresh_name]
+   minted ([<base>_<counter>]), as [result = ...] does against the
+   result buffer [result_1]; a memory whose name is taken gets a fresh
+   suffix instead.  No name is taken in a design without such a clash,
+   so its text does not change. *)
+let rec unused_name ctx name =
+  if List.exists (fun (m, _) -> String.equal m.Hw.mem_name name) !(ctx.mems)
+  then unused_name ctx (fresh_name ctx name)
+  else name
+
 (* [banked] memories get one bank per lane of the parallelism factor;
-   their count is set by [bind], every other memory has one bank *)
+   their count is set by [bind], every other memory has one bank.  The
+   returned name is the memory's: [name] itself unless another memory
+   holds it *)
 let alloc_mem ctx ~name ~kind ~width ~depth ~banked =
+  let name = unused_name ctx name in
   let m =
     { Hw.mem_name = name; kind; width_bits = width; depth; banks = 1;
       readers = 0; writers = 0; mem_prov = ctx.prov }
@@ -338,10 +351,10 @@ let dram_accesses ctx spine_dims e =
               let kind =
                 if (not affine) && ctx.opts.cache_leftover then begin
                   (if not (Hashtbl.mem ctx.caches s) then begin
-                     let name = fresh_name ctx (arr ^ "_cache") in
-                     ignore
-                       (alloc_mem ctx ~name ~kind:Hw.Cache ~width:32
-                          ~depth:1024 ~banked:false);
+                     let name =
+                       alloc_mem ctx ~name:(fresh_name ctx (arr ^ "_cache"))
+                         ~kind:Hw.Cache ~width:32 ~depth:1024 ~banked:false
+                     in
                      Hashtbl.add ctx.caches s name
                    end);
                   `Cached

@@ -1,9 +1,15 @@
-let trip_str t = Format.asprintf "%a" Hw.pp_trip t
+(* Every line is appended straight into the one buffer [emit] returns;
+   no line or datapath node is built as a string of its own. *)
 
-let trips_str trips =
-  "{" ^ String.concat ", " (List.map trip_str trips) ^ "}"
+let str = Buffer.add_string
+let int = Json_out.add_int
 
-let mem_decl buf (m : Hw.mem) =
+let add_trips b trips =
+  Buffer.add_char b '{';
+  Json_out.add_list b Hw.add_trip trips;
+  Buffer.add_char b '}'
+
+let mem_decl b (m : Hw.mem) =
   let ctor =
     match m.Hw.kind with
     | Hw.Buffer -> "mem.alloc"
@@ -13,58 +19,100 @@ let mem_decl buf (m : Hw.mem) =
     | Hw.Cam -> "mem.allocCAM"
     | Hw.Reg -> "dfe.reg"
   in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    Memory %s = %s(dfeFloat(8, %d), /*depth*/ %d, /*banks*/ %d); // R:%d W:%d\n"
-       m.Hw.mem_name ctor m.Hw.width_bits m.Hw.depth m.Hw.banks m.Hw.readers
-       m.Hw.writers)
+  str b "    Memory ";
+  str b m.Hw.mem_name;
+  str b " = ";
+  str b ctor;
+  str b "(dfeFloat(8, ";
+  int b m.Hw.width_bits;
+  str b "), /*depth*/ ";
+  int b m.Hw.depth;
+  str b ", /*banks*/ ";
+  int b m.Hw.banks;
+  str b "); // R:";
+  int b m.Hw.readers;
+  str b " W:";
+  int b m.Hw.writers;
+  Buffer.add_char b '\n'
+
+let prim_call = function
+  | Ir.Mod -> "mod" | Ir.Neg -> "neg" | Ir.Abs -> "abs" | Ir.Log -> "log"
+  | Ir.Ne -> "neq" | Ir.And -> "and" | Ir.Or -> "or" | Ir.Not -> "not"
+  | Ir.ToFloat | Ir.ToInt -> "cast"
+  | _ -> "op"
 
 (* Java-ish rendering of a datapath expression, for the generated kernel's
    dataflow comment.  Deliberately shallow: deep nests elide to [...]. *)
-let rec java_of_exp ?(depth = 4) (e : Ir.exp) =
-  if depth = 0 then "..."
+let rec add_java b depth (e : Ir.exp) =
+  if depth = 0 then str b "..."
   else
-    let go = java_of_exp ~depth:(depth - 1) in
+    let go = add_java b (depth - 1) in
+    let list es = List.iteri (fun i e -> if i > 0 then str b ", "; go e) es in
+    let infix op x y =
+      Buffer.add_char b '(';
+      go x;
+      str b op;
+      go y;
+      Buffer.add_char b ')'
+    in
+    let call f es =
+      str b f;
+      Buffer.add_char b '(';
+      list es;
+      Buffer.add_char b ')'
+    in
     match e with
-    | Ir.Var s -> Sym.name s
-    | Ir.Cf f -> Printf.sprintf "constant.var(%g)" f
-    | Ir.Ci i -> string_of_int i
-    | Ir.Cb b -> string_of_bool b
+    | Ir.Var s -> str b (Sym.name s)
+    | Ir.Cf f ->
+        str b "constant.var(";
+        Json_out.add_general ~prec:6 b f;
+        Buffer.add_char b ')'
+    | Ir.Ci i -> int b i
+    | Ir.Cb v -> str b (string_of_bool v)
     | Ir.Read (a, idxs) ->
-        Printf.sprintf "%s.read(%s)" (go a)
-          (String.concat ", " (List.map go idxs))
+        go a;
+        call ".read" idxs
     | Ir.Prim (p, args) -> (
-        let args' = List.map go args in
-        match (p, args') with
-        | Ir.Add, [ a; b ] -> Printf.sprintf "(%s + %s)" a b
-        | Ir.Sub, [ a; b ] -> Printf.sprintf "(%s - %s)" a b
-        | Ir.Mul, [ a; b ] -> Printf.sprintf "(%s * %s)" a b
-        | Ir.Div, [ a; b ] -> Printf.sprintf "(%s / %s)" a b
-        | Ir.Lt, [ a; b ] -> Printf.sprintf "(%s < %s)" a b
-        | Ir.Le, [ a; b ] -> Printf.sprintf "(%s <= %s)" a b
-        | Ir.Gt, [ a; b ] -> Printf.sprintf "(%s > %s)" a b
-        | Ir.Ge, [ a; b ] -> Printf.sprintf "(%s >= %s)" a b
-        | Ir.Eq, [ a; b ] -> Printf.sprintf "(%s === %s)" a b
-        | Ir.Min, [ a; b ] -> Printf.sprintf "KernelMath.min(%s, %s)" a b
-        | Ir.Max, [ a; b ] -> Printf.sprintf "KernelMath.max(%s, %s)" a b
-        | Ir.Sqrt, [ a ] -> Printf.sprintf "KernelMath.sqrt(%s)" a
-        | Ir.Exp, [ a ] -> Printf.sprintf "KernelMath.exp(%s)" a
-        | _, args' ->
-            Printf.sprintf "%s(%s)"
-              (String.lowercase_ascii
-                 (match p with
-                 | Ir.Mod -> "mod" | Ir.Neg -> "neg" | Ir.Abs -> "abs"
-                 | Ir.Log -> "log" | Ir.Ne -> "neq" | Ir.And -> "and"
-                 | Ir.Or -> "or" | Ir.Not -> "not" | Ir.ToFloat -> "cast"
-                 | Ir.ToInt -> "cast" | _ -> "op"))
-              (String.concat ", " args'))
+        match (p, args) with
+        | Ir.Add, [ x; y ] -> infix " + " x y
+        | Ir.Sub, [ x; y ] -> infix " - " x y
+        | Ir.Mul, [ x; y ] -> infix " * " x y
+        | Ir.Div, [ x; y ] -> infix " / " x y
+        | Ir.Lt, [ x; y ] -> infix " < " x y
+        | Ir.Le, [ x; y ] -> infix " <= " x y
+        | Ir.Gt, [ x; y ] -> infix " > " x y
+        | Ir.Ge, [ x; y ] -> infix " >= " x y
+        | Ir.Eq, [ x; y ] -> infix " === " x y
+        | Ir.Min, [ _; _ ] -> call "KernelMath.min" args
+        | Ir.Max, [ _; _ ] -> call "KernelMath.max" args
+        | Ir.Sqrt, [ _ ] -> call "KernelMath.sqrt" args
+        | Ir.Exp, [ _ ] -> call "KernelMath.exp" args
+        | _ -> call (prim_call p) args)
     | Ir.If (c, t, f) ->
-        Printf.sprintf "(%s ? %s : %s)" (go c) (go t) (go f)
+        Buffer.add_char b '(';
+        go c;
+        str b " ? ";
+        go t;
+        str b " : ";
+        go f;
+        Buffer.add_char b ')'
     | Ir.Let (s, e1, e2) ->
-        Printf.sprintf "let %s = %s in %s" (Sym.name s) (go e1) (go e2)
-    | Ir.Tup es -> Printf.sprintf "{%s}" (String.concat ", " (List.map go es))
-    | Ir.Proj (e1, i) -> Printf.sprintf "%s[%d]" (go e1) i
-    | _ -> "..."
+        str b "let ";
+        str b (Sym.name s);
+        str b " = ";
+        go e1;
+        str b " in ";
+        go e2
+    | Ir.Tup es ->
+        Buffer.add_char b '{';
+        list es;
+        Buffer.add_char b '}'
+    | Ir.Proj (e1, i) ->
+        go e1;
+        Buffer.add_char b '[';
+        int b i;
+        Buffer.add_char b ']'
+    | _ -> str b "..."
 
 let template_ctor = function
   | Hw.Vector -> "VectorUnit"
@@ -73,76 +121,136 @@ let template_ctor = function
   | Hw.Cam_update -> "CAMUpdate"
   | Hw.Scalar_unit -> "ScalarUnit"
 
-let rec emit_ctrl buf indent c =
-  let pad = String.make indent ' ' in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (pad ^ s ^ "\n")) fmt in
+let rec emit_ctrl b indent c =
+  let pad () = for _ = 1 to indent do Buffer.add_char b ' ' done in
+  let close () =
+    pad ();
+    str b "});\n"
+  in
+  (* a controller whose children are emitted inside its lambda *)
+  let block kind name ctor children =
+    pad ();
+    str b kind;
+    Buffer.add_char b ' ';
+    str b name;
+    str b ctor;
+    List.iter (emit_ctrl b (indent + 2)) children;
+    close ()
+  in
+  (* one [.method(...)] line of a pipe's builder chain *)
+  let chain s =
+    pad ();
+    str b "    ";
+    str b s
+  in
   match c with
   | Hw.Seq { name; children; _ } ->
-      line "SequentialController %s = control.sequential(() -> {" name;
-      List.iter (emit_ctrl buf (indent + 2)) children;
-      line "});"
+      block "SequentialController" name " = control.sequential(() -> {\n"
+        children
   | Hw.Par { name; children; _ } ->
-      line "ParallelController %s = control.parallel(() -> {" name;
-      List.iter (emit_ctrl buf (indent + 2)) children;
-      line "});"
+      block "ParallelController" name " = control.parallel(() -> {\n" children
   | Hw.Loop { name; trips; meta; stages; _ } ->
-      line "%s %s = control.%s(%s, () -> {"
-        (if meta then "Metapipeline" else "LoopController")
-        name
-        (if meta then "metapipeline" else "loop")
-        (trips_str trips);
-      List.iter (emit_ctrl buf (indent + 2)) stages;
-      line "});"
+      pad ();
+      str b (if meta then "Metapipeline " else "LoopController ");
+      str b name;
+      str b (if meta then " = control.metapipeline(" else " = control.loop(");
+      add_trips b trips;
+      str b ", () -> {\n";
+      List.iter (emit_ctrl b (indent + 2)) stages;
+      close ()
   | Hw.Pipe { name; trips; template; par; depth; ii; ops; uses; defines; dram; body; _ }
     ->
-      line "%s %s = compute.%s(%s)" (template_ctor template) name
-        (String.uncapitalize_ascii (template_ctor template))
-        (trips_str trips);
-      (match body with
-      | Some b ->
-          line "    // dataflow: %s"
-            (String.concat " " (String.split_on_char '\n' (java_of_exp b)))
-      | None -> ());
-      line "    .parallelism(%d).depth(%d).ii(%d)" par depth ii;
-      line "    .ops(/*fp*/ %d, /*cmp*/ %d, /*int*/ %d)" ops.Hw.flops
-        ops.Hw.cmp_ops ops.Hw.int_ops;
-      if uses <> [] then line "    .reads(%s)" (String.concat ", " uses);
-      if defines <> [] then line "    .writes(%s)" (String.concat ", " defines);
+      let ctor = template_ctor template in
+      pad ();
+      str b ctor;
+      Buffer.add_char b ' ';
+      str b name;
+      str b " = compute.";
+      str b (String.uncapitalize_ascii ctor);
+      Buffer.add_char b '(';
+      add_trips b trips;
+      str b ")\n";
+      Option.iter
+        (fun e ->
+          chain "// dataflow: ";
+          add_java b 4 e;
+          Buffer.add_char b '\n')
+        body;
+      chain ".parallelism(";
+      int b par;
+      str b ").depth(";
+      int b depth;
+      str b ").ii(";
+      int b ii;
+      str b ")\n";
+      chain ".ops(/*fp*/ ";
+      int b ops.Hw.flops;
+      str b ", /*cmp*/ ";
+      int b ops.Hw.cmp_ops;
+      str b ", /*int*/ ";
+      int b ops.Hw.int_ops;
+      str b ")\n";
+      let refs meth names =
+        if names <> [] then begin
+          chain meth;
+          Json_out.add_list b Buffer.add_string names;
+          str b ")\n"
+        end
+      in
+      refs ".reads(" uses;
+      refs ".writes(" defines;
       List.iter
         (fun da ->
-          line "    .dramStream(\"%s\", %s)" da.Hw.da_array
+          chain ".dramStream(\"";
+          str b da.Hw.da_array;
+          str b "\", ";
+          str b
             (match da.Hw.da_kind with
             | `Read -> if da.Hw.da_contiguous then "BURST_READ" else "STRIDED_READ"
             | `Cached -> "CACHED_READ"
-            | `Write -> "BURST_WRITE"))
+            | `Write -> "BURST_WRITE");
+          str b ")\n")
         dram;
-      line "    ;"
+      chain ";\n"
   | Hw.Tile_load { name; mem; array; words; reuse; _ } ->
-      line
-        "TileMemoryCommand %s = mem.tileLoad(\"%s\", %s, /*words*/ %s%s);"
-        name array mem (trip_str words)
-        (if reuse > 1 then Printf.sprintf ", /*reuse*/ %d" reuse else "")
+      pad ();
+      str b "TileMemoryCommand ";
+      str b name;
+      str b " = mem.tileLoad(\"";
+      str b array;
+      str b "\", ";
+      str b mem;
+      str b ", /*words*/ ";
+      Hw.add_trip b words;
+      if reuse > 1 then begin
+        str b ", /*reuse*/ ";
+        int b reuse
+      end;
+      str b ");\n"
   | Hw.Tile_store { name; mem; array; words; _ } ->
-      line "TileMemoryCommand %s = mem.tileStore(\"%s\", %s, /*words*/ %s);"
-        name array
-        (match mem with Some m -> m | None -> "STREAM")
-        (trip_str words)
+      pad ();
+      str b "TileMemoryCommand ";
+      str b name;
+      str b " = mem.tileStore(\"";
+      str b array;
+      str b "\", ";
+      str b (match mem with Some m -> m | None -> "STREAM");
+      str b ", /*words*/ ";
+      Hw.add_trip b words;
+      str b ");\n"
 
 let emit (d : Hw.design) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "// Generated by ppl-fpga; MaxJ-like HGL\n\
-                     class %sKernel extends Kernel {\n\
-                    \  %sKernel(KernelParameters params) {\n\
-                    \    super(params); // par_factor = %d\n\n"
-       (String.capitalize_ascii d.Hw.design_name)
-       (String.capitalize_ascii d.Hw.design_name)
-       d.Hw.par_factor);
-  Buffer.add_string buf "    // -- on-chip memories (Table 4) --\n";
-  List.iter (mem_decl buf) d.Hw.mems;
-  Buffer.add_string buf "\n    // -- controller hierarchy --\n";
-  emit_ctrl buf 4 d.Hw.top;
-  Buffer.add_string buf "  }\n}\n";
-  Buffer.contents buf
-
-let pp fmt d = Format.pp_print_string fmt (emit d)
+  let b = Buffer.create 4096 in
+  let kernel = String.capitalize_ascii d.Hw.design_name ^ "Kernel" in
+  str b "// Generated by ppl-fpga; MaxJ-like HGL\nclass ";
+  str b kernel;
+  str b " extends Kernel {\n  ";
+  str b kernel;
+  str b "(KernelParameters params) {\n    super(params); // par_factor = ";
+  int b d.Hw.par_factor;
+  str b "\n\n    // -- on-chip memories (Table 4) --\n";
+  List.iter (mem_decl b) d.Hw.mems;
+  str b "\n    // -- controller hierarchy --\n";
+  emit_ctrl b 4 d.Hw.top;
+  str b "  }\n}\n";
+  Buffer.contents b

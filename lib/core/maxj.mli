@@ -8,6 +8,6 @@
     are inspectable and diffable. *)
 
 val emit : Hw.design -> string
-(** The full kernel text for a design. *)
-
-val pp : Format.formatter -> Hw.design -> unit
+(** The full kernel text for a design, written in one walk into one
+    buffer.  Trip counts are {!Hw.add_trip}'s text and float constants
+    in the dataflow comments are C's [%g]. *)

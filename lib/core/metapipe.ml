@@ -23,7 +23,7 @@ let promoted design =
 (* record which metapipeline stage slot a controller occupies in its
    provenance trail, so profiles can attribute overlap behavior; skipped
    when the frame is already present, making re-finalization idempotent *)
-let stage_frame i = Printf.sprintf "metapipe.stage%d" (i + 1)
+let stage_frame i = "metapipe.stage" ^ string_of_int (i + 1)
 
 let has_stage_frame p =
   match List.rev (Prov.frames p) with

@@ -33,15 +33,18 @@ type setup = {
   x2 : Ir.input;  (* float matrix n x m *)
 }
 
-let make_setup rng shape_id =
+(* With [~scalars:names] the body is wrapped in one scalar binding
+   [name = 1.5] per name, outermost first, and every random scalar
+   expression reads them all.  The default [[]] adds no binding and draws
+   nothing more from [rng], so a seed's program is unchanged. *)
+let make_setup ?(scalars = []) rng shape_id =
   let open Dsl in
   let n = size "n" and m = size "m" in
   let x1 = input "x1" Ty.float_ [ Ir.Var n ] in
   let x2 = input "x2" Ty.float_ [ Ir.Var n; Ir.Var m ] in
   let v1 i = read (in_var x1) [ i ] in
   let v2 i j = read (in_var x2) [ i; j ] in
-  let sc atoms = gen_scalar rng 2 atoms in
-  let body =
+  let shape sc =
     match shape_id with
     | 0 ->
         (* element-wise map *)
@@ -119,6 +122,13 @@ let make_setup rng shape_id =
                   ~comb:(fun a b -> a +! b)
                   (fun i acc -> acc +! (read ta [ i ] *! read tb [ i ]))))
   in
+  let rec bind vs = function
+    | [] ->
+        shape (fun atoms ->
+            List.fold_left ( *! ) (gen_scalar rng 2 atoms) (List.rev vs))
+    | name :: rest -> let_ ~name (f 1.5) (fun v -> bind (v :: vs) rest)
+  in
+  let body = bind [] scalars in
   let prog =
     program ~name:(Printf.sprintf "rand%d" shape_id) ~sizes:[ n; m ]
       ~max_sizes:[ (n, 1 lsl 16); (m, 1 lsl 16) ]

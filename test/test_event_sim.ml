@@ -152,8 +152,8 @@ let test_cross_validation () =
 
 (* The sorted-list calendar that [Event_sim.Dram_calendar] replaced, as the
    reference: each request walks the calendar from its oldest span,
-   re-sorts and re-merges the whole list, and past 2048 spans coalesces
-   the oldest half into one span. *)
+   inserts the spans it books, re-merges the whole list, and past 2048
+   spans coalesces the oldest half into one span. *)
 module List_calendar = struct
   type t = { cal : (float * float) list; coalesced : int }
 
@@ -176,7 +176,21 @@ module List_calendar = struct
             end
       in
       let new_spans, fin = consume (Float.max t 0.0) dur c.cal [] in
-      let sorted = List.sort compare (List.rev_append new_spans c.cal) in
+      (* the booked spans come newest first, so reversed they are in
+         order, and one linear pass inserts them; on a tie the booked
+         span goes first, as a stable sort of [rev new_spans @ cal] puts
+         it *)
+      let before (s1, e1) (s2, e2) =
+        let c = Float.compare s1 s2 in
+        c < 0 || (c = 0 && Float.compare e1 e2 <= 0)
+      in
+      let rec insert news cal =
+        match (news, cal) with
+        | [], rest | rest, [] -> rest
+        | n :: news', x :: cal' ->
+            if before n x then n :: insert news' cal else x :: insert news cal'
+      in
+      let sorted = insert (List.rev new_spans) c.cal in
       let rec merge = function
         | (s1, e1) :: (s2, e2) :: rest when e1 >= s2 ->
             merge ((s1, Float.max e1 e2) :: rest)
@@ -222,62 +236,63 @@ let same_spans a b =
    agree bit for bit at every step, the span lists every 64 steps and at
    the end.  The first [warm] requests are all fresh.  Returns the number
    of coalescings. *)
+let request rng ~warm ~fresh i (o : List_calendar.t) horizon (t0, d0) =
+  let int k = float_of_int (Random.State.int rng k) in
+  if i < warm || Random.State.float rng 1.0 < fresh then
+    (horizon +. 1.0 +. int 8, 1.0 +. int 4)
+  else
+    (* the last booked span, where the calendar's tail path answers *)
+    let s_last, e_last =
+      match List.rev o.List_calendar.cal with [] -> (0.0, 0.0) | sp :: _ -> sp
+    in
+    let cal = Array.of_list o.List_calendar.cal in
+    let len = Array.length cal in
+    match Random.State.int rng 12 with
+    | 0 -> (t0, int 5)
+    | 1 -> (t0 +. d0, 1.0 +. int 3)
+    | 2 -> (-.Random.State.float rng 100.0, int 50)
+    | 3 -> (Random.State.float rng (Float.max 1.0 horizon), (1.0 +. int 20) /. 7.0)
+    | 4 -> (Random.State.float rng horizon, -1.0)
+    | 5 -> (s_last +. Random.State.float rng (e_last -. s_last), (1.0 +. int 20) /. 7.0)
+    | 6 -> (e_last, 1.0 +. int 4)
+    | 7 -> (e_last +. ((1.0 +. int 4) /. 8.0), 1.0 +. int 4)
+    | 9 when len >= 2 ->
+        (* an interior span's end, for exactly the gap after it *)
+        let k = Random.State.int rng (len - 1) in
+        (snd cal.(k), fst cal.(k + 1) -. snd cal.(k))
+    | 10 when len >= 3 ->
+        (* from the middle of gap k: the rest of it, [g - 2] whole
+           gaps, then 1/4 to 5/4 of the next one, so [g] = 2 or 3
+           gaps in all, one more when that share passes 1 *)
+        let k = Random.State.int rng (len - 2) in
+        let g = Int.min (2 + Random.State.int rng 2) (len - 1 - k) in
+        let t = snd cal.(k) +. ((fst cal.(k + 1) -. snd cal.(k)) /. 2.0) in
+        let full = ref (fst cal.(k + 1) -. t) in
+        for j = k + 1 to k + g - 2 do
+          full := !full +. (fst cal.(j + 1) -. snd cal.(j))
+        done;
+        let last_gap = fst cal.(k + g) -. snd cal.(k + g - 1) in
+        (t, !full +. (last_gap *. (1.0 +. int 4) /. 4.0))
+    | 11 when len >= 1 && fst cal.(0) > 0.0 ->
+        (* before the first span, which starts after 0 *)
+        (Random.State.float rng (fst cal.(0)), 1.0 +. int 4)
+    | _ -> (int (1 + int_of_float horizon), int 30)
+
 let replay ?(warm = 0) ~fresh ~n seed =
   let module C = Event_sim.Dram_calendar in
   let rng = Random.State.make [| seed |] in
-  let int k = float_of_int (Random.State.int rng k) in
   let agree c o =
     same_spans (C.spans c) o.List_calendar.cal
     && C.coalesced c = o.List_calendar.coalesced
   in
   let c = C.create () in
-  let rec go i o horizon (t0, d0) =
+  let rec go i o horizon prev =
     if i = n then begin
       if not (agree c o) then QCheck.Test.fail_report "final calendars differ";
       C.coalesced c
     end
     else begin
-      let t, dur =
-        if i < warm || Random.State.float rng 1.0 < fresh then
-          (horizon +. 1.0 +. int 8, 1.0 +. int 4)
-        else
-          (* the last booked span, where the calendar's tail path answers *)
-          let s_last, e_last =
-            match List.rev o.List_calendar.cal with [] -> (0.0, 0.0) | sp :: _ -> sp
-          in
-          let cal = Array.of_list o.List_calendar.cal in
-          let len = Array.length cal in
-          match Random.State.int rng 12 with
-          | 0 -> (t0, int 5)
-          | 1 -> (t0 +. d0, 1.0 +. int 3)
-          | 2 -> (-.Random.State.float rng 100.0, int 50)
-          | 3 -> (Random.State.float rng (Float.max 1.0 horizon), (1.0 +. int 20) /. 7.0)
-          | 4 -> (Random.State.float rng horizon, -1.0)
-          | 5 -> (s_last +. Random.State.float rng (e_last -. s_last), (1.0 +. int 20) /. 7.0)
-          | 6 -> (e_last, 1.0 +. int 4)
-          | 7 -> (e_last +. ((1.0 +. int 4) /. 8.0), 1.0 +. int 4)
-          | 9 when len >= 2 ->
-              (* an interior span's end, for exactly the gap after it *)
-              let k = Random.State.int rng (len - 1) in
-              (snd cal.(k), fst cal.(k + 1) -. snd cal.(k))
-          | 10 when len >= 3 ->
-              (* from the middle of gap k: the rest of it, [g - 2] whole
-                 gaps, then 1/4 to 5/4 of the next one, so [g] = 2 or 3
-                 gaps in all, one more when that share passes 1 *)
-              let k = Random.State.int rng (len - 2) in
-              let g = Int.min (2 + Random.State.int rng 2) (len - 1 - k) in
-              let t = snd cal.(k) +. ((fst cal.(k + 1) -. snd cal.(k)) /. 2.0) in
-              let full = ref (fst cal.(k + 1) -. t) in
-              for j = k + 1 to k + g - 2 do
-                full := !full +. (fst cal.(j + 1) -. snd cal.(j))
-              done;
-              let last_gap = fst cal.(k + g) -. snd cal.(k + g - 1) in
-              (t, !full +. (last_gap *. (1.0 +. int 4) /. 4.0))
-          | 11 when len >= 1 && fst cal.(0) > 0.0 ->
-              (* before the first span, which starts after 0 *)
-              (Random.State.float rng (fst cal.(0)), 1.0 +. int 4)
-          | _ -> (int (1 + int_of_float horizon), int 30)
-      in
+      let t, dur = request rng ~warm ~fresh i o horizon prev in
       let fin = C.acquire c t dur in
       let o, fin' = List_calendar.acquire o t dur in
       if not (Int64.equal (bits fin) (bits fin')) then
@@ -289,6 +304,45 @@ let replay ?(warm = 0) ~fresh ~n seed =
     end
   in
   go 0 List_calendar.empty 0.0 (0.0, 1.0)
+
+(* The oracle alone on a request stream: a digest of every finish time
+   and of the final spans and fold count, bit for bit *)
+let oracle_digest ?(warm = 0) ~fresh ~n seed =
+  let rng = Random.State.make [| seed |] in
+  let b = Buffer.create 65536 in
+  let rec go i o horizon prev =
+    if i = n then begin
+      List.iter (fun (s, e) -> Printf.bprintf b "S %h %h\n" s e) o.List_calendar.cal;
+      Printf.bprintf b "C %d\n" o.List_calendar.coalesced;
+      Digest.to_hex (Digest.string (Buffer.contents b))
+    end
+    else begin
+      let t, dur = request rng ~warm ~fresh i o horizon prev in
+      let o, fin = List_calendar.acquire o t dur in
+      Printf.bprintf b "F %h\n" fin;
+      go (i + 1) o (Float.max horizon fin) (t, dur)
+    end
+  in
+  go 0 List_calendar.empty 0.0 (0.0, 1.0)
+
+(* the sort-and-merge oracle's digests on fixed streams, taken before it
+   became a linear insert: the insert must answer every request alike *)
+let oracle_pins =
+  [ ((0, 0.3, 400, 1), "11e955f8dbdfcc883f08a15f5cef24fd");
+    ((0, 0.3, 400, 2), "b2b5e38a0cbf3f977c7c69400d8aecb9");
+    ((0, 0.3, 137, 3), "5cfb1a2c738c52501e3a177de06f1618");
+    ((0, 0.05, 400, 4), "2e9e12dfe6b5bcea331c94ab7b4c6866");
+    ((0, 0.9, 400, 5), "5d8b38741464e400e3047cb98007cc97");
+    ((2100, 0.95, 4500, 6), "f3efd8719ff567342092ad9d1ac20998") ]
+
+let test_oracle_pinned () =
+  List.iter
+    (fun ((warm, fresh, n, seed), expected) ->
+      let got = oracle_digest ~warm ~fresh ~n seed in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d, %d requests" seed n)
+        expected got)
+    oracle_pins
 
 let prop_calendar_matches_oracle =
   QCheck.Test.make ~name:"map calendar = list calendar (mixed requests)"
@@ -379,7 +433,8 @@ let () =
           Alcotest.test_case "fallback" `Quick test_fallback_on_huge_loops ] );
       ( "dram calendar",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_calendar_matches_oracle; prop_calendar_coalesces_like_oracle ] );
+          [ prop_calendar_matches_oracle; prop_calendar_coalesces_like_oracle ]
+        @ [ Alcotest.test_case "oracle pinned" `Quick test_oracle_pinned ] );
       ( "concurrency",
         [ Alcotest.test_case "runs on 3 domains = sequential" `Quick
             test_concurrent_runs ] );

@@ -254,6 +254,170 @@ let prop_parser_roundtrip =
           ("tiled", result.Tiling.tiled) ];
       true)
 
+(* ---------------- memory names ---------------- *)
+
+(* [compile] of a program text in a fresh process, where symbols are
+   numbered from 1 in text order: the exit code and the stdout *)
+let compile_text text ~tiles =
+  let file = Filename.temp_file "gen" ".ppl" in
+  let out = file ^ ".out" in
+  Out_channel.with_open_text file (fun oc -> output_string oc text);
+  let code =
+    Sys.command
+      (Filename.quote_command "../bin/main.exe" ~stdout:out
+         ~stderr:Filename.null [ "compile"; file; "--tiles"; tiles ])
+  in
+  let stdout = In_channel.with_open_text out In_channel.input_all in
+  Sys.remove file;
+  Sys.remove out;
+  (code, stdout)
+
+(* the names of the printed design's memory table *)
+let mem_names stdout =
+  let rec table = function
+    | "memories:" :: rest -> rows rest
+    | _ :: rest -> table rest
+    | [] -> []
+  and rows = function
+    | "controllers:" :: _ | [] -> []
+    | row :: rest -> (
+        match String.split_on_char ' ' (String.trim row) with
+        | name :: _ -> name :: rows rest
+        | [] -> rows rest)
+  in
+  table (String.split_on_char '\n' stdout)
+
+(* the first position of [sub] in [s] *)
+let index_sub s sub =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then None
+    else if String.sub s i n = sub then Some i
+    else go (i + 1)
+  in
+  go 0
+
+(* the identifiers of the printed tiled program (everything before the
+   design listing) *)
+let program_idents stdout =
+  let text =
+    match index_sub stdout "\ndesign " with
+    | Some i -> String.sub stdout 0 i
+    | None -> stdout
+  in
+  let is_ident c =
+    match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false
+  in
+  let words = ref [] and start = ref (-1) in
+  String.iteri
+    (fun i c ->
+      if is_ident c then (if !start < 0 then start := i)
+      else if !start >= 0 then begin
+        words := String.sub text !start (i - !start) :: !words;
+        start := -1
+      end)
+    (text ^ " ");
+  !words
+
+(* [name] split at its last underscore, when a number follows it *)
+let numbered name =
+  match String.rindex_opt name '_' with
+  | Some i when i > 0 && i < String.length name - 1 -> (
+      let base = String.sub name 0 i in
+      match int_of_string_opt (String.sub name (i + 1) (String.length name - i - 1)) with
+      | Some k -> Some (base, k)
+      | None -> None)
+  | _ -> None
+
+let rec replace_all ~sub ~by s =
+  match index_sub s sub with
+  | None -> s
+  | Some i ->
+      let rest = String.length s - i - String.length sub in
+      String.sub s 0 i ^ by
+      ^ replace_all ~sub ~by (String.sub s (String.length s - rest) rest)
+
+(* Every design of a generated program has distinct memory names,
+   whatever its binders are called.  The program gets four scalar
+   binders [zz]; a memory the lowering names [<base>_<k>] (after a
+   counter, not a source symbol) then lends one binder its base, and
+   unused size declarations shift that binder's number to [k], so the
+   binder spells the memory's name. *)
+let prop_mem_names =
+  QCheck.Test.make ~name:"random programs: memory names are distinct"
+    ~count:30
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = R.make seed in
+      (* shape 8 has no random scalar to read the binders *)
+      let shape_id = match R.int rng n_shapes with 8 -> 9 | k -> k in
+      let s = make_setup ~scalars:[ "zz"; "zz"; "zz"; "zz" ] rng shape_id in
+      let tiles = if R.int rng 2 = 0 then "n=8,m=4" else "n=4" in
+      let compile what text =
+        let code, stdout = compile_text text ~tiles in
+        let names = mem_names stdout in
+        if code <> 0 || List.length (List.sort_uniq compare names) <> List.length names
+        then
+          QCheck.Test.fail_reportf "shape %d seed %d (%s): exit %d@.%s" shape_id
+            seed what code stdout;
+        (names, stdout)
+      in
+      let text = Pp.program_to_string s.prog in
+      let names, stdout = compile "binders zz" text in
+      let idents = program_idents stdout in
+      (* the binders' numbers in the fresh process, outermost first *)
+      let ids =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun w ->
+               match numbered w with Some ("zz", k) -> Some k | _ -> None)
+             idents)
+      in
+      let plain base =
+        base <> ""
+        && (match base.[0] with 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false)
+        && List.for_all
+             (fun part -> int_of_string_opt part = None)
+             (String.split_on_char '_' base)
+      in
+      (* a counter-named memory, the last binder numbered at most its
+         counter, and how many sizes to declare before it *)
+      let target =
+        List.find_map
+          (fun name ->
+            match numbered name with
+            | Some (base, k) when plain base && not (List.mem name idents) -> (
+                match List.filter (fun id -> id <= k) ids with
+                | [] -> None
+                | below ->
+                    let id = List.nth below (List.length below - 1) in
+                    Some (base, List.length below - 1, k - id))
+            | _ -> None)
+          names
+      in
+      (match target with
+      | None -> ()
+      | Some (base, i, shift) ->
+          let rec binders = function
+            | Ir.Let (v, _, rest) -> v :: binders rest
+            | _ -> []
+          in
+          let zz = Sym.name (List.nth (binders s.prog.Ir.body) i) in
+          let pads =
+            String.concat ""
+              (List.init shift (fun i -> Printf.sprintf "size pad_%d\n" (i + 1)))
+          in
+          let text = replace_all ~sub:zz ~by:(base ^ "_0") text in
+          let text =
+            match String.index_opt text '\n' with
+            | Some i ->
+                String.sub text 0 (i + 1) ^ pads
+                ^ String.sub text (i + 1) (String.length text - i - 1)
+            | None -> text
+          in
+          ignore (compile ("binder " ^ base) text));
+      true)
+
 let () =
   Alcotest.run "random_programs"
     [ ( "pipeline",
@@ -261,4 +425,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_lowering_total;
           QCheck_alcotest.to_alcotest prop_shape_bind ] );
       ( "parser",
-        [ QCheck_alcotest.to_alcotest prop_parser_roundtrip ] ) ]
+        [ QCheck_alcotest.to_alcotest prop_parser_roundtrip ] );
+      ("memory names", [ QCheck_alcotest.to_alcotest prop_mem_names ]) ]
