@@ -356,12 +356,7 @@ let exp ~budget_words ~tenv ~bound e = fst (run ~budget_words ~tenv ~bound e)
 
 let program ?(budget_words = 1 lsl 18) (p : program) =
   let tenv = Validate.initial_env p in
-  let bound e =
-    match e with
-    | Ci c -> Some c
-    | Var s -> Ir.max_sizes_bound p s
-    | _ -> None
-  in
+  let bound = Ir.size_bound p in
   (* "We apply these two rules whenever possible" (Section 4): one
      interchange can expose another, so iterate to a fixpoint (bounded —
      each application strictly restructures a nest). *)

@@ -24,13 +24,32 @@ type ctx = {
   mems : (Hw.mem * bool) list ref;  (* with whether it is banked *)
   caches : (Sym.t, string) Hashtbl.t;
   dyn_lens : (Sym.t * Hw.trip) list;  (* FlatMap outputs: expected lengths *)
-  counter : int ref;
+  names : namer;
   prov : Prov.t;  (* nearest enclosing source pattern's provenance *)
 }
 
-let fresh_name ctx base =
-  incr ctx.counter;
-  base ^ "_" ^ string_of_int !(ctx.counter)
+(* Every controller and memory name of a design is handed out here, once:
+   the design has one namespace. *)
+and namer = { mutable count : int; taken : (string, unit) Hashtbl.t }
+
+(* [<base>_<count>] for the next count; not yet handed out *)
+let next_name ctx base =
+  ctx.names.count <- ctx.names.count + 1;
+  base ^ "_" ^ string_of_int ctx.names.count
+
+(* A source symbol's name ([<base>_<id>]) can spell a minted name
+   ([<base>_<count>]), as [result = ...] does against the result buffer
+   [result_1]; a name handed out before gets a fresh suffix instead.  No
+   name is taken twice in a design without such a clash, so its text does
+   not depend on this. *)
+let rec claim_name ctx name =
+  if Hashtbl.mem ctx.names.taken name then claim_name ctx (next_name ctx name)
+  else begin
+    Hashtbl.add ctx.names.taken name ();
+    name
+  end
+
+let fresh_name ctx base = claim_name ctx (next_name ctx base)
 
 (* provenance carried by a pattern node, if any *)
 let pat_prov = function
@@ -51,6 +70,10 @@ let rec exp_prov e =
 let node_prov ctx p = if Prov.is_none p then ctx.prov else p
 let under_prov ctx p = { ctx with prov = p }
 
+(* the value [s] is bound to in an association list of the context *)
+let find_sym s l =
+  List.find_map (fun (k, v) -> if Sym.equal k s then Some v else None) l
+
 let add_ty ctx s t = { ctx with tenv = Sym.Map.add s t ctx.tenv }
 
 let add_idxs ctx idxs =
@@ -66,22 +89,12 @@ let rec width_of_ty = function
   | Ty.Array (elt, _) -> width_of_ty elt
   | Ty.Assoc (k, v) -> width_of_ty k + width_of_ty v
 
-(* A source symbol's name ([<base>_<id>]) can spell a name [fresh_name]
-   minted ([<base>_<counter>]), as [result = ...] does against the
-   result buffer [result_1]; a memory whose name is taken gets a fresh
-   suffix instead.  No name is taken in a design without such a clash,
-   so its text does not change. *)
-let rec unused_name ctx name =
-  if List.exists (fun (m, _) -> String.equal m.Hw.mem_name name) !(ctx.mems)
-  then unused_name ctx (fresh_name ctx name)
-  else name
-
 (* [banked] memories get one bank per lane of the parallelism factor;
    their count is set by [bind], every other memory has one bank.  The
-   returned name is the memory's: [name] itself unless another memory
-   holds it *)
+   returned name is the memory's: [name] itself unless it was handed out
+   before *)
 let alloc_mem ctx ~name ~kind ~width ~depth ~banked =
-  let name = unused_name ctx name in
+  let name = claim_name ctx name in
   let m =
     { Hw.mem_name = name; kind; width_bits = width; depth; banks = 1;
       readers = 0; writers = 0; mem_prov = ctx.prov }
@@ -94,14 +107,9 @@ let alloc_mem ctx ~name ~kind ~width ~depth ~banked =
 let rec trip_of_size ctx e =
   match e with
   | Ci c -> Hw.Tconst (float_of_int c)
-  | Var s -> (
-      match List.find_opt (fun (k, _) -> Sym.equal k s) ctx.dyn_lens with
-      | Some (_, t) -> t
-      | None -> Hw.Tsize s)
-  | Len (Var s, _) -> (
-      match List.find_opt (fun (k, _) -> Sym.equal k s) ctx.dyn_lens with
-      | Some (_, t) -> t
-      | None -> Hw.Tconst 1.0)
+  | Var s -> Option.value (find_sym s ctx.dyn_lens) ~default:(Hw.Tsize s)
+  | Len (Var s, _) ->
+      Option.value (find_sym s ctx.dyn_lens) ~default:(Hw.Tconst 1.0)
   | Prim (Mul, [ a; b ]) -> Hw.Tmul (trip_of_size ctx a, trip_of_size ctx b)
   | Prim (Add, [ a; Ci _ ]) -> trip_of_size ctx a
   | Prim (Min, [ Ci tile; Prim (Sub, [ total; Prim (Mul, [ _; Ci tile' ]) ]) ])
@@ -295,9 +303,9 @@ let dram_accesses ctx spine_dims e =
   Rewrite.iter_exp
     (function
       | Read (Var s, idxs) -> (
-          match List.find_opt (fun (k, _) -> Sym.equal k s) ctx.dram with
+          match find_sym s ctx.dram with
           | None -> ()
-          | Some (_, arr) ->
+          | Some arr ->
               let deps =
                 List.fold_left
                   (fun acc i -> Sym.Set.union acc (Ir.free_vars i))
@@ -352,7 +360,7 @@ let dram_accesses ctx spine_dims e =
                 if (not affine) && ctx.opts.cache_leftover then begin
                   (if not (Hashtbl.mem ctx.caches s) then begin
                      let name =
-                       alloc_mem ctx ~name:(fresh_name ctx (arr ^ "_cache"))
+                       alloc_mem ctx ~name:(next_name ctx (arr ^ "_cache"))
                          ~kind:Hw.Cache ~width:32 ~depth:1024 ~banked:false
                      in
                      Hashtbl.add ctx.caches s name
@@ -392,8 +400,8 @@ let buffer_uses ctx e =
   Rewrite.iter_exp
     (function
       | Var s -> (
-          match List.find_opt (fun (k, _) -> Sym.equal k s) ctx.bufs with
-          | Some (_, names) ->
+          match find_sym s ctx.bufs with
+          | Some names ->
               List.iter
                 (fun n -> if not (List.mem n !uses) then uses := n :: !uses)
                 names
@@ -498,7 +506,7 @@ let alloc_value ctx base ty init =
         List.map2
           (fun comp shape ->
             let name =
-              fresh_name ctx
+              next_name ctx
                 (base ^ if List.length comps = 1 then "" else "_c")
             in
             match comp with
@@ -555,24 +563,34 @@ let elt_width_of_src ctx src =
       | _ -> 32)
   | _ -> 32
 
+(* --------------------------- template units ------------------------ *)
+
+(* Each Table 4 unit the walk below instantiates more than once is built
+   here.  A unit's name is minted when it is built, after its stages. *)
+
+let loop ctx bprov base trips stages =
+  let name = fresh_name ctx base in
+  Hw.Loop
+    { name; trips; meta = ctx.opts.meta; stages; prov = Prov.push bprov name }
+
+let tile_load ctx bprov ~mem ~array ~reuse words =
+  let name = fresh_name ctx ("load_" ^ array) in
+  Hw.Tile_load
+    { name; mem; array; words; path = []; reuse; prov = Prov.push bprov name }
+
+let tile_store ctx bprov ~mem ~array words =
+  let name = fresh_name ctx ("store_" ^ array) in
+  Hw.Tile_store
+    { name; mem; array; words; path = []; prov = Prov.push bprov name }
+
 (* Tile copy -> buffer + tile load unit *)
 let lower_copy ctx s { csrc; cdims; creuse } =
-  let arr_sym = match csrc with Var a -> Some a | _ -> None in
-  let arr_name =
-    match arr_sym with
-    | Some a -> (
-        match List.find_opt (fun (k, _) -> Sym.equal k a) ctx.dram with
-        | Some (_, n) -> n
-        | None -> Sym.name a)
-    | None -> "anon"
-  in
-  let shape =
-    match arr_sym with
-    | Some a -> (
-        match List.find_opt (fun (k, _) -> Sym.equal k a) ctx.ishapes with
-        | Some (_, sh) -> sh
-        | None -> [])
-    | None -> []
+  let arr_name, shape =
+    match csrc with
+    | Var a ->
+        ( Option.value (find_sym a ctx.dram) ~default:(Sym.name a),
+          Option.value (find_sym a ctx.ishapes) ~default:[] )
+    | _ -> ("anon", [])
   in
   let dim_info =
     List.mapi
@@ -594,25 +612,57 @@ let lower_copy ctx s { csrc; cdims; creuse } =
     alloc_mem ctx ~name:(Sym.name s) ~kind:Hw.Buffer
       ~width:(elt_width_of_src ctx csrc) ~depth ~banked:true
   in
-  let load_name = fresh_name ctx ("load_" ^ arr_name) in
-  let load =
-    Hw.Tile_load
-      { name = load_name;
-        mem = mem_name;
-        array = arr_name;
-        words;
-        path = [];
-        reuse = creuse;
-        prov = Prov.push ctx.prov load_name }
+  ( mem_name,
+    tile_load ctx ctx.prov ~mem:mem_name ~array:arr_name ~reuse:creuse words )
+
+(* [s] bound to a tile copy: the context that reads [s] from its buffer,
+   and the load filling the buffer *)
+let bind_copy ctx s c =
+  let mem_name, load = lower_copy ctx s c in
+  (add_buf (add_ty ctx s (type_of ctx (Copy c))) s [ mem_name ], load)
+
+(* the tile copies among shared bindings, bound in order, and their loads;
+   every other binding is only typed *)
+let bind_copies ctx lets =
+  let ctx, loads =
+    List.fold_left
+      (fun (c, acc) (s, rhs) ->
+        match rhs with
+        | Copy cp ->
+            let c, load = bind_copy c s cp in
+            (c, load :: acc)
+        | _ -> (add_ty c s (type_of c rhs), acc))
+      (ctx, []) lets
   in
-  (mem_name, load)
+  (ctx, List.rev loads)
+
+(* the words a stored value covers: a Map's domain, a Fold's accumulator
+   shape, a MultiFold's first accumulator range once *)
+let stored_words ctx = function
+  | Map m -> Hw.trip_product (List.map (trip_of_dom ctx) m.mdims)
+  | Fold { finit; _ } -> (
+      match init_shapes finit with
+      | [ Some shape ] -> Hw.trip_product (List.map (trip_of_size ctx) shape)
+      | _ -> Hw.Tconst 1.0)
+  | MultiFold { oouts = out :: _; _ } ->
+      Hw.trip_product (List.map (trip_of_size ctx) out.orange)
+  | _ -> Hw.Tconst 1.0
+
+(* storage for a staged value: [alloc_value]'s, or, over the budget, a
+   [depth]-word buffer named [dram_name ()] in front of its DRAM home *)
+let alloc_staged ctx base ty init ~depth ~dram_name =
+  match alloc_value ctx base ty init with
+  | Some names -> names
+  | None ->
+      [ alloc_mem ctx ~name:(dram_name ()) ~kind:Hw.Buffer ~width:32 ~depth
+          ~banked:(depth > 1) ]
 
 (* region write of a DRAM-resident accumulator *)
 let region_words ctx region =
   Hw.trip_product
     (List.map (fun (_, len, max_len) -> trip_of_len ctx len max_len) region)
 
-let region_depth _ctx region =
+let region_depth region =
   List.fold_left
     (fun acc (_, len, max_len) ->
       acc
@@ -630,6 +680,14 @@ type dest =
 
 let rec lower_stages ctx e ~dest : Hw.ctrl list =
   match e with
+  (* a binding nothing reads, as the source linter's dead binding: no
+     memory and no stage *)
+  | Let (s, _, rest)
+    when not
+           (Rewrite.exists_exp
+              (function Var v -> Sym.equal v s | _ -> false)
+              rest) ->
+      lower_stages ctx rest ~dest
   (* streaming filter-reduce: FlatMap consumed by a fold over its length
      becomes one loop whose stages are loads | filter pipe | reduce pipe,
      all coupled through the FIFO *)
@@ -659,29 +717,18 @@ let rec lower_stages ctx e ~dest : Hw.ctrl list =
           bufs = (x, [ fifo ]) :: ctx.bufs }
       in
       let reduce = lower_value ctx_consume consumer ~dest in
-      let name = fresh_name ctx "stream" in
-      [ Hw.Loop
-          { name;
-            trips = [ trip_of_dom ctx od ];
-            meta = ctx.opts.meta;
-            stages = inner_stages @ reduce;
-            prov = Prov.push bprov name } ]
+      [ loop ctx bprov "stream" [ trip_of_dom ctx od ] (inner_stages @ reduce) ]
   | Let (s, Copy c, rest) ->
-      let mem_name, load = lower_copy ctx s c in
-      let t = type_of ctx (Copy c) in
-      let ctx' = add_buf (add_ty ctx s t) s [ mem_name ] in
+      let ctx', load = bind_copy ctx s c in
       load :: lower_stages ctx' rest ~dest
   | Let (s, rhs, rest) when is_pattern rhs ->
       let t = type_of ctx rhs in
-      (* the intermediate's storage belongs to the pattern computing it *)
+      (* the intermediate's storage belongs to the pattern computing it;
+         over the budget it stays in DRAM *)
       let ctx_a = under_prov ctx (node_prov ctx (pat_prov rhs)) in
       let names =
-        match alloc_value ctx_a (Sym.name s) t (init_hint_of rhs) with
-        | Some names -> names
-        | None ->
-            (* intermediate too large: keep in DRAM *)
-            [ alloc_mem ctx_a ~name:(Sym.name s) ~kind:Hw.Buffer ~width:32
-                ~depth:1 ~banked:false ]
+        alloc_staged ctx_a (Sym.name s) t (init_hint_of rhs) ~depth:1
+          ~dram_name:(fun () -> Sym.name s)
       in
       let stage = lower_value ctx rhs ~dest:(Onchip names) in
       let ctx' = add_buf (add_ty ctx s t) s names in
@@ -697,16 +744,13 @@ let rec lower_stages ctx e ~dest : Hw.ctrl list =
         | _ -> ctx'
       in
       stage @ lower_stages ctx' rest ~dest
-  | Let (s, (Var _ as alias), rest) ->
+  | Let (s, (Var a as alias), rest) ->
       (* alias: propagate buffer/dram bindings *)
       let t = type_of ctx alias in
       let ctx' =
-        match alias with
-        | Var a -> (
-            match List.find_opt (fun (k, _) -> Sym.equal k a) ctx.bufs with
-            | Some (_, names) -> add_buf (add_ty ctx s t) s names
-            | None -> add_ty ctx s t)
-        | _ -> add_ty ctx s t
+        match find_sym a ctx.bufs with
+        | Some names -> add_buf (add_ty ctx s t) s names
+        | None -> add_ty ctx s t
       in
       lower_stages ctx' rest ~dest
   | Let (s, rhs, rest) ->
@@ -734,9 +778,7 @@ and lower_flatmap_body ctx e ~fifo : Hw.ctrl list =
      inner (leaf) FlatMap writing the FIFO *)
   match e with
   | Let (s, Copy c, rest) ->
-      let mem_name, load = lower_copy ctx s c in
-      let t = type_of ctx (Copy c) in
-      let ctx' = add_buf (add_ty ctx s t) s [ mem_name ] in
+      let ctx', load = bind_copy ctx s c in
       load :: lower_flatmap_body ctx' rest ~fifo
   | e -> [ lower_leaf ctx ~defines:[ fifo ] "filter" e ]
 
@@ -752,13 +794,7 @@ and lower_value ctx e ~dest : Hw.ctrl list =
       let bprov = node_prov ctx m.mprov in
       let ctx' = add_idxs (under_prov ctx bprov) m.midxs in
       let stages = lower_stages ctx' m.mbody ~dest in
-      let name = fresh_name ctx "map_loop" in
-      [ Hw.Loop
-          { name;
-            trips = List.map (trip_of_dom ctx) m.mdims;
-            meta = ctx.opts.meta;
-            stages;
-            prov = Prov.push bprov name } ]
+      [ loop ctx bprov "map_loop" (List.map (trip_of_dom ctx) m.mdims) stages ]
   | Let _ -> lower_stages ctx e ~dest
   | e ->
       (* fallback: treat as one pipe *)
@@ -805,34 +841,15 @@ and lower_leaf_value ctx e ~dest : Hw.ctrl list =
       let bprov = node_prov ctx (exp_prov e) in
       let ctx = under_prov ctx bprov in
       let stage_mem =
-        alloc_mem ctx ~name:(fresh_name ctx "stage") ~kind:Hw.Buffer ~width:32
+        alloc_mem ctx ~name:(next_name ctx "stage") ~kind:Hw.Buffer ~width:32
           ~depth:1024 ~banked:true
       in
       let pipe = lower_leaf ctx ~defines:[ stage_mem ] "pipe" e in
-      let words =
-        match e with
-        | Map m -> Hw.trip_product (List.map (trip_of_dom ctx) m.mdims)
-        | MultiFold { oouts = out :: _; _ } ->
-            (* minimum writes: the accumulator's full range once *)
-            Hw.trip_product (List.map (trip_of_size ctx) out.orange)
-        | Fold { finit; _ } -> (
-            match init_shapes finit with
-            | [ Some shape ] ->
-                Hw.trip_product (List.map (trip_of_size ctx) shape)
-            | _ -> Hw.Tconst 1.0)
-        | _ -> Hw.Tconst 1.0
-      in
-      let sname = fresh_name ctx ("store_" ^ arr) in
       [ pipe;
-        Hw.Tile_store
-          { name = sname;
-            mem = Some stage_mem;
-            array = arr;
-            words;
-            path = [];
-            prov = Prov.push bprov sname } ]
+        tile_store ctx bprov ~mem:(Some stage_mem) ~array:arr
+          (stored_words ctx e) ]
 
-and lower_fold ctx ({ fdims; fidxs; finit; facc; fupd; fcomb = _; fprov; _ } as _f)
+and lower_fold ctx ({ fdims; fidxs; finit; facc; fupd; fcomb = _; fprov; _ } as f)
     ~dest : Hw.ctrl list =
   let bprov = node_prov ctx fprov in
   let ctx = under_prov ctx bprov in
@@ -840,11 +857,9 @@ and lower_fold ctx ({ fdims; fidxs; finit; facc; fupd; fcomb = _; fprov; _ } as 
   let acc_names =
     match dest with
     | Onchip names -> names
-    | Dram_arr _ -> (
-        match alloc_value ctx "acc" acc_t finit with
-        | Some names -> names
-        | None -> [ alloc_mem ctx ~name:(fresh_name ctx "acc") ~kind:Hw.Buffer
-                      ~width:32 ~depth:1024 ~banked:true ])
+    | Dram_arr _ ->
+        alloc_staged ctx "acc" acc_t finit ~depth:1024
+          ~dram_name:(fun () -> next_name ctx "acc")
   in
   let ctx_b = add_ty (add_idxs ctx fidxs) facc acc_t in
   let ctx_b = add_buf ctx_b facc acc_names in
@@ -854,34 +869,16 @@ and lower_fold ctx ({ fdims; fidxs; finit; facc; fupd; fcomb = _; fprov; _ } as 
     | None -> fupd
   in
   let stages = lower_stages ctx_b body ~dest:(Onchip acc_names) in
-  let loop =
-    let name = fresh_name ctx "fold_loop" in
-    Hw.Loop
-      { name;
-        trips = List.map (trip_of_dom ctx) fdims;
-        meta = ctx.opts.meta;
-        stages;
-        prov = Prov.push bprov name }
+  let fold_loop =
+    loop ctx bprov "fold_loop" (List.map (trip_of_dom ctx) fdims) stages
   in
   match dest with
-  | Onchip _ -> [ loop ]
+  | Onchip _ -> [ fold_loop ]
   | Dram_arr arr ->
       (* result lives in DRAM: store the accumulator at the end *)
-      let words =
-        match init_shapes finit with
-        | [ Some shape ] ->
-            Hw.trip_product (List.map (trip_of_size ctx) shape)
-        | _ -> Hw.Tconst 1.0
-      in
-      let sname = fresh_name ctx ("store_" ^ arr) in
-      [ loop;
-        Hw.Tile_store
-          { name = sname;
-            mem = (match acc_names with n :: _ -> Some n | [] -> None);
-            array = arr;
-            words;
-            path = [];
-            prov = Prov.push bprov sname } ]
+      [ fold_loop;
+        tile_store ctx bprov ~mem:(List.nth_opt acc_names 0) ~array:arr
+          (stored_words ctx (Fold f)) ]
 
 and lower_multifold ctx
     ({ odims; oidxs; oinit; olets; oouts; ocomb; oprov; _ } as mf) ~dest :
@@ -898,27 +895,19 @@ and lower_multifold ctx
       let ctx_i, let_stages =
         List.fold_left
           (fun (c, acc) (s, rhs) ->
-            if is_pattern rhs || (match rhs with Copy _ -> true | _ -> false)
-            then begin
-              let t = type_of c rhs in
-              match rhs with
-              | Copy cp ->
-                  let mem_name, load = lower_copy c s cp in
-                  (add_buf (add_ty c s t) s [ mem_name ], load :: acc)
-              | _ ->
-                  let bnames =
-                    match alloc_value c (Sym.name s) t (init_hint_of rhs) with
-                    | Some ns -> ns
-                    | None ->
-                        [ alloc_mem c ~name:(Sym.name s) ~kind:Hw.Buffer
-                            ~width:32 ~depth:1024 ~banked:true ]
-                  in
-                  let stage = lower_value c rhs ~dest:(Onchip bnames) in
-                  (add_buf (add_ty c s t) s bnames, List.rev stage @ acc)
-            end
-            else
-              let t = type_of c rhs in
-              (add_ty c s t, acc))
+            match rhs with
+            | Copy cp ->
+                let c, load = bind_copy c s cp in
+                (c, load :: acc)
+            | _ when is_pattern rhs ->
+                let t = type_of c rhs in
+                let bnames =
+                  alloc_staged c (Sym.name s) t (init_hint_of rhs) ~depth:1024
+                    ~dram_name:(fun () -> Sym.name s)
+                in
+                let stage = lower_value c rhs ~dest:(Onchip bnames) in
+                (add_buf (add_ty c s t) s bnames, List.rev stage @ acc)
+            | _ -> (add_ty c s (type_of c rhs), acc))
           (ctx_i, []) olets
       in
       let let_stages = List.rev let_stages in
@@ -927,7 +916,7 @@ and lower_multifold ctx
           (fun (s, rhs) ->
             (not (is_pattern rhs))
             && (match rhs with Copy _ -> false | _ -> true)
-            && not (List.exists (fun (k, _) -> Sym.equal k s) ctx_i.bufs))
+            && Option.is_none (find_sym s ctx_i.bufs))
           olets
       in
       let upd_stage =
@@ -935,40 +924,22 @@ and lower_multifold ctx
           (MultiFold { mf with olets = residual_olets; odims; oidxs })
           ~dest:(Onchip names)
       in
-      let name = fresh_name ctx "mf_loop" in
-      [ Hw.Loop
-          { name;
-            trips = List.map (trip_of_dom ctx) odims;
-            meta = ctx.opts.meta;
-            stages = let_stages @ upd_stage;
-            prov = Prov.push bprov name } ]
+      [ loop ctx bprov "mf_loop" (List.map (trip_of_dom ctx) odims)
+          (let_stages @ upd_stage) ]
   | Dram_arr arr -> (
       (* DRAM-resident accumulator: per-iteration region stores (plus
          load+merge when a combine makes it a read-modify-write) *)
       match oouts with
       | [ out ] ->
           let ctx_i = add_idxs ctx oidxs in
-          let ctx_i, let_stages =
-            List.fold_left
-              (fun (c, acc) (s, rhs) ->
-                match rhs with
-                | Copy cp ->
-                    let t = type_of c rhs in
-                    let mem_name, load = lower_copy c s cp in
-                    (add_buf (add_ty c s t) s [ mem_name ], load :: acc)
-                | _ ->
-                    let t = type_of c rhs in
-                    (add_ty c s t, acc))
-              (ctx_i, []) olets
-          in
-          let let_stages = List.rev let_stages in
+          let ctx_i, let_stages = bind_copies ctx_i olets in
           let elt =
             match init_t with Ty.Array (elt, _) -> elt | t -> t
           in
           let staging =
-            alloc_mem ctx_i ~name:(fresh_name ctx "region")
+            alloc_mem ctx_i ~name:(next_name ctx "region")
               ~kind:Hw.Buffer ~width:(width_of_ty elt)
-              ~depth:(region_depth ctx_i out.oregion) ~banked:true
+              ~depth:(region_depth out.oregion) ~banked:true
           in
           let words = region_words ctx_i out.oregion in
           let compute =
@@ -980,25 +951,10 @@ and lower_multifold ctx
             match ocomb with
             | None -> []
             | Some _ ->
-                let lname = fresh_name ctx ("load_" ^ arr) in
-                [ Hw.Tile_load
-                    { name = lname;
-                      mem = staging;
-                      array = arr;
-                      words;
-                      path = [];
-                      reuse = 1;
-                      prov = Prov.push bprov lname } ]
+                [ tile_load ctx bprov ~mem:staging ~array:arr ~reuse:1 words ]
           in
           let store =
-            let sname = fresh_name ctx ("store_" ^ arr) in
-            Hw.Tile_store
-              { name = sname;
-                mem = Some staging;
-                array = arr;
-                words;
-                path = [];
-                prov = Prov.push bprov sname }
+            tile_store ctx bprov ~mem:(Some staging) ~array:arr words
           in
           (* Forwarding path (Section 5): loop dimensions the accumulator
              region does not index are pushed into an inner loop, so the
@@ -1030,13 +986,7 @@ and lower_multifold ctx
                 match rhs with
                 | Copy _ ->
                     let names =
-                      match
-                        List.find_opt
-                          (fun (k, _) -> Sym.equal k s)
-                          ctx_i.bufs
-                      with
-                      | Some (_, ns) -> ns
-                      | None -> []
+                      Option.value (find_sym s ctx_i.bufs) ~default:[]
                     in
                     List.fold_left
                       (fun a n ->
@@ -1051,36 +1001,20 @@ and lower_multifold ctx
                 | _ -> acc)
               0 olets
           in
-          let region_static = region_depth ctx_i out.oregion in
+          let region_static = region_depth out.oregion in
+          let trips dims = List.map (fun (d, _) -> trip_of_dom ctx d) dims in
           if
             rmw <> [] && inner <> [] && outer <> []
             && 2 * region_static >= copy_words_bound
-          then begin
+          then
             let inner_loop =
-              let name = fresh_name ctx "mf_inner" in
-              Hw.Loop
-                { name;
-                  trips = List.map (fun (d, _) -> trip_of_dom ctx d) inner;
-                  meta = ctx.opts.meta;
-                  stages = let_stages @ compute;
-                  prov = Prov.push bprov name }
+              loop ctx bprov "mf_inner" (trips inner) (let_stages @ compute)
             in
-            let name = fresh_name ctx "mf_loop" in
-            [ Hw.Loop
-                { name;
-                  trips = List.map (fun (d, _) -> trip_of_dom ctx d) outer;
-                  meta = ctx.opts.meta;
-                  stages = rmw @ [ inner_loop ] @ [ store ];
-                  prov = Prov.push bprov name } ]
-          end
+            [ loop ctx bprov "mf_loop" (trips outer)
+                (rmw @ [ inner_loop ] @ [ store ]) ]
           else
-            let name = fresh_name ctx "mf_loop" in
-            [ Hw.Loop
-                { name;
-                  trips = List.map (trip_of_dom ctx) odims;
-                  meta = ctx.opts.meta;
-                  stages = let_stages @ rmw @ compute @ [ store ];
-                  prov = Prov.push bprov name } ]
+            [ loop ctx bprov "mf_loop" (List.map (trip_of_dom ctx) odims)
+                (let_stages @ rmw @ compute @ [ store ]) ]
       | _ ->
           (* multi-output DRAM accumulator: not produced by the pipeline *)
           [ lower_leaf ctx ~defines:[] "pipe" (MultiFold mf) ])
@@ -1093,20 +1027,14 @@ and lower_flatmap ctx ({ fmdim; fmidx; fmbody; fmprov; _ } as fm) ~dest :
     match dest with
     | Onchip (n :: _) -> n
     | _ ->
-        alloc_mem ctx ~name:(fresh_name ctx "fifo") ~kind:Hw.Fifo ~width:32
+        alloc_mem ctx ~name:(next_name ctx "fifo") ~kind:Hw.Fifo ~width:32
           ~depth:4096 ~banked:false
   in
   let ctx' = add_idxs ctx [ fmidx ] in
   if is_leaf (FlatMap fm) then [ lower_leaf ctx ~defines:[ fifo ] "filter" (FlatMap fm) ]
   else
     let stages = lower_flatmap_body ctx' fmbody ~fifo in
-    let name = fresh_name ctx "fm_loop" in
-    [ Hw.Loop
-        { name;
-          trips = [ trip_of_dom ctx fmdim ];
-          meta = ctx.opts.meta;
-          stages;
-          prov = Prov.push bprov name } ]
+    [ loop ctx bprov "fm_loop" [ trip_of_dom ctx fmdim ] stages ]
 
 and lower_groupbyfold ctx g ~dest : Hw.ctrl list =
   let bprov = node_prov ctx g.gprov in
@@ -1115,42 +1043,24 @@ and lower_groupbyfold ctx g ~dest : Hw.ctrl list =
     match dest with
     | Onchip (n :: _) -> n
     | _ ->
-        alloc_mem ctx ~name:(fresh_name ctx "cam") ~kind:Hw.Cam ~width:64
+        alloc_mem ctx ~name:(next_name ctx "cam") ~kind:Hw.Cam ~width:64
           ~depth:1024 ~banked:false
   in
   match g.gdims with
   | (Dtiles _ as od) :: rest when rest <> [] ->
-      let ctx' = add_idxs ctx g.gidxs in
-      let ctx', loads =
-        List.fold_left
-          (fun (c, acc) (s, rhs) ->
-            match rhs with
-            | Copy cp ->
-                let t = type_of c rhs in
-                let mem_name, load = lower_copy c s cp in
-                (add_buf (add_ty c s t) s [ mem_name ], load :: acc)
-            | _ -> (c, acc))
-          (ctx', []) g.glets
-      in
+      let ctx', loads = bind_copies (add_idxs ctx g.gidxs) g.glets in
       let residual =
         List.filter
-          (fun (s, _) -> not (List.exists (fun (k, _) -> Sym.equal k s) ctx'.bufs))
+          (fun (s, _) -> Option.is_none (find_sym s ctx'.bufs))
           g.glets
       in
       let inner =
         GroupByFold { g with gdims = rest; gidxs = List.tl g.gidxs; glets = residual }
       in
       let stages =
-        List.rev loads @ [ lower_leaf ctx' ~defines:[ cam ] "cam" inner ]
+        loads @ [ lower_leaf ctx' ~defines:[ cam ] "cam" inner ]
       in
-      let name = fresh_name ctx "gbf_loop" in
-      [ Hw.Loop
-          { name;
-            trips = [ trip_of_dom ctx od ];
-            meta = ctx.opts.meta;
-            stages;
-            prov = Prov.push bprov name }
-      ]
+      [ loop ctx bprov "gbf_loop" [ trip_of_dom ctx od ] stages ]
   | _ -> [ lower_leaf ctx ~defines:[ cam ] "cam" (GroupByFold g) ]
 
 (* ------------------------------ top ------------------------------- *)
@@ -1188,7 +1098,7 @@ let lower_design opts (p : program) =
       mems = ref [];
       caches = Hashtbl.create 8;
       dyn_lens = [];
-      counter = ref 0;
+      names = { count = 0; taken = Hashtbl.create 64 };
       prov = Prov.root (p.pname ^ "/top") }
   in
   let result_ty = type_of ctx p.body in
@@ -1230,36 +1140,14 @@ let lower_design opts (p : program) =
   let stages =
     if fits then begin
       let names =
-        match
-          alloc_value ctx "result" result_ty (init_hint_of fexp)
-        with
-        | Some names -> names
-        | None ->
-            [ alloc_mem ctx ~name:"result" ~kind:Hw.Buffer ~width:32
-                ~depth:1024 ~banked:true ]
+        alloc_staged ctx "result" result_ty (init_hint_of fexp) ~depth:1024
+          ~dram_name:(fun () -> "result")
       in
       let body_stages = lower_stages ctx p.body ~dest:(Onchip names) in
-      let words =
-        match fexp with
-        | Map m -> Hw.trip_product (List.map (trip_of_dom ctx) m.mdims)
-        | Fold { finit; _ } -> (
-            match init_shapes finit with
-            | [ Some shape ] ->
-                Hw.trip_product (List.map (trip_of_size ctx) shape)
-            | _ -> Hw.Tconst 1.0)
-        | MultiFold { oouts = out :: _; _ } ->
-            Hw.trip_product (List.map (trip_of_size ctx) out.orange)
-        | _ -> Hw.Tconst 1.0
-      in
-      let sname = fresh_name ctx "store_result" in
       body_stages
-      @ [ Hw.Tile_store
-            { name = sname;
-              mem = (match names with n :: _ -> Some n | [] -> None);
-              array = "result";
-              words;
-              path = [];
-              prov = Prov.push (node_prov ctx (exp_prov fexp)) sname } ]
+      @ [ tile_store ctx (node_prov ctx (exp_prov fexp))
+            ~mem:(List.nth_opt names 0) ~array:"result"
+            (stored_words ctx fexp) ]
     end
     else lower_stages ctx p.body ~dest:(Dram_arr "result")
   in
@@ -1277,21 +1165,15 @@ let shape opts p =
   (* a program built without Tiling arrives unstamped; a Tiling output
      is stamped throughout and comes back unchanged *)
   let p = Prov_stamp.program p in
-  Metrics.time "pass.lower" (fun () ->
-      if not (Trace.enabled ()) then lower_design opts p
-      else begin
-        let args = ref [] in
-        Trace.with_span ~cat:"pass" ~args:(fun () -> !args) "lower" (fun () ->
-            let s = lower_design opts p in
-            let d = s.design in
-            let ctrls = Hw.fold_ctrls (fun n _ -> n + 1) 0 d.Hw.top in
-            args :=
-              [ ("program", Trace.Str d.Hw.design_name);
-                ("controllers", Trace.Int ctrls);
-                ("mems", Trace.Int (List.length d.Hw.mems));
-                ("meta", Trace.Str (if opts.meta then "true" else "false")) ];
-            s)
-      end)
+  Trace.pass "lower"
+    ~args:(fun s ->
+      let d = s.design in
+      [ ("program", Trace.Str d.Hw.design_name);
+        ( "controllers",
+          Trace.Int (Hw.fold_ctrls (fun n _ -> n + 1) 0 d.Hw.top) );
+        ("mems", Trace.Int (List.length d.Hw.mems));
+        ("meta", Trace.Str (if opts.meta then "true" else "false")) ])
+    (fun () -> lower_design opts p)
 
 let rec bind_ctrl par (c : Hw.ctrl) =
   match c with

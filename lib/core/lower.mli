@@ -22,7 +22,16 @@
       store (and a load + merge for read-modify-write combines);
     - remaining main-memory reads (non-affine accesses) are served by
       caches when [cache_leftover] is set (tiled designs), or counted as
-      direct burst traffic (the baseline). *)
+      direct burst traffic (the baseline);
+    - a binding nothing reads (the source linter's dead binding) lowers
+      to no memory and no stage.
+
+    Controller and memory names are one namespace: a design never holds
+    two objects of the same name.  Minted names are [<base>_<n>], with
+    [n] counting up through the walk; a source symbol's name
+    ([<base>_<id>]) is used as is unless it was handed out before, and
+    then takes a fresh [_<n>] suffix, as does a minted name a source
+    symbol took first. *)
 
 type opts = {
   meta : bool;  (** generate metapipeline schedules *)

@@ -66,21 +66,12 @@ let finalize_uninstrumented (design : Hw.design) =
   Hw.count_ports { design with Hw.mems }
 
 let finalize (design : Hw.design) =
-  Metrics.time "pass.metapipe" (fun () ->
-      if not (Trace.enabled ()) then finalize_uninstrumented design
-      else begin
-        let args = ref [] in
-        Trace.with_span ~cat:"pass" ~args:(fun () -> !args) "metapipe"
-          (fun () ->
-            let d = finalize_uninstrumented design in
-            let dbufs =
-              List.length
-                (List.filter
-                   (fun m -> m.Hw.kind = Hw.Double_buffer)
-                   d.Hw.mems)
-            in
-            args :=
-              [ ("design", Trace.Str d.Hw.design_name);
-                ("double_buffers", Trace.Int dbufs) ];
-            d)
-      end)
+  Trace.pass "metapipe"
+    ~args:(fun d ->
+      let dbufs =
+        List.length
+          (List.filter (fun m -> m.Hw.kind = Hw.Double_buffer) d.Hw.mems)
+      in
+      [ ("design", Trace.Str d.Hw.design_name);
+        ("double_buffers", Trace.Int dbufs) ])
+    (fun () -> finalize_uninstrumented design)

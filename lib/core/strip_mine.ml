@@ -464,10 +464,4 @@ let exp ~tiles ~tenv ~bound e = sm { tiles; tenv; bound } e
 
 let program ~tiles (p : program) =
   let tenv = Validate.initial_env p in
-  let bound e =
-    match e with
-    | Ci c -> Some c
-    | Var s -> Ir.max_sizes_bound p s
-    | _ -> None
-  in
-  { p with body = exp ~tiles ~tenv ~bound p.body }
+  { p with body = exp ~tiles ~tenv ~bound:(Ir.size_bound p) p.body }

@@ -27,25 +27,18 @@ let canonicalize_lens (p : Ir.program) =
    carrying before/after Ir_stats deltas (when tracing is on) and an
    accumulated [pass.<name>] timer in the metrics registry (always). *)
 let traced_pass name f p =
-  Metrics.time ("pass." ^ name) (fun () ->
-      if not (Trace.enabled ()) then f p
-      else begin
-        let args = ref [] in
-        Trace.with_span ~cat:"pass" ~args:(fun () -> !args) name (fun () ->
-            let b = Ir_stats.of_program p in
-            let r = f p in
-            let a = Ir_stats.of_program r in
-            args :=
-              [ ("nodes_before", Trace.Int b.Ir_stats.nodes);
-                ("nodes_after", Trace.Int a.Ir_stats.nodes);
-                ("copies_before", Trace.Int b.Ir_stats.copies);
-                ("copies_after", Trace.Int a.Ir_stats.copies);
-                ("strided_before", Trace.Int b.Ir_stats.strided_loops);
-                ("strided_after", Trace.Int a.Ir_stats.strided_loops);
-                ("nest_before", Trace.Int b.Ir_stats.max_nest);
-                ("nest_after", Trace.Int a.Ir_stats.max_nest) ];
-            r)
-      end)
+  Trace.pass name
+    ~args:(fun r ->
+      let b = Ir_stats.of_program p and a = Ir_stats.of_program r in
+      [ ("nodes_before", Trace.Int b.Ir_stats.nodes);
+        ("nodes_after", Trace.Int a.Ir_stats.nodes);
+        ("copies_before", Trace.Int b.Ir_stats.copies);
+        ("copies_after", Trace.Int a.Ir_stats.copies);
+        ("strided_before", Trace.Int b.Ir_stats.strided_loops);
+        ("strided_after", Trace.Int a.Ir_stats.strided_loops);
+        ("nest_before", Trace.Int b.Ir_stats.max_nest);
+        ("nest_after", Trace.Int a.Ir_stats.max_nest) ])
+    (fun () -> f p)
 
 let cleanup p =
   traced_pass "simplify" Simplify.program

@@ -136,4 +136,3 @@ let pp_values fmt snap =
 
 let pp fmt () = pp_values fmt (snapshot ())
 let reset () = with_lock (fun () -> Hashtbl.reset tbl)
-let reset_all = reset

@@ -52,6 +52,3 @@ val pp_values : Format.formatter -> (string * value) list -> unit
 
 val reset : unit -> unit
 (** Drop every entry (used by tests). *)
-
-val reset_all : unit -> unit
-(** Alias of {!reset}: clear the whole process-global registry. *)

@@ -65,6 +65,18 @@ let with_span ?(cat = "pass") ?args name f =
         raise e
   end
 
+let pass name ~args f =
+  Metrics.time ("pass." ^ name) (fun () ->
+      if not (enabled ()) then f ()
+      else begin
+        let recorded = ref [] in
+        with_span ~cat:"pass" ~args:(fun () -> !recorded) name
+          (fun () ->
+            let r = f () in
+            recorded := args r;
+            r)
+      end)
+
 let virtual_span ?(cat = "sim") ~track ~name ~start ~finish ?(args = []) () =
   if enabled () then record (Virtual { name; cat; track; start; finish; args })
 

@@ -53,6 +53,13 @@ val with_span :
     stats stashed in a ref by [f]).  The span is recorded even when [f]
     raises. *)
 
+val pass : string -> args:('a -> (string * arg) list) -> (unit -> 'a) -> 'a
+(** [pass name ~args f] runs one compiler pass [f ()]: always timed as
+    the [pass.<name>] metric ({!Metrics.time}), and when tracing is on
+    recorded as a ["pass"] span [name] carrying [args] of the pass's
+    result (no args when [f] raises).  When tracing is off [f] is called
+    directly. *)
+
 val virtual_span :
   ?cat:string -> track:string -> name:string -> start:float ->
   finish:float -> ?args:(string * arg) list -> unit -> unit

@@ -479,3 +479,8 @@ let rename_binders e = ren Sym.Map.empty e
 
 let max_sizes_bound p s =
   List.find_opt (fun (k, _) -> Sym.equal k s) p.max_sizes |> Option.map snd
+
+let size_bound p = function
+  | Ci c -> Some c
+  | Var s -> max_sizes_bound p s
+  | _ -> None

@@ -172,3 +172,8 @@ val rename_binders : exp -> exp
 
 val max_sizes_bound : program -> Sym.t -> int option
 (** Static upper bound declared for a size parameter, if any. *)
+
+val size_bound : program -> exp -> int option
+(** Static bound of a size expression for the tiling passes: a constant
+    is its own bound, a size parameter has its declared {!max_sizes_bound},
+    and anything else has none. *)

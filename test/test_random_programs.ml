@@ -272,18 +272,29 @@ let compile_text text ~tiles =
   Sys.remove out;
   (code, stdout)
 
-(* the names of the printed design's memory table *)
-let mem_names stdout =
+(* the names of the printed design's memory table and of its controllers *)
+let design_names stdout =
   let rec table = function
-    | "memories:" :: rest -> rows rest
+    | "memories:" :: rest -> mems rest
     | _ :: rest -> table rest
+    | [] -> ([], [])
+  and mems = function
+    | "controllers:" :: rest -> ([], ctrls rest)
+    | [] -> ([], [])
+    | row :: rest -> (
+        let ms, cs = mems rest in
+        match String.split_on_char ' ' (String.trim row) with
+        | name :: _ -> (name :: ms, cs)
+        | [] -> (ms, cs))
+  and ctrls = function
     | [] -> []
-  and rows = function
-    | "controllers:" :: _ | [] -> []
     | row :: rest -> (
         match String.split_on_char ' ' (String.trim row) with
-        | name :: _ -> name :: rows rest
-        | [] -> rows rest)
+        | ( "Sequential" | "Parallel" | "Metapipeline" | "Loop" | "Pipe"
+          | "TileLoad" | "TileStore" )
+          :: name :: _ ->
+            name :: ctrls rest
+        | _ -> ctrls rest)
   in
   table (String.split_on_char '\n' stdout)
 
@@ -337,14 +348,15 @@ let rec replace_all ~sub ~by s =
       String.sub s 0 i ^ by
       ^ replace_all ~sub ~by (String.sub s (String.length s - rest) rest)
 
-(* Every design of a generated program has distinct memory names,
-   whatever its binders are called.  The program gets four scalar
-   binders [zz]; a memory the lowering names [<base>_<k>] (after a
-   counter, not a source symbol) then lends one binder its base, and
-   unused size declarations shift that binder's number to [k], so the
-   binder spells the memory's name. *)
-let prop_mem_names =
-  QCheck.Test.make ~name:"random programs: memory names are distinct"
+(* Every design of a generated program has distinct names, memories and
+   controllers alike, whatever its binders are called.  The program gets
+   four scalar binders [zz]; a memory and a controller the lowering names
+   [<base>_<k>] (after a counter, not a source symbol) then each lend one
+   binder their base, and unused size declarations shift that binder's
+   number to [k], so the binder spells the memory's or the controller's
+   name. *)
+let prop_design_names =
+  QCheck.Test.make ~name:"random programs: design names are distinct"
     ~count:30
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
@@ -355,15 +367,16 @@ let prop_mem_names =
       let tiles = if R.int rng 2 = 0 then "n=8,m=4" else "n=4" in
       let compile what text =
         let code, stdout = compile_text text ~tiles in
-        let names = mem_names stdout in
+        let mems, ctrls = design_names stdout in
+        let names = mems @ ctrls in
         if code <> 0 || List.length (List.sort_uniq compare names) <> List.length names
         then
           QCheck.Test.fail_reportf "shape %d seed %d (%s): exit %d@.%s" shape_id
             seed what code stdout;
-        (names, stdout)
+        (mems, ctrls, stdout)
       in
       let text = Pp.program_to_string s.prog in
-      let names, stdout = compile "binders zz" text in
+      let mems, ctrls, stdout = compile "binders zz" text in
       let idents = program_idents stdout in
       (* the binders' numbers in the fresh process, outermost first *)
       let ids =
@@ -380,9 +393,9 @@ let prop_mem_names =
              (fun part -> int_of_string_opt part = None)
              (String.split_on_char '_' base)
       in
-      (* a counter-named memory, the last binder numbered at most its
-         counter, and how many sizes to declare before it *)
-      let target =
+      (* a counter-named memory or controller, the last binder numbered at
+         most its counter, and how many sizes to declare before it *)
+      let target names =
         List.find_map
           (fun name ->
             match numbered name with
@@ -395,27 +408,28 @@ let prop_mem_names =
             | _ -> None)
           names
       in
-      (match target with
-      | None -> ()
-      | Some (base, i, shift) ->
-          let rec binders = function
-            | Ir.Let (v, _, rest) -> v :: binders rest
-            | _ -> []
-          in
-          let zz = Sym.name (List.nth (binders s.prog.Ir.body) i) in
-          let pads =
-            String.concat ""
-              (List.init shift (fun i -> Printf.sprintf "size pad_%d\n" (i + 1)))
-          in
-          let text = replace_all ~sub:zz ~by:(base ^ "_0") text in
-          let text =
-            match String.index_opt text '\n' with
-            | Some i ->
-                String.sub text 0 (i + 1) ^ pads
-                ^ String.sub text (i + 1) (String.length text - i - 1)
-            | None -> text
-          in
-          ignore (compile ("binder " ^ base) text));
+      let spell (base, i, shift) =
+        let rec binders = function
+          | Ir.Let (v, _, rest) -> v :: binders rest
+          | _ -> []
+        in
+        let zz = Sym.name (List.nth (binders s.prog.Ir.body) i) in
+        let pads =
+          String.concat ""
+            (List.init shift (fun i -> Printf.sprintf "size pad_%d\n" (i + 1)))
+        in
+        let text = replace_all ~sub:zz ~by:(base ^ "_0") text in
+        let text =
+          match String.index_opt text '\n' with
+          | Some i ->
+              String.sub text 0 (i + 1) ^ pads
+              ^ String.sub text (i + 1) (String.length text - i - 1)
+          | None -> text
+        in
+        ignore (compile ("binder " ^ base) text)
+      in
+      Option.iter spell (target mems);
+      Option.iter spell (target ctrls);
       true)
 
 let () =
@@ -426,4 +440,4 @@ let () =
           QCheck_alcotest.to_alcotest prop_shape_bind ] );
       ( "parser",
         [ QCheck_alcotest.to_alcotest prop_parser_roundtrip ] );
-      ("memory names", [ QCheck_alcotest.to_alcotest prop_mem_names ]) ]
+      ("design names", [ QCheck_alcotest.to_alcotest prop_design_names ]) ]

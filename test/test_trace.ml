@@ -383,7 +383,7 @@ let test_metrics_json () =
 let test_metrics_diff () =
   (* the registry is process-global; the CLI reports per-invocation
      deltas against a snapshot taken at command entry *)
-  Metrics.reset_all ();
+  Metrics.reset ();
   Metrics.incr ~by:2 "d.count";
   Metrics.incr ~by:7 "d.idle";
   Metrics.set_gauge "d.gauge" 1.0;
@@ -548,7 +548,7 @@ let test_track_gauges () =
   let bench = Suite.find (Suite.extended ()) "conv2d" in
   let d = Experiments.design_of Experiments.Tiled_meta bench in
   Trace.clear ();
-  Metrics.reset_all ();
+  Metrics.reset ();
   let r = Event_sim.run ~record:true d ~sizes:bench.Suite.sim_sizes in
   Option.iter Sim_trace.record r.Event_sim.timeline;
   let gauges =
