@@ -12,17 +12,29 @@
       unchanged.
     - floats ({!add_float}): integral values below 1e15 print as their
       digits, [-0.] as [-0], and anything else (fractions, nan, ±inf,
-      huge values) as C's [%.<prec>f]. *)
+      huge values) as C's [%.<prec>f].
+
+    The [%.<prec>f] text of a finite float below 1e15 in magnitude, at a
+    [prec] from 0 to 9, is computed here in integers, exactly: the
+    integer part, a point, and the fraction times [10^prec] rounded half
+    to even (at [prec = 0] a tie goes to the even integer part), the
+    result C's [printf] gives.  Non-finite values, magnitudes of 1e15 and
+    more, and precisions above 9 are formatted by C, as is {!add_general}. *)
 
 val add_string : Buffer.t -> string -> unit
 (** A quoted, escaped JSON string. *)
+
+val add_string_body : Buffer.t -> string -> unit
+(** {!add_string} without the quotes, for a string written in pieces:
+    escaping is per byte, so the bodies of [a] and [b] are the body of
+    [a ^ b]. *)
 
 val add_int : Buffer.t -> int -> unit
 (** Decimal digits, with a leading [-] when negative. *)
 
 val add_float : prec:int -> Buffer.t -> float -> unit
 (** Canonical float text: digits for an integral value below 1e15,
-    [%.<prec>f] otherwise. *)
+    {!add_fixed} otherwise. *)
 
 val float_str : prec:int -> float -> string
 (** {!add_float} as a string. *)

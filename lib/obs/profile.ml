@@ -200,13 +200,26 @@ let fold_nodes f acc t =
   go acc t.root
 
 (* Both report buffers start just under 2 KB, small enough for OCaml to
-   allocate them on the minor heap (at most 256 words).  Most suite
-   reports fit; a larger start is a major-heap allocation at every call,
-   and major-heap allocation sets how much work each major collection
-   slice does. *)
+   allocate them on the minor heap (at most 256 words).  At the suite's
+   simulation sizes that holds 34 of the 36 text reports (the largest is
+   2,231 bytes) but only 10 of the 36 JSON reports (the largest is 4,491
+   bytes); the others grow by doubling, once or twice.  A JSON buffer
+   started at 4.5 KB measured no faster: a larger start is a major-heap
+   allocation at every call, and major-heap allocation sets how much work
+   each major collection slice does. *)
 let initial_bytes = 2000
 
 (* ------------------------- text backend ---------------------------- *)
+
+(* [n] spaces, as substrings of one constant run of them *)
+let blanks = String.make 64 ' '
+
+let rec add_blanks b n =
+  if n > 0 then begin
+    let k = Int.min n (String.length blanks) in
+    Buffer.add_substring b blanks 0 k;
+    add_blanks b (n - k)
+  end
 
 (* The report is appended to one buffer and handed to the formatter in a
    single write.  Columns are padded by hand: [left w] is printf's [%-ws]
@@ -214,7 +227,7 @@ let initial_bytes = 2000
 let pp_text fmt t =
   let b = Buffer.create initial_bytes in
   let str = Buffer.add_string b in
-  let pad n = for _ = 1 to n do Buffer.add_char b ' ' done in
+  let pad = add_blanks b in
   let left w s =
     str s;
     pad (w - String.length s)
@@ -263,7 +276,7 @@ let pp_text fmt t =
     col 12 cycles n.self;
     col 10 cycles n.invocations;
     str "  ";
-    str (Prov.to_string n.prov);
+    Prov.add_text Buffer.add_string b n.prov;
     str "\n";
     List.iter (tree (depth + 1)) n.children
   in
@@ -276,27 +289,31 @@ let pp_text fmt t =
 (* fraction digits of report floats; integral ones print without any *)
 let prec = 6
 
-let add_area b (a : Area_model.t) =
-  Json_out.add_float_object ~prec b
-    [ ("logic", a.Area_model.logic); ("ff", a.Area_model.ff);
-      ("bram", a.Area_model.bram); ("dsp", a.Area_model.dsp) ]
+(* [key] is the field's literal text, separator and quoted key *)
+let add_num b key v =
+  Buffer.add_string b key;
+  Json_out.add_float ~prec b v
 
-(* the whole report in one pass over one buffer; [num key v] writes a
-   field separator and key, then the number *)
+let add_area b (a : Area_model.t) =
+  add_num b "{\"logic\": " a.logic;
+  add_num b ", \"ff\": " a.ff;
+  add_num b ", \"bram\": " a.bram;
+  add_num b ", \"dsp\": " a.dsp;
+  Buffer.add_char b '}'
+
+(* the whole report in one pass over one buffer *)
 let to_json t =
   let b = Buffer.create initial_bytes in
   let str = Buffer.add_string b in
-  let num key v =
-    str key;
-    Json_out.add_float ~prec b v
-  in
+  let num = add_num b in
   let rec node n =
     str "{\"name\": ";
     Json_out.add_string b n.name;
     str ", \"kind\": ";
     Json_out.add_string b n.kind;
-    str ", \"prov\": ";
-    Json_out.add_string b (Prov.to_string n.prov);
+    str ", \"prov\": \"";
+    Prov.add_text Json_out.add_string_body b n.prov;
+    str "\"";
     num ", \"total\": " n.total;
     num ", \"self\": " n.self;
     num ", \"invocations\": " n.invocations;
@@ -360,7 +377,7 @@ let to_folded t =
        () t);
   let lines =
     Hashtbl.fold
-      (fun k w acc -> Printf.sprintf "%s %d" k w :: acc)
+      (fun k w acc -> (k ^ " " ^ string_of_int w) :: acc)
       tbl []
   in
   String.concat "\n"

@@ -102,7 +102,11 @@ let line_text cat pid tid =
   let b = Buffer.create 64 in
   Buffer.add_string b ", \"cat\": ";
   Json_out.add_string b cat;
-  Printf.bprintf b ", \"pid\": %d, \"tid\": %d, \"ts\": " pid tid;
+  Buffer.add_string b ", \"pid\": ";
+  Json_out.add_int b pid;
+  Buffer.add_string b ", \"tid\": ";
+  Json_out.add_int b tid;
+  Buffer.add_string b ", \"ts\": ";
   Buffer.contents b
 
 (* track names and arg keys, hashed and compared as strings *)

@@ -10,8 +10,21 @@ let push p frame =
 
 let frames p = if is_none p then [] else p.origin :: p.trail
 
+let add_text add_frame b p =
+  match frames p with
+  | [] -> Buffer.add_string b "<none>"
+  | f :: fs ->
+      add_frame b f;
+      List.iter
+        (fun f ->
+          Buffer.add_string b " -> ";
+          add_frame b f)
+        fs
+
 let to_string p =
-  match frames p with [] -> "<none>" | fs -> String.concat " -> " fs
+  let b = Buffer.create 64 in
+  add_text Buffer.add_string b p;
+  Buffer.contents b
 
 let sanitize_frame s =
   String.map

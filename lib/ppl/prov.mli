@@ -31,6 +31,11 @@ val frames : t -> string list
 val to_string : t -> string
 (** Frames joined with [" -> "]; ["<none>"] for {!none}. *)
 
+val add_text : (Buffer.t -> string -> unit) -> Buffer.t -> t -> unit
+(** [add_text add_frame b p] appends {!to_string}[ p] to [b], each frame
+    written by [add_frame] (e.g. an escaping writer); the separators and
+    ["<none>"] are appended as they are. *)
+
 val sanitize_frame : string -> string
 (** Make a frame safe for folded-stack output: [';'], whitespace and
     control characters become ['_'].  Idempotent. *)

@@ -46,6 +46,24 @@ let test_float_text () =
   check "-inf" "-inf" (f 4 Float.neg_infinity);
   check "fixed integral" "1.000000" (render (Json_out.add_fixed ~prec:6) 1.0);
   check "fixed zero at 1" "0.0" (render (Json_out.add_fixed ~prec:1) 0.0);
+  let fixed prec v = render (Json_out.add_fixed ~prec) v in
+  check "tie at 6 rounds to even" "0.007812" (f 6 0.0078125);
+  check "tie at 0 rounds down to even" "2" (f 0 2.5);
+  check "tie at 0 rounds up to even" "4" (f 0 3.5);
+  check "negative below a half at 0" "-0" (f 0 (-0.4));
+  check "carry into the integer part" "1.000000" (f 6 0.9999999);
+  check "negative carry" "-1.0000" (f 4 (-0.99999));
+  check "carry at 0" "1" (f 0 0.75);
+  check "tiny at 9" "0.000000000" (f 9 1e-300);
+  check "tiny rounding up at 9" "0.000000001" (f 9 6e-10);
+  check "negative tiny keeps its sign" "-0.000000" (f 6 (-1e-7));
+  check "just below 1e15" "999999999999999.500000" (f 6 (1e15 -. 0.5));
+  check "largest below 1e15" "999999999999999.875" (f 3 (Float.pred 1e15));
+  check "just below 1e15 at 0" "-1000000000000000" (f 0 (-.Float.pred 1e15));
+  check "fixed -0" "-0.000000" (fixed 6 (-0.0));
+  check "fixed tie at 1" "0.2" (fixed 1 0.25);
+  check "fixed at 9" "0.333333333" (fixed 9 (1.0 /. 3.0));
+  check "fixed above 9 falls back" "0.3333333333" (fixed 10 (1.0 /. 3.0));
   check "general" "1e+20" (render (Json_out.add_general ~prec:6) 1e20);
   check "general fraction" "0.333333"
     (render (Json_out.add_general ~prec:6) (1.0 /. 3.0))
@@ -68,12 +86,18 @@ let float_gen =
             [ Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0; 1e15;
               -1e15; 1e15 -. 1.0; 0.5; -0.5; 1e300; -1e-300 ] );
         (3, float_range (-1e7) 1e7);
-        (2, map (fun n -> float_of_int n /. 8.0) (int_range (-100000) 100000)) ])
+        (2, map (fun n -> float_of_int n /. 8.0) (int_range (-100000) 100000));
+        (* n / 2^j is a decimal tie at prec j - 1 when n is odd *)
+        ( 3,
+          map2
+            (fun n j -> Float.ldexp (float_of_int n) (-j))
+            (int_range (-10_000_000) 10_000_000)
+            (int_range 1 11) ) ])
 
 let float_arb = QCheck.make ~print:(Printf.sprintf "%h") float_gen
 
 let prop_matches_printf =
-  QCheck.Test.make ~name:"float text matches Printf at prec 4 and 6"
+  QCheck.Test.make ~name:"float text matches Printf at every prec 0-9"
     ~count:5000 float_arb (fun v ->
       List.for_all
         (fun prec ->
@@ -86,7 +110,7 @@ let prop_matches_printf =
           && render (Json_out.add_fixed ~prec) v = Printf.sprintf "%.*f" prec v
           && render (Json_out.add_general ~prec) v
              = Printf.sprintf "%.*g" prec v)
-        [ 4; 6 ])
+        (List.init 10 Fun.id))
 
 let () =
   Alcotest.run "json_out"

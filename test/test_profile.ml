@@ -151,6 +151,109 @@ let test_traffic_profile_cross_check () =
         rows)
     [ "sumrows"; "gemm"; "matvec"; "outerprod" ]
 
+(* ------------------ report writers on hostile names ------------------ *)
+
+let render add x =
+  let b = Buffer.create 64 in
+  add b x;
+  Buffer.contents b
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* frames and memory names with quotes, backslashes, control bytes and
+   the trail separator itself; one trail is empty *)
+let hostile_provs =
+  [ Prov.none;
+    Prov.root "q\"uote";
+    { Prov.origin = "back\\slash"; trail = [ "a -> b"; "ctl\x00\x01\x1f\n\t\r" ] };
+    { Prov.origin = ""; trail = [ "after an empty origin" ] };
+    Prov.push (Prov.root "x") "\x7f\xc3\xa9" ]
+
+let hostile_traffic = [ ("m\"em", 4.0); ("m -> \\\x02", 0.5) ]
+
+let hostile_node i prov children =
+  { Profile.name = Printf.sprintf "n\"%d\\" i;
+    kind = "pipe";
+    prov;
+    total = 10.5;
+    self = 10.5;
+    invocations = 3.0;
+    fill = 0.25;
+    steady = 10.25;
+    dram = 0.0;
+    reads = hostile_traffic;
+    writes = hostile_traffic;
+    area = Area_model.zero;
+    children }
+
+let hostile_profile () =
+  let leaves = List.mapi (fun i p -> hostile_node (i + 1) p []) hostile_provs in
+  let root = hostile_node 0 (Prov.root "top -> \"") leaves in
+  { Profile.design_name = "d\"\n";
+    total_cycles = 52.5;
+    dram_cycles = 0.0;
+    fill_cycles = 1.25;
+    steady_cycles = 51.25;
+    dram_serial_cycles = 0.0;
+    root;
+    origins =
+      [ { Profile.origin = "o -> \\\x03"; o_cycles = 52.5; o_share = 1.0;
+          o_traffic = 9.0; o_area = Area_model.zero; o_ctrls = 6 } ];
+    unattributed_area = Area_model.zero }
+
+let test_hostile_names () =
+  let p = hostile_profile () in
+  let provs = p.Profile.root.Profile.prov :: hostile_provs in
+  let json = Profile.to_json p in
+  let parsed =
+    try Mini_json.parse json
+    with Mini_json.Bad_json msg -> Alcotest.fail ("profile JSON: " ^ msg)
+  in
+  (* the prov field is the escaped [Prov.to_string], as JSON text and
+     as the parsed value, in tree order *)
+  List.iter
+    (fun pv ->
+      let field = "\"prov\": " ^ render Json_out.add_string (Prov.to_string pv) in
+      if not (contains json field) then Alcotest.fail ("missing " ^ field))
+    provs;
+  let tree = Mini_json.field "tree" parsed in
+  let kids =
+    match Mini_json.field "children" tree with
+    | Mini_json.JArr l -> l
+    | _ -> Alcotest.fail "children is not an array"
+  in
+  Alcotest.(check (list string))
+    "parsed prov fields" (List.map Prov.to_string provs)
+    (List.map (fun n -> Mini_json.str (Mini_json.field "prov" n)) (tree :: kids));
+  Alcotest.(check (list string))
+    "parsed memory names" (List.map fst hostile_traffic)
+    (match Mini_json.field "reads" tree with
+    | Mini_json.JObj kvs -> List.map fst kvs
+    | _ -> Alcotest.fail "reads is not an object");
+  (* the text column is [Prov.to_string] unescaped *)
+  let text = Format.asprintf "%a" Profile.pp_text p in
+  List.iter
+    (fun pv ->
+      let col = "  " ^ Prov.to_string pv ^ "\n" in
+      if not (contains text col) then Alcotest.fail ("missing text " ^ col))
+    provs
+
+(* indentation keeps growing past any fixed run of blanks *)
+let test_deep_text () =
+  let depth = 60 in
+  let rec chain i =
+    hostile_node i (Prov.root "deep") (if i = depth then [] else [ chain (i + 1) ])
+  in
+  let p = { (hostile_profile ()) with Profile.root = chain 0 } in
+  let text = Format.asprintf "%a" Profile.pp_text p in
+  let deepest = (hostile_node depth Prov.none []).Profile.name in
+  Alcotest.(check bool)
+    "deepest row indented by two spaces a level" true
+    (contains text ("\n" ^ String.make (2 * depth) ' ' ^ deepest ^ " "))
+
 let () =
   Alcotest.run "profile"
     [ ( "profile",
@@ -163,4 +266,7 @@ let () =
       ( "traffic report",
         [ Alcotest.test_case "kmeans centroids ratio" `Quick test_traffic_rows;
           Alcotest.test_case "interp cross-check" `Quick
-            test_traffic_profile_cross_check ] ) ]
+            test_traffic_profile_cross_check ] );
+      ( "report writers",
+        [ Alcotest.test_case "hostile names" `Quick test_hostile_names;
+          Alcotest.test_case "deep tree text" `Quick test_deep_text ] ) ]
