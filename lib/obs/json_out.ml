@@ -1,20 +1,27 @@
 (* The runtime primitive Printf's float conversions end in, called
    without parsing a format string: C's [%.<prec><conv>], for [%g] and
-   for the floats [add_fixed_exact] does not write. *)
+   for the floats [add_fixed_exact] does not write.  The [%g] strings
+   are built once, since the design printers and the metrics write
+   through [add_general]; a fixed-point one is built only by the rare
+   fallback. *)
 external format_float : string -> float -> string = "caml_format_float"
 
-let c_format conv ~prec f = format_float ("%." ^ string_of_int prec ^ conv) f
+let general_formats = Array.init 17 (fun p -> "%." ^ string_of_int p ^ "g")
 
-let is_special c = c = '"' || c = '\\' || c < ' '
+let format conv prec =
+  if String.equal conv "g" && prec >= 0 && prec < 17 then
+    general_formats.(prec)
+  else "%." ^ string_of_int prec ^ conv
 
-(* the escaped bytes of [s] from [from] on, with runs of plain bytes
-   copied whole *)
-let add_escaped b s from =
+let c_format conv ~prec f = format_float (format conv prec) f
+
+(* runs of plain bytes are copied whole; only the specials are rewritten *)
+let add_string_body b s =
   let n = String.length s in
-  let start = ref from in
-  for i = from to n - 1 do
+  let start = ref 0 in
+  for i = 0 to n - 1 do
     let c = String.unsafe_get s i in
-    if is_special c then begin
+    if c = '"' || c = '\\' || c < ' ' then begin
       Buffer.add_substring b s !start (i - !start);
       (match c with
       | '"' -> Buffer.add_string b "\\\""
@@ -31,19 +38,6 @@ let add_escaped b s from =
     end
   done;
   Buffer.add_substring b s !start (n - !start)
-
-(* a string without special bytes, the common case, is appended whole *)
-let add_string_body b s =
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n && not (is_special (String.unsafe_get s !i)) do
-    incr i
-  done;
-  if !i = n then Buffer.add_string b s
-  else begin
-    Buffer.add_substring b s 0 !i;
-    add_escaped b s !i
-  end
 
 let add_string b s =
   Buffer.add_char b '"';
