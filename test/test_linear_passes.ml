@@ -9,7 +9,7 @@
    - [Validate.infer] re-checking every subtree whose type the tiling
      passes and [Lower] now synthesize with [Validate.type_of].
    They are checked on every stage of every suite program and of random
-   programs. *)
+   programs, as is the IR's scoping rule (see [scoping_violation]). *)
 
 module R = Workloads.Rng
 
@@ -125,6 +125,62 @@ let disagreement (p : Ir.program) =
   else if Option.is_some (type_of_mismatch p) then Some "type_of"
   else None
 
+(* the binders a pattern node introduces itself: its indices, shared
+   bindings, accumulators and combine parameters *)
+let own_binders = function
+  | Ir.Map m -> m.Ir.midxs
+  | Ir.Fold f -> f.Ir.fidxs @ [ f.Ir.facc; f.Ir.fcomb.Ir.ca; f.Ir.fcomb.Ir.cb ]
+  | Ir.MultiFold mf ->
+      mf.Ir.oidxs @ List.map fst mf.Ir.olets
+      @ List.map (fun o -> o.Ir.oacc) mf.Ir.oouts
+      @ Option.fold ~none:[] ~some:(fun c -> [ c.Ir.ca; c.Ir.cb ]) mf.Ir.ocomb
+  | Ir.FlatMap fm -> [ fm.Ir.fmidx ]
+  | Ir.GroupByFold g ->
+      g.Ir.gidxs @ List.map fst g.Ir.glets
+      @ [ g.Ir.gacc; g.Ir.gcomb.Ir.ca; g.Ir.gcomb.Ir.cb ]
+  | _ -> []
+
+let is_pattern = function
+  | Ir.Map _ | Ir.Fold _ | Ir.MultiFold _ | Ir.FlatMap _ | Ir.GroupByFold _ ->
+      true
+  | _ -> false
+
+(* every binder anywhere in [e] *)
+let all_binders e =
+  let acc = ref Sym.Set.empty in
+  Rewrite.iter_exp
+    (fun n ->
+      let own = match n with Ir.Let (s, _, _) -> [ s ] | n -> own_binders n in
+      acc := List.fold_left (fun a s -> Sym.Set.add s a) !acc own)
+    e;
+  !acc
+
+(* [None] when every pattern node of [e] keeps the IR's scoping rule, else
+   the node and the property it breaks:
+   - none of the node's own binders is free in it (a tiled domain reads
+     the index of an earlier domain, which it sees bound);
+   - refreshing its binders gives an alpha-equal node,
+   - with the same free symbols,
+   - and no binder of the original. *)
+let scoping_violation e =
+  let exception Broken of Ir.exp * string in
+  let check n =
+    let fv = Ir.free_vars n and r = Ir.rename_binders n in
+    let broken why = raise (Broken (n, why)) in
+    if List.exists (fun s -> Sym.Set.mem s fv) (own_binders n) then
+      broken "an own binder is free"
+    else if not (Alpha.equal n r) then
+      broken "rename_binders is not alpha-equal"
+    else if not (Sym.Set.equal (Ir.free_vars r) fv) then
+      broken "rename_binders changes the free symbols"
+    else if not (Sym.Set.disjoint (all_binders r) (all_binders n)) then
+      broken "rename_binders keeps a binder"
+  in
+  try
+    Rewrite.iter_exp (fun n -> if is_pattern n then check n) e;
+    None
+  with Broken (n, why) -> Some (Pp.exp_to_string n, why)
+
 let stages (r : Tiling.result) source =
   [ ("source", source);
     ("fused", r.Tiling.fused);
@@ -146,22 +202,24 @@ let test_suite_stages () =
         (stages r b.Suite.prog))
     (Suite.extended ())
 
+(* the random program of [seed] at every stage, and its shape *)
+let random_stages seed =
+  let rng = R.make seed in
+  let shape_id = R.int rng Gen_programs.n_shapes in
+  let s = Gen_programs.make_setup rng shape_id in
+  let tiles =
+    List.concat
+      [ (if R.int rng 4 > 0 then [ (s.Gen_programs.n, 1 + R.int rng 8) ] else []);
+        (if R.int rng 4 > 0 then [ (s.Gen_programs.m, 1 + R.int rng 8) ] else []) ]
+  in
+  (shape_id, stages (Tiling.run ~tiles s.Gen_programs.prog) s.Gen_programs.prog)
+
 let prop_random_stages =
   QCheck.Test.make ~name:"random programs: passes equal their references"
     ~count:80
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
-      let rng = R.make seed in
-      let shape_id = R.int rng Gen_programs.n_shapes in
-      let s = Gen_programs.make_setup rng shape_id in
-      let tiles =
-        List.concat
-          [ (if R.int rng 4 > 0 then [ (s.Gen_programs.n, 1 + R.int rng 8) ]
-             else []);
-            (if R.int rng 4 > 0 then [ (s.Gen_programs.m, 1 + R.int rng 8) ]
-             else []) ]
-      in
-      let r = Tiling.run ~tiles s.Gen_programs.prog in
+      let shape_id, stages = random_stages seed in
       List.iter
         (fun (stage, p) ->
           match disagreement p with
@@ -169,7 +227,36 @@ let prop_random_stages =
           | Some pass ->
               QCheck.Test.fail_reportf "shape %d seed %d %s: %s differs"
                 shape_id seed stage pass)
-        (stages r s.Gen_programs.prog);
+        stages;
+      true)
+
+let test_suite_scoping () =
+  List.iter
+    (fun (b : Suite.bench) ->
+      let r = Tiling.run ~tiles:b.Suite.tiles b.Suite.prog in
+      List.iter
+        (fun (stage, (p : Ir.program)) ->
+          match scoping_violation p.Ir.body with
+          | None -> ()
+          | Some (node, why) ->
+              Alcotest.failf "%s %s: %s in\n%s" b.Suite.name stage why node)
+        (stages r b.Suite.prog))
+    (Suite.extended ())
+
+let prop_random_scoping =
+  QCheck.Test.make ~name:"random programs: every pattern keeps the scoping rule"
+    ~count:80
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let shape_id, stages = random_stages seed in
+      List.iter
+        (fun (stage, (p : Ir.program)) ->
+          match scoping_violation p.Ir.body with
+          | None -> ()
+          | Some (node, why) ->
+              QCheck.Test.fail_reportf "shape %d seed %d %s: %s in\n%s"
+                shape_id seed stage why node)
+        stages;
       true)
 
 (* one node of every constructor, every child a distinct leaf, so the
@@ -302,6 +389,9 @@ let () =
     [ ( "references",
         [ Alcotest.test_case "suite stages" `Quick test_suite_stages;
           QCheck_alcotest.to_alcotest prop_random_stages ] );
+      ( "scoping",
+        [ Alcotest.test_case "suite stages" `Quick test_suite_scoping;
+          QCheck_alcotest.to_alcotest prop_random_scoping ] );
       ( "walks",
         [ Alcotest.test_case "visit order" `Quick test_visit_order ] );
       ( "fixpoints",
