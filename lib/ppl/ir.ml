@@ -121,361 +121,252 @@ let is_strided = function Dtiles _ -> true | Dfull _ | Dtail _ -> false
 let comb_apply c a b = Let (c.ca, a, Let (c.cb, b, c.cbody))
 
 (* ------------------------------------------------------------------ *)
-(* Free variables                                                      *)
+(* Scoped child walks                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let rec fv_exp bound acc = function
-  | Var s -> if Sym.Set.mem s bound then acc else Sym.Set.add s acc
-  | Cf _ | Ci _ | Cb _ | EmptyArr _ -> acc
-  | Tup es | Prim (_, es) | ArrLit es -> List.fold_left (fv_exp bound) acc es
-  | Proj (e, _) | Len (e, _) -> fv_exp bound acc e
-  | Let (s, e1, e2) -> fv_exp (Sym.Set.add s bound) (fv_exp bound acc e1) e2
-  | If (c, t, e) -> fv_exp bound (fv_exp bound (fv_exp bound acc c) t) e
-  | Read (a, idxs) -> List.fold_left (fv_exp bound) (fv_exp bound acc a) idxs
+(* The scoping rule is written here once, in [map_scoped] and
+   [iter_scoped] (the table is in ir.mli).  Both visit children in
+   [Rewrite.map_children]'s order: constructor arguments and record fields
+   right to left (ocamlopt evaluates them so), list elements left to right.
+   [map_scoped] binds each binder before the children in its scope, so
+   [rename_binders] mints fresh symbols in the order the printed designs
+   have always shown. *)
+
+(* [ss] bound left to right: each replacement paired with the environment
+   before it, and the environment after them all *)
+let rec scope bind env = function
+  | [] -> ([], env)
+  | s :: ss ->
+      let env', s' = bind env s in
+      let rest, last = scope bind env' ss in
+      ((env, s') :: rest, last)
+
+let map_scoped_dom ~use f env = function
+  | Dfull e -> Dfull (f env e)
+  | Dtiles { total; tile } -> Dtiles { total = f env total; tile }
+  | Dtail { total; tile; outer } ->
+      Dtail { total = f env total; tile; outer = use env outer }
+
+let map_scoped ~bind ~use f env e =
+  let doms scoped ds = List.map2 (fun (env, _) d -> map_scoped_dom ~use f env d) scoped ds in
+  let lets scoped ls = List.map2 (fun (env, s) (_, e1) -> (s, f env e1)) scoped ls in
+  let comb c =
+    let env, ca = bind env c.ca in
+    let env, cb = bind env c.cb in
+    { ca; cb; cbody = f env c.cbody }
+  in
+  match e with
+  | Var _ | Cf _ | Ci _ | Cb _ | EmptyArr _ -> e
+  | Tup es -> Tup (List.map (f env) es)
+  | Proj (e1, i) -> Proj (f env e1, i)
+  | Prim (p, es) -> Prim (p, List.map (f env) es)
+  | Let (s, e1, e2) ->
+      let env', s = bind env s in
+      Let (s, f env e1, f env' e2)
+  | If (c, t, e1) -> If (f env c, f env t, f env e1)
+  | Len (e1, i) -> Len (f env e1, i)
+  | Read (a, idxs) -> Read (f env a, List.map (f env) idxs)
   | Slice (a, args) ->
-      List.fold_left
-        (fun acc -> function SFix e -> fv_exp bound acc e | SAll -> acc)
-        (fv_exp bound acc a) args
-  | Copy { csrc; cdims; _ } ->
-      List.fold_left
-        (fun acc -> function
-          | Coffset { off; len; _ } -> fv_exp bound (fv_exp bound acc off) len
-          | Call -> acc
-          | Cfix e -> fv_exp bound acc e)
-        (fv_exp bound acc csrc) cdims
-  | Zeros (_, shape) -> List.fold_left (fv_exp bound) acc shape
-  | Map { mdims; midxs; mbody; _ } ->
-      let acc = List.fold_left (fv_dom bound) acc mdims in
-      fv_exp (List.fold_left (fun b s -> Sym.Set.add s b) bound midxs) acc mbody
-  | Fold { fdims; fidxs; finit; facc; fupd; fcomb; _ } ->
-      let acc = List.fold_left (fv_dom bound) acc fdims in
-      let acc = fv_exp bound acc finit in
-      let inner =
-        List.fold_left (fun b s -> Sym.Set.add s b) bound (facc :: fidxs)
+      Slice (f env a, List.map (function SFix e1 -> SFix (f env e1) | SAll -> SAll) args)
+  | Copy { csrc; cdims; creuse } ->
+      Copy
+        { csrc = f env csrc;
+          cdims =
+            List.map
+              (function
+                | Coffset { off; len; max_len } ->
+                    Coffset { off = f env off; len = f env len; max_len }
+                | Call -> Call
+                | Cfix e1 -> Cfix (f env e1))
+              cdims;
+          creuse }
+  | Zeros (sc, shape) -> Zeros (sc, List.map (f env) shape)
+  | ArrLit es -> ArrLit (List.map (f env) es)
+  | Map m ->
+      let ix, env_i = scope bind env m.midxs in
+      Map
+        { m with
+          mdims = doms ix m.mdims;
+          midxs = List.map snd ix;
+          mbody = f env_i m.mbody }
+  | Fold fl ->
+      let ix, env_i = scope bind env fl.fidxs in
+      let env_u, facc = bind env_i fl.facc in
+      Fold
+        { fl with
+          fdims = doms ix fl.fdims;
+          fidxs = List.map snd ix;
+          finit = f env fl.finit;
+          facc;
+          fupd = f env_u fl.fupd;
+          fcomb = comb fl.fcomb }
+  | MultiFold mf ->
+      let ix, env_i = scope bind env mf.oidxs in
+      let ls, env_l = scope bind env_i (List.map fst mf.olets) in
+      let out o =
+        let env_u, oacc = bind env_l o.oacc in
+        { orange = List.map (f env) o.orange;
+          oregion = List.map (fun (o, l, b) -> (f env_l o, f env_l l, b)) o.oregion;
+          oacc;
+          oupd = f env_u o.oupd }
       in
-      let acc = fv_exp inner acc fupd in
-      fv_comb bound acc fcomb
-  | MultiFold { odims; oidxs; oinit; olets; oouts; ocomb; _ } ->
-      let acc = List.fold_left (fv_dom bound) acc odims in
-      let acc = fv_exp bound acc oinit in
-      let inner = List.fold_left (fun b s -> Sym.Set.add s b) bound oidxs in
-      let inner, acc =
-        List.fold_left
-          (fun (inner, acc) (s, e1) ->
-            (Sym.Set.add s inner, fv_exp inner acc e1))
-          (inner, acc) olets
-      in
-      let acc =
-        List.fold_left
-          (fun acc { orange; oregion; oacc; oupd } ->
-            let acc = List.fold_left (fv_exp bound) acc orange in
-            let acc =
-              List.fold_left
-                (fun acc (off, len, _) -> fv_exp inner (fv_exp inner acc off) len)
-                acc oregion
-            in
-            fv_exp (Sym.Set.add oacc inner) acc oupd)
-          acc oouts
-      in
-      (match ocomb with None -> acc | Some c -> fv_comb bound acc c)
-  | FlatMap { fmdim; fmidx; fmbody; _ } ->
-      let acc = fv_dom bound acc fmdim in
-      fv_exp (Sym.Set.add fmidx bound) acc fmbody
-  | GroupByFold { gdims; gidxs; ginit; glets; gkey; gacc; gupd; gcomb; _ } ->
-      let acc = List.fold_left (fv_dom bound) acc gdims in
-      let acc = fv_exp bound acc ginit in
-      let inner = List.fold_left (fun b s -> Sym.Set.add s b) bound gidxs in
-      let inner, acc =
-        List.fold_left
-          (fun (inner, acc) (s, e1) ->
-            (Sym.Set.add s inner, fv_exp inner acc e1))
-          (inner, acc) glets
-      in
-      let acc = fv_exp inner acc gkey in
-      let acc = fv_exp (Sym.Set.add gacc inner) acc gupd in
-      fv_comb bound acc gcomb
+      MultiFold
+        { mf with
+          odims = doms ix mf.odims;
+          oidxs = List.map snd ix;
+          oinit = f env mf.oinit;
+          olets = lets ls mf.olets;
+          oouts = List.map out mf.oouts;
+          ocomb = Option.map comb mf.ocomb }
+  | FlatMap fm ->
+      let env_b, fmidx = bind env fm.fmidx in
+      FlatMap
+        { fm with
+          fmdim = map_scoped_dom ~use f env fm.fmdim;
+          fmidx;
+          fmbody = f env_b fm.fmbody }
+  | GroupByFold g ->
+      let ix, env_i = scope bind env g.gidxs in
+      let ls, env_l = scope bind env_i (List.map fst g.glets) in
+      let env_u, gacc = bind env_l g.gacc in
+      GroupByFold
+        { g with
+          gdims = doms ix g.gdims;
+          gidxs = List.map snd ix;
+          ginit = f env g.ginit;
+          glets = lets ls g.glets;
+          gkey = f env_l g.gkey;
+          gacc;
+          gupd = f env_u g.gupd;
+          gcomb = comb g.gcomb }
 
-and fv_dom bound acc = function
-  | Dfull e -> fv_exp bound acc e
-  | Dtiles { total; _ } -> fv_exp bound acc total
+(* the environment before each of [ss], bound left to right, and the
+   environment after them all *)
+let rec scope_envs bind env = function
+  | [] -> ([], env)
+  | s :: ss ->
+      let rest, last = scope_envs bind (bind env s) ss in
+      (env :: rest, last)
+
+let iter_scoped_dom ~use f env = function
+  | Dfull e | Dtiles { total = e; _ } -> f env e
   | Dtail { total; outer; _ } ->
-      let acc = fv_exp bound acc total in
-      if Sym.Set.mem outer bound then acc else Sym.Set.add outer acc
+      f env total;
+      use env outer
 
-and fv_comb bound acc { ca; cb; cbody } =
-  fv_exp (Sym.Set.add ca (Sym.Set.add cb bound)) acc cbody
+let iter_scoped ~bind ~use f env e =
+  let doms envs ds = List.iter2 (iter_scoped_dom ~use f) envs ds in
+  let lets envs ls = List.iter2 (fun env (_, e1) -> f env e1) envs ls in
+  let comb_env c = bind (bind env c.ca) c.cb in
+  match e with
+  | Var _ | Cf _ | Ci _ | Cb _ | EmptyArr _ -> ()
+  | Tup es | Prim (_, es) | Zeros (_, es) | ArrLit es -> List.iter (f env) es
+  | Proj (e1, _) | Len (e1, _) -> f env e1
+  | Let (s, e1, e2) ->
+      f (bind env s) e2;
+      f env e1
+  | If (c, t, e1) ->
+      f env e1;
+      f env t;
+      f env c
+  | Read (a, idxs) ->
+      List.iter (f env) idxs;
+      f env a
+  | Slice (a, args) ->
+      List.iter (function SFix e1 -> f env e1 | SAll -> ()) args;
+      f env a
+  | Copy { csrc; cdims; _ } ->
+      List.iter
+        (function
+          | Coffset { off; len; _ } ->
+              f env len;
+              f env off
+          | Call -> ()
+          | Cfix e1 -> f env e1)
+        cdims;
+      f env csrc
+  | Map { mdims; midxs; mbody; _ } ->
+      let envs, env_i = scope_envs bind env midxs in
+      f env_i mbody;
+      doms envs mdims
+  | Fold { fdims; fidxs; finit; facc; fupd; fcomb; _ } ->
+      let envs, env_i = scope_envs bind env fidxs in
+      f (comb_env fcomb) fcomb.cbody;
+      f (bind env_i facc) fupd;
+      f env finit;
+      doms envs fdims
+  | MultiFold { odims; oidxs; oinit; olets; oouts; ocomb; _ } ->
+      let envs, env_i = scope_envs bind env oidxs in
+      let lenvs, env_l = scope_envs bind env_i (List.map fst olets) in
+      Option.iter (fun c -> f (comb_env c) c.cbody) ocomb;
+      List.iter
+        (fun out ->
+          f (bind env_l out.oacc) out.oupd;
+          List.iter
+            (fun (o, l, _) ->
+              f env_l l;
+              f env_l o)
+            out.oregion;
+          List.iter (f env) out.orange)
+        oouts;
+      lets lenvs olets;
+      f env oinit;
+      doms envs odims
+  | FlatMap { fmdim; fmidx; fmbody; _ } ->
+      f (bind env fmidx) fmbody;
+      iter_scoped_dom ~use f env fmdim
+  | GroupByFold { gdims; gidxs; ginit; glets; gkey; gacc; gupd; gcomb; _ } ->
+      let envs, env_i = scope_envs bind env gidxs in
+      let lenvs, env_l = scope_envs bind env_i (List.map fst glets) in
+      f (comb_env gcomb) gcomb.cbody;
+      f (bind env_l gacc) gupd;
+      f env_l gkey;
+      lets lenvs glets;
+      f env ginit;
+      doms envs gdims
 
-let free_vars e = fv_exp Sym.Set.empty Sym.Set.empty e
-
-(* ------------------------------------------------------------------ *)
-(* Substitution                                                        *)
-(* ------------------------------------------------------------------ *)
+let free_vars e =
+  let free = ref Sym.Set.empty in
+  let use bound s = if not (Sym.Set.mem s bound) then free := Sym.Set.add s !free in
+  let bind bound s = Sym.Set.add s bound in
+  let rec go bound = function
+    | Var s -> use bound s
+    | e -> iter_scoped ~bind ~use go bound e
+  in
+  go Sym.Set.empty e;
+  !free
 
 (* All binders are globally fresh symbols (the DSL and every transformation
    generate them with [Sym.fresh]), so substitution needs no renaming: a
    bound symbol can never collide with a substituted term's free symbols.
    Bound symbols still shadow map entries. *)
+let subst_outer env s =
+  match Sym.Map.find_opt s env with
+  | None -> s
+  | Some (Var s') -> s'
+  | Some _ -> invalid_arg "Ir.subst: Dtail outer index substituted by a non-variable"
+
 let rec subst env e =
   if Sym.Map.is_empty env then e
   else
     match e with
     | Var s -> (match Sym.Map.find_opt s env with Some e' -> e' | None -> e)
-    | Cf _ | Ci _ | Cb _ | EmptyArr _ -> e
-    | Tup es -> Tup (List.map (subst env) es)
-    | Proj (e1, i) -> Proj (subst env e1, i)
-    | Prim (p, es) -> Prim (p, List.map (subst env) es)
-    | Let (s, e1, e2) ->
-        Let (s, subst env e1, subst (Sym.Map.remove s env) e2)
-    | If (c, t, f) -> If (subst env c, subst env t, subst env f)
-    | Len (e1, i) -> Len (subst env e1, i)
-    | Read (a, idxs) -> Read (subst env a, List.map (subst env) idxs)
-    | Slice (a, args) ->
-        Slice
-          ( subst env a,
-            List.map
-              (function SFix e1 -> SFix (subst env e1) | SAll -> SAll)
-              args )
-    | Copy { csrc; cdims; creuse } ->
-        Copy
-          { csrc = subst env csrc;
-            cdims =
-              List.map
-                (function
-                  | Coffset { off; len; max_len } ->
-                      Coffset { off = subst env off; len = subst env len; max_len }
-                  | Call -> Call
-                  | Cfix e1 -> Cfix (subst env e1))
-                cdims;
-            creuse }
-    | Zeros (sc, shape) -> Zeros (sc, List.map (subst env) shape)
-    | ArrLit es -> ArrLit (List.map (subst env) es)
-    | Map { mdims; midxs; mbody; mprov } ->
-        let env' = List.fold_left (fun m s -> Sym.Map.remove s m) env midxs in
-        Map
-          { mdims = List.map (subst_dom env) mdims;
-            midxs;
-            mbody = subst env' mbody;
-            mprov }
-    | Fold { fdims; fidxs; finit; facc; fupd; fcomb; fprov } ->
-        let env' = List.fold_left (fun m s -> Sym.Map.remove s m) env fidxs in
-        Fold
-          { fdims = List.map (subst_dom env) fdims;
-            fidxs;
-            finit = subst env finit;
-            facc;
-            fupd = subst (Sym.Map.remove facc env') fupd;
-            fcomb = subst_comb env fcomb;
-            fprov }
-    | MultiFold { odims; oidxs; oinit; olets; oouts; ocomb; oprov } ->
-        let env' = List.fold_left (fun m s -> Sym.Map.remove s m) env oidxs in
-        let env', olets =
-          List.fold_left
-            (fun (env', acc) (s, e1) ->
-              let e1' = subst env' e1 in
-              (Sym.Map.remove s env', (s, e1') :: acc))
-            (env', []) olets
-        in
-        let olets = List.rev olets in
-        MultiFold
-          { odims = List.map (subst_dom env) odims;
-            oidxs;
-            oinit = subst env oinit;
-            olets;
-            oouts =
-              List.map
-                (fun { orange; oregion; oacc; oupd } ->
-                  { orange = List.map (subst env) orange;
-                    oregion =
-                      List.map
-                        (fun (off, len, b) -> (subst env' off, subst env' len, b))
-                        oregion;
-                    oacc;
-                    oupd = subst (Sym.Map.remove oacc env') oupd })
-                oouts;
-            ocomb = Option.map (subst_comb env) ocomb;
-            oprov }
-    | FlatMap { fmdim; fmidx; fmbody; fmprov } ->
-        FlatMap
-          { fmdim = subst_dom env fmdim;
-            fmidx;
-            fmbody = subst (Sym.Map.remove fmidx env) fmbody;
-            fmprov }
-    | GroupByFold { gdims; gidxs; ginit; glets; gkey; gacc; gupd; gcomb; gprov }
-      ->
-        let env' = List.fold_left (fun m s -> Sym.Map.remove s m) env gidxs in
-        let env', glets =
-          List.fold_left
-            (fun (env', acc) (s, e1) ->
-              let e1' = subst env' e1 in
-              (Sym.Map.remove s env', (s, e1') :: acc))
-            (env', []) glets
-        in
-        let glets = List.rev glets in
-        GroupByFold
-          { gdims = List.map (subst_dom env) gdims;
-            gidxs;
-            ginit = subst env ginit;
-            glets;
-            gkey = subst env' gkey;
-            gacc;
-            gupd = subst (Sym.Map.remove gacc env') gupd;
-            gcomb = subst_comb env gcomb;
-            gprov }
+    | e ->
+        map_scoped
+          ~bind:(fun env s -> (Sym.Map.remove s env, s))
+          ~use:subst_outer subst env e
 
-and subst_dom env = function
-  | Dfull e -> Dfull (subst env e)
-  | Dtiles { total; tile } -> Dtiles { total = subst env total; tile }
-  | Dtail { total; tile; outer } -> (
-      let total = subst env total in
-      match Sym.Map.find_opt outer env with
-      | None -> Dtail { total; tile; outer }
-      | Some (Var outer') -> Dtail { total; tile; outer = outer' }
-      | Some _ ->
-          invalid_arg "Ir.subst: Dtail outer index substituted by a non-variable")
-
-and subst_comb env { ca; cb; cbody } =
-  { ca; cb; cbody = subst (Sym.Map.remove ca (Sym.Map.remove cb env)) cbody }
-
-(* ------------------------------------------------------------------ *)
-(* Binder refreshing                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let rec ren env e =
-  let var s = match Sym.Map.find_opt s env with Some s' -> s' | None -> s in
-  match e with
-  | Var s -> Var (var s)
-  | Cf _ | Ci _ | Cb _ | EmptyArr _ -> e
-  | Tup es -> Tup (List.map (ren env) es)
-  | Proj (e1, i) -> Proj (ren env e1, i)
-  | Prim (p, es) -> Prim (p, List.map (ren env) es)
-  | Let (s, e1, e2) ->
-      let s' = Sym.fresh (Sym.base s) in
-      Let (s', ren env e1, ren (Sym.Map.add s s' env) e2)
-  | If (c, t, f) -> If (ren env c, ren env t, ren env f)
-  | Len (e1, i) -> Len (ren env e1, i)
-  | Read (a, idxs) -> Read (ren env a, List.map (ren env) idxs)
-  | Slice (a, args) ->
-      Slice
-        (ren env a, List.map (function SFix e1 -> SFix (ren env e1) | SAll -> SAll) args)
-  | Copy { csrc; cdims; creuse } ->
-      Copy
-        { csrc = ren env csrc;
-          cdims =
-            List.map
-              (function
-                | Coffset { off; len; max_len } ->
-                    Coffset { off = ren env off; len = ren env len; max_len }
-                | Call -> Call
-                | Cfix e1 -> Cfix (ren env e1))
-              cdims;
-          creuse }
-  | Zeros (sc, shape) -> Zeros (sc, List.map (ren env) shape)
-  | ArrLit es -> ArrLit (List.map (ren env) es)
-  | Map { mdims; midxs; mbody; mprov } ->
-      let midxs' = List.map (fun s -> Sym.fresh (Sym.base s)) midxs in
-      let env' =
-        List.fold_left2 (fun m s s' -> Sym.Map.add s s' m) env midxs midxs'
-      in
-      Map
-        { mdims = List.map (ren_dom env) mdims;
-          midxs = midxs';
-          mbody = ren env' mbody;
-          mprov }
-  | Fold { fdims; fidxs; finit; facc; fupd; fcomb; fprov } ->
-      let fidxs' = List.map (fun s -> Sym.fresh (Sym.base s)) fidxs in
-      let facc' = Sym.fresh (Sym.base facc) in
-      let env' =
-        List.fold_left2 (fun m s s' -> Sym.Map.add s s' m) env fidxs fidxs'
-      in
-      Fold
-        { fdims = List.map (ren_dom env) fdims;
-          fidxs = fidxs';
-          finit = ren env finit;
-          facc = facc';
-          fupd = ren (Sym.Map.add facc facc' env') fupd;
-          fcomb = ren_comb env fcomb;
-          fprov }
-  | MultiFold { odims; oidxs; oinit; olets; oouts; ocomb; oprov } ->
-      let oidxs' = List.map (fun s -> Sym.fresh (Sym.base s)) oidxs in
-      let env' =
-        List.fold_left2 (fun m s s' -> Sym.Map.add s s' m) env oidxs oidxs'
-      in
-      let env', olets' =
-        List.fold_left
-          (fun (env', acc) (s, e1) ->
-            let e1' = ren env' e1 in
-            let s' = Sym.fresh (Sym.base s) in
-            (Sym.Map.add s s' env', (s', e1') :: acc))
-          (env', []) olets
-      in
-      let olets' = List.rev olets' in
-      MultiFold
-        { odims = List.map (ren_dom env) odims;
-          oidxs = oidxs';
-          oinit = ren env oinit;
-          olets = olets';
-          oouts =
-            List.map
-              (fun { orange; oregion; oacc; oupd } ->
-                let oacc' = Sym.fresh (Sym.base oacc) in
-                { orange = List.map (ren env) orange;
-                  oregion =
-                    List.map (fun (off, len, b) -> (ren env' off, ren env' len, b)) oregion;
-                  oacc = oacc';
-                  oupd = ren (Sym.Map.add oacc oacc' env') oupd })
-              oouts;
-          ocomb = Option.map (ren_comb env) ocomb;
-          oprov }
-  | FlatMap { fmdim; fmidx; fmbody; fmprov } ->
-      let fmidx' = Sym.fresh (Sym.base fmidx) in
-      FlatMap
-        { fmdim = ren_dom env fmdim;
-          fmidx = fmidx';
-          fmbody = ren (Sym.Map.add fmidx fmidx' env) fmbody;
-          fmprov }
-  | GroupByFold { gdims; gidxs; ginit; glets; gkey; gacc; gupd; gcomb; gprov }
-    ->
-      let gidxs' = List.map (fun s -> Sym.fresh (Sym.base s)) gidxs in
-      let gacc' = Sym.fresh (Sym.base gacc) in
-      let env1 =
-        List.fold_left2 (fun m s s' -> Sym.Map.add s s' m) env gidxs gidxs'
-      in
-      let env1, glets' =
-        List.fold_left
-          (fun (env1, acc) (s, e1) ->
-            let e1' = ren env1 e1 in
-            let s' = Sym.fresh (Sym.base s) in
-            (Sym.Map.add s s' env1, (s', e1') :: acc))
-          (env1, []) glets
-      in
-      let glets' = List.rev glets' in
-      GroupByFold
-        { gdims = List.map (ren_dom env) gdims;
-          gidxs = gidxs';
-          ginit = ren env ginit;
-          glets = glets';
-          gkey = ren env1 gkey;
-          gacc = gacc';
-          gupd = ren (Sym.Map.add gacc gacc' env1) gupd;
-          gcomb = ren_comb env gcomb;
-          gprov }
-
-and ren_dom env = function
-  | Dfull e -> Dfull (ren env e)
-  | Dtiles { total; tile } -> Dtiles { total = ren env total; tile }
-  | Dtail { total; tile; outer } ->
-      let outer =
-        match Sym.Map.find_opt outer env with Some s -> s | None -> outer
-      in
-      Dtail { total = ren env total; tile; outer }
-
-and ren_comb env { ca; cb; cbody } =
-  let ca' = Sym.fresh (Sym.base ca) and cb' = Sym.fresh (Sym.base cb) in
-  { ca = ca';
-    cb = cb';
-    cbody = ren (Sym.Map.add ca ca' (Sym.Map.add cb cb' env)) cbody }
-
-let rename_binders e = ren Sym.Map.empty e
+let rename_binders e =
+  let use env s = match Sym.Map.find_opt s env with Some s' -> s' | None -> s in
+  let bind env s =
+    let s' = Sym.fresh (Sym.base s) in
+    (Sym.Map.add s s' env, s')
+  in
+  let rec go env = function
+    | Var s -> Var (use env s)
+    | e -> map_scoped ~bind ~use go env e
+  in
+  go Sym.Map.empty e
 
 let max_sizes_bound p s =
   List.find_opt (fun (k, _) -> Sym.equal k s) p.max_sizes |> Option.map snd

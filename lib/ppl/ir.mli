@@ -159,12 +159,61 @@ val comb_apply : comb -> exp -> exp -> exp
 (** [comb_apply c a b] is [c]'s body with its parameters Let-bound to
     [a] and [b]. *)
 
+(** {1 Scoping}
+
+    The scoping rule of the IR, written once: which binders each child of
+    a node sees.
+    - A [Let] body sees its binder; its bound expression does not.
+    - Pattern domain [i] sees the pattern's indices before [i] (the
+      flattened tiled form [[Dtiles; Dtail {outer = ii}]] reads its own
+      tile index [ii]).
+    - A body, key or update sees every index, then the shared bindings in
+      order, then its accumulator; shared binding [k] sees the indices and
+      the bindings before [k].
+    - A MultiFold's [orange] sees only the outer scope; its [oregion]
+      sees the indices and the shared bindings.
+    - An [init] sees only the outer scope, and a combine function only
+      [ca] and [cb].
+    - [Dtail.outer] is a use, not a binder.
+
+    [free_vars], [subst] and [rename_binders] are instances of the two
+    walks below, so none of them restates the rule. *)
+
+val map_scoped :
+  bind:('env -> Sym.t -> 'env * Sym.t) ->
+  use:('env -> Sym.t -> Sym.t) ->
+  ('env -> exp -> exp) ->
+  'env ->
+  exp ->
+  exp
+(** [map_scoped ~bind ~use f env e] rebuilds one node: each child [c]
+    becomes [f env' c], where [env'] is [env] extended through [bind] by
+    every binder [c] sees, and each binder is replaced by the symbol
+    [bind] returns with it.  [use] maps a [Dtail.outer].  A leaf is
+    returned as it is, and [f] is never applied to [e] itself.
+
+    Children are visited in [Rewrite.map_children]'s order, and each
+    binder is bound before the children in its scope. *)
+
+val iter_scoped :
+  bind:('env -> Sym.t -> 'env) ->
+  use:('env -> Sym.t -> unit) ->
+  ('env -> exp -> unit) ->
+  'env ->
+  exp ->
+  unit
+(** [iter_scoped ~bind ~use f env e] is the visit of {!map_scoped},
+    with no rebuild: [f] gets the same children, in the same order, each
+    in the environment [map_scoped] would give it. *)
+
 val free_vars : exp -> Sym.Set.t
-(** Free (unbound) symbols of an expression, respecting all binders. *)
+(** Free (unbound) symbols of an expression. *)
 
 val subst : exp Sym.Map.t -> exp -> exp
 (** Capture-avoiding substitution (binders in the IR are globally fresh
-    symbols, so plain traversal is safe; bound symbols shadow). *)
+    symbols, so plain traversal is safe; bound symbols shadow).  A
+    [Dtail.outer] in the map's domain is replaced too; it must map to a
+    [Var], or [Invalid_argument] is raised. *)
 
 val rename_binders : exp -> exp
 (** Refresh every binder in the expression with fresh symbols (used when a

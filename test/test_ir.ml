@@ -1,5 +1,6 @@
 (* Tests for the PPL IR: symbols, free variables, substitution, binder
-   refreshing, pretty printing, and the type checker. *)
+   refreshing (on flattened tiled domains too), pretty printing, and the
+   type checker. *)
 
 open Dsl
 
@@ -69,6 +70,62 @@ let test_rename_binders () =
   (* free variables unchanged *)
   check_bool "same free vars" true
     (Sym.Set.equal (Ir.free_vars e) (Ir.free_vars e'))
+
+(* the strip-mined form [map(Dtiles; Dtail {outer = ii}) { (ii, i) => .. }]
+   over [n], whose second domain reads its own tile index [ii] *)
+let flattened () =
+  let n = Sym.fresh "n" and ii = Sym.fresh "ii" and i = Sym.fresh "i" in
+  let e =
+    Ir.Map
+      { mdims =
+          [ Ir.Dtiles { total = Ir.Var n; tile = 4 };
+            Ir.Dtail { total = Ir.Var n; tile = 4; outer = ii } ];
+        midxs = [ ii; i ];
+        mbody = Ir.Prim (Ir.Add, [ Ir.Var ii; Ir.Var i ]);
+        mprov = Prov.none }
+  in
+  (e, n, ii)
+
+(* the outer index of a map's last domain, a [Dtail] *)
+let dtail_outer = function
+  | Ir.Map { mdims; _ } -> (
+      match List.rev mdims with
+      | Ir.Dtail { outer; _ } :: _ -> outer
+      | _ -> Alcotest.fail "unexpected shape")
+  | _ -> Alcotest.fail "unexpected shape"
+
+let test_flattened_scoping () =
+  let e, n, ii = flattened () in
+  check_bool "tile index not free" false (Sym.Set.mem ii (Ir.free_vars e));
+  check_bool "size free" true (Sym.Set.mem n (Ir.free_vars e));
+  let z = Sym.fresh "z" in
+  (* the binder shadows the map entry, in the domain as in the body *)
+  let e' = Ir.subst (Sym.Map.singleton ii (Ir.Var z)) e in
+  check_bool "bound outer kept" true (Sym.equal (dtail_outer e') ii);
+  check_bool "body kept" true (e' = e);
+  let r = Ir.rename_binders e in
+  (match r with
+  | Ir.Map { midxs = ii' :: _; _ } ->
+      check_bool "outer follows its binder" true (Sym.equal (dtail_outer r) ii')
+  | _ -> Alcotest.fail "unexpected shape");
+  check_bool "renamed node alpha-equal" true (Alpha.equal e r)
+
+let test_subst_outer () =
+  (* a Dtail whose outer index is bound further out *)
+  let jj = Sym.fresh "jj" and z = Sym.fresh "z" and i = Sym.fresh "i" in
+  let e =
+    Ir.Map
+      { mdims = [ Ir.Dtail { total = Ir.Ci 10; tile = 4; outer = jj } ];
+        midxs = [ i ];
+        mbody = Ir.Var i;
+        mprov = Prov.none }
+  in
+  check_bool "outer free" true (Sym.Set.mem jj (Ir.free_vars e));
+  let e' = Ir.subst (Sym.Map.singleton jj (Ir.Var z)) e in
+  check_bool "free outer replaced" true (Sym.equal (dtail_outer e') z);
+  match Ir.subst (Sym.Map.singleton jj (Ir.Ci 3)) e with
+  | _ -> Alcotest.fail "a non-variable outer replacement was accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_dom_size () =
   let n = Sym.fresh "n" in
@@ -195,7 +252,10 @@ let () =
       ( "subst",
         [ Alcotest.test_case "replace" `Quick test_subst;
           Alcotest.test_case "shadowing" `Quick test_subst_shadowing;
-          Alcotest.test_case "rename binders" `Quick test_rename_binders ] );
+          Alcotest.test_case "rename binders" `Quick test_rename_binders;
+          Alcotest.test_case "flattened tiled domains" `Quick
+            test_flattened_scoping;
+          Alcotest.test_case "Dtail outer index" `Quick test_subst_outer ] );
       ( "domains",
         [ Alcotest.test_case "dom_size/strided" `Quick test_dom_size ] );
       ( "typing",

@@ -348,6 +348,40 @@ let test_visit_order () =
         Alcotest.failf "iter_exp visits %s, map_children order differs"
           (String.concat " " (names e)))
     (every_constructor ());
+  (* the scoped walks of Ir visit the same children in the same order, and
+     give each child the same binders *)
+  List.iter
+    (fun e ->
+      let children = ref [] in
+      Rewrite.iter_children (fun c -> children := c :: !children) e;
+      let iterated = ref [] and mapped = ref [] in
+      Ir.iter_scoped
+        ~bind:(fun env s -> Sym.Set.add s env)
+        ~use:(fun _ _ -> ())
+        (fun env c -> iterated := (env, c) :: !iterated)
+        Sym.Set.empty e;
+      let rebuilt =
+        Ir.map_scoped
+          ~bind:(fun env s -> (Sym.Set.add s env, s))
+          ~use:(fun _ s -> s)
+          (fun env c ->
+            mapped := (env, c) :: !mapped;
+            c)
+          Sym.Set.empty e
+      in
+      let visit = String.concat " " (names e) in
+      if not (List.equal ( == ) !children (List.map snd !iterated)) then
+        Alcotest.failf "iter_scoped and iter_children differ on %s" visit;
+      if
+        not
+          (List.equal
+             (fun (ea, ca) (eb, cb) -> ca == cb && Sym.Set.equal ea eb)
+             !iterated !mapped)
+      then Alcotest.failf "iter_scoped and map_scoped differ on %s" visit;
+      (* [compare], not [=]: the NaN leaf is not [=] to itself *)
+      if compare rebuilt (Rewrite.map_children Fun.id e) <> 0 then
+        Alcotest.failf "map_scoped rebuilds %s differently" visit)
+    (every_constructor ());
   (* the order the design texts depend on, spelled out *)
   let x = Sym.fresh "x" and y = Sym.fresh "y" in
   Alcotest.(check (list string))
