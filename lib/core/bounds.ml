@@ -297,13 +297,7 @@ let audit (p : program) =
             List.iter (fun (_, e1) -> walk loops' d e1) g.glets;
             walk loops' d g.gkey;
             walk loops' d g.gupd)
-    | e ->
-        ignore
-          (Rewrite.map_children
-             (fun c ->
-               walk loops depth c;
-               c)
-             e)
+    | e -> Rewrite.iter_children (walk loops depth) e
   in
   walk [] 0 p.body;
   (!checked, List.sort Diagnostic.compare (List.rev !diags))

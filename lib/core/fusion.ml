@@ -14,7 +14,7 @@ let uses_fusible x rank body =
         List.iter go idxs
     | Len (Var s, _) when Sym.equal s x -> ()
     | Var s when Sym.equal s x -> ok := false
-    | e -> ignore (Rewrite.map_children (fun c -> go c; c) e)
+    | e -> Rewrite.iter_children go e
   in
   go body;
   !ok

@@ -27,13 +27,11 @@ let rec nest_depth e =
     | _ -> false
   in
   let deepest = ref 0 in
-  ignore
-    (Rewrite.map_children
-       (fun c ->
-         let d = nest_depth c in
-         if d > !deepest then deepest := d;
-         c)
-       e);
+  Rewrite.iter_children
+    (fun c ->
+      let d = nest_depth c in
+      if d > !deepest then deepest := d)
+    e;
   if is_pattern e then 1 + !deepest else !deepest
 
 let of_exp e =

@@ -199,12 +199,9 @@ let top_patterns e =
   else begin
     let acc = ref [] in
     let rec visit_children e =
-      ignore
-        (Rewrite.map_children
-           (fun c ->
-             if is_pattern c then acc := c :: !acc else visit_children c;
-             c)
-           e)
+      Rewrite.iter_children
+        (fun c -> if is_pattern c then acc := c :: !acc else visit_children c)
+        e
     in
     visit_children e;
     List.rev !acc

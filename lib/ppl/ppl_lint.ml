@@ -528,13 +528,7 @@ let check_program (p : program) : Diagnostic.t list =
     | Let (s, rhs, body) ->
         walk ctx rhs;
         walk (taint_let ctx s rhs) body
-    | e ->
-        ignore
-          (Rewrite.map_children
-             (fun c ->
-               walk ctx c;
-               c)
-             e)
+    | e -> Rewrite.iter_children (walk ctx) e
   in
   walk { benv = Bounds.top; tainted = Sym.Set.empty; path = [] } p.body;
   List.sort Diagnostic.compare !diags
