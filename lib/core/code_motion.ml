@@ -16,6 +16,15 @@ let peel binders body =
   in
   go [] body
 
+(* the leading shared bindings that do not mention [binders], and the rest
+   (later bindings may reference earlier ones, so only a prefix hoists) *)
+let invariant_prefix binders lets =
+  let rec go acc = function
+    | ((_, e1) as l) :: rest when invariant binders e1 -> go (l :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  go [] lets
+
 let rebind lets e =
   List.fold_right (fun (s, e1) acc -> Let (s, e1, acc)) lets e
 
@@ -36,27 +45,14 @@ let step e =
       match peel (Sym.Set.singleton fm.fmidx) fm.fmbody with
       | [], _ -> e
       | lets, body -> rebind lets (FlatMap { fm with fmbody = body }))
-  | MultiFold mf ->
-      let binders = binders_of_doms mf.oidxs in
-      (* hoist invariant shared bindings (later bindings may reference
-         earlier ones, so only a prefix whose members are all invariant and
-         mutually consistent hoists) *)
-      let rec split_prefix acc = function
-        | (s, e1) :: rest when invariant binders e1 -> split_prefix ((s, e1) :: acc) rest
-        | rest -> (List.rev acc, rest)
-      in
-      let hoisted, kept = split_prefix [] mf.olets in
-      if hoisted = [] then e
-      else rebind hoisted (MultiFold { mf with olets = kept })
-  | GroupByFold g ->
-      let binders = binders_of_doms g.gidxs in
-      let rec split_prefix acc = function
-        | (s, e1) :: rest when invariant binders e1 -> split_prefix ((s, e1) :: acc) rest
-        | rest -> (List.rev acc, rest)
-      in
-      let hoisted, kept = split_prefix [] g.glets in
-      if hoisted = [] then e
-      else rebind hoisted (GroupByFold { g with glets = kept })
+  | MultiFold mf -> (
+      match invariant_prefix (binders_of_doms mf.oidxs) mf.olets with
+      | [], _ -> e
+      | hoisted, kept -> rebind hoisted (MultiFold { mf with olets = kept }))
+  | GroupByFold g -> (
+      match invariant_prefix (binders_of_doms g.gidxs) g.glets with
+      | [], _ -> e
+      | hoisted, kept -> rebind hoisted (GroupByFold { g with glets = kept }))
   | e -> e
 
 (* [step] returns its argument itself when nothing moves, so a pass that

@@ -23,60 +23,46 @@ let rec go (avail : avail) e =
       | Some s' -> go avail (Ir.subst (Sym.Map.singleton s (Var s')) e2)
       | None -> Let (s, e1', go ((e1', s) :: avail) e2))
   | MultiFold mf ->
-      (* rebuild the shared bindings while collecting a substitution for
-         dropped duplicates, then apply it to the outputs *)
-      let subs = ref Sym.Map.empty in
-      let avail', olets' =
-        List.fold_left
-          (fun (av, acc) (s, e1) ->
-            let e1' = go av (Ir.subst !subs e1) in
-            match lookup av e1' with
-            | Some s' ->
-                subs := Sym.Map.add s (Var s') !subs;
-                (av, acc)
-            | None -> ((e1', s) :: av, (s, e1') :: acc))
-          (avail, []) mf.olets
-      in
-      let olets' = List.rev olets' in
+      let olets, inner = shared avail mf.olets in
       MultiFold
         { mf with
           oinit = go avail mf.oinit;
-          olets = olets';
+          olets;
           oouts =
             List.map
               (fun out ->
                 { out with
-                  oregion =
-                    List.map
-                      (fun (o, l, b) ->
-                        (go avail' (Ir.subst !subs o), go avail' (Ir.subst !subs l), b))
-                      out.oregion;
-                  oupd = go avail' (Ir.subst !subs out.oupd) })
+                  oregion = List.map (fun (o, l, b) -> (inner o, inner l, b)) out.oregion;
+                  oupd = inner out.oupd })
               mf.oouts;
           ocomb =
             Option.map (fun c -> { c with cbody = go avail c.cbody }) mf.ocomb }
   | GroupByFold g ->
-      let subs = ref Sym.Map.empty in
-      let avail', glets' =
-        List.fold_left
-          (fun (av, acc) (s, e1) ->
-            let e1' = go av (Ir.subst !subs e1) in
-            match lookup av e1' with
-            | Some s' ->
-                subs := Sym.Map.add s (Var s') !subs;
-                (av, acc)
-            | None -> ((e1', s) :: av, (s, e1') :: acc))
-          (avail, []) g.glets
-      in
-      let glets' = List.rev glets' in
+      let glets, inner = shared avail g.glets in
       GroupByFold
         { g with
           ginit = go avail g.ginit;
-          glets = glets';
-          gkey = go avail' (Ir.subst !subs g.gkey);
-          gupd = go avail' (Ir.subst !subs g.gupd);
+          glets;
+          gkey = inner g.gkey;
+          gupd = inner g.gupd;
           gcomb = { g.gcomb with cbody = go avail g.gcomb.cbody } }
   | _ -> Rewrite.map_children (go avail) e
+
+(* A pattern's shared bindings, each rebuilt under the ones kept before it;
+   a duplicate of an available expression is dropped and its symbol
+   substituted by the available one.  Returns the kept bindings and the
+   rewrite of an expression in their scope. *)
+and shared avail lets =
+  let avail', subs, kept =
+    List.fold_left
+      (fun (av, subs, kept) (s, e1) ->
+        let e1' = go av (Ir.subst subs e1) in
+        match lookup av e1' with
+        | Some s' -> (av, Sym.Map.add s (Var s') subs, kept)
+        | None -> ((e1', s) :: av, subs, (s, e1') :: kept))
+      (avail, Sym.Map.empty, []) lets
+  in
+  (List.rev kept, fun e -> go avail' (Ir.subst subs e))
 
 let exp e = go [] e
 let program (p : program) = { p with body = exp p.body }
