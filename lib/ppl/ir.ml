@@ -147,14 +147,18 @@ let map_scoped_dom ~use f env = function
   | Dtail { total; tile; outer } ->
       Dtail { total = f env total; tile; outer = use env outer }
 
+let map_scoped_doms ~use f scoped ds =
+  List.map2 (fun (env, _) d -> map_scoped_dom ~use f env d) scoped ds
+
+let map_scoped_lets f scoped ls =
+  List.map2 (fun (env, s) (_, e1) -> (s, f env e1)) scoped ls
+
+let map_scoped_comb ~bind f env c =
+  let env, ca = bind env c.ca in
+  let env, cb = bind env c.cb in
+  { ca; cb; cbody = f env c.cbody }
+
 let map_scoped ~bind ~use f env e =
-  let doms scoped ds = List.map2 (fun (env, _) d -> map_scoped_dom ~use f env d) scoped ds in
-  let lets scoped ls = List.map2 (fun (env, s) (_, e1) -> (s, f env e1)) scoped ls in
-  let comb c =
-    let env, ca = bind env c.ca in
-    let env, cb = bind env c.cb in
-    { ca; cb; cbody = f env c.cbody }
-  in
   match e with
   | Var _ | Cf _ | Ci _ | Cb _ | EmptyArr _ -> e
   | Tup es -> Tup (List.map (f env) es)
@@ -182,63 +186,63 @@ let map_scoped ~bind ~use f env e =
           creuse }
   | Zeros (sc, shape) -> Zeros (sc, List.map (f env) shape)
   | ArrLit es -> ArrLit (List.map (f env) es)
-  | Map m ->
-      let ix, env_i = scope bind env m.midxs in
+  | Map { mdims; midxs; mbody; mprov } ->
+      let ix, env_i = scope bind env midxs in
       Map
-        { m with
-          mdims = doms ix m.mdims;
+        { mdims = map_scoped_doms ~use f ix mdims;
           midxs = List.map snd ix;
-          mbody = f env_i m.mbody }
-  | Fold fl ->
-      let ix, env_i = scope bind env fl.fidxs in
-      let env_u, facc = bind env_i fl.facc in
+          mbody = f env_i mbody;
+          mprov }
+  | Fold { fdims; fidxs; finit; facc; fupd; fcomb; fprov } ->
+      let ix, env_i = scope bind env fidxs in
+      let env_u, facc = bind env_i facc in
       Fold
-        { fl with
-          fdims = doms ix fl.fdims;
+        { fdims = map_scoped_doms ~use f ix fdims;
           fidxs = List.map snd ix;
-          finit = f env fl.finit;
+          finit = f env finit;
           facc;
-          fupd = f env_u fl.fupd;
-          fcomb = comb fl.fcomb }
-  | MultiFold mf ->
-      let ix, env_i = scope bind env mf.oidxs in
-      let ls, env_l = scope bind env_i (List.map fst mf.olets) in
-      let out o =
-        let env_u, oacc = bind env_l o.oacc in
-        { orange = List.map (f env) o.orange;
-          oregion = List.map (fun (o, l, b) -> (f env_l o, f env_l l, b)) o.oregion;
+          fupd = f env_u fupd;
+          fcomb = map_scoped_comb ~bind f env fcomb;
+          fprov }
+  | MultiFold { odims; oidxs; oinit; olets; oouts; ocomb; oprov } ->
+      let ix, env_i = scope bind env oidxs in
+      let ls, env_l = scope bind env_i (List.map fst olets) in
+      let out { orange; oregion; oacc; oupd } =
+        let env_u, oacc = bind env_l oacc in
+        { orange = List.map (f env) orange;
+          oregion = List.map (fun (o, l, b) -> (f env_l o, f env_l l, b)) oregion;
           oacc;
-          oupd = f env_u o.oupd }
+          oupd = f env_u oupd }
       in
       MultiFold
-        { mf with
-          odims = doms ix mf.odims;
+        { odims = map_scoped_doms ~use f ix odims;
           oidxs = List.map snd ix;
-          oinit = f env mf.oinit;
-          olets = lets ls mf.olets;
-          oouts = List.map out mf.oouts;
-          ocomb = Option.map comb mf.ocomb }
-  | FlatMap fm ->
-      let env_b, fmidx = bind env fm.fmidx in
+          oinit = f env oinit;
+          olets = map_scoped_lets f ls olets;
+          oouts = List.map out oouts;
+          ocomb = Option.map (map_scoped_comb ~bind f env) ocomb;
+          oprov }
+  | FlatMap { fmdim; fmidx; fmbody; fmprov } ->
+      let env_b, fmidx = bind env fmidx in
       FlatMap
-        { fm with
-          fmdim = map_scoped_dom ~use f env fm.fmdim;
+        { fmdim = map_scoped_dom ~use f env fmdim;
           fmidx;
-          fmbody = f env_b fm.fmbody }
-  | GroupByFold g ->
-      let ix, env_i = scope bind env g.gidxs in
-      let ls, env_l = scope bind env_i (List.map fst g.glets) in
-      let env_u, gacc = bind env_l g.gacc in
+          fmbody = f env_b fmbody;
+          fmprov }
+  | GroupByFold { gdims; gidxs; ginit; glets; gkey; gacc; gupd; gcomb; gprov } ->
+      let ix, env_i = scope bind env gidxs in
+      let ls, env_l = scope bind env_i (List.map fst glets) in
+      let env_u, gacc = bind env_l gacc in
       GroupByFold
-        { g with
-          gdims = doms ix g.gdims;
+        { gdims = map_scoped_doms ~use f ix gdims;
           gidxs = List.map snd ix;
-          ginit = f env g.ginit;
-          glets = lets ls g.glets;
-          gkey = f env_l g.gkey;
+          ginit = f env ginit;
+          glets = map_scoped_lets f ls glets;
+          gkey = f env_l gkey;
           gacc;
-          gupd = f env_u g.gupd;
-          gcomb = comb g.gcomb }
+          gupd = f env_u gupd;
+          gcomb = map_scoped_comb ~bind f env gcomb;
+          gprov }
 
 (* the environment before each of [ss], bound left to right, and the
    environment after them all *)
@@ -254,10 +258,10 @@ let iter_scoped_dom ~use f env = function
       f env total;
       use env outer
 
+let iter_scoped_lets f envs ls = List.iter2 (fun env (_, e1) -> f env e1) envs ls
+let iter_scoped_comb ~bind f env c = f (bind (bind env c.ca) c.cb) c.cbody
+
 let iter_scoped ~bind ~use f env e =
-  let doms envs ds = List.iter2 (iter_scoped_dom ~use f) envs ds in
-  let lets envs ls = List.iter2 (fun env (_, e1) -> f env e1) envs ls in
-  let comb_env c = bind (bind env c.ca) c.cb in
   match e with
   | Var _ | Cf _ | Ci _ | Cb _ | EmptyArr _ -> ()
   | Tup es | Prim (_, es) | Zeros (_, es) | ArrLit es -> List.iter (f env) es
@@ -288,17 +292,17 @@ let iter_scoped ~bind ~use f env e =
   | Map { mdims; midxs; mbody; _ } ->
       let envs, env_i = scope_envs bind env midxs in
       f env_i mbody;
-      doms envs mdims
+      List.iter2 (iter_scoped_dom ~use f) envs mdims
   | Fold { fdims; fidxs; finit; facc; fupd; fcomb; _ } ->
       let envs, env_i = scope_envs bind env fidxs in
-      f (comb_env fcomb) fcomb.cbody;
+      iter_scoped_comb ~bind f env fcomb;
       f (bind env_i facc) fupd;
       f env finit;
-      doms envs fdims
+      List.iter2 (iter_scoped_dom ~use f) envs fdims
   | MultiFold { odims; oidxs; oinit; olets; oouts; ocomb; _ } ->
       let envs, env_i = scope_envs bind env oidxs in
       let lenvs, env_l = scope_envs bind env_i (List.map fst olets) in
-      Option.iter (fun c -> f (comb_env c) c.cbody) ocomb;
+      Option.iter (iter_scoped_comb ~bind f env) ocomb;
       List.iter
         (fun out ->
           f (bind env_l out.oacc) out.oupd;
@@ -309,21 +313,21 @@ let iter_scoped ~bind ~use f env e =
             out.oregion;
           List.iter (f env) out.orange)
         oouts;
-      lets lenvs olets;
+      iter_scoped_lets f lenvs olets;
       f env oinit;
-      doms envs odims
+      List.iter2 (iter_scoped_dom ~use f) envs odims
   | FlatMap { fmdim; fmidx; fmbody; _ } ->
       f (bind env fmidx) fmbody;
       iter_scoped_dom ~use f env fmdim
   | GroupByFold { gdims; gidxs; ginit; glets; gkey; gacc; gupd; gcomb; _ } ->
       let envs, env_i = scope_envs bind env gidxs in
       let lenvs, env_l = scope_envs bind env_i (List.map fst glets) in
-      f (comb_env gcomb) gcomb.cbody;
+      iter_scoped_comb ~bind f env gcomb;
       f (bind env_l gacc) gupd;
       f env_l gkey;
-      lets lenvs glets;
+      iter_scoped_lets f lenvs glets;
       f env ginit;
-      doms envs gdims
+      List.iter2 (iter_scoped_dom ~use f) envs gdims
 
 let free_vars e =
   let free = ref Sym.Set.empty in
