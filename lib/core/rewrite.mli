@@ -3,7 +3,19 @@
     All transformation passes are built on these: [map_children] applies a
     function to every direct child expression (including expressions inside
     domains, regions, shared bindings and combine functions), [bottom_up]
-    rewrites post-order. *)
+    rewrites post-order.
+
+    These walks are binder-blind: a child is visited without the binders
+    it sees.  The scoping rule is written once, in [Ir.map_scoped] and
+    [Ir.iter_scoped], which visit the same children in the same order
+    (test_linear_passes pins the two lists together).  The walks here are
+    kept apart from those and specialized by hand because they are the
+    hot path of every pass.  Routed through the scoped walks with a unit
+    environment, [iter_exp] took 1.37x and an identity [bottom_up] 1.22x
+    as long over the 60 suite bodies (12 programs x 5 tiling stages, 2
+    vCPUs, best of 7 x 200 passes), and perfbench's [compile] workload
+    fell from a median 2,652 to 2,418 programs/s (4 pairs of 20 s runs,
+    every pair slower). *)
 
 val map_children : (Ir.exp -> Ir.exp) -> Ir.exp -> Ir.exp
 val map_dom : (Ir.exp -> Ir.exp) -> Ir.dom -> Ir.dom

@@ -128,9 +128,9 @@ let comb_apply c a b = Let (c.ca, a, Let (c.cb, b, c.cbody))
    [iter_scoped] (the table is in ir.mli).  Both visit children in
    [Rewrite.map_children]'s order: constructor arguments and record fields
    right to left (ocamlopt evaluates them so), list elements left to right.
-   [map_scoped] binds each binder before the children in its scope, so
-   [rename_binders] mints fresh symbols in the order the printed designs
-   have always shown. *)
+   [map_scoped] binds each binder before the children in its scope; the
+   order of its [bind] calls is the order [rename_binders] mints fresh
+   symbols in, which printed names depend on. *)
 
 (* [ss] bound left to right: each replacement paired with the environment
    before it, and the environment after them all *)
