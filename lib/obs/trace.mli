@@ -12,8 +12,9 @@
       nondeterministic part of a trace; golden tests strip them by
       filtering on the pid.
     - {b virtual clock} ([pid] {!virtual_pid}): simulator timelines,
-      recorded as begin/end ("B"/"E") pairs whose timestamps are virtual
-      cycles.  One track per metapipeline stage (plus a DRAM-busy
+      written as begin/end ("B"/"E") pairs whose timestamps are virtual
+      cycles.  A simulator run registers its whole timeline in one call
+      ({!virtual_run}); {!virtual_span} records a single span.  One track per metapipeline stage (plus a DRAM-busy
       track); spans on a track never overlap, so the B/E stack is always
       balanced.  Virtual events are bit-deterministic across runs and
       domain counts.
@@ -21,7 +22,8 @@
     The serialized form ({!to_json}) is the Chrome trace-event
     JSON array format: load it at [ui.perfetto.dev] or
     [chrome://tracing].  One event per line, events ordered virtual
-    first then wall, each track's events in record order — so stripping
+    first then wall, each track's events in record order (a run's spans
+    in index order, at the point the run was registered) — so stripping
     wall lines yields a byte-stable golden form. *)
 
 type arg = Int of int | Float of float | Str of string
@@ -65,14 +67,54 @@ val virtual_span :
   finish:float -> ?args:(string * arg) list -> unit -> unit
 (** Record one virtual-cycle span as a B/E pair on [track].  Spans on
     the same track must be recorded in start order and must not overlap
-    (the simulator's per-stage schedules guarantee both). *)
+    (the simulator's per-stage schedules guarantee both).  This is the
+    one-span producer; {!virtual_run} records a simulator's whole
+    timeline at once. *)
+
+(** {2 Recorded runs}
+
+    A simulator run's timeline is registered once, as columns, and
+    {!to_json} and {!summary} read those columns in place: no record per
+    span is made between the simulator and the writer. *)
+
+type run_track = {
+  track : string;  (** the track's name *)
+  label : string;  (** a span's name, or its prefix when [numbered] *)
+  numbered : bool;  (** a span's name is [label] then its instance's digits *)
+  key : string;  (** a span's one arg: [key] is its instance *)
+}
+
+type columns = {
+  tracks : run_track array;  (** indexed by track id *)
+  len : int;  (** the spans are [0 .. len-1]; the arrays may be longer *)
+  track_id : int array;  (** a span's index into [tracks] *)
+  start : float array;  (** virtual cycles *)
+  finish : float array;
+  instance : int array;
+}
+(** A recorded run by columns.  Span [i] lies on track
+    [tracks.(track_id.(i)).track] from [start.(i)] to [finish.(i)]; it is
+    named [label], followed by the digits of [instance.(i)] when
+    [numbered], and carries the one arg [key = instance.(i)].  Tracks
+    may share a name: the spans on one name, in index order, must obey
+    {!virtual_span}'s start-order rule. *)
+
+val virtual_run :
+  columns -> track:string -> name:string -> (float * float) list -> unit
+(** [virtual_run c ~track ~name intervals] registers one recorded run,
+    under one lock: it records what {!virtual_span} ([~cat:"sim"])
+    would for every span of [c] in index order, and then for every
+    interval as a span [name] on [track] with no args.  The collector
+    keeps [c] by reference, so its arrays must not change afterwards. *)
 
 val to_json : unit -> string
 (** Serialize the collected events as Chrome trace-event JSON.  The
     text is written into one buffer the collector keeps across calls
     (it retains the capacity of the largest trace written so far) while
     the collector's lock is held, so concurrent calls and recording wait
-    for each other; the result is a fresh string. *)
+    for each other; the result is a fresh string.  A recorded run's
+    columns are read in place: each of its track labels and arg keys is
+    escaped once, and instance numbers are written as digits. *)
 
 type tracks
 (** Per-track occupancy of virtual spans, accumulated in place: span
@@ -85,6 +127,12 @@ val add_track_span :
   tracks -> track:string -> start:float -> finish:float -> unit
 (** Count one span on [track]. *)
 
+val add_run :
+  tracks -> columns -> track:string -> (float * float) list -> unit
+(** [add_run acc c ~track intervals] counts every span of [c] and then
+    every interval on [track], in the order {!virtual_run} records them,
+    in one pass over the columns. *)
+
 val iter_tracks :
   tracks -> makespan:float ->
   (string -> spans:int -> busy:float -> util:float -> stall:float -> unit) ->
@@ -96,4 +144,5 @@ val iter_tracks :
 val summary : unit -> string
 (** Human-readable digest: per-virtual-track span counts, busy cycles,
     utilization and stall against the overall makespan, and the top
-    wall-clock spans aggregated by name. *)
+    wall-clock spans aggregated by name.  Recorded runs are read in
+    place, through {!add_run}. *)

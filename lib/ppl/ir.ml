@@ -132,14 +132,16 @@ let comb_apply c a b = Let (c.ca, a, Let (c.cb, b, c.cbody))
    order of its [bind] calls is the order [rename_binders] mints fresh
    symbols in, which printed names depend on. *)
 
-(* [ss] bound left to right: each replacement paired with the environment
-   before it, and the environment after them all *)
+(* [ss] bound left to right: the environment before each binder, the
+   binders [bind] returns, and the environment after them all.  When
+   [bind] returns every binder unchanged (as [subst]'s does), the binder
+   list is [ss] itself, so an unchanged pattern shares its binder list. *)
 let rec scope bind env = function
-  | [] -> ([], env)
-  | s :: ss ->
+  | [] -> ([], [], env)
+  | s :: rest as ss ->
       let env', s' = bind env s in
-      let rest, last = scope bind env' ss in
-      ((env, s') :: rest, last)
+      let envs, rest', last = scope bind env' rest in
+      (env :: envs, (if s' == s && rest' == rest then ss else s' :: rest'), last)
 
 let map_scoped_dom ~use f env = function
   | Dfull e -> Dfull (f env e)
@@ -147,11 +149,16 @@ let map_scoped_dom ~use f env = function
   | Dtail { total; tile; outer } ->
       Dtail { total = f env total; tile; outer = use env outer }
 
-let map_scoped_doms ~use f scoped ds =
-  List.map2 (fun (env, _) d -> map_scoped_dom ~use f env d) scoped ds
+let map_scoped_doms ~use f envs ds = List.map2 (map_scoped_dom ~use f) envs ds
 
-let map_scoped_lets f scoped ls =
-  List.map2 (fun (env, s) (_, e1) -> (s, f env e1)) scoped ls
+(* each let's new binder [s] paired with its expression mapped in the
+   environment before it, left to right *)
+let rec map_scoped_lets f envs ss ls =
+  match (envs, ss, ls) with
+  | env :: envs, s :: ss, (_, e1) :: ls ->
+      let l = (s, f env e1) in
+      l :: map_scoped_lets f envs ss ls
+  | _ -> []
 
 let map_scoped_comb ~bind f env c =
   let env, ca = bind env c.ca in
@@ -187,26 +194,26 @@ let map_scoped ~bind ~use f env e =
   | Zeros (sc, shape) -> Zeros (sc, List.map (f env) shape)
   | ArrLit es -> ArrLit (List.map (f env) es)
   | Map { mdims; midxs; mbody; mprov } ->
-      let ix, env_i = scope bind env midxs in
+      let envs, midxs, env_i = scope bind env midxs in
       Map
-        { mdims = map_scoped_doms ~use f ix mdims;
-          midxs = List.map snd ix;
+        { mdims = map_scoped_doms ~use f envs mdims;
+          midxs;
           mbody = f env_i mbody;
           mprov }
   | Fold { fdims; fidxs; finit; facc; fupd; fcomb; fprov } ->
-      let ix, env_i = scope bind env fidxs in
+      let envs, fidxs, env_i = scope bind env fidxs in
       let env_u, facc = bind env_i facc in
       Fold
-        { fdims = map_scoped_doms ~use f ix fdims;
-          fidxs = List.map snd ix;
+        { fdims = map_scoped_doms ~use f envs fdims;
+          fidxs;
           finit = f env finit;
           facc;
           fupd = f env_u fupd;
           fcomb = map_scoped_comb ~bind f env fcomb;
           fprov }
   | MultiFold { odims; oidxs; oinit; olets; oouts; ocomb; oprov } ->
-      let ix, env_i = scope bind env oidxs in
-      let ls, env_l = scope bind env_i (List.map fst olets) in
+      let envs, oidxs, env_i = scope bind env oidxs in
+      let lenvs, lsyms, env_l = scope bind env_i (List.map fst olets) in
       let out { orange; oregion; oacc; oupd } =
         let env_u, oacc = bind env_l oacc in
         { orange = List.map (f env) orange;
@@ -215,10 +222,10 @@ let map_scoped ~bind ~use f env e =
           oupd = f env_u oupd }
       in
       MultiFold
-        { odims = map_scoped_doms ~use f ix odims;
-          oidxs = List.map snd ix;
+        { odims = map_scoped_doms ~use f envs odims;
+          oidxs;
           oinit = f env oinit;
-          olets = map_scoped_lets f ls olets;
+          olets = map_scoped_lets f lenvs lsyms olets;
           oouts = List.map out oouts;
           ocomb = Option.map (map_scoped_comb ~bind f env) ocomb;
           oprov }
@@ -230,14 +237,14 @@ let map_scoped ~bind ~use f env e =
           fmbody = f env_b fmbody;
           fmprov }
   | GroupByFold { gdims; gidxs; ginit; glets; gkey; gacc; gupd; gcomb; gprov } ->
-      let ix, env_i = scope bind env gidxs in
-      let ls, env_l = scope bind env_i (List.map fst glets) in
+      let envs, gidxs, env_i = scope bind env gidxs in
+      let lenvs, lsyms, env_l = scope bind env_i (List.map fst glets) in
       let env_u, gacc = bind env_l gacc in
       GroupByFold
-        { gdims = map_scoped_doms ~use f ix gdims;
-          gidxs = List.map snd ix;
+        { gdims = map_scoped_doms ~use f envs gdims;
+          gidxs;
           ginit = f env ginit;
-          glets = map_scoped_lets f ls glets;
+          glets = map_scoped_lets f lenvs lsyms glets;
           gkey = f env_l gkey;
           gacc;
           gupd = f env_u gupd;

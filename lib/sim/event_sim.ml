@@ -7,10 +7,20 @@ type span = {
 }
 
 type timeline = {
-  tl_spans : span list;
+  tl_columns : Trace.columns;
   tl_dram_busy : (float * float) list;
   tl_makespan : float;
 }
+
+let spans tl =
+  let c = tl.tl_columns in
+  List.init c.Trace.len (fun i ->
+      let t = c.Trace.tracks.(c.Trace.track_id.(i)) and n = c.Trace.instance.(i) in
+      { sp_track = t.Trace.track;
+        sp_name = (if t.Trace.numbered then t.Trace.label ^ string_of_int n else t.Trace.label);
+        sp_start = c.Trace.start.(i);
+        sp_finish = c.Trace.finish.(i);
+        sp_args = [ (t.Trace.key, float_of_int n) ] })
 
 type result = {
   report : Simulate.report;
@@ -159,10 +169,10 @@ type node =
   | Meta of { iters : int; stages : stage array }  (** metapipeline *)
   | Fallback of analytic
       (** a loop beyond the event budget, costed by {!Simulate} *)
-  | Traced of { name : string; node : node }
+  | Traced of { track : int; node : node }
       (** a top-level controller of a recorded run: one span per run *)
 
-and stage = { node : node; track : string; prefix : string (** ["<stage>#"] *) }
+and stage = { node : node; track : int (** its instances' track id *) }
 
 and analytic = {
   a_cycles : float;
@@ -171,6 +181,15 @@ and analytic = {
       (** reads then writes, each by array name; books no DRAM time of
           its own ([a_dram] covers it) *)
 }
+
+(* The run's timeline tracks, numbered in first-seen order: a track id
+   indexes the array [Array.of_list (List.rev tracks)] *)
+type track_table = { mutable tracks : Trace.run_track list; mutable count : int }
+
+let add_track tt t =
+  tt.tracks <- t :: tt.tracks;
+  tt.count <- tt.count + 1;
+  tt.count - 1
 
 (* (write, array) -> slot, numbered in first-seen order *)
 let slot slots ~write arr =
@@ -194,12 +213,12 @@ let analytic slots (a : Simulate.annot) =
     a_traffic = traffic false a.reads @ traffic true a.writes }
 
 (* [a] resolved, and the number of controller instances it schedules *)
-let rec resolve slots (a : Simulate.annot) : node * float =
+let rec resolve slots tt (a : Simulate.annot) : node * float =
   let all () =
     let ns, count =
       List.fold_left
         (fun (ns, count) ch ->
-          let n, k = resolve slots ch in
+          let n, k = resolve slots tt ch in
           (n :: ns, count +. k))
         ([], 1.0) a.children
     in
@@ -238,7 +257,12 @@ let rec resolve slots (a : Simulate.annot) : node * float =
                   (List.map2
                      (fun node st ->
                        let sname = Hw.ctrl_name st in
-                       { node; track = name ^ "." ^ sname; prefix = sname ^ "#" })
+                       let track =
+                         add_track tt
+                           { Trace.track = name ^ "." ^ sname; label = sname ^ "#";
+                             numbered = true; key = "iteration" }
+                       in
+                       { node; track })
                      ns stages) }
       in
       (node, count)
@@ -258,29 +282,36 @@ type st = {
   sums : float array;
   seen : bool array;
   record : bool;  (** collect the timeline *)
-  mutable spans : span list;  (** newest first *)
+  (* the timeline's columns: [len] spans so far, in schedule order; the
+     arrays double when full *)
+  mutable len : int;
+  mutable track_id : int array;
+  mutable start : float array;
+  mutable finish : float array;
+  mutable instance : int array;
 }
 
-(* [prefix ^ string_of_int i] for [i >= 0], written straight into one
-   exact-length string *)
-let label prefix i =
-  let rec digits k v = if v < 10 then k else digits (k + 1) (v / 10) in
-  let plen = String.length prefix and nd = digits 1 i in
-  let b = Bytes.create (plen + nd) in
-  Bytes.blit_string prefix 0 b 0 plen;
-  let rec write j v =
-    Bytes.set b j (Char.unsafe_chr (Char.code '0' + (v mod 10)));
-    if v >= 10 then write (j - 1) (v / 10)
+let grow st =
+  let extend a zero =
+    let a' = Array.make (max 256 (2 * st.len)) zero in
+    Array.blit a 0 a' 0 st.len;
+    a'
   in
-  write (plen + nd - 1) i;
-  Bytes.unsafe_to_string b
+  st.track_id <- extend st.track_id 0;
+  st.start <- extend st.start 0.0;
+  st.finish <- extend st.finish 0.0;
+  st.instance <- extend st.instance 0
 
-let push_span st ~track ~name ~start ~finish args =
-  if st.record then
-    st.spans <-
-      { sp_track = track; sp_name = name; sp_start = start; sp_finish = finish;
-        sp_args = args }
-      :: st.spans
+let append_span st track start finish instance =
+  if st.record then begin
+    if st.len = Array.length st.track_id then grow st;
+    let i = st.len in
+    st.track_id.(i) <- track;
+    st.start.(i) <- start;
+    st.finish.(i) <- finish;
+    st.instance.(i) <- instance;
+    st.len <- i + 1
+  end
 
 let add st x =
   if st.seen.(x.slot) then st.sums.(x.slot) <- st.sums.(x.slot) +. x.words
@@ -338,10 +369,7 @@ let rec exec st t = function
             (* Gantt: one track per metapipeline stage, one span per
                iteration instance; stage instances never overlap on their
                own track (avail.(s) serializes them) *)
-            push_span st ~track:stage.track
-              ~name:(label stage.prefix i)
-              ~start ~finish:fin
-              [ ("iteration", float_of_int i) ];
+            append_span st stage.track start fin i;
             avail.(s) <- fin;
             prev_done := fin;
             if s = nstages - 1 then finish_last := fin)
@@ -353,20 +381,26 @@ let rec exec st t = function
       List.iter (add st) a.a_traffic;
       ignore (dram_transfer st t a.a_dram);
       t +. a.a_cycles
-  | Traced { name; node } ->
+  | Traced { track; node } ->
       let fin = exec st t node in
-      push_span st ~track:name ~name ~start:t ~finish:fin [ ("top-level", 1.0) ];
+      append_span st track t fin 1;
       fin
 
 let run ?(machine = Machine.default) ?(record = false) (d : Hw.design) ~sizes =
-  let slots = Hashtbl.create 16 in
-  let node a = fst (resolve slots a) in
+  let slots = Hashtbl.create 16 and tt = { tracks = []; count = 0 } in
+  let node a = fst (resolve slots tt a) in
   let top = Simulate.annotate ~machine d ~sizes in
   (* when recording, each top-level controller also gets a span on its
      own track (the same schedule exec applies: Seq chains, Par forks) *)
   let traced =
     List.map (fun (ch : Simulate.annot) ->
-        Traced { name = Hw.ctrl_name ch.ctrl; node = node ch })
+        let name = Hw.ctrl_name ch.ctrl in
+        let node = node ch in
+        let track =
+          add_track tt
+            { Trace.track = name; label = name; numbered = false; key = "top-level" }
+        in
+        Traced { track; node })
   in
   let top =
     match top.ctrl with
@@ -377,7 +411,8 @@ let run ?(machine = Machine.default) ?(record = false) (d : Hw.design) ~sizes =
   let n = Hashtbl.length slots in
   let st =
     { dram_cal = Dram_calendar.create (); dram_busy = 0.0; events = 0; fallbacks = 0;
-      sums = Array.make n 0.0; seen = Array.make n false; record; spans = [] }
+      sums = Array.make n 0.0; seen = Array.make n false; record; len = 0;
+      track_id = [||]; start = [||]; finish = [||]; instance = [||] }
   in
   let fin = exec st 0.0 top in
   (* touched slots, by array name *)
@@ -399,7 +434,10 @@ let run ?(machine = Machine.default) ?(record = false) (d : Hw.design) ~sizes =
     timeline =
       (if record then
          Some
-           { tl_spans = List.rev st.spans;
+           { tl_columns =
+               { Trace.tracks = Array.of_list (List.rev tt.tracks); len = st.len;
+                 track_id = st.track_id; start = st.start; finish = st.finish;
+                 instance = st.instance };
              tl_dram_busy = Dram_calendar.spans st.dram_cal;
              tl_makespan = fin }
        else None) }

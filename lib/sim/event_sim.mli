@@ -29,7 +29,25 @@
     per top-level controller, and the DRAM busy calendar.  The timeline
     is a pure function of (machine, sizes, design) — bit-identical
     across runs — and is what [ppl-fpga timeline] and [--trace] export
-    as Perfetto JSON (see {!Sim_trace}). *)
+    as Perfetto JSON (see {!Sim_trace}).
+
+    The engine records the schedule as columns ({!Trace.columns}): each
+    span it finishes is appended as its track id, start, finish and
+    instance number to growable int and float arrays, and a per-run
+    track table holds each track's name, its span label (the
+    ["<stage>#"] prefix of a stage's instances, or a top-level
+    controller's name) and its arg key ([iteration] or [top-level]).
+    Recording allocates no record and no string per span; the trace
+    writer reads the columns in place. *)
+
+type timeline = {
+  tl_columns : Trace.columns;
+      (** the spans in schedule order: a span is appended when its
+          instance finishes, so a top-level controller's span follows
+          every stage span inside it; per-track starts ascend *)
+  tl_dram_busy : (float * float) list;  (** merged DRAM busy intervals *)
+  tl_makespan : float;  (** = [report.cycles] *)
+}
 
 type span = {
   sp_track : string;  (** e.g. ["loop_3.stage_load_4"] *)
@@ -39,11 +57,12 @@ type span = {
   sp_args : (string * float) list;  (** e.g. the iteration index *)
 }
 
-type timeline = {
-  tl_spans : span list;  (** in schedule order; per-track starts ascend *)
-  tl_dram_busy : (float * float) list;  (** merged DRAM busy intervals *)
-  tl_makespan : float;  (** = [report.cycles] *)
-}
+val spans : timeline -> span list
+(** The timeline's spans one record each, in column (schedule) order:
+    a stage instance is named ["<stage>#<i>"] with args
+    [[("iteration", i)]], a top-level controller by its name with
+    [[("top-level", 1.)]].  For tests and tools; the trace path reads
+    the columns. *)
 
 type result = {
   report : Simulate.report;

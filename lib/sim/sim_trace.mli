@@ -1,10 +1,12 @@
 (** Bridge from {!Event_sim} timelines to the observability layer.
 
-    {!record} pushes every timeline span (stage instances, top-level
-    controllers, DRAM busy intervals) into the global {!Trace} collector
-    as virtual-cycle B/E events, and publishes per-track occupancy into
-    {!Metrics} as gauges ([sim.track.<track>.busy_cycles], [.util],
-    [.stall_cycles], [.spans]) plus [sim.makespan_cycles].  All recorded
+    {!record} registers a timeline with the global {!Trace} collector in
+    one call ({!Trace.virtual_run}): its span columns (stage instances,
+    top-level controllers) and then its DRAM busy intervals, written as
+    virtual-cycle B/E events.  It also publishes per-track occupancy
+    into {!Metrics} as gauges ([sim.track.<track>.busy_cycles], [.util],
+    [.stall_cycles], [.spans]) plus [sim.makespan_cycles], counted in
+    one pass over the columns, even when tracing is off.  All recorded
     data is on the virtual clock, so the resulting trace JSON is
     bit-deterministic. *)
 

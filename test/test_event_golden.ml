@@ -40,7 +40,7 @@ let digest_of d ~sizes =
             sp.Event_sim.sp_start sp.Event_sim.sp_finish;
           List.iter (fun (k, v) -> pr " %s=%h" k v) sp.Event_sim.sp_args;
           pr "\n")
-        tl.Event_sim.tl_spans;
+        (Event_sim.spans tl);
       List.iter (fun (s, e) -> pr "D %h %h\n" s e) tl.Event_sim.tl_dram_busy);
   pr "%s" json;
   (Digest.to_hex (Digest.string (Buffer.contents buf)), r)

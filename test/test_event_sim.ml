@@ -389,7 +389,7 @@ let test_concurrent_runs () =
             pr "S %s %s %h %h" sp.sp_track sp.sp_name sp.sp_start sp.sp_finish;
             List.iter (fun (k, v) -> pr " %s=%h" k v) sp.sp_args;
             pr "\n")
-          tl.tl_spans;
+          (Event_sim.spans tl);
         List.iter (fun (s, e) -> pr "D %h %h\n" s e) tl.tl_dram_busy)
       r.timeline;
     Buffer.contents buf

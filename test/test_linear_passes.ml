@@ -391,6 +391,41 @@ let test_visit_order () =
     "Read: indices before array" [ "node"; "y"; "x" ]
     (names (Ir.Read (Ir.Var x, [ Ir.Var y ])))
 
+(* every pattern's index list, in [Rewrite.iter_children] pre-order *)
+let index_lists e =
+  let acc = ref [] in
+  let rec go e =
+    (match e with
+    | Ir.Map { midxs = l; _ }
+    | Ir.Fold { fidxs = l; _ }
+    | Ir.MultiFold { oidxs = l; _ }
+    | Ir.GroupByFold { gidxs = l; _ } ->
+        acc := l :: !acc
+    | _ -> ());
+    Rewrite.iter_children go e
+  in
+  go e;
+  List.rev !acc
+
+(* [subst] binds every binder to itself, so substituting a symbol that
+   occurs nowhere rebuilds the nodes but keeps each pattern's index list
+   itself, on every constructor and every stage of every suite program *)
+let test_subst_keeps_binders () =
+  let env = Sym.Map.singleton (Sym.fresh "absent") (Ir.Ci 0) in
+  let check what e =
+    let before = index_lists e and after = index_lists (Ir.subst env e) in
+    if not (List.equal ( == ) before after) then
+      Alcotest.failf "%s: subst rebuilt a pattern's index list" what
+  in
+  List.iter (check "constructor") (every_constructor ());
+  List.iter
+    (fun (b : Suite.bench) ->
+      let r = Tiling.run ~tiles:b.Suite.tiles b.Suite.prog in
+      List.iter
+        (fun (stage, (p : Ir.program)) -> check (b.Suite.name ^ " " ^ stage) p.Ir.body)
+        (stages r b.Suite.prog))
+    (Suite.extended ())
+
 (* the source of test/nan_const.ppl: [1e400 - 1e400] folds to NaN, which
    is not structurally equal to itself, so structural fixpoints never
    hold on it *)
@@ -427,7 +462,9 @@ let () =
         [ Alcotest.test_case "suite stages" `Quick test_suite_scoping;
           QCheck_alcotest.to_alcotest prop_random_scoping ] );
       ( "walks",
-        [ Alcotest.test_case "visit order" `Quick test_visit_order ] );
+        [ Alcotest.test_case "visit order" `Quick test_visit_order;
+          Alcotest.test_case "subst keeps unchanged index lists" `Quick
+            test_subst_keeps_binders ] );
       ( "fixpoints",
         [ Alcotest.test_case "NaN constant terminates" `Quick
             test_nan_terminates ] ) ]

@@ -147,7 +147,7 @@ let test_root_spans_sum_to_report () =
       (fun acc (sp : Event_sim.span) ->
         if String.contains sp.Event_sim.sp_track '.' then acc
         else acc +. (sp.Event_sim.sp_finish -. sp.Event_sim.sp_start))
-      0.0 tl.Event_sim.tl_spans
+      0.0 (Event_sim.spans tl)
   in
   let ev = r.Event_sim.report.Simulate.cycles in
   let rel a b = Float.abs (a -. b) /. Float.max a b in
@@ -602,6 +602,107 @@ let test_wall_tracks () =
          {|]}|} ])
     (String.concat "\n" masked)
 
+(* --------------------- record order across producers ------------------ *)
+
+(* a top-level tile load, then three iterations of a metapipelined load
+   and pipe: tracks [pre], [L], [L.ld], [L.p] and DRAM *)
+let tiny_timeline () =
+  let load name =
+    Hw.Tile_load
+      { name; mem = "buf"; array = "x"; words = Hw.Tconst 80.0; path = [];
+        reuse = 1; prov = Prov.none }
+  in
+  let pipe =
+    Hw.Pipe
+      { name = "p"; trips = [ Hw.Tconst 20.0 ]; template = Hw.Vector; par = 1;
+        depth = 10; ii = 1;
+        ops =
+          { Hw.flops = 1; int_ops = 0; cmp_ops = 0; mem_reads = 1; mem_writes = 1 };
+        body = None; dram = []; uses = []; defines = []; prov = Prov.none }
+  in
+  let top =
+    Hw.Seq
+      { name = "top";
+        children =
+          [ load "pre";
+            Hw.Loop
+              { name = "L"; trips = [ Hw.Tconst 3.0 ]; meta = true;
+                stages = [ load "ld"; pipe ]; prov = Prov.none } ];
+        prov = Prov.none }
+  in
+  let d = { Hw.design_name = "tiny"; mems = []; top; par_factor = 1 } in
+  match (Event_sim.run ~record:true d ~sizes:[]).Event_sim.timeline with
+  | Some tl -> tl
+  | None -> Alcotest.fail "no timeline recorded"
+
+(* generic spans on tracks a recorded run also uses, recorded before and
+   after the run, between wall spans: each track keeps record order
+   across the two producers.  The pinned text was taken before runs were
+   recorded as columns. *)
+let test_producers_order () =
+  let tl = tiny_timeline () in
+  let wall name = Trace.with_span ~cat:"pass" name (fun () -> ()) in
+  let json =
+    capture_virtual (fun () ->
+        wall "before";
+        Trace.virtual_span ~cat:"gen" ~track:"L.p" ~name:"early" ~start:(-4.0)
+          ~finish:(-1.0) ~args:[ ("k", Trace.Int 1) ] ();
+        Trace.virtual_span ~track:"DRAM" ~name:"warm" ~start:(-2.0) ~finish:(-0.5) ();
+        Sim_trace.record tl;
+        Trace.virtual_span ~cat:"gen" ~track:"L.p" ~name:"late"
+          ~start:tl.Event_sim.tl_makespan ~finish:(tl.Event_sim.tl_makespan +. 1.5) ();
+        Trace.virtual_span ~track:"A" ~name:"first" ~start:0.0 ~finish:1.0 ();
+        wall "after")
+  in
+  let masked =
+    List.map
+      (fun l -> if contains_sub l "\"pid\": 0" then mask "dur" (mask "ts" l) else l)
+      (String.split_on_char '\n' json)
+  in
+  Alcotest.(check string) "record order per track, across producers"
+    (lines
+       [ {|{"displayTimeUnit": "ms",|};
+         {|"traceEvents": [|};
+         {|{"ph": "M", "name": "process_name", "cat": "meta", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "simulator (virtual cycles)"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "A"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": 2, "ts": 0, "args": {"name": "DRAM"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": 3, "ts": 0, "args": {"name": "L"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": 4, "ts": 0, "args": {"name": "L.ld"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": 5, "ts": 0, "args": {"name": "L.p"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": 6, "ts": 0, "args": {"name": "pre"}},|};
+         {|{"ph": "M", "name": "process_name", "cat": "meta", "pid": 0, "tid": 1, "ts": #, "args": {"name": "compiler (wall clock, us)"}},|};
+         {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 0, "tid": 1, "ts": #, "args": {"name": "wall-d0"}},|};
+         {|{"ph": "B", "name": "first", "cat": "sim", "pid": 1, "tid": 1, "ts": 0, "args": {}},|};
+         {|{"ph": "E", "name": "first", "cat": "sim", "pid": 1, "tid": 1, "ts": 1, "args": {}},|};
+         {|{"ph": "B", "name": "warm", "cat": "sim", "pid": 1, "tid": 2, "ts": -2, "args": {}},|};
+         {|{"ph": "E", "name": "warm", "cat": "sim", "pid": 1, "tid": 2, "ts": -0.5000, "args": {}},|};
+         {|{"ph": "B", "name": "busy", "cat": "sim", "pid": 1, "tid": 2, "ts": 0, "args": {}},|};
+         {|{"ph": "E", "name": "busy", "cat": "sim", "pid": 1, "tid": 2, "ts": 440, "args": {}},|};
+         {|{"ph": "B", "name": "L", "cat": "sim", "pid": 1, "tid": 3, "ts": 110, "args": {"top-level": 1}},|};
+         {|{"ph": "E", "name": "L", "cat": "sim", "pid": 1, "tid": 3, "ts": 470, "args": {}},|};
+         {|{"ph": "B", "name": "ld#1", "cat": "sim", "pid": 1, "tid": 4, "ts": 110, "args": {"iteration": 1}},|};
+         {|{"ph": "E", "name": "ld#1", "cat": "sim", "pid": 1, "tid": 4, "ts": 220, "args": {}},|};
+         {|{"ph": "B", "name": "ld#2", "cat": "sim", "pid": 1, "tid": 4, "ts": 220, "args": {"iteration": 2}},|};
+         {|{"ph": "E", "name": "ld#2", "cat": "sim", "pid": 1, "tid": 4, "ts": 330, "args": {}},|};
+         {|{"ph": "B", "name": "ld#3", "cat": "sim", "pid": 1, "tid": 4, "ts": 330, "args": {"iteration": 3}},|};
+         {|{"ph": "E", "name": "ld#3", "cat": "sim", "pid": 1, "tid": 4, "ts": 440, "args": {}},|};
+         {|{"ph": "B", "name": "early", "cat": "gen", "pid": 1, "tid": 5, "ts": -4, "args": {"k": 1}},|};
+         {|{"ph": "E", "name": "early", "cat": "gen", "pid": 1, "tid": 5, "ts": -1, "args": {}},|};
+         {|{"ph": "B", "name": "p#1", "cat": "sim", "pid": 1, "tid": 5, "ts": 220, "args": {"iteration": 1}},|};
+         {|{"ph": "E", "name": "p#1", "cat": "sim", "pid": 1, "tid": 5, "ts": 250, "args": {}},|};
+         {|{"ph": "B", "name": "p#2", "cat": "sim", "pid": 1, "tid": 5, "ts": 330, "args": {"iteration": 2}},|};
+         {|{"ph": "E", "name": "p#2", "cat": "sim", "pid": 1, "tid": 5, "ts": 360, "args": {}},|};
+         {|{"ph": "B", "name": "p#3", "cat": "sim", "pid": 1, "tid": 5, "ts": 440, "args": {"iteration": 3}},|};
+         {|{"ph": "E", "name": "p#3", "cat": "sim", "pid": 1, "tid": 5, "ts": 470, "args": {}},|};
+         {|{"ph": "B", "name": "late", "cat": "gen", "pid": 1, "tid": 5, "ts": 470, "args": {}},|};
+         {|{"ph": "E", "name": "late", "cat": "gen", "pid": 1, "tid": 5, "ts": 471.5000, "args": {}},|};
+         {|{"ph": "B", "name": "pre", "cat": "sim", "pid": 1, "tid": 6, "ts": 0, "args": {"top-level": 1}},|};
+         {|{"ph": "E", "name": "pre", "cat": "sim", "pid": 1, "tid": 6, "ts": 110, "args": {}},|};
+         {|{"ph": "X", "name": "before", "cat": "pass", "pid": 0, "tid": 1, "ts": #, "dur": #, "args": {}},|};
+         {|{"ph": "X", "name": "after", "cat": "pass", "pid": 0, "tid": 1, "ts": #, "dur": #, "args": {}}|};
+         {|]}|} ])
+    (String.concat "\n" masked)
+
 (* --------------------------- buffer reuse --------------------------- *)
 
 let two_spans () =
@@ -666,6 +767,116 @@ let test_concurrent_to_json () =
     (fun j -> Alcotest.(check bool) "equals sequential" true (String.equal expected j))
     results
 
+(* ------------------ columns against the per-span path ----------------- *)
+
+let sim_gauge name =
+  name = "sim.makespan_cycles" || String.starts_with ~prefix:"sim.track." name
+
+(* the [sim.*] gauges in the registry, by name, in exact [%h] form *)
+let sim_gauges () =
+  List.filter_map
+    (function
+      | name, Metrics.Gauge v when sim_gauge name -> Some (Printf.sprintf "%s %h" name v)
+      | _ -> None)
+    (Metrics.snapshot ())
+  |> List.sort String.compare
+
+(* The oracle: a timeline recorded one span at a time, as
+   [Sim_trace.record] did before the engine kept columns.  Every span of
+   [Event_sim.spans] goes through [Trace.virtual_span] and then every DRAM
+   busy interval; each is counted as it is recorded, and the gauges are
+   those counts, by name. *)
+let replay (tl : Event_sim.timeline) =
+  let occ = Trace.tracks () in
+  let span ~track ~name ~start ~finish args =
+    Trace.virtual_span ~cat:"sim" ~track ~name ~start ~finish ~args ();
+    Trace.add_track_span occ ~track ~start ~finish
+  in
+  List.iter
+    (fun (sp : Event_sim.span) ->
+      span ~track:sp.Event_sim.sp_track ~name:sp.Event_sim.sp_name
+        ~start:sp.Event_sim.sp_start ~finish:sp.Event_sim.sp_finish
+        (List.map (fun (k, v) -> (k, Trace.Float v)) sp.Event_sim.sp_args))
+    (Event_sim.spans tl);
+  List.iter
+    (fun (start, finish) -> span ~track:"DRAM" ~name:"busy" ~start ~finish [])
+    tl.Event_sim.tl_dram_busy;
+  let makespan = tl.Event_sim.tl_makespan in
+  let gauges = ref [ Printf.sprintf "sim.makespan_cycles %h" makespan ] in
+  Trace.iter_tracks occ ~makespan (fun track ~spans ~busy ~util ~stall ->
+      let g field v = gauges := Printf.sprintf "sim.track.%s.%s %h" track field v :: !gauges in
+      g "spans" (float_of_int spans);
+      g "busy_cycles" busy;
+      g "util" util;
+      g "stall_cycles" stall);
+  List.sort String.compare !gauges
+
+(* what the trace holds after [f]: its JSON and its summary *)
+let traced f =
+  Trace.clear ();
+  Trace.enable ();
+  let v = f () in
+  Trace.disable ();
+  let json = Trace.to_json () and summary = Trace.summary () in
+  Trace.clear ();
+  (json, summary, v)
+
+(* The virtual tracks' names in tid order, from the thread_name lines.
+   Both producers share the writer's tid rule, so the replay alone cannot
+   see it change; the names must ascend. *)
+let virtual_track_names json =
+  let prefix = {|{"ph": "M", "name": "thread_name", "cat": "meta", "pid": 1, "tid": |} in
+  List.filter_map
+    (fun l ->
+      if String.starts_with ~prefix l then
+        match String.split_on_char '"' l with
+        | parts -> Some (List.nth parts (List.length parts - 2))
+      else None)
+    (String.split_on_char '\n' json)
+
+(* Every extended bench under every config at ½, 1 and 2 times its
+   simulation sizes: the columns written by [Sim_trace.record] give the
+   JSON, the summary and every [sim.*] gauge the per-span replay of the
+   same timeline gives, byte for byte and bit for bit, and the tracks
+   take tids in name order. *)
+let test_columns_equal_replay () =
+  let configs = [ Experiments.Baseline; Experiments.Tiled; Experiments.Tiled_meta ] in
+  let scale k sizes =
+    List.map (fun (s, v) -> (s, Int.max 1 (int_of_float (float_of_int v *. k)))) sizes
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (b : Suite.bench) ->
+      List.iter
+        (fun cfg ->
+          let d = Experiments.design_of cfg b in
+          List.iter
+            (fun k ->
+              let what =
+                Printf.sprintf "%s %s x%g" b.Suite.name (Experiments.config_name cfg) k
+              in
+              let r = Event_sim.run ~record:true d ~sizes:(scale k b.Suite.sim_sizes) in
+              let tl =
+                match r.Event_sim.timeline with
+                | Some tl -> tl
+                | None -> Alcotest.fail (what ^ ": no timeline")
+              in
+              Metrics.reset ();
+              let json, summary, () = traced (fun () -> Sim_trace.record tl) in
+              let gauges = sim_gauges () in
+              let json', summary', gauges' = traced (fun () -> replay tl) in
+              Alcotest.(check bool) (what ^ ": JSON") true (String.equal json' json);
+              Alcotest.(check string) (what ^ ": summary") summary' summary;
+              Alcotest.(check (list string)) (what ^ ": gauges") gauges' gauges;
+              let names = virtual_track_names json in
+              Alcotest.(check (list string)) (what ^ ": tids in name order")
+                (List.sort String.compare names) names;
+              incr checked)
+            [ 0.5; 1.0; 2.0 ])
+        configs)
+    (Suite.extended ());
+  Alcotest.(check int) "runs compared" 108 !checked
+
 let () =
   Alcotest.run "trace"
     [ ( "json",
@@ -681,6 +892,8 @@ let () =
           Alcotest.test_case "category switch" `Quick test_category_switch;
           Alcotest.test_case "arg keys" `Quick test_arg_keys;
           Alcotest.test_case "wall tracks" `Quick test_wall_tracks;
+          Alcotest.test_case "producers share record order" `Quick
+            test_producers_order;
           Alcotest.test_case "buffer reuse" `Quick test_buffer_reuse;
           Alcotest.test_case "concurrent calls" `Quick
             test_concurrent_to_json ] );
@@ -689,7 +902,9 @@ let () =
           Alcotest.test_case "virtual timestamps" `Quick
             test_virtual_timestamps;
           Alcotest.test_case "root spans reproduce the report" `Quick
-            test_root_spans_sum_to_report ] );
+            test_root_spans_sum_to_report;
+          Alcotest.test_case "columns equal the per-span replay" `Quick
+            test_columns_equal_replay ] );
       ( "determinism",
         [ Alcotest.test_case "timeline byte-identical" `Quick
             test_timeline_byte_identical;
