@@ -65,7 +65,3 @@ let partition a p =
   ({ terms = inside; const = 0 }, { terms = outside; const = a.const })
 
 let equal a b = a.terms = b.terms && a.const = b.const
-
-let pp fmt a =
-  List.iter (fun (s, c) -> Format.fprintf fmt "%d*%a + " c Sym.pp s) a.terms;
-  Format.pp_print_int fmt a.const

@@ -34,4 +34,3 @@ val partition : t -> (Sym.t -> bool) -> t * t
     satisfies [p] (with const 0) and the rest (carrying the constant). *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -97,11 +97,6 @@ let add_json b d =
   Json_out.add_string b d.message;
   str "}"
 
-let to_json d =
-  let b = Buffer.create 256 in
-  add_json b d;
-  Buffer.contents b
-
 let list_to_json ds =
   let b = Buffer.create 1024 in
   Buffer.add_char b '[';

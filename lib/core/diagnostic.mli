@@ -60,10 +60,6 @@ val pp : Format.formatter -> t -> unit
 val pp_list : Format.formatter -> t list -> unit
 (** Sorted with {!compare}, one per line. *)
 
-val to_json : t -> string
-(** A single JSON object with [code], [severity], [path], [where] and
-    [message] fields (no external JSON dependency; strings are
-    escaped). *)
-
 val list_to_json : t list -> string
-(** A JSON array of {!to_json} objects, sorted with {!compare}. *)
+(** A JSON array, sorted with {!compare}, of one object per diagnostic
+    with [code], [severity], [path], [where] and [message] fields. *)

@@ -19,32 +19,6 @@ type trip =
   | Tmul of trip * trip
   | Tscale of float * trip
 
-let trip_of_dom = function
-  | Ir.Dfull e ->
-      let rec of_exp = function
-        | Ir.Ci c -> Tconst (float_of_int c)
-        | Ir.Var s -> Tsize s
-        | Ir.Prim (Ir.Mul, [ a; b ]) -> Tmul (of_exp a, of_exp b)
-        | Ir.Prim (Ir.Add, [ a; Ir.Ci c ]) ->
-            (* additive constants on sizes barely matter for trips *)
-            ignore c;
-            of_exp a
-        | _ -> Tconst 1.0
-      in
-      of_exp e
-  | Ir.Dtiles { total; tile } -> (
-      match total with
-      | Ir.Var s -> Tceil_div (Tsize s, tile)
-      | Ir.Ci c -> Tconst (float_of_int ((c + tile - 1) / tile))
-      | _ -> Tconst 1.0)
-  | Ir.Dtail { total; tile; _ } -> (
-      match total with
-      | Ir.Var s -> Tavg_tail { total = Tsize s; tile }
-      | Ir.Ci c ->
-          let tiles = (c + tile - 1) / tile in
-          Tconst (float_of_int c /. float_of_int (Int.max 1 tiles))
-      | _ -> Tconst (float_of_int tile))
-
 let rec trip_eval sizes t =
   match t with
   | Tconst c -> c
@@ -237,8 +211,3 @@ let count_ports d =
       d.mems
   in
   { d with mems }
-
-let find_mem d name =
-  match List.find_opt (fun m -> m.mem_name = name) d.mems with
-  | Some m -> m
-  | None -> raise Not_found

@@ -44,7 +44,6 @@ type trip =
   | Tmul of trip * trip
   | Tscale of float * trip  (** e.g. FIFO consumer rate = selectivity x n *)
 
-val trip_of_dom : Ir.dom -> trip
 val trip_eval : (Sym.t * int) list -> trip -> float
 val trip_product : trip list -> trip
 
@@ -171,8 +170,6 @@ val iter_ctrls_path : (string list -> ctrl -> unit) -> ctrl -> unit
     outermost first (the root is visited with [[]]). *)
 
 val children : ctrl -> ctrl list
-val find_mem : design -> string -> mem
-(** @raise Not_found *)
 
 (** {1 Memory references}
 

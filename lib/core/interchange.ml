@@ -352,8 +352,6 @@ let run ~budget_words ~tenv ~bound e =
   let e' = ic { budget = budget_words; tenv; bound; fired } e in
   (e', !fired)
 
-let exp ~budget_words ~tenv ~bound e = fst (run ~budget_words ~tenv ~bound e)
-
 let program ?(budget_words = 1 lsl 18) (p : program) =
   let tenv = Validate.initial_env p in
   let bound = Ir.size_bound p in

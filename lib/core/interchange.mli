@@ -30,10 +30,3 @@ val program : ?budget_words:int -> Ir.program -> Ir.program
     program must type-check ({!Tiling} checks the strip-mined form it
     passes here); binder types are synthesized with
     {!Validate.type_of}, not re-checked. *)
-
-val exp :
-  budget_words:int ->
-  tenv:Ty.t Sym.Map.t ->
-  bound:(Ir.exp -> int option) ->
-  Ir.exp ->
-  Ir.exp

@@ -75,5 +75,3 @@ let row name s =
   Printf.sprintf "%-18s %6d %5d %5d %6d %5d %5d %6d %7d %5d %5d" name s.nodes
     s.maps s.folds s.multifolds s.flatmaps s.groupbyfolds s.copies
     s.strided_loops s.lets s.max_nest
-
-let pp fmt s = Format.pp_print_string fmt (row "" s)

@@ -17,6 +17,5 @@ type t = {
 
 val of_exp : Ir.exp -> t
 val of_program : Ir.program -> t
-val pp : Format.formatter -> t -> unit
 val header : string
 val row : string -> t -> string

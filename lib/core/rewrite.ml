@@ -66,13 +66,6 @@ let map_children f e =
 
 let rec bottom_up f e = f (map_children (bottom_up f) e)
 
-let rec top_down_ctx ctx ~enter f e =
-  match f ctx e with
-  | Some e' -> top_down_ctx ctx ~enter f e'
-  | None ->
-      let ctx' = enter ctx e in
-      map_children (top_down_ctx ctx' ~enter f) e
-
 (* The visit order is the one [map_children] evaluates its calls in under
    ocamlopt: constructor arguments and record fields right to left, list
    elements left to right.  Passes that collect names while walking (the

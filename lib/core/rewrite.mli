@@ -24,12 +24,6 @@ val bottom_up : (Ir.exp -> Ir.exp) -> Ir.exp -> Ir.exp
 (** [bottom_up f e] rebuilds [e] with children rewritten first, then
     applies [f] to each resulting node. *)
 
-val top_down_ctx :
-  'ctx -> enter:('ctx -> Ir.exp -> 'ctx) -> ('ctx -> Ir.exp -> Ir.exp option) -> Ir.exp -> Ir.exp
-(** [top_down_ctx ctx ~enter f e]: at each node, [f ctx e] may replace the
-    node (the replacement is re-visited); otherwise recursion proceeds into
-    children with [enter ctx e] as the new context. *)
-
 val iter_children : (Ir.exp -> unit) -> Ir.exp -> unit
 (** [iter_children f e] applies [f] to every direct child of [e], without
     rebuilding [e], in exactly the order in which [map_children] calls its

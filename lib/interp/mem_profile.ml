@@ -22,8 +22,3 @@ let words counts s =
   match List.find_opt (fun (k, _) -> Sym.equal k s) counts with
   | Some (_, w) -> w
   | None -> 0
-
-let pp fmt counts =
-  List.iter
-    (fun (s, w) -> Format.fprintf fmt "%-16s %10d words@." (Sym.name s) w)
-    counts

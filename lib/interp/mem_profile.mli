@@ -20,4 +20,3 @@ val run :
     counts (inputs with zero accesses are included). *)
 
 val words : counts -> Sym.t -> int
-val pp : Format.formatter -> counts -> unit

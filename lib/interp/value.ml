@@ -54,9 +54,6 @@ let to_string v = Format.asprintf "%a" pp v
 let of_float_list l = Arr (Ndarray.of_list (List.map (fun x -> F x) l))
 let of_int_list l = Arr (Ndarray.of_list (List.map (fun x -> I x) l))
 
-let of_float_list2 rows =
-  Arr (Ndarray.of_list2 (List.map (List.map (fun x -> F x)) rows))
-
 let to_float = function
   | F x -> x
   | v -> invalid_arg ("Value.to_float: " ^ to_string v)
@@ -72,8 +69,3 @@ let to_bool = function
 let to_arr = function
   | Arr a -> a
   | v -> invalid_arg ("Value.to_arr: " ^ to_string v)
-
-let float_arr v =
-  let a = to_arr v in
-  if Ndarray.rank a <> 1 then invalid_arg "Value.float_arr: not rank 1";
-  Array.of_list (List.map to_float (Ndarray.to_list a))

@@ -22,7 +22,6 @@ val to_string : t -> string
 (** {1 Conversions} *)
 
 val of_float_list : float list -> t
-val of_float_list2 : float list list -> t
 val of_int_list : int list -> t
 val to_float : t -> float
 (** @raise Invalid_argument on non-float *)
@@ -30,5 +29,3 @@ val to_float : t -> float
 val to_int : t -> int
 val to_bool : t -> bool
 val to_arr : t -> t Ndarray.t
-val float_arr : t -> float array
-(** 1-D float array contents. @raise Invalid_argument otherwise. *)

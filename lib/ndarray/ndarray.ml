@@ -154,8 +154,6 @@ let fold f acc a =
   !r
 
 let for_all p a = fold (fun ok x -> ok && p x) true a
-let exists p a = fold (fun found x -> found || p x) false a
-let fill a x = iteri (fun idx _ -> set a idx x) a
 
 type dim_spec = Fix of int | Range of int * int
 

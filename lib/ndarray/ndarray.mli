@@ -80,7 +80,6 @@ val blit_region : src:'a t -> dst:'a t -> int list -> unit
 
 (** {1 Bulk operations} *)
 
-val fill : 'a t -> 'a -> unit
 val copy : 'a t -> 'a t
 val map : ('a -> 'b) -> 'a t -> 'b t
 val mapi : (int list -> 'a -> 'b) -> 'a t -> 'b t
@@ -91,7 +90,6 @@ val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int list -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val for_all : ('a -> bool) -> 'a t -> bool
-val exists : ('a -> bool) -> 'a t -> bool
 
 val concat1 : 'a t list -> 'a t
 (** Concatenate 1-D arrays (used by FlatMap semantics).

@@ -134,5 +134,4 @@ let pp_values fmt snap =
             (1e3 *. seconds) count)
     snap
 
-let pp fmt () = pp_values fmt (snapshot ())
 let reset () = with_lock (fun () -> Hashtbl.reset tbl)

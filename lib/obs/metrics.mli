@@ -44,9 +44,6 @@ val to_json : unit -> string
 val values_to_json : (string * value) list -> string
 (** Same JSON shape over an explicit snapshot (or {!diff} result). *)
 
-val pp : Format.formatter -> unit -> unit
-(** Aligned text dump of {!snapshot}. *)
-
 val pp_values : Format.formatter -> (string * value) list -> unit
 (** Aligned text dump of an explicit snapshot (or {!diff} result). *)
 

@@ -16,38 +16,17 @@ type columns = {
   instance : int array;
 }
 
-(* One record per traced span: a wall-clock pass is written as one
-   complete ("X") event, a virtual-cycle span as a begin/end ("B"/"E")
-   pair. *)
-type span =
-  | Wall of {
-      name : string;
-      cat : string;
-      track : string;
-      ts : float;
-      dur : float;
-      args : (string * arg) list;
-    }
-  | Virtual of {
-      name : string;
-      cat : string;
-      track : string;
-      start : float;
-      finish : float;
-      args : (string * arg) list;
-    }
-
-(* The collector holds single spans and recorded runs: a run is written
-   as the B/E pairs of its columns' spans, then of its intervals, each
-   named [iname] on track [itrack] with no args. *)
-type event =
-  | Span of span
-  | Run of {
-      cols : columns;
-      itrack : string;
-      iname : string;
-      intervals : (float * float) list;
-    }
+(* The collector's one event form: a block of spans by columns, all of
+   one pid and category.  A span carries [args], or, when [args] is
+   [None], the one arg [key = instance] of its track.  A wall-clock
+   block is written as complete ("X") events, a virtual-cycle block as
+   begin/end ("B"/"E") pairs. *)
+type block = {
+  pid : int;
+  cat : string;
+  cols : columns;
+  args : (string * arg) list option;
+}
 
 let wall_pid = 0
 let virtual_pid = 1
@@ -56,7 +35,7 @@ let virtual_pid = 1
 
 let lock = Mutex.create ()
 let enabled_flag = Atomic.make false
-let events : event list ref = ref []  (* newest first *)
+let blocks : block list ref = ref []  (* newest first *)
 let epoch = ref 0.0
 
 let enabled () = Atomic.get enabled_flag
@@ -66,9 +45,22 @@ let enable () =
   Atomic.set enabled_flag true
 
 let disable () = Atomic.set enabled_flag false
-let clear () = Mutex.protect lock (fun () -> events := [])
+let clear () = Mutex.protect lock (fun () -> blocks := [])
 let now_us () = (Unix.gettimeofday () -. !epoch) *. 1e6
-let record ev = Mutex.protect lock (fun () -> events := ev :: !events)
+let record blk = Mutex.protect lock (fun () -> blocks := blk :: !blocks)
+
+(* every single span's track id and instance: shared, since no one
+   writes into a recorded block *)
+let zero = [| 0 |]
+
+(* one span, recorded as a block of one row *)
+let record_span ~pid ~cat ~track ~name ~start ~finish args =
+  record
+    { pid; cat; args = Some args;
+      cols =
+        { tracks = [| { track; label = name; numbered = false; key = "" } |];
+          len = 1; track_id = zero; start = [| start |]; finish = [| finish |];
+          instance = zero } }
 
 (* one wall track per domain, so pass spans inside a Pool sweep nest on
    the domain that ran them instead of interleaving on one track *)
@@ -81,9 +73,8 @@ let with_span ?(cat = "pass") ?args name f =
     let finish () =
       let t1 = now_us () in
       let args = match args with None -> [] | Some g -> g () in
-      record
-        (Span
-           (Wall { name; cat; track = wall_track (); ts = t0; dur = t1 -. t0; args }))
+      record_span ~pid:wall_pid ~cat ~track:(wall_track ()) ~name ~start:t0
+        ~finish:t1 args
     in
     match f () with
     | v ->
@@ -108,11 +99,10 @@ let pass name ~args f =
 
 let virtual_span ?(cat = "sim") ~track ~name ~start ~finish ?(args = []) () =
   if enabled () then
-    record (Span (Virtual { name; cat; track; start; finish; args }))
+    record_span ~pid:virtual_pid ~cat ~track ~name ~start ~finish args
 
-let virtual_run cols ~track ~name intervals =
-  if enabled () then
-    record (Run { cols; itrack = track; iname = name; intervals })
+let virtual_run ?args cols =
+  if enabled () then record { pid = virtual_pid; cat = "sim"; cols; args }
 
 (* --------------------------- serialization ------------------------- *)
 
@@ -150,51 +140,24 @@ let line_text cat pid tid =
 (* track names and arg keys, hashed and compared as strings *)
 module Names = Hashtbl.Make (String)
 
-let add_line b head name text ts =
-  Buffer.add_string b head;
-  Json_out.add_string_body b name;
-  Buffer.add_string b text;
-  Json_out.add_float ~prec b ts
-
 (* [s]'s escaped JSON text, without quotes *)
 let escaped s =
   let b = Buffer.create (String.length s + 8) in
   Json_out.add_string_body b s;
   Buffer.contents b
 
-(* A virtual span's two lines are written by these two alone, whichever
-   producer recorded it.  [b_open] and [e_open] are the B and E heads,
-   each followed by the span name's escaped text (for a numbered span,
-   its prefix); [num] holds the digits that complete the name, or
-   nothing.  [add_begin] stops after the start time, where the caller
-   writes the B line's args; [add_end] closes them. *)
-let add_begin b ~b_open num text start =
-  Buffer.add_string b b_open;
-  Buffer.add_buffer b num;
-  Buffer.add_string b text;
-  Json_out.add_float ~prec b start
-
-let add_end b ~e_open num text finish =
-  Buffer.add_string b e_open;
-  Buffer.add_buffer b num;
-  Buffer.add_string b text;
-  Json_out.add_float ~prec b finish;
-  Buffer.add_string b ", \"args\": {}}"
-
-(* The digits of the span number being written, once per span, and an
-   always empty [num] for spans without one.  Both are used only while
-   [lock] is held. *)
+(* The digits of the instance being written, once per span, and an
+   always empty [num] for span names without them.  Both are used only
+   while [lock] is held. *)
 let num = Buffer.create 24
 let no_num = Buffer.create 0
 
-let snapshot () = Mutex.protect lock (fun () -> List.rev !events)
-
-(* A run's spans grouped by track name, each group in index order (a
+(* A block's spans grouped by track name, each group in index order (a
    stable counting sort): the span indices [order], and every name with
    spans, paired with its range [lo, hi) of [order].  Tracks of one name
    are one group, so their spans keep index order between them. *)
-let run_groups (c : columns) =
-  let ids = Names.create 16 in
+let by_track (c : columns) =
+  let ids = Names.create (Array.length c.tracks) in
   let group =
     Array.map
       (fun (t : run_track) ->
@@ -232,23 +195,16 @@ let run_groups (c : columns) =
   in
   (order, ranges)
 
-(* A run's fixed text per track id: the B and E heads with the escaped
-   label, and the args opener with the escaped key *)
-type kit = { k_b_open : string; k_e_open : string; k_args : string; numbered : bool }
+(* A block's fixed text per track id: the first line's head with the
+   escaped label, the E head with it, and the args opener, followed by
+   the escaped key when a span's one arg is its instance *)
+type kit = { k_open : string; k_e_open : string; k_args : string; numbered : bool }
 
-(* what one track holds, in record order: single spans, a run's spans on
-   it ([order.(lo .. hi-1)] of the run's columns), or a run's intervals *)
-type segment =
-  | One of span
-  | Spans of { cols : columns; order : int array; lo : int; hi : int; kits : kit array }
-  | Intervals of { name : string; intervals : (float * float) list }
+(* a block's spans on one track: [order.(lo .. hi-1)] of its columns *)
+type slice = { blk : block; order : int array; lo : int; hi : int; kits : kit array }
 
 let to_json () =
   Mutex.protect lock @@ fun () ->
-  (* each pid's segments grouped by track; consing newest-first leaves
-     every group in record order (the recorder guarantees per-track
-     timestamp order) *)
-  let vgroups = Names.create 64 and wgroups = Names.create 16 in
   (* an arg key's escaped text in quotes and [": "], escaped once per
      distinct key *)
   let keys = Names.create 8 in
@@ -260,61 +216,62 @@ let to_json () =
         Names.add keys k text;
         text
   in
-  let kit (t : run_track) =
-    let label = escaped t.label in
-    { k_b_open = b_head ^ label; k_e_open = e_head ^ label;
-      k_args = args_open ^ key_text t.key; numbered = t.numbered }
-  in
-  let add groups track seg =
-    match Names.find_opt groups track with
-    | Some g -> g := seg :: !g
-    | None -> Names.add groups track (ref [ seg ])
-  in
+  (* each pid's slices grouped by track; consing newest-first leaves
+     every group in record order (the recorder guarantees per-track
+     timestamp order) *)
+  let groups = [| Names.create 16; Names.create 64 |] (* by pid *) in
   List.iter
-    (function
-      | Span (Virtual { track; _ } as s) -> add vgroups track (One s)
-      | Span (Wall { track; _ } as s) -> add wgroups track (One s)
-      | Run { cols; itrack; iname; intervals } ->
-          (* a run's intervals follow its spans *)
-          if intervals <> [] then
-            add vgroups itrack (Intervals { name = iname; intervals });
-          let order, ranges = run_groups cols in
-          let kits = Array.map kit cols.tracks in
-          List.iter
-            (fun (track, lo, hi) ->
-              add vgroups track (Spans { cols; order; lo; hi; kits }))
-            ranges)
-    !events;
+    (fun blk ->
+      let kit (t : run_track) =
+        let label = escaped t.label in
+        { k_open = (if blk.pid = wall_pid then x_head else b_head) ^ label;
+          k_e_open = e_head ^ label; numbered = t.numbered;
+          k_args = (if Option.is_none blk.args then args_open ^ key_text t.key else args_open) }
+      in
+      let kits = Array.map kit blk.cols.tracks and order, ranges = by_track blk.cols in
+      let g = groups.(blk.pid) in
+      List.iter
+        (fun (track, lo, hi) ->
+          let s = { blk; order; lo; hi; kits } in
+          match Names.find_opt g track with
+          | Some l -> l := s :: !l
+          | None -> Names.add g track (ref [ s ]))
+        ranges)
+    !blocks;
   (* a track's tid is its 1-based rank among its pid's track names *)
-  let by_name groups =
+  let by_name pid =
     List.sort
       (fun (a, _) (b, _) -> String.compare a b)
-      (Names.fold (fun track g acc -> (track, !g) :: acc) groups [])
+      (Names.fold (fun track l acc -> (track, !l) :: acc) groups.(pid) [])
   in
-  let vtracks = by_name vgroups and wtracks = by_name wgroups in
+  let vtracks = by_name virtual_pid and wtracks = by_name wall_pid in
   let b = out in
   Buffer.clear b;
   Buffer.add_string b "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
   let first = ref true in
   let sep () = if !first then first := false else Buffer.add_string b ",\n" in
   (* the items of an args object the caller has opened; the next head or
-     [}}] closes it *)
-  let add_args args =
-    Json_out.add_list b
-      (fun b (k, v) ->
+     [}}] closes it.  A call allocates nothing. *)
+  let rec add_args = function
+    | [] -> ()
+    | (k, v) :: rest ->
         Buffer.add_string b (key_text k);
-        match v with
+        (match v with
         | Int n -> Json_out.add_int b n
         | Float f -> Json_out.add_float ~prec b f
-        | Str s -> Json_out.add_string b s)
-      args
+        | Str s -> Json_out.add_string b s);
+        (match rest with [] -> () | _ -> Buffer.add_string b ", ");
+        add_args rest
   in
   (* process/thread names first, so Perfetto labels the tracks; metadata
      for the wall pid is tagged onto it and stripped with it *)
   let names pid process tracks =
     let meta name tid label =
       sep ();
-      add_line b m_head name (line_text "meta" pid tid) 0.0;
+      Buffer.add_string b m_head;
+      Json_out.add_string_body b name;
+      Buffer.add_string b (line_text "meta" pid tid);
+      Json_out.add_float ~prec b 0.0;
       Buffer.add_string b args_open;
       add_args [ ("name", Str label) ];
       Buffer.add_string b "}}"
@@ -326,9 +283,11 @@ let to_json () =
   in
   names virtual_pid "simulator (virtual cycles)" vtracks;
   names wall_pid "compiler (wall clock, us)" wtracks;
-  (* then virtual events (deterministic) before wall, track by track; the
-     line text is rebuilt only where a track's category changes *)
-  let track pid tid segs =
+  (* then virtual events (deterministic) before wall, track by track: a
+     wall span is one X line, a virtual one a B/E pair.  The line text is
+     rebuilt only where a track's category changes. *)
+  let track pid tid slices =
+    let wall = pid = wall_pid in
     let run = ref None in
     let text_for cat =
       match !run with
@@ -339,50 +298,40 @@ let to_json () =
           text
     in
     List.iter
-      (function
-        | One (Virtual { name; cat; start; finish; args; _ }) ->
-            let text = text_for cat and name = escaped name in
-            sep ();
-            add_begin b ~b_open:(b_head ^ name) no_num text start;
-            Buffer.add_string b args_open;
-            add_args args;
-            add_end b ~e_open:(e_head ^ name) no_num text finish
-        | One (Wall { name; cat; ts; dur; args; _ }) ->
-            sep ();
-            add_line b x_head name (text_for cat) ts;
+      (fun { blk; order; lo; hi; kits } ->
+        let text = text_for blk.cat and c = blk.cols in
+        for k = lo to hi - 1 do
+          let i = order.(k) in
+          let kit = kits.(c.track_id.(i)) in
+          Buffer.clear num;
+          Json_out.add_int num c.instance.(i);
+          let name_num = if kit.numbered then num else no_num in
+          sep ();
+          Buffer.add_string b kit.k_open;
+          Buffer.add_buffer b name_num;
+          Buffer.add_string b text;
+          Json_out.add_float ~prec b c.start.(i);
+          if wall then begin
             Buffer.add_string b ", \"dur\": ";
-            Json_out.add_float ~prec b dur;
-            Buffer.add_string b args_open;
-            add_args args;
-            Buffer.add_string b "}}"
-        | Spans { cols; order; lo; hi; kits } ->
-            let text = text_for "sim" in
-            for k = lo to hi - 1 do
-              let i = order.(k) in
-              let kit = kits.(cols.track_id.(i)) in
-              Buffer.clear num;
-              Json_out.add_int num cols.instance.(i);
-              let name_num = if kit.numbered then num else no_num in
-              sep ();
-              add_begin b ~b_open:kit.k_b_open name_num text cols.start.(i);
-              Buffer.add_string b kit.k_args;
-              Buffer.add_buffer b num;
-              add_end b ~e_open:kit.k_e_open name_num text cols.finish.(i)
-            done
-        | Intervals { name; intervals } ->
-            let text = text_for "sim" and name = escaped name in
-            let b_open = b_head ^ name and e_open = e_head ^ name in
-            List.iter
-              (fun (start, finish) ->
-                sep ();
-                add_begin b ~b_open no_num text start;
-                Buffer.add_string b args_open;
-                add_end b ~e_open no_num text finish)
-              intervals)
-      segs
+            Json_out.add_float ~prec b (c.finish.(i) -. c.start.(i))
+          end;
+          Buffer.add_string b kit.k_args;
+          (match blk.args with
+          | None -> Buffer.add_buffer b num
+          | Some args -> add_args args);
+          if wall then Buffer.add_string b "}}"
+          else begin
+            Buffer.add_string b kit.k_e_open;
+            Buffer.add_buffer b name_num;
+            Buffer.add_string b text;
+            Json_out.add_float ~prec b c.finish.(i);
+            Buffer.add_string b ", \"args\": {}}"
+          end
+        done)
+      slices
   in
-  List.iteri (fun i (_, segs) -> track virtual_pid (i + 1) segs) vtracks;
-  List.iteri (fun i (_, segs) -> track wall_pid (i + 1) segs) wtracks;
+  List.iteri (fun i (_, slices) -> track virtual_pid (i + 1) slices) vtracks;
+  List.iteri (fun i (_, slices) -> track wall_pid (i + 1) slices) wtracks;
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
 
@@ -424,7 +373,7 @@ let add_span a ~start ~finish =
 let add_track_span tbl ~track ~start ~finish =
   add_span (acc_of tbl track) ~start ~finish
 
-let add_run tbl (c : columns) ~track intervals =
+let add_run tbl (c : columns) =
   let accs = Array.map (fun (t : run_track) -> acc_of tbl t.track) c.tracks in
   for i = 0 to c.len - 1 do
     add_span accs.(c.track_id.(i)) ~start:c.start.(i) ~finish:c.finish.(i)
@@ -432,11 +381,7 @@ let add_run tbl (c : columns) ~track intervals =
   (* a track that recorded no span stays out of the table *)
   Array.iteri
     (fun t a -> if a.spans = 0 then Hashtbl.remove tbl c.tracks.(t).track)
-    accs;
-  if intervals <> [] then begin
-    let a = acc_of tbl track in
-    List.iter (fun (start, finish) -> add_span a ~start ~finish) intervals
-  end
+    accs
 
 let iter_tracks (tbl : tracks) ~makespan f =
   List.iter
@@ -451,26 +396,32 @@ let iter_tracks (tbl : tracks) ~makespan f =
 (* ----------------------------- summary ----------------------------- *)
 
 let summary () =
-  let evs = snapshot () in
   let buf = Buffer.create 512 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  (* virtual tracks: span counts and durations, per track *)
-  let vt = tracks () in
+  (* virtual tracks: span counts and durations, per track; wall spans:
+     total duration and count, by name *)
+  let vt = tracks () and wt : (string, float * int) Hashtbl.t = Hashtbl.create 16 in
   let makespan = ref 0.0 in
-  let reach finish = if finish > !makespan then makespan := finish in
   List.iter
-    (function
-      | Span (Virtual { track; start; finish; _ }) ->
-          add_track_span vt ~track ~start ~finish;
-          reach finish
-      | Run { cols; itrack; intervals; _ } ->
-          add_run vt cols ~track:itrack intervals;
-          for i = 0 to cols.len - 1 do
-            reach cols.finish.(i)
-          done;
-          List.iter (fun (_, finish) -> reach finish) intervals
-      | Span (Wall _) -> ())
-    evs;
+    (fun { pid; cols = c; _ } ->
+      if pid = virtual_pid then begin
+        add_run vt c;
+        for i = 0 to c.len - 1 do
+          if c.finish.(i) > !makespan then makespan := c.finish.(i)
+        done
+      end
+      else
+        for i = 0 to c.len - 1 do
+          let t = c.tracks.(c.track_id.(i)) in
+          let name =
+            if t.numbered then t.label ^ string_of_int c.instance.(i) else t.label
+          in
+          let total, n =
+            match Hashtbl.find_opt wt name with Some x -> x | None -> (0.0, 0)
+          in
+          Hashtbl.replace wt name (total +. (c.finish.(i) -. c.start.(i)), n + 1)
+        done)
+    (Mutex.protect lock (fun () -> List.rev !blocks));
   if Hashtbl.length vt > 0 then begin
     pr "virtual timeline (makespan %s cycles)\n"
       (Json_out.float_str ~prec !makespan);
@@ -482,17 +433,6 @@ let summary () =
           (100.0 *. util)
           (Json_out.float_str ~prec stall))
   end;
-  (* wall spans aggregated by name *)
-  let wt : (string, float * int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (function
-      | Span (Wall { name; dur; _ }) ->
-          let t, n =
-            match Hashtbl.find_opt wt name with Some x -> x | None -> (0.0, 0)
-          in
-          Hashtbl.replace wt name (t +. dur, n + 1)
-      | Span (Virtual _) | Run _ -> ())
-    evs;
   if Hashtbl.length wt > 0 then begin
     pr "wall-clock spans (total ms, by name)\n";
     let rows = Hashtbl.fold (fun k (t, n) acc -> (t, n, k) :: acc) wt [] in

@@ -1,11 +1,15 @@
 (** Span-based tracing, serialized as Chrome trace-event JSON.
 
-    The collector is a process-wide, mutex-protected event buffer that
-    every layer of the stack writes into when tracing is enabled (it is
-    off by default and costs one atomic load per instrumentation point
-    when off).  Two clocks coexist, kept apart by the trace-event [pid]:
+    The collector is a process-wide, mutex-protected store that every
+    layer of the stack writes into when tracing is enabled (it is off by
+    default and costs one atomic load per instrumentation point when
+    off).  It holds one event form: a {e block} of spans stored by
+    {!columns}, all of one pid and category.  {!with_span} and
+    {!virtual_span} record a block of one span, {!virtual_run} a
+    simulator run's columns by reference.  Two clocks coexist, kept apart
+    by the trace-event [pid]:
 
-    - {b wall clock} ([pid] {!wall_pid}): compiler passes, recorded as
+    - {b wall clock} ([pid] {!wall_pid}): compiler passes, written as
       complete ("X") events whose [ts]/[dur] are microseconds since
       {!enable}.  One track per OCaml domain, so passes running inside a
       {!Pool} sweep nest correctly.  Wall events are the only
@@ -13,8 +17,7 @@
       filtering on the pid.
     - {b virtual clock} ([pid] {!virtual_pid}): simulator timelines,
       written as begin/end ("B"/"E") pairs whose timestamps are virtual
-      cycles.  A simulator run registers its whole timeline in one call
-      ({!virtual_run}); {!virtual_span} records a single span.  One track per metapipeline stage (plus a DRAM-busy
+      cycles.  One track per metapipeline stage (plus a DRAM-busy
       track); spans on a track never overlap, so the B/E stack is always
       balanced.  Virtual events are bit-deterministic across runs and
       domain counts.
@@ -22,9 +25,9 @@
     The serialized form ({!to_json}) is the Chrome trace-event
     JSON array format: load it at [ui.perfetto.dev] or
     [chrome://tracing].  One event per line, events ordered virtual
-    first then wall, each track's events in record order (a run's spans
-    in index order, at the point the run was registered) — so stripping
-    wall lines yields a byte-stable golden form. *)
+    first then wall, each track's events in record order (a block's
+    spans in index order, at the point the block was recorded) — so
+    stripping wall lines yields a byte-stable golden form. *)
 
 type arg = Int of int | Float of float | Str of string
 (** Argument values attached to a span (rendered under ["args"]). *)
@@ -68,14 +71,13 @@ val virtual_span :
 (** Record one virtual-cycle span as a B/E pair on [track].  Spans on
     the same track must be recorded in start order and must not overlap
     (the simulator's per-stage schedules guarantee both).  This is the
-    one-span producer; {!virtual_run} records a simulator's whole
-    timeline at once. *)
+    one-span producer; {!virtual_run} records a block of spans at once. *)
 
 (** {2 Recorded runs}
 
-    A simulator run's timeline is registered once, as columns, and
-    {!to_json} and {!summary} read those columns in place: no record per
-    span is made between the simulator and the writer. *)
+    A simulator run's timeline is registered as columns, and {!to_json}
+    and {!summary} read those columns in place: no record per span is
+    made between the simulator and the writer. *)
 
 type run_track = {
   track : string;  (** the track's name *)
@@ -92,29 +94,31 @@ type columns = {
   finish : float array;
   instance : int array;
 }
-(** A recorded run by columns.  Span [i] lies on track
+(** A block of spans by columns: a recorded run, or the collector's
+    form of any span.  Span [i] lies on track
     [tracks.(track_id.(i)).track] from [start.(i)] to [finish.(i)]; it is
     named [label], followed by the digits of [instance.(i)] when
-    [numbered], and carries the one arg [key = instance.(i)].  Tracks
-    may share a name: the spans on one name, in index order, must obey
-    {!virtual_span}'s start-order rule. *)
+    [numbered], and carries the one arg [key = instance.(i)] unless the
+    block has args of its own.  Tracks may share a name: the spans on one
+    name, in index order, must obey {!virtual_span}'s start-order rule. *)
 
-val virtual_run :
-  columns -> track:string -> name:string -> (float * float) list -> unit
-(** [virtual_run c ~track ~name intervals] registers one recorded run,
-    under one lock: it records what {!virtual_span} ([~cat:"sim"])
-    would for every span of [c] in index order, and then for every
-    interval as a span [name] on [track] with no args.  The collector
-    keeps [c] by reference, so its arrays must not change afterwards. *)
+val virtual_run : ?args:(string * arg) list -> columns -> unit
+(** [virtual_run c] records what {!virtual_span} ([~cat:"sim"]) would
+    for every span of [c], in index order, under one lock.  Each span
+    carries [args] when given, and otherwise its track's one arg [key =
+    instance].  The collector keeps [c] by reference, so its arrays must
+    not change afterwards. *)
 
 val to_json : unit -> string
 (** Serialize the collected events as Chrome trace-event JSON.  The
     text is written into one buffer the collector keeps across calls
     (it retains the capacity of the largest trace written so far) while
     the collector's lock is held, so concurrent calls and recording wait
-    for each other; the result is a fresh string.  A recorded run's
-    columns are read in place: each of its track labels and arg keys is
-    escaped once, and instance numbers are written as digits. *)
+    for each other; the result is a fresh string.  Every block is read
+    in place, grouped by track with one stable counting sort: each of
+    its track labels and arg keys is escaped once, instance numbers are
+    written as digits, and one loop writes a wall span's X line and a
+    virtual span's B/E pair. *)
 
 type tracks
 (** Per-track occupancy of virtual spans, accumulated in place: span
@@ -127,11 +131,9 @@ val add_track_span :
   tracks -> track:string -> start:float -> finish:float -> unit
 (** Count one span on [track]. *)
 
-val add_run :
-  tracks -> columns -> track:string -> (float * float) list -> unit
-(** [add_run acc c ~track intervals] counts every span of [c] and then
-    every interval on [track], in the order {!virtual_run} records them,
-    in one pass over the columns. *)
+val add_run : tracks -> columns -> unit
+(** [add_run acc c] counts every span of [c] in index order, as
+    {!virtual_run} records them, in one pass over the columns. *)
 
 val iter_tracks :
   tracks -> makespan:float ->
@@ -144,5 +146,5 @@ val iter_tracks :
 val summary : unit -> string
 (** Human-readable digest: per-virtual-track span counts, busy cycles,
     utilization and stall against the overall makespan, and the top
-    wall-clock spans aggregated by name.  Recorded runs are read in
+    wall-clock spans aggregated by name.  Virtual blocks are read in
     place, through {!add_run}. *)

@@ -76,13 +76,20 @@ let rec next_token lx =
         lx.pos <- lx.pos + 1;
         if lx.pos < n && (lx.src.[lx.pos] = '+' || lx.src.[lx.pos] = '-') then
           lx.pos <- lx.pos + 1;
+        let digits = lx.pos in
         while lx.pos < n && is_digit lx.src.[lx.pos] do
           lx.pos <- lx.pos + 1
-        done
+        done;
+        if lx.pos = digits then
+          lex_error lx "malformed number %s: its exponent has no digits"
+            (String.sub lx.src start (lx.pos - start))
       end;
       let text = String.sub lx.src start (lx.pos - start) in
       if !is_float then FLOAT (float_of_string text)
-      else INT (int_of_string text)
+      else
+        match int_of_string_opt text with
+        | Some i -> INT i
+        | None -> lex_error lx "integer %s out of range" text
     end
     else if is_ident_char c then begin
       let start = lx.pos in

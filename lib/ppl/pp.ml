@@ -12,8 +12,6 @@ let is_infix = function
   | Add | Sub | Mul | Div | Mod | Lt | Le | Gt | Ge | Eq | Ne | And | Or -> true
   | Neg | Min | Max | Abs | Sqrt | Exp | Log | Not | ToFloat | ToInt -> false
 
-let pp_prim fmt p = Format.pp_print_string fmt (prim_name p)
-
 let pp_sep_comma fmt () = Format.fprintf fmt ",@ "
 
 let pp_syms fmt = function

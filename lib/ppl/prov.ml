@@ -44,5 +44,3 @@ let compare a b =
   match String.compare a.origin b.origin with
   | 0 -> List.compare String.compare a.trail b.trail
   | n -> n
-
-let equal a b = compare a b = 0

@@ -44,4 +44,3 @@ val folded : t -> string
 (** Sanitized frames joined with [';'] — one flamegraph stack. *)
 
 val compare : t -> t -> int
-val equal : t -> t -> bool

@@ -7,7 +7,6 @@ let counter = Atomic.make 0
 let fresh base = { id = Atomic.fetch_and_add counter 1 + 1; base }
 
 let base t = t.base
-let id t = t.id
 let name t = t.base ^ "_" ^ string_of_int t.id
 let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id

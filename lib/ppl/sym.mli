@@ -12,7 +12,6 @@ val name : t -> string
 val base : t -> string
 (** The base name passed to {!fresh}. *)
 
-val id : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

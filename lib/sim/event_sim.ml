@@ -8,9 +8,13 @@ type span = {
 
 type timeline = {
   tl_columns : Trace.columns;
-  tl_dram_busy : (float * float) list;
+  tl_dram : Trace.columns;
   tl_makespan : float;
 }
+
+let tl_dram_busy tl =
+  let c = tl.tl_dram in
+  List.init c.Trace.len (fun i -> (c.Trace.start.(i), c.Trace.finish.(i)))
 
 let spans tl =
   let c = tl.tl_columns in
@@ -438,6 +442,12 @@ let run ?(machine = Machine.default) ?(record = false) (d : Hw.design) ~sizes =
                { Trace.tracks = Array.of_list (List.rev tt.tracks); len = st.len;
                  track_id = st.track_id; start = st.start; finish = st.finish;
                  instance = st.instance };
-             tl_dram_busy = Dram_calendar.spans st.dram_cal;
+             tl_dram =
+               (let c = st.dram_cal in
+                let zeros = Array.make c.n 0 in
+                { Trace.tracks =
+                    [| { Trace.track = "DRAM"; label = "busy"; numbered = false; key = "" } |];
+                  len = c.n; track_id = zeros; start = c.starts; finish = c.stops;
+                  instance = zeros });
              tl_makespan = fin }
        else None) }

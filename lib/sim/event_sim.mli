@@ -45,9 +45,17 @@ type timeline = {
       (** the spans in schedule order: a span is appended when its
           instance finishes, so a top-level controller's span follows
           every stage span inside it; per-track starts ascend *)
-  tl_dram_busy : (float * float) list;  (** merged DRAM busy intervals *)
+  tl_dram : Trace.columns;
+      (** the merged DRAM busy intervals, ascending: spans named
+          ["busy"] on track ["DRAM"], whose start and finish columns are
+          the calendar's own arrays; they carry no arg ([key] is
+          empty) *)
   tl_makespan : float;  (** = [report.cycles] *)
 }
+
+val tl_dram_busy : timeline -> (float * float) list
+(** [tl_dram]'s intervals as a list, for tests; the trace path reads the
+    columns. *)
 
 type span = {
   sp_track : string;  (** e.g. ["loop_3.stage_load_4"] *)

@@ -1,8 +1,10 @@
 let record (tl : Event_sim.timeline) =
-  let cols = tl.Event_sim.tl_columns and dram = tl.Event_sim.tl_dram_busy in
-  Trace.virtual_run cols ~track:"DRAM" ~name:"busy" dram;
+  let cols = tl.Event_sim.tl_columns and dram = tl.Event_sim.tl_dram in
+  Trace.virtual_run cols;
+  Trace.virtual_run ~args:[] dram;
   let occ = Trace.tracks () in
-  Trace.add_run occ cols ~track:"DRAM" dram;
+  Trace.add_run occ cols;
+  Trace.add_run occ dram;
   let makespan = tl.Event_sim.tl_makespan in
   Metrics.set_gauge "sim.makespan_cycles" makespan;
   Trace.iter_tracks occ ~makespan (fun track ~spans ~busy ~util ~stall ->

@@ -41,7 +41,7 @@ let digest_of d ~sizes =
           List.iter (fun (k, v) -> pr " %s=%h" k v) sp.Event_sim.sp_args;
           pr "\n")
         (Event_sim.spans tl);
-      List.iter (fun (s, e) -> pr "D %h %h\n" s e) tl.Event_sim.tl_dram_busy);
+      List.iter (fun (s, e) -> pr "D %h %h\n" s e) (Event_sim.tl_dram_busy tl));
   pr "%s" json;
   (Digest.to_hex (Digest.string (Buffer.contents buf)), r)
 

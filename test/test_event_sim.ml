@@ -390,7 +390,7 @@ let test_concurrent_runs () =
             List.iter (fun (k, v) -> pr " %s=%h" k v) sp.sp_args;
             pr "\n")
           (Event_sim.spans tl);
-        List.iter (fun (s, e) -> pr "D %h %h\n" s e) tl.tl_dram_busy)
+        List.iter (fun (s, e) -> pr "D %h %h\n" s e) (Event_sim.tl_dram_busy tl))
       r.timeline;
     Buffer.contents buf
   in

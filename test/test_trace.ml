@@ -703,6 +703,134 @@ let test_producers_order () =
          {|]}|} ])
     (String.concat "\n" masked)
 
+(* ------------------------------ summary ------------------------------ *)
+
+(* [Trace.summary] of what [f] records *)
+let summary_of f =
+  Trace.clear ();
+  Trace.enable ();
+  f ();
+  Trace.disable ();
+  let s = Trace.summary () in
+  Trace.clear ();
+  s
+
+(* the wall-clock section's rows, each with its total masked, and the
+   totals in row order; the total is the column before [" ms"] *)
+let wall_rows summary =
+  let rec rows = function
+    | [] -> []
+    | "wall-clock spans (total ms, by name)" :: rest ->
+        List.filter (fun r -> r <> "") rest
+    | _ :: rest -> rows rest
+  in
+  List.map
+    (fun r ->
+      match List.rev (List.filter (( <> ) "") (String.split_on_char ' ' r)) with
+      | "ms" :: ms :: _ ->
+          (* the row up to its count: drop [" ms"], the total and its
+             padding *)
+          let cut = ref (String.length r - String.length ms - 3) in
+          while !cut > 0 && r.[!cut - 1] = ' ' do decr cut done;
+          (String.sub r 0 !cut ^ " # ms", float_of_string ms)
+      | _ -> Alcotest.failf "wall row %S" r)
+    (rows (String.split_on_char '\n' summary))
+
+let check_descending what totals =
+  ignore
+    (List.fold_left
+       (fun prev t ->
+         if t > prev then Alcotest.failf "%s: totals not descending" what;
+         t)
+       infinity totals)
+
+(* wall spans are counted by name and listed by total time, largest
+   first: the names and counts are exact, the times masked *)
+let test_summary_wall () =
+  let span name = Trace.with_span ~cat:"pass" name (fun () -> ()) in
+  let summary =
+    summary_of (fun () ->
+        List.iter span [ "fusion"; "cse"; "fusion"; "lower"; "fusion"; "cse" ])
+  in
+  Alcotest.(check bool) "only the wall section" true
+    (String.starts_with ~prefix:"wall-clock spans (total ms, by name)\n" summary);
+  let rows = wall_rows summary in
+  check_descending "rows" (List.map snd rows);
+  Alcotest.(check (list string)) "names and counts"
+    [ "  cse                                           2 # ms";
+      "  fusion                                        3 # ms";
+      "  lower                                         1 # ms" ]
+    (List.sort String.compare (List.map fst rows))
+
+(* past 12 names only the 12 largest totals are listed, each name once
+   with its own count *)
+let test_summary_wall_cap () =
+  let names = List.init 14 (fun k -> (Printf.sprintf "pass%02d" k, 1 + (k mod 3))) in
+  let summary =
+    summary_of (fun () ->
+        List.iter
+          (fun (name, n) ->
+            for _ = 1 to n do
+              Trace.with_span name (fun () -> ())
+            done)
+          names)
+  in
+  let rows = wall_rows summary in
+  Alcotest.(check int) "rows" 12 (List.length rows);
+  check_descending "rows" (List.map snd rows);
+  let shown =
+    List.map
+      (fun (r, _) ->
+        match List.filter (( <> ) "") (String.split_on_char ' ' r) with
+        | [ name; count; "#"; "ms" ] -> (name, int_of_string count)
+        | _ -> Alcotest.failf "wall row %S" r)
+      rows
+  in
+  Alcotest.(check int) "each name once" 12
+    (List.length (List.sort_uniq compare (List.map fst shown)));
+  List.iter
+    (fun (name, count) ->
+      Alcotest.(check (option int)) (name ^ " count") (Some count)
+        (List.assoc_opt name names))
+    shown
+
+(* the virtual table of [test_producers_order]'s trace: generic spans
+   on tracks a recorded run also uses are counted with the run's spans,
+   in record order *)
+let test_summary_producers () =
+  let tl = tiny_timeline () in
+  let wall name = Trace.with_span ~cat:"pass" name (fun () -> ()) in
+  let summary =
+    summary_of (fun () ->
+        wall "before";
+        Trace.virtual_span ~cat:"gen" ~track:"L.p" ~name:"early" ~start:(-4.0)
+          ~finish:(-1.0) ~args:[ ("k", Trace.Int 1) ] ();
+        Trace.virtual_span ~track:"DRAM" ~name:"warm" ~start:(-2.0) ~finish:(-0.5) ();
+        Sim_trace.record tl;
+        Trace.virtual_span ~cat:"gen" ~track:"L.p" ~name:"late"
+          ~start:tl.Event_sim.tl_makespan ~finish:(tl.Event_sim.tl_makespan +. 1.5) ();
+        Trace.virtual_span ~track:"A" ~name:"first" ~start:0.0 ~finish:1.0 ();
+        wall "after")
+  in
+  let rec virtual_part = function
+    | [] | "wall-clock spans (total ms, by name)" :: _ -> []
+    | l :: rest -> l :: virtual_part rest
+  in
+  Alcotest.(check (list string)) "virtual table"
+    [ "virtual timeline (makespan 471.5000 cycles)";
+      "  track                                     spans    busy cycles    util   stall cycles";
+      "  A                                             1              1    0.2%              0";
+      "  DRAM                                          2       441.5000   93.6%         0.5000";
+      "  L                                             1            360   76.4%              0";
+      "  L.ld                                          3            330   70.0%              0";
+      "  L.p                                           5        94.5000   20.0%            381";
+      "  pre                                           1            110   23.3%              0" ]
+    (virtual_part (String.split_on_char '\n' summary));
+  Alcotest.(check (list string)) "wall rows"
+    [ "  after                                         1 # ms";
+      "  before                                        1 # ms" ]
+    (List.sort String.compare (List.map fst (wall_rows summary)))
+
 (* --------------------------- buffer reuse --------------------------- *)
 
 let two_spans () =
@@ -800,7 +928,7 @@ let replay (tl : Event_sim.timeline) =
     (Event_sim.spans tl);
   List.iter
     (fun (start, finish) -> span ~track:"DRAM" ~name:"busy" ~start ~finish [])
-    tl.Event_sim.tl_dram_busy;
+    (Event_sim.tl_dram_busy tl);
   let makespan = tl.Event_sim.tl_makespan in
   let gauges = ref [ Printf.sprintf "sim.makespan_cycles %h" makespan ] in
   Trace.iter_tracks occ ~makespan (fun track ~spans ~busy ~util ~stall ->
@@ -894,6 +1022,10 @@ let () =
           Alcotest.test_case "wall tracks" `Quick test_wall_tracks;
           Alcotest.test_case "producers share record order" `Quick
             test_producers_order;
+          Alcotest.test_case "summary wall section" `Quick test_summary_wall;
+          Alcotest.test_case "summary wall row cap" `Quick test_summary_wall_cap;
+          Alcotest.test_case "summary across producers" `Quick
+            test_summary_producers;
           Alcotest.test_case "buffer reuse" `Quick test_buffer_reuse;
           Alcotest.test_case "concurrent calls" `Quick
             test_concurrent_to_json ] );
