@@ -172,7 +172,7 @@ let print_ablations () =
       let base = Experiments.design_of Experiments.Baseline bench in
       let meta = Experiments.design_of Experiments.Tiled_meta bench in
       let sizes = bench.Suite.sim_sizes in
-      let reb = Rebalance.apply ~factor:4 meta ~sizes in
+      let reb = Rebalance.apply meta ~sizes in
       let c d = (Simulate.run d ~sizes).Simulate.cycles in
       let a_meta = Area_model.of_design meta in
       let a_reb = Area_model.of_design reb in

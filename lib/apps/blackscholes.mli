@@ -16,11 +16,6 @@ type t = {
   time : Ir.input;  (** years to maturity *)
 }
 
-val rate : float
-(** Risk-free rate baked into the kernel (scalar constant). *)
-
-val volatility : float
-
 val make : unit -> t
 
 val gen_inputs : t -> seed:int -> n:int -> (Sym.t * Value.t) list

@@ -24,6 +24,3 @@ val extended : unit -> bench list
 
 val find : bench list -> string -> bench
 (** @raise Not_found if no benchmark has that name. *)
-
-val size_of : (Sym.t * int) list -> Sym.t -> int
-(** Lookup by symbol. @raise Not_found if absent. *)

@@ -115,6 +115,8 @@ let ratio a b =
     bram = div a.bram b.bram;
     dsp = div a.dsp b.dsp }
 
+(* the evaluation FPGA (Stratix V GS D8-class): ALM-equivalent logic,
+   flip-flops, M20K blocks, DSPs *)
 let stratix_v =
   { logic = 262400.0; ff = 1049600.0; bram = 2560.0; dsp = 1963.0 }
 

@@ -45,15 +45,9 @@ val ratio : t -> t -> t
 (** [ratio a b] divides componentwise ([a]/[b]), for Fig. 7's
     relative-resource bars. *)
 
-val stratix_v : t
-(** Capacity of the evaluation FPGA (Stratix V GS D8-class): ALM-
-    equivalent logic, flip-flops, M20K blocks, DSPs. *)
-
-val utilization : t -> t
-(** Componentwise fraction of {!stratix_v} (1.0 = full). *)
-
 val fits : t -> bool
-(** Every component within the chip. *)
+(** Every component within the chip, the evaluation FPGA (Stratix V GS
+    D8-class). *)
 
 val pp : Format.formatter -> t -> unit
 val pp_utilization : Format.formatter -> t -> unit

@@ -331,7 +331,7 @@ let rec phase2 st e =
       else GroupByFold { g with glets = lets_copies descs g.glets }
   | _ -> Rewrite.map_children recur e
 
-let program_with_stats ?(budget_words = 1 lsl 18) (p : program) =
+let program_with_stats ?(budget_words = Split_cost.budget_words) (p : program) =
   let bound = Ir.size_bound p in
   let st =
     { inputs =

@@ -24,7 +24,8 @@
     to fit the on-chip budget. *)
 
 val program : ?budget_words:int -> Ir.program -> Ir.program
-(** Default budget: 2^18 words. *)
+(** The budget defaults to {!Split_cost.budget_words}, the only value the
+    library passes; tests set a tiny one to reach the over-budget path. *)
 
 type stats = {
   copies : int;  (** distinct tile copies created *)

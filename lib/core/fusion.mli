@@ -14,5 +14,4 @@
       Off by default so the hardware generator still sees the FlatMap and
       maps it to a parallel FIFO (Table 4); enabling it is an ablation. *)
 
-val exp : ?fuse_filters:bool -> Ir.exp -> Ir.exp
 val program : ?fuse_filters:bool -> Ir.program -> Ir.program

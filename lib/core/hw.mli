@@ -117,7 +117,7 @@ type ctrl =
       name : string;
       trips : trip list;  (** iteration space, including fused inner dims *)
       template : pipe_template;
-      par : int;  (** innermost parallelism factor *)
+      par : int;  (** innermost parallelism factor (>= 1) *)
       depth : int;  (** pipeline fill latency in cycles *)
       ii : int;  (** initiation interval *)
       ops : op_counts;
@@ -133,7 +133,7 @@ type ctrl =
       array : string;  (** source DRAM array *)
       words : trip;  (** words moved per invocation *)
       path : (trip * bool) list;  (** enclosing loops (for traffic totals) *)
-      reuse : int;  (** overlap reuse factor: words / reuse hit DRAM *)
+      reuse : int;  (** overlap reuse factor (>= 1): words / reuse hit DRAM *)
       prov : Prov.t;
     }
   | Tile_store of {

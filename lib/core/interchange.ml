@@ -352,7 +352,7 @@ let run ~budget_words ~tenv ~bound e =
   let e' = ic { budget = budget_words; tenv; bound; fired } e in
   (e', !fired)
 
-let program ?(budget_words = 1 lsl 18) (p : program) =
+let program ?(budget_words = Split_cost.budget_words) (p : program) =
   let tenv = Validate.initial_env p in
   let bound = Ir.size_bound p in
   (* "We apply these two rules whenever possible" (Section 4): one

@@ -25,8 +25,8 @@
       reads exactly as Section 4 describes. *)
 
 val program : ?budget_words:int -> Ir.program -> Ir.program
-(** Default budget: 2^18 words (1 MB of 32-bit elements — a fraction of a
-    Stratix V's on-chip RAM, leaving room for the data tiles).  The
-    program must type-check ({!Tiling} checks the strip-mined form it
+(** The budget defaults to {!Split_cost.budget_words}, the only value the
+    library passes; tests set a tiny one to reach the over-budget path.
+    The program must type-check ({!Tiling} checks the strip-mined form it
     passes here); binder types are synthesized with
     {!Validate.type_of}, not re-checked. *)

@@ -15,7 +15,6 @@ type t = {
   max_nest : int;  (** deepest pattern nesting *)
 }
 
-val of_exp : Ir.exp -> t
 val of_program : Ir.program -> t
 val header : string
 val row : string -> t -> string

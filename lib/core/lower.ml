@@ -3,14 +3,12 @@ open Ir
 type opts = {
   meta : bool;
   par : int;
-  budget_words : int;
   cache_leftover : bool;
   fifo_rate : float;
 }
 
 let default_opts =
-  { meta = true; par = 16; budget_words = 1 lsl 18; cache_leftover = true;
-    fifo_rate = 0.05 }
+  { meta = true; par = 16; cache_leftover = true; fifo_rate = 0.05 }
 
 let baseline_opts = { default_opts with meta = false; cache_leftover = false }
 
@@ -498,7 +496,7 @@ let alloc_value ctx base ty init =
       (Some 0) comps shapes
   in
   match words with
-  | Some w when w <= ctx.opts.budget_words ->
+  | Some w when w <= Split_cost.budget_words ->
       let names =
         List.map2
           (fun comp shape ->
@@ -1109,13 +1107,13 @@ let lower_design opts (p : program) =
         (match
            shape_words ctx (List.map Ir.dom_size m.mdims)
          with
-        | Some w -> w * (width_of_ty result_ty / 32) <= opts.budget_words
+        | Some w -> w * (width_of_ty result_ty / 32) <= Split_cost.budget_words
         | None -> false)
     | Fold { finit; _ } -> (
         match init_shapes finit with
         | [ Some shape ] -> (
             match shape_words ctx shape with
-            | Some w -> w <= opts.budget_words
+            | Some w -> w <= Split_cost.budget_words
             | None -> false)
         | _ -> true)
     | MultiFold { oinit; _ } -> (
@@ -1129,7 +1127,7 @@ let lower_design opts (p : program) =
                   | _ -> None)
                 (Some 0) shapes
             with
-            | Some w -> w <= opts.budget_words
+            | Some w -> w <= Split_cost.budget_words
             | None -> false)
         | _ -> false)
     | _ -> true

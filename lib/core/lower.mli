@@ -36,13 +36,13 @@
 type opts = {
   meta : bool;  (** generate metapipeline schedules *)
   par : int;  (** innermost parallelism factor (constant across configs) *)
-  budget_words : int;  (** on-chip capacity for accumulators/buffers *)
   cache_leftover : bool;  (** allocate caches for non-affine reads *)
   fifo_rate : float;  (** expected FlatMap output rate (elements/input) *)
 }
 
 val default_opts : opts
-(** [meta = true], [par = 16], 2^18 words, caches on, rate 0.05. *)
+(** [meta = true], [par = 16], caches on, rate 0.05.  Accumulators and
+    buffers are sized against {!Split_cost.budget_words}. *)
 
 val baseline_opts : opts
 (** The Section 6.1 baseline: no metapipelining, no caches — burst-level

@@ -18,7 +18,6 @@
     every pair slower). *)
 
 val map_children : (Ir.exp -> Ir.exp) -> Ir.exp -> Ir.exp
-val map_dom : (Ir.exp -> Ir.exp) -> Ir.dom -> Ir.dom
 
 val bottom_up : (Ir.exp -> Ir.exp) -> Ir.exp -> Ir.exp
 (** [bottom_up f e] rebuilds [e] with children rewritten first, then

@@ -1,3 +1,5 @@
+let budget_words = 1 lsl 18
+
 let rec width_words = function
   | Ty.Scalar _ -> 1
   | Ty.Tuple ts -> List.fold_left (fun acc t -> acc + width_words t) 0 ts

@@ -2,6 +2,12 @@
     split (fissioned) before interchange only when the intermediate
     result created by the split is statically known to fit on-chip. *)
 
+val budget_words : int
+(** The on-chip budget: 2^18 words (1 MB of 32-bit elements — a fraction
+    of a Stratix V's on-chip RAM, leaving room for the data tiles).
+    {!Interchange} splits, {!Copy_insert} copies tiles and {!Lower} keeps
+    accumulators and buffers on-chip within it. *)
+
 val width_words : Ty.t -> int
 (** On-chip words per element: scalars are one word, tuples the sum of
     their components.

@@ -28,14 +28,3 @@ val program : tiles:(Sym.t * int) list -> Ir.program -> Ir.program
     here once per sweep, and checks the strip-mined result.  [p] is not
     re-checked; binder types are synthesized with {!Validate.type_of}, so
     on an ill-typed [p] the result is unspecified. *)
-
-val exp :
-  tiles:(Sym.t * int) list ->
-  tenv:Ty.t Sym.Map.t ->
-  bound:(Ir.exp -> int option) ->
-  Ir.exp ->
-  Ir.exp
-(** Expression-level entry point; [tenv] types the free symbols, under
-    which the expression must type-check, and [bound] gives static upper
-    bounds of size expressions (used for the [max_len] annotations on
-    update regions). *)

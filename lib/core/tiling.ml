@@ -56,7 +56,7 @@ type front = {
 let nodes (q : Ir.program) = Rewrite.node_count q.Ir.body
 
 let tiling_span (p : Ir.program) f =
-  Trace.with_span ~cat:"pass"
+  Trace.with_span
     ~args:(fun () -> [ ("program", Trace.Str p.Ir.pname) ])
     ("tiling:" ^ p.Ir.pname)
     f
@@ -111,12 +111,11 @@ let strip f ~tiles =
       m "%s: strip-mined (%d nodes)" f.source.Ir.pname (nodes stripped));
   stripped
 
-let interchange ?budget_words f stripped =
+let interchange f stripped =
   let tiled =
     cleanup
-      (traced_pass "copy-insert" (Copy_insert.program ?budget_words)
-         (traced_pass "interchange" (Interchange.program ?budget_words)
-            stripped))
+      (traced_pass "copy-insert" Copy_insert.program
+         (traced_pass "interchange" Interchange.program stripped))
   in
   ignore (Validate.check_program tiled);
   Log.debug (fun m ->
@@ -130,16 +129,14 @@ let tiled f ~tiles =
   check_tiles f.source tiles;
   tiling_span f.source (fun () -> interchange f (strip f ~tiles))
 
-let run ?fuse_filters ?budget_words ~tiles (p : Ir.program) =
+let run ?fuse_filters ~tiles (p : Ir.program) =
   check_tiles p tiles;
   tiling_span p (fun () ->
       let f = front_passes ?fuse_filters p in
       let stripped = strip f ~tiles in
       let stripped_with_copies =
-        cleanup
-          (traced_pass "copy-insert" (Copy_insert.program ?budget_words)
-             stripped)
+        cleanup (traced_pass "copy-insert" Copy_insert.program stripped)
       in
       ignore (Validate.check_program stripped_with_copies);
-      let tiled = interchange ?budget_words f stripped in
+      let tiled = interchange f stripped in
       { fused = fused f; stripped; stripped_with_copies; tiled })

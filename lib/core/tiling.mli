@@ -29,7 +29,6 @@ type result = {
 
 val run :
   ?fuse_filters:bool ->
-  ?budget_words:int ->
   tiles:(Sym.t * int) list ->
   Ir.program ->
   result

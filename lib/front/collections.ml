@@ -30,13 +30,9 @@ let vzip f a b =
   (* lengths assumed equal, as in the paper's zip *)
   { vlen = a.vlen; vget = (fun i -> f (a.vget i) (b.vget i)) }
 
-let vlen v = v.vlen
 let vget v i = v.vget i
 let row m i = { vlen = m.mcols; vget = (fun j -> m.mget i j) }
 let col m j = { vlen = m.mrows; vget = (fun i -> m.mget i j) }
-let mmap f m = { m with mget = (fun i j -> f (m.mget i j)) }
-let mrows m = m.mrows
-let mcols m = m.mcols
 
 (* -------------------------- reductions --------------------------- *)
 
@@ -77,7 +73,6 @@ let sum_rows m =
 (* ------------------------ materialization ------------------------ *)
 
 let materialize v = map1 (dfull v.vlen) v.vget
-let materialize_mat m = map2d (dfull m.mrows) (dfull m.mcols) m.mget
 
 (* --------------------- filters and grouping ---------------------- *)
 

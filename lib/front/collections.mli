@@ -34,29 +34,18 @@ val vec_tabulate : Ir.exp -> (elt -> elt) -> vec
 (** [vec_tabulate n f]: the collection [f 0, ..., f (n-1)] (not
     materialized). *)
 
-val vec_of_exp : Ir.exp -> vec
-(** View an IR expression of 1-D array type as a collection (reads
-    index it). *)
-
 (** {1 Element-wise operators (fused, non-materializing)} *)
 
 val vmap : (elt -> elt) -> vec -> vec
 val vzip : (elt -> elt -> elt) -> vec -> vec -> vec
-val vlen : vec -> Ir.exp
 val vget : vec -> elt -> elt
 
 val row : mat -> elt -> vec
 (** The paper's [slice(i, * )]. *)
 
 val col : mat -> elt -> vec
-val mmap : (elt -> elt) -> mat -> mat
-val mrows : mat -> Ir.exp
-val mcols : mat -> Ir.exp
 
 (** {1 Reductions (emit PPL patterns)} *)
-
-val vfold : init:elt -> (elt -> elt -> elt) -> vec -> elt
-(** [fold] with an associative combiner, e.g. [x.fold(1){(a,b) => a*b}]. *)
 
 val vsum : vec -> elt
 val dot : vec -> vec -> elt
@@ -75,8 +64,6 @@ val sum_rows : mat -> vec
 
 val materialize : vec -> Ir.exp
 (** Emit a [Map] producing the collection as an array value. *)
-
-val materialize_mat : mat -> Ir.exp
 
 (** {1 Filters and grouping} *)
 

@@ -32,8 +32,8 @@ let point_order a b =
   | false, true -> 1
   | _ -> Float.compare a.cycles b.cycles
 
-let explore_joint ?domains ?machine ?(opts = Lower.default_opts)
-    ?(bram_budget = 2560.0) ~prog ~candidates ~pars ~sizes () =
+let explore_joint ?domains ?machine ?(bram_budget = 2560.0) ~prog ~candidates
+    ~pars ~sizes () =
   List.iter
     (fun par ->
       if par < 1 then
@@ -59,7 +59,7 @@ let explore_joint ?domains ?machine ?(opts = Lower.default_opts)
         Error { sk_tiles = tiles; sk_reason = reason }
     | tiled ->
         (* lowered once; only the bound parallelism factor differs *)
-        let shaped = Lower.shape opts tiled in
+        let shaped = Lower.shape Lower.default_opts tiled in
         Ok
           (List.map
              (fun par ->
@@ -93,11 +93,6 @@ let explore_joint ?domains ?machine ?(opts = Lower.default_opts)
   let points = List.sort point_order points in
   let best = List.find_opt (fun p -> p.feasible) points in
   { points; best; skipped }
-
-let explore ?domains ?machine ?(opts = Lower.default_opts) ?bram_budget ~prog
-    ~candidates ~sizes () =
-  explore_joint ?domains ?machine ~opts ?bram_budget ~prog ~candidates
-    ~pars:[ opts.Lower.par ] ~sizes ()
 
 let explore_bench ?domains ?bram_budget ?(pars = []) (bench : Suite.bench) =
   let candidates =

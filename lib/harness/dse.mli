@@ -36,25 +36,9 @@ type result = {
           never silently dropped *)
 }
 
-val explore :
-  ?domains:int ->
-  ?machine:Machine.t ->
-  ?opts:Lower.opts ->
-  ?bram_budget:float ->
-  prog:Ir.program ->
-  candidates:(Sym.t * int list) list ->
-  sizes:(Sym.t * int) list ->
-  unit ->
-  result
-(** [explore ~prog ~candidates ~sizes ()] evaluates the cartesian product
-    of per-parameter candidate tile sizes.  Default budget: 2560 M20K
-    blocks (a Stratix V).  [?domains] bounds the evaluation pool
-    (default: {!Pool.default_domains}; [1] = sequential). *)
-
 val explore_joint :
   ?domains:int ->
   ?machine:Machine.t ->
-  ?opts:Lower.opts ->
   ?bram_budget:float ->
   prog:Ir.program ->
   candidates:(Sym.t * int list) list ->
@@ -63,9 +47,13 @@ val explore_joint :
   unit ->
   result
 (** Joint tile-size and parallelism-factor exploration: the cartesian
-    product of tile assignments and [pars] values, a repeated par
-    counting once (at its first occurrence).  Feasibility also checks
-    chip capacity (logic/FF), which parallelism spends.
+    product of the per-parameter candidate tile sizes and the [pars]
+    values, a repeated par counting once (at its first occurrence), each
+    point lowered with {!Lower.default_opts} at its par.  Default budget:
+    2560 M20K blocks (a Stratix V).  Feasibility also checks chip
+    capacity (logic/FF), which parallelism spends.  [?domains] bounds the
+    evaluation pool (default: {!Pool.default_domains}; [1] =
+    sequential).
 
     The tile-independent tiling stages ({!Tiling.front}) run once per
     call; each assignment then runs {!Tiling.tiled} and {!Lower.shape}

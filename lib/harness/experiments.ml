@@ -34,7 +34,7 @@ type fig7_row = {
 
 let configs = [ Baseline; Tiled; Tiled_meta ]
 
-let fig7 ?machine ?domains benches =
+let fig7 ?domains benches =
   let tally = Pool.tally () in
   (* each bench is an independent compile + 3x simulate chain *)
   let rows =
@@ -45,7 +45,7 @@ let fig7 ?machine ?domains benches =
         List.map
           (fun cfg ->
             let d = lower cfg r in
-            let rep = Simulate.run ?machine d ~sizes:bench.Suite.sim_sizes in
+            let rep = Simulate.run d ~sizes:bench.Suite.sim_sizes in
             (cfg, (rep.Simulate.cycles, Area_model.of_design d)))
           configs
       in
@@ -197,7 +197,7 @@ let onchip_words_for (design : Hw.design) prefix =
       else acc)
     0.0 design.Hw.mems
 
-let fig5c ?machine ~n ~k ~d ~b0 ~b1 () =
+let fig5c ~n ~k ~d ~b0 ~b1 () =
   let t = Kmeans.make () in
   let tiles = [ (t.Kmeans.n, b0); (t.Kmeans.k, b1) ] in
   let r = Tiling.run ~tiles t.Kmeans.prog in
@@ -216,7 +216,7 @@ let fig5c ?machine ~n ~k ~d ~b0 ~b1 () =
   List.concat_map
     (fun (stage, prog, opts) ->
       let design = Lower.program opts prog in
-      let rep = Simulate.run ?machine design ~sizes in
+      let rep = Simulate.run design ~sizes in
       let expected_points = fn *. fd in
       let expected_centroids =
         match stage with
@@ -273,15 +273,13 @@ type traffic_row = {
   tprofile : int option;
 }
 
-let traffic ?machine ?(profile = false) ?sizes (bench : Suite.bench) =
+let traffic ?(profile = false) (bench : Suite.bench) =
   let sizes =
-    match sizes with
-    | Some s -> s
-    | None -> if profile then bench.Suite.test_sizes else bench.Suite.sim_sizes
+    if profile then bench.Suite.test_sizes else bench.Suite.sim_sizes
   in
   let r = tile bench in
-  let rep_b = Simulate.run ?machine (lower Baseline r) ~sizes in
-  let rep_t = Simulate.run ?machine (lower Tiled r) ~sizes in
+  let rep_b = Simulate.run (lower Baseline r) ~sizes in
+  let rep_t = Simulate.run (lower Tiled r) ~sizes in
   let prof =
     if profile then
       let inputs = bench.Suite.gen ~sizes ~seed:2026 in

@@ -32,15 +32,10 @@ type fig7_row = {
   area_ratio : config -> Area_model.t;  (** over [Baseline] *)
 }
 
-val fig7 :
-  ?machine:Machine.t -> ?domains:int -> Suite.bench list -> fig7_row list
+val fig7 : ?domains:int -> Suite.bench list -> fig7_row list
 (** [?domains] fans the per-benchmark chains out across a {!Pool}
     (default: {!Pool.default_domains}; [1] = sequential).  The rows are
     identical at every domain count. *)
-
-val paper_fig7_speedups : (string * (float * float)) list
-(** The paper's reported (tiling, tiling+metapipelining) speedups, for
-    side-by-side comparison. *)
 
 val print_fig7 : fig7_row list -> unit
 
@@ -76,8 +71,7 @@ type fig5c_row = {
 }
 
 val fig5c :
-  ?machine:Machine.t -> n:int -> k:int -> d:int -> b0:int -> b1:int -> unit ->
-  fig5c_row list
+  n:int -> k:int -> d:int -> b0:int -> b1:int -> unit -> fig5c_row list
 
 val print_fig5c : fig5c_row list -> unit
 
@@ -95,14 +89,9 @@ type traffic_row = {
   tprofile : int option;  (** interpreter words for the tiled program *)
 }
 
-val traffic :
-  ?machine:Machine.t ->
-  ?profile:bool ->
-  ?sizes:(Sym.t * int) list ->
-  Suite.bench ->
-  traffic_row list
-(** Default sizes: the benchmark's simulation sizes, or its (small) test
-    sizes when [profile] is set so the interpreter run stays cheap. *)
+val traffic : ?profile:bool -> Suite.bench -> traffic_row list
+(** At the benchmark's simulation sizes, or at its (small) test sizes
+    when [profile] is set so the interpreter run stays cheap. *)
 
 val print_traffic : string -> traffic_row list -> unit
 

@@ -11,11 +11,7 @@
     innermost parallelism factor constant, per Section 6.1); exposed as an
     ablation. *)
 
-val apply :
-  ?factor:int ->
-  ?machine:Machine.t ->
-  Hw.design ->
-  sizes:(Sym.t * int) list ->
-  Hw.design
+val apply : Hw.design -> sizes:(Sym.t * int) list -> Hw.design
 (** Multiply the parallelism of each metapipeline's slowest compute stage
-    by [factor] (default 4) when that stage is a pipe. *)
+    by 4 when that stage is a pipe, the slowest found by simulating each
+    stage on {!Machine.default}. *)

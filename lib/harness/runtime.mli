@@ -14,9 +14,6 @@ type host = {
   invocation_overhead_s : float;  (** per-kernel-launch driver overhead *)
 }
 
-val default_host : host
-(** 4 GB/s (PCIe gen3 x8 sustained), 30 us per invocation. *)
-
 type summary = {
   device_s : float;  (** accelerator busy time across all invocations *)
   transfer_s : float;  (** PCIe in + out *)

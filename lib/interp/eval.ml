@@ -122,7 +122,7 @@ let rec eval ?(mode = Sequential) env e =
       in
       let region = Ndarray.copy_region arr specs in
       (match csrc with
-      | Var s -> record_access s (Ndarray.size region / Int.max 1 creuse)
+      | Var s -> record_access s (Ndarray.size region / creuse)
       | _ -> ());
       V.Arr region
   | Zeros (elt, shape) ->

@@ -1,6 +1,6 @@
 type counts = (Sym.t * int) list
 
-let run ?mode (p : Ir.program) ~sizes ~inputs =
+let run (p : Ir.program) ~sizes ~inputs =
   let table = Hashtbl.create 8 in
   List.iter (fun (inp : Ir.input) -> Hashtbl.replace table inp.Ir.iname 0) p.Ir.inputs;
   let hook s w =
@@ -9,7 +9,7 @@ let run ?mode (p : Ir.program) ~sizes ~inputs =
     | None -> ()
   in
   let v =
-    Eval.with_hook hook (fun () -> Eval.eval_program ?mode p ~sizes ~inputs)
+    Eval.with_hook hook (fun () -> Eval.eval_program p ~sizes ~inputs)
   in
   let counts =
     List.map (fun (inp : Ir.input) ->

@@ -11,7 +11,6 @@
 type counts = (Sym.t * int) list
 
 val run :
-  ?mode:Eval.mode ->
   Ir.program ->
   sizes:(Sym.t * int) list ->
   inputs:(Sym.t * Value.t) list ->

@@ -54,10 +54,6 @@ let to_string v = Format.asprintf "%a" pp v
 let of_float_list l = Arr (Ndarray.of_list (List.map (fun x -> F x) l))
 let of_int_list l = Arr (Ndarray.of_list (List.map (fun x -> I x) l))
 
-let to_float = function
-  | F x -> x
-  | v -> invalid_arg ("Value.to_float: " ^ to_string v)
-
 let to_int = function
   | I x -> x
   | v -> invalid_arg ("Value.to_int: " ^ to_string v)

@@ -16,15 +16,12 @@ val equal : ?eps:float -> t -> t -> bool
 (** Structural equality; floats compared within [eps] (default 1e-9,
     relative for large magnitudes). *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** {1 Conversions} *)
 
 val of_float_list : float list -> t
 val of_int_list : int list -> t
-val to_float : t -> float
-(** @raise Invalid_argument on non-float *)
 
 val to_int : t -> int
 val to_bool : t -> bool

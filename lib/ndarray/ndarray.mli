@@ -82,12 +82,9 @@ val blit_region : src:'a t -> dst:'a t -> int list -> unit
 
 val copy : 'a t -> 'a t
 val map : ('a -> 'b) -> 'a t -> 'b t
-val mapi : (int list -> 'a -> 'b) -> 'a t -> 'b t
 val map2 : ('a -> 'b -> 'c) -> 'a t -> 'b t -> 'c t
 (** @raise Shape_error if shapes differ. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int list -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val for_all : ('a -> bool) -> 'a t -> bool
 

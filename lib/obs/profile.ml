@@ -97,7 +97,7 @@ let child_weights (a : Simulate.annot) =
 let scale_traffic k t =
   List.map (fun (a, w) -> (a, k *. w)) (Simulate.traffic t)
 
-let of_design ?machine ?cache (d : Hw.design) ~sizes =
+let of_design ?cache (d : Hw.design) ~sizes =
   let fill_acc = ref 0.0 and dram_acc = ref 0.0 in
   let rec build (a : Simulate.annot) ~total ~invocations =
     let f = if a.cycles > 0.0 then total /. a.cycles else 0.0 in
@@ -128,7 +128,7 @@ let of_design ?machine ?cache (d : Hw.design) ~sizes =
       area = Area_model.ctrl_cost a.ctrl;
       children }
   in
-  let top = Simulate.annotate ?machine ?cache d ~sizes in
+  let top = Simulate.annotate ?cache d ~sizes in
   let root = build top ~total:top.cycles ~invocations:1.0 in
   (* by-origin aggregation *)
   let tbl = Hashtbl.create 16 in

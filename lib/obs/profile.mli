@@ -55,11 +55,7 @@ type t = {
 }
 
 val of_design :
-  ?machine:Machine.t ->
-  ?cache:Simulate.cache ->
-  Hw.design ->
-  sizes:(Sym.t * int) list ->
-  t
+  ?cache:Simulate.cache -> Hw.design -> sizes:(Sym.t * int) list -> t
 
 val total_cycles : t -> float
 

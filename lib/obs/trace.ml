@@ -66,15 +66,15 @@ let record_span ~pid ~cat ~track ~name ~start ~finish args =
    the domain that ran them instead of interleaving on one track *)
 let wall_track () = Printf.sprintf "wall-d%d" (Domain.self () :> int)
 
-let with_span ?(cat = "pass") ?args name f =
+let with_span ?args name f =
   if not (enabled ()) then f ()
   else begin
     let t0 = now_us () in
     let finish () =
       let t1 = now_us () in
       let args = match args with None -> [] | Some g -> g () in
-      record_span ~pid:wall_pid ~cat ~track:(wall_track ()) ~name ~start:t0
-        ~finish:t1 args
+      record_span ~pid:wall_pid ~cat:"pass" ~track:(wall_track ()) ~name
+        ~start:t0 ~finish:t1 args
     in
     match f () with
     | v ->
@@ -90,7 +90,7 @@ let pass name ~args f =
       if not (enabled ()) then f ()
       else begin
         let recorded = ref [] in
-        with_span ~cat:"pass" ~args:(fun () -> !recorded) name
+        with_span ~args:(fun () -> !recorded) name
           (fun () ->
             let r = f () in
             recorded := args r;

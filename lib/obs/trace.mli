@@ -9,13 +9,13 @@
     simulator run's columns by reference.  Two clocks coexist, kept apart
     by the trace-event [pid]:
 
-    - {b wall clock} ([pid] {!wall_pid}): compiler passes, written as
+    - {b wall clock} ([pid] 0): compiler passes, written as
       complete ("X") events whose [ts]/[dur] are microseconds since
       {!enable}.  One track per OCaml domain, so passes running inside a
       {!Pool} sweep nest correctly.  Wall events are the only
       nondeterministic part of a trace; golden tests strip them by
       filtering on the pid.
-    - {b virtual clock} ([pid] {!virtual_pid}): simulator timelines,
+    - {b virtual clock} ([pid] {!virtual_pid} = 1): simulator timelines,
       written as begin/end ("B"/"E") pairs whose timestamps are virtual
       cycles.  One track per metapipeline stage (plus a DRAM-busy
       track); spans on a track never overlap, so the B/E stack is always
@@ -32,9 +32,6 @@
 type arg = Int of int | Float of float | Str of string
 (** Argument values attached to a span (rendered under ["args"]). *)
 
-val wall_pid : int
-(** The trace-event pid carrying wall-clock (nondeterministic) events. *)
-
 val virtual_pid : int
 (** The trace-event pid carrying virtual-cycle (deterministic) events. *)
 
@@ -47,16 +44,13 @@ val disable : unit -> unit
 val clear : unit -> unit
 (** Drop all recorded events. *)
 
-val enabled : unit -> bool
-
 val with_span :
-  ?cat:string -> ?args:(unit -> (string * arg) list) -> string ->
-  (unit -> 'a) -> 'a
-(** [with_span name f] runs [f ()] inside a wall-clock span.  When
-    tracing is disabled this is just [f ()].  [args] is evaluated {e
-    after} [f] returns, so it can report results (e.g. after-pass IR
-    stats stashed in a ref by [f]).  The span is recorded even when [f]
-    raises. *)
+  ?args:(unit -> (string * arg) list) -> string -> (unit -> 'a) -> 'a
+(** [with_span name f] runs [f ()] inside a wall-clock span of category
+    ["pass"].  When tracing is disabled this is just [f ()].  [args] is
+    evaluated {e after} [f] returns, so it can report results (e.g.
+    after-pass IR stats stashed in a ref by [f]).  The span is recorded
+    even when [f] raises. *)
 
 val pass : string -> args:('a -> (string * arg) list) -> (unit -> 'a) -> 'a
 (** [pass name ~args f] runs one compiler pass [f ()]: always timed as

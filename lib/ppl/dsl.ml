@@ -15,10 +15,7 @@ let ( <=! ) = prim2 Le
 let ( >! ) = prim2 Gt
 let ( >=! ) = prim2 Ge
 let ( =! ) = prim2 Eq
-let ( <>! ) = prim2 Ne
 let ( &&! ) = prim2 And
-let ( ||! ) = prim2 Or
-let not_ e = Prim (Not, [ e ])
 let neg e = Prim (Neg, [ e ])
 let min_ = prim2 Min
 let max_ = prim2 Max
@@ -44,7 +41,6 @@ let slice_row a idx_e = Slice (a, [ SFix idx_e; SAll ])
 
 let len a d = Len (a, d)
 let zeros sc shape = Zeros (Ty.Scalar sc, shape)
-let zeros_t elt shape = Zeros (elt, shape)
 let arr es = ArrLit es
 let empty t = EmptyArr t
 let dfull e = Dfull e

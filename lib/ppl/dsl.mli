@@ -23,10 +23,7 @@ val ( <=! ) : exp -> exp -> exp
 val ( >! ) : exp -> exp -> exp
 val ( >=! ) : exp -> exp -> exp
 val ( =! ) : exp -> exp -> exp
-val ( <>! ) : exp -> exp -> exp
 val ( &&! ) : exp -> exp -> exp
-val ( ||! ) : exp -> exp -> exp
-val not_ : exp -> exp
 val neg : exp -> exp
 val min_ : exp -> exp -> exp
 val max_ : exp -> exp -> exp
@@ -54,9 +51,6 @@ val slice_row : exp -> exp -> exp
 val slice : exp -> slice_arg list -> exp
 val len : exp -> int -> exp
 val zeros : Ty.scalar -> exp list -> exp
-
-(** Like {!zeros} with a tuple-of-scalars element type. *)
-val zeros_t : Ty.t -> exp list -> exp
 val arr : exp list -> exp
 val empty : Ty.t -> exp
 
@@ -67,7 +61,6 @@ val dtiles : total:exp -> tile:int -> dom
 
 (** {1 Patterns} *)
 
-val map : dom list -> (exp list -> exp) -> exp
 val map1 : dom -> (exp -> exp) -> exp
 val map2d : dom -> dom -> (exp -> exp -> exp) -> exp
 

@@ -217,7 +217,14 @@ let fresh_of name =
   in
   Sym.fresh base
 
+(* a use of [inf] or [nan] reads as the float constant, so a binder of
+   that name could never be referenced *)
+let check_binder st name =
+  if name = "inf" || name = "nan" then
+    perr st "%s is a float constant, not a name" name
+
 let bind st name =
+  check_binder st name;
   let s = fresh_of name in
   st.scope <- (name, s) :: st.scope;
   s
@@ -297,6 +304,7 @@ let rec parse_exp st : Ir.exp =
     when peek2 st = EQUALS
          && not (List.mem name [ "reuse" ]) -> (
       (* IDENT '=' but not '==' (lexer would fuse '==') *)
+      check_binder st name;
       advance st (* ident *);
       advance st (* '=' *);
       (* the right-hand side may itself be a let-chain (the printer
@@ -443,10 +451,13 @@ and parse_postfix st =
             e := Ir.Len (!e, d);
             continue_ := false
         | IDENT proj when String.length proj > 1 && proj.[0] = '_' ->
-            advance st;
+            let digits = String.sub proj 1 (String.length proj - 1) in
             let k =
-              int_of_string (String.sub proj 1 (String.length proj - 1))
+              match int_of_string_opt digits with
+              | Some k when k >= 1 && String.for_all is_digit digits -> k
+              | _ -> perr st "expected a tuple component ._1, ._2, ..."
             in
+            advance st;
             e := Ir.Proj (!e, k - 1);
             (* a projection may be read ('sc._1(i, j)') *)
             read_done := false
@@ -553,10 +564,16 @@ and parse_atom st : Ir.exp * bool =
       | IDENT "inf" ->
           advance st;
           (Ir.Cf neg_infinity, false)
+      | IDENT "nan" ->
+          advance st;
+          (Ir.Cf (Float.neg Float.nan), false)
       | _ -> perr st "expected numeric literal after '-'")
   | IDENT "inf" ->
       advance st;
       (Ir.Cf infinity, false)
+  | IDENT "nan" ->
+      advance st;
+      (Ir.Cf Float.nan, false)
   | IDENT "true" ->
       advance st;
       (Ir.Cb true, false)
@@ -964,14 +981,16 @@ let parse_program st =
     inputs = List.rev !inputs;
     body }
 
-let make_state ?(scope = []) src =
+let make_state src =
   let lx = { src; pos = 0; line = 1 } in
-  let st = { lx; tok = EOF; tok_line = 1; prev_line = 1; ahead = []; scope } in
+  let st =
+    { lx; tok = EOF; tok_line = 1; prev_line = 1; ahead = []; scope = [] }
+  in
   advance st;
   st
 
-let exp_of_string ?(scope = []) src =
-  let st = make_state ~scope src in
+let exp_of_string src =
+  let st = make_state src in
   let e = parse_exp st in
   match st.tok with
   | EOF -> e

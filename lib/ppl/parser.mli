@@ -20,6 +20,6 @@ exception Parse_error of string
 val program_of_string : string -> Ir.program
 (** @raise Parse_error on malformed input. *)
 
-val exp_of_string : ?scope:(string * Sym.t) list -> string -> Ir.exp
-(** Parse one expression; [scope] gives meanings to free identifiers.
+val exp_of_string : string -> Ir.exp
+(** Parse one closed expression.
     @raise Parse_error on malformed input or unbound identifiers. *)

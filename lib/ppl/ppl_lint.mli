@@ -50,16 +50,12 @@ type service =
   | Sequential  (** every index affine: tile buffer / sequential DRAM *)
   | Cached  (** some read has a non-affine index: cache-served *)
 
-val predicted_services : Ir.program -> (Sym.t * service) list
-(** Per program input, the memory service the access classification
-    predicts {!Lower} will instantiate, using Lower's own affinity
-    rule on the same program. *)
-
 val crosscheck :
   cache_leftover:bool -> Ir.program -> Hw.design -> Diagnostic.t list
-(** [crosscheck ~cache_leftover p d] compares {!predicted_services} on
-    [p] (the program that was lowered) against the cache memories in
-    [d]: a [Cached] prediction must correspond to an [<arr>_cache]
-    memory exactly when [cache_leftover] is set, and a [Sequential]
-    prediction to its absence.  Any disagreement is a [PPL213] error —
+(** [crosscheck ~cache_leftover p d] compares the memory service the
+    access classification predicts for each input of [p] (the program
+    that was lowered), by {!Lower}'s own affinity rule, against the cache
+    memories in [d]: a [Cached] prediction must correspond to an
+    [<arr>_cache] memory exactly when [cache_leftover] is set, and a
+    [Sequential] prediction to its absence.  Any disagreement is a [PPL213] error —
     the classification and the backend have diverged. *)

@@ -39,8 +39,3 @@ let folded p =
   match frames p with
   | [] -> "<none>"
   | fs -> String.concat ";" (List.map sanitize_frame fs)
-
-let compare a b =
-  match String.compare a.origin b.origin with
-  | 0 -> List.compare String.compare a.trail b.trail
-  | n -> n

@@ -36,11 +36,6 @@ val add_text : (Buffer.t -> string -> unit) -> Buffer.t -> t -> unit
     written by [add_frame] (e.g. an escaping writer); the separators and
     ["<none>"] are appended as they are. *)
 
-val sanitize_frame : string -> string
-(** Make a frame safe for folded-stack output: [';'], whitespace and
-    control characters become ['_'].  Idempotent. *)
-
 val folded : t -> string
-(** Sanitized frames joined with [';'] — one flamegraph stack. *)
-
-val compare : t -> t -> int
+(** Frames joined with [';'] — one flamegraph stack; in each frame [';'],
+    whitespace and control characters become ['_']. *)

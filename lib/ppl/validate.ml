@@ -36,6 +36,9 @@ let rec infer env e =
   | Proj (e1, idx) -> (
       match infer env e1 with
       | Ty.Tuple ts when idx >= 0 && idx < List.length ts -> List.nth ts idx
+      | Ty.Tuple ts as t ->
+          err "projection ._%d on a %d-tuple %s" (idx + 1) (List.length ts)
+            (Ty.to_string t)
       | t -> err "projection ._%d on non-tuple %s" (idx + 1) (Ty.to_string t))
   | Prim (p, args) -> infer_prim env p args
   | Let (s, e1, e2) -> infer (Sym.Map.add s (infer env e1) env) e2

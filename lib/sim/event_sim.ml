@@ -390,10 +390,10 @@ let rec exec st t = function
       append_span st track t fin 1;
       fin
 
-let run ?(machine = Machine.default) ?(record = false) (d : Hw.design) ~sizes =
+let run ?(record = false) (d : Hw.design) ~sizes =
   let slots = Hashtbl.create 16 and tt = { tracks = []; count = 0 } in
   let node a = fst (resolve slots tt a) in
-  let top = Simulate.annotate ~machine d ~sizes in
+  let top = Simulate.annotate d ~sizes in
   (* when recording, each top-level controller also gets a span on its
      own track (the same schedule exec applies: Seq chains, Par forks) *)
   let traced =

@@ -27,8 +27,9 @@
     schedule as a Gantt timeline: one track per metapipeline stage
     (track [loop.stage], one span per iteration instance), one track
     per top-level controller, and the DRAM busy calendar.  The timeline
-    is a pure function of (machine, sizes, design) — bit-identical
-    across runs — and is what [ppl-fpga timeline] and [--trace] export
+    is a pure function of (sizes, design) on {!Machine.default} —
+    bit-identical across runs — and is what [ppl-fpga timeline] and
+    [--trace] export
     as Perfetto JSON (see {!Sim_trace}).
 
     The engine records the schedule as columns ({!Trace.columns}): each
@@ -114,9 +115,4 @@ module Dram_calendar : sig
       oldest half into one span *)
 end
 
-val run :
-  ?machine:Machine.t ->
-  ?record:bool ->
-  Hw.design ->
-  sizes:(Sym.t * int) list ->
-  result
+val run : ?record:bool -> Hw.design -> sizes:(Sym.t * int) list -> result

@@ -93,7 +93,7 @@ let leaf (m : Machine.t) sizes (c : Hw.ctrl) =
   in
   match c with
   | Hw.Pipe { trips; par; depth; ii; dram; _ } ->
-      let group = float_of_int (Int.max 1 par) in
+      let group = float_of_int par in
       let xfer (da : Hw.dram_access) =
         let words = direct_words m sizes da in
         match da.Hw.da_kind with
@@ -110,7 +110,7 @@ let leaf (m : Machine.t) sizes (c : Hw.ctrl) =
         List.map xfer dram )
   | Hw.Tile_load { words; reuse; array; _ } ->
       tile ~write:false array
-        (Hw.trip_eval sizes words /. float_of_int (Int.max 1 reuse))
+        (Hw.trip_eval sizes words /. float_of_int reuse)
   | Hw.Tile_store { words; array; _ } ->
       tile ~write:true array (Hw.trip_eval sizes words)
   | Hw.Seq _ | Hw.Par _ | Hw.Loop _ -> invalid_arg "Simulate.leaf"
@@ -261,7 +261,7 @@ let kind_of = function
   | Hw.Tile_load _ -> "tile-load"
   | Hw.Tile_store _ -> "tile-store"
 
-let breakdown ?machine ?cache d ~sizes =
+let breakdown ?cache d ~sizes =
   let rec go depth invocations rows a =
     let rows =
       { br_name = Hw.ctrl_name a.ctrl; br_depth = depth; br_kind = kind_of a.ctrl;
@@ -270,7 +270,7 @@ let breakdown ?machine ?cache d ~sizes =
     in
     List.fold_left (go (depth + 1) (invocations *. a.iters)) rows a.children
   in
-  List.rev (go 0 1.0 [] (annotate ?machine ?cache d ~sizes))
+  List.rev (go 0 1.0 [] (annotate ?cache d ~sizes))
 
 let pp_breakdown fmt rows =
   Format.fprintf fmt "%-34s %-14s %14s %12s@." "controller" "kind"
@@ -295,7 +295,7 @@ type bottleneck_row = {
   bn_frac : float;
 }
 
-let bottlenecks ?machine ?cache d ~sizes =
+let bottlenecks ?cache d ~sizes =
   let rec go rows a =
     let rows =
       match a.steady with
@@ -311,7 +311,7 @@ let bottlenecks ?machine ?cache d ~sizes =
     in
     List.fold_left go rows a.children
   in
-  List.rev (go [] (annotate ?machine ?cache d ~sizes))
+  List.rev (go [] (annotate ?cache d ~sizes))
 
 let pp_bottlenecks fmt rows =
   Format.fprintf fmt "%-22s %10s  %-28s %12s %12s  %s@." "metapipeline" "iters"

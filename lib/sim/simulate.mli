@@ -128,11 +128,7 @@ val kind_of : Hw.ctrl -> string
 (** Display kind of a controller ("metapipeline", "pipe/vector", ...). *)
 
 val breakdown :
-  ?machine:Machine.t ->
-  ?cache:cache ->
-  Hw.design ->
-  sizes:(Sym.t * int) list ->
-  breakdown_row list
+  ?cache:cache -> Hw.design -> sizes:(Sym.t * int) list -> breakdown_row list
 (** Per-controller timing table, pre-order.  [br_cycles *.
     br_invocations] is each controller's total contribution (overlap in
     metapipelines means children can sum to more than the parent). *)
@@ -156,11 +152,7 @@ type bottleneck_row = {
 }
 
 val bottlenecks :
-  ?machine:Machine.t ->
-  ?cache:cache ->
-  Hw.design ->
-  sizes:(Sym.t * int) list ->
-  bottleneck_row list
+  ?cache:cache -> Hw.design -> sizes:(Sym.t * int) list -> bottleneck_row list
 
 val pp_bottlenecks : Format.formatter -> bottleneck_row list -> unit
 

@@ -50,8 +50,9 @@ let test_budget_tradeoff () =
 let test_explicit_candidates () =
   let t = Gemm.make () in
   let r =
-    Dse.explore ~prog:t.Gemm.prog
+    Dse.explore_joint ~prog:t.Gemm.prog
       ~candidates:[ (t.Gemm.m, [ 32; 64 ]); (t.Gemm.n, [ 32 ]); (t.Gemm.p, [ 16; 32 ]) ]
+      ~pars:[ 16 ]
       ~sizes:[ (t.Gemm.m, 512); (t.Gemm.n, 512); (t.Gemm.p, 512) ]
       ()
   in
@@ -123,9 +124,10 @@ let test_skipped_points_reported () =
      records the assignment and the reason, and still evaluates the rest *)
   let t = Gemm.make () in
   let r =
-    Dse.explore ~prog:t.Gemm.prog
+    Dse.explore_joint ~prog:t.Gemm.prog
       ~candidates:
         [ (t.Gemm.m, [ 0; 32 ]); (t.Gemm.n, [ 32 ]); (t.Gemm.p, [ 16; 32 ]) ]
+      ~pars:[ 16 ]
       ~sizes:[ (t.Gemm.m, 512); (t.Gemm.n, 512); (t.Gemm.p, 512) ]
       ()
   in
@@ -145,8 +147,9 @@ let test_genuine_bugs_propagate () =
      in the caller's setup and must escape the sweep *)
   let t = Gemm.make () in
   match
-    Dse.explore ~prog:t.Gemm.prog
+    Dse.explore_joint ~prog:t.Gemm.prog
       ~candidates:[ (t.Gemm.m, [ 32 ]); (t.Gemm.n, [ 32 ]); (t.Gemm.p, [ 32 ]) ]
+      ~pars:[ 16 ]
       ~sizes:[ (t.Gemm.m, 512) ]
       ()
   with
@@ -193,9 +196,10 @@ let test_nan_cycles_never_selected () =
   in
   let t = Gemm.make () in
   let r =
-    Dse.explore ~machine ~prog:t.Gemm.prog
+    Dse.explore_joint ~machine ~prog:t.Gemm.prog
       ~candidates:
         [ (t.Gemm.m, [ 32; 64 ]); (t.Gemm.n, [ 32 ]); (t.Gemm.p, [ 32 ]) ]
+      ~pars:[ 16 ]
       ~sizes:[ (t.Gemm.m, 512); (t.Gemm.n, 512); (t.Gemm.p, 512) ]
       ()
   in

@@ -62,7 +62,8 @@ let test_parse_errors () =
       | e ->
           Alcotest.failf "expected parse error for %S, got %s" src
             (Pp.exp_to_string e))
-    [ "1 +"; "map(3){ i => }"; "unboundvar"; "if 1 then 2"; "(1, 2"; "" ]
+    [ "1 +"; "map(3){ i => }"; "unboundvar"; "if 1 then 2"; "(1, 2"; "";
+      "inf = 2.0\ninf * 3.0"; "nan = 2.0\nnan"; "map(3){ inf => 1.0 }" ]
 
 (* -------------------- program roundtrips -------------------- *)
 
@@ -268,12 +269,43 @@ let prop_float_literals_roundtrip =
       | Ir.Cf g -> g = f
       | _ -> false)
 
-let test_error_line_numbers () =
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* Non-finite constants: [1e400 - 1e400] folds to NaN, printed [-nan],
+   and [1e999] reads as infinity, printed [inf].  Printing the tiled
+   program, parsing it and printing again gives the same text, up to the
+   binder numbers the parser hands out afresh. *)
+let test_nonfinite_roundtrip () =
+  let strip_ids text =
+    let b = Buffer.create (String.length text) and in_id = ref false in
+    String.iter
+      (fun c ->
+        let digit = c >= '0' && c <= '9' in
+        if not (digit && !in_id) then Buffer.add_char b c;
+        in_id := c = '_' || (digit && !in_id))
+      text;
+    Buffer.contents b
   in
+  List.iter
+    (fun (body, constant) ->
+      let p =
+        Parser.program_of_string
+          ("program p\nsize n\nmaxsize n 1048576\ninput x : Float(n)\n\
+            map(n){ i => " ^ body ^ " }\n")
+      in
+      let tiles = [ (List.hd p.Ir.size_params, 64) ] in
+      let text = Pp.program_to_string (Tiling.run ~tiles p).Tiling.tiled in
+      Alcotest.(check bool) (body ^ " prints " ^ constant) true
+        (contains text (" " ^ constant ^ " "));
+      let again = Pp.program_to_string (Parser.program_of_string text) in
+      Alcotest.(check string) (body ^ " print-parse-print") (strip_ids text)
+        (strip_ids again))
+    [ ("x(i) + (1e400 - 1e400)", "-nan"); ("x(i) * 1e999", "inf") ]
+
+let test_error_line_numbers () =
   List.iter
     (fun (src, line) ->
       match Parser.program_of_string src with
@@ -321,4 +353,6 @@ let () =
             test_handwritten_tiles_compile;
           Alcotest.test_case "error line numbers" `Quick
             test_error_line_numbers;
+          Alcotest.test_case "non-finite constants roundtrip" `Quick
+            test_nonfinite_roundtrip;
           QCheck_alcotest.to_alcotest prop_float_literals_roundtrip ] ) ]

@@ -391,7 +391,7 @@ let test_rebalance () =
   let bench = Suite.find (Suite.all ()) "gda" in
   let meta = Experiments.design_of Experiments.Tiled_meta bench in
   let sizes = bench.Suite.sim_sizes in
-  let reb = Rebalance.apply ~factor:4 meta ~sizes in
+  let reb = Rebalance.apply meta ~sizes in
   let c d = (Simulate.run d ~sizes).Simulate.cycles in
   Alcotest.(check bool) "faster" true (c reb < c meta);
   let a_m = (Area_model.of_design meta).Area_model.logic in

@@ -56,8 +56,8 @@ let capture_full ~domains () =
     List.map (fun (s, dft) -> (s, [ dft; dft * 2 ])) bench.Suite.tiles
   in
   ignore
-    (Dse.explore ~domains ~prog:bench.Suite.prog ~candidates
-       ~sizes:bench.Suite.sim_sizes ());
+    (Dse.explore_joint ~domains ~prog:bench.Suite.prog ~candidates
+       ~pars:[ 16 ] ~sizes:bench.Suite.sim_sizes ());
   Trace.disable ();
   Trace.to_json ()
 
@@ -455,7 +455,7 @@ let mask key line =
 let test_wall_event () =
   let json =
     capture_virtual (fun () ->
-        Trace.with_span ~cat:"pass" ~args:(fun () -> [ ("nodes", Trace.Int 7) ])
+        Trace.with_span ~args:(fun () -> [ ("nodes", Trace.Int 7) ])
           "fusion" (fun () -> ()))
   in
   let masked =
@@ -562,7 +562,7 @@ let mask_domain line =
    spans; wall clock values and the second domain's id are masked *)
 let test_wall_tracks () =
   let wall name =
-    Trace.with_span ~cat:"pass"
+    Trace.with_span
       ~args:(fun () -> [ ("nodes", Trace.Int 3); ("k\"", Trace.Str name) ])
       name
       (fun () -> ())
@@ -641,7 +641,7 @@ let tiny_timeline () =
    recorded as columns. *)
 let test_producers_order () =
   let tl = tiny_timeline () in
-  let wall name = Trace.with_span ~cat:"pass" name (fun () -> ()) in
+  let wall name = Trace.with_span name (fun () -> ()) in
   let json =
     capture_virtual (fun () ->
         wall "before";
@@ -747,7 +747,7 @@ let check_descending what totals =
 (* wall spans are counted by name and listed by total time, largest
    first: the names and counts are exact, the times masked *)
 let test_summary_wall () =
-  let span name = Trace.with_span ~cat:"pass" name (fun () -> ()) in
+  let span name = Trace.with_span name (fun () -> ()) in
   let summary =
     summary_of (fun () ->
         List.iter span [ "fusion"; "cse"; "fusion"; "lower"; "fusion"; "cse" ])
@@ -799,7 +799,7 @@ let test_summary_wall_cap () =
    in record order *)
 let test_summary_producers () =
   let tl = tiny_timeline () in
-  let wall name = Trace.with_span ~cat:"pass" name (fun () -> ()) in
+  let wall name = Trace.with_span name (fun () -> ()) in
   let summary =
     summary_of (fun () ->
         wall "before";
