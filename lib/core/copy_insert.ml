@@ -270,66 +270,24 @@ let lets_copies descs lets =
     descs
   @ lets
 
+(* the copies nested under any of a pattern's indices *)
+let placed st idxs = List.concat_map (fun s -> copies_for st (Some s)) idxs
+
+(* Phase 2 mints no symbols: each pattern, once its children are rebuilt,
+   binds the copies placed at its indices ahead of its body, or of its
+   shared bindings *)
 let rec phase2 st e =
-  let recur = phase2 st in
-  match e with
-  | Map m -> (
-      let m = { m with mbody = recur m.mbody } in
-      let descs =
-        List.concat_map
-          (fun s -> copies_for st (Some s))
-          m.midxs
-      in
-      match descs with
-      | [] -> Map m
-      | ds -> Map { m with mbody = wrap_copies ds m.mbody })
-  | Fold f ->
-      let f =
-        { f with
-          finit = recur f.finit;
-          fupd = recur f.fupd;
-          fcomb = { f.fcomb with cbody = recur f.fcomb.cbody } }
-      in
-      let descs = List.concat_map (fun s -> copies_for st (Some s)) f.fidxs in
-      if descs = [] then Fold f
-      else Fold { f with fupd = wrap_copies descs f.fupd }
+  match Rewrite.map_children (phase2 st) e with
+  | Map m -> Map { m with mbody = wrap_copies (placed st m.midxs) m.mbody }
+  | Fold f -> Fold { f with fupd = wrap_copies (placed st f.fidxs) f.fupd }
   | MultiFold mf ->
-      let mf =
-        { mf with
-          oinit = recur mf.oinit;
-          olets = List.map (fun (s, e1) -> (s, recur e1)) mf.olets;
-          oouts =
-            List.map
-              (fun out ->
-                { out with
-                  oregion =
-                    List.map (fun (o, l, b) -> (recur o, recur l, b)) out.oregion;
-                  oupd = recur out.oupd })
-              mf.oouts;
-          ocomb = Option.map (fun c -> { c with cbody = recur c.cbody }) mf.ocomb
-        }
-      in
-      let descs = List.concat_map (fun s -> copies_for st (Some s)) mf.oidxs in
-      if descs = [] then MultiFold mf
-      else MultiFold { mf with olets = lets_copies descs mf.olets }
-  | FlatMap fm -> (
-      let fm = { fm with fmbody = recur fm.fmbody } in
-      match copies_for st (Some fm.fmidx) with
-      | [] -> FlatMap fm
-      | ds -> FlatMap { fm with fmbody = wrap_copies ds fm.fmbody })
+      MultiFold { mf with olets = lets_copies (placed st mf.oidxs) mf.olets }
+  | FlatMap fm ->
+      let fmbody = wrap_copies (placed st [ fm.fmidx ]) fm.fmbody in
+      FlatMap { fm with fmbody }
   | GroupByFold g ->
-      let g =
-        { g with
-          ginit = recur g.ginit;
-          glets = List.map (fun (s, e1) -> (s, recur e1)) g.glets;
-          gkey = recur g.gkey;
-          gupd = recur g.gupd;
-          gcomb = { g.gcomb with cbody = recur g.gcomb.cbody } }
-      in
-      let descs = List.concat_map (fun s -> copies_for st (Some s)) g.gidxs in
-      if descs = [] then GroupByFold g
-      else GroupByFold { g with glets = lets_copies descs g.glets }
-  | _ -> Rewrite.map_children recur e
+      GroupByFold { g with glets = lets_copies (placed st g.gidxs) g.glets }
+  | e -> e
 
 let program_with_stats ?(budget_words = Split_cost.budget_words) (p : program) =
   let bound = Ir.size_bound p in

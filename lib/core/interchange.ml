@@ -2,23 +2,14 @@ open Ir
 
 type ctx = {
   budget : int;
-  tenv : Ty.t Sym.Map.t;
+  types : Ty.t Sym.Map.t Lazy.t;
+      (* this pass's [Validate.binder_types], built for the first rule
+         whose shape matches *)
   bound : exp -> int option;
   fired : bool ref;  (* set when any rule rewrites a node *)
 }
 
-let add_ty ctx s t = { ctx with tenv = Sym.Map.add s t ctx.tenv }
-
-let add_idxs ctx idxs =
-  { ctx with
-    tenv = List.fold_left (fun m s -> Sym.Map.add s Ty.int_ m) ctx.tenv idxs }
-
-let type_of ctx e = Validate.type_of ctx.tenv e
-
-let rec is_elt_ty = function
-  | Ty.Scalar _ -> true
-  | Ty.Tuple ts -> List.for_all is_elt_ty ts
-  | Ty.Array _ | Ty.Assoc _ -> false
+let type_of ctx e = Validate.type_of (Lazy.force ctx.types) e
 
 let unstrided doms = List.for_all (fun d -> not (is_strided d)) doms
 
@@ -28,61 +19,57 @@ let unstrided doms = List.for_all (fun d -> not (is_strided d)) doms
 
 (* Map{U}{ Fold{d/b}{...} }  ==>  Fold{d/b}{ Map{U}{...} }
    The fold accumulator becomes an array over U; init, update and combine
-   are lifted elementwise. *)
-let try_rule1 ctx { mdims; midxs; mbody; mprov } =
+   are lifted elementwise, so it must be array-free: [acc_ty finit] is its
+   type. *)
+let try_rule1 acc_ty { mdims; midxs; mbody; mprov } =
   match mbody with
   | Fold
       { fdims = [ (Dtiles _ as sd) ]; fidxs = [ kk ]; finit; facc; fupd; fcomb;
         fprov }
-    when unstrided mdims -> (
-      let ctx_i = add_idxs ctx midxs in
-      match type_of ctx_i finit with
-      | exception Validate.Type_error _ -> None
-      | acc_t when is_elt_ty acc_t ->
-          let kk' = Sym.fresh (Sym.base kk) in
-          let lift body_build =
-            let idxs' = List.map (fun s -> Sym.fresh (Sym.base s)) midxs in
+    when unstrided mdims && Ty.array_free (acc_ty finit) ->
+      let kk' = Sym.fresh (Sym.base kk) in
+      let lift body_build =
+        let idxs' = List.map (fun s -> Sym.fresh (Sym.base s)) midxs in
+        let sigma =
+          List.fold_left2
+            (fun m s s' -> Sym.Map.add s (Var s') m)
+            Sym.Map.empty midxs idxs'
+        in
+        Map
+          { mdims;
+            midxs = idxs';
+            mbody = body_build sigma (List.map (fun s -> Var s) idxs');
+            mprov = Prov.push mprov "interchange.lift" }
+      in
+      let init' =
+        lift (fun sigma _ -> Ir.rename_binders (Ir.subst sigma finit))
+      in
+      let acc_a = Sym.fresh (Sym.base facc) in
+      let upd' =
+        lift (fun sigma idx_vars ->
             let sigma =
-              List.fold_left2
-                (fun m s s' -> Sym.Map.add s (Var s') m)
-                Sym.Map.empty midxs idxs'
+              sigma
+              |> Sym.Map.add kk (Var kk')
+              |> Sym.Map.add facc (Read (Var acc_a, idx_vars))
             in
-            Map
-              { mdims;
-                midxs = idxs';
-                mbody = body_build sigma (List.map (fun s -> Var s) idxs');
-                mprov = Prov.push mprov "interchange.lift" }
-          in
-          let init' =
-            lift (fun sigma _ -> Ir.rename_binders (Ir.subst sigma finit))
-          in
-          let acc_a = Sym.fresh (Sym.base facc) in
-          let upd' =
-            lift (fun sigma idx_vars ->
-                let sigma =
-                  sigma
-                  |> Sym.Map.add kk (Var kk')
-                  |> Sym.Map.add facc (Read (Var acc_a, idx_vars))
-                in
-                Ir.rename_binders (Ir.subst sigma fupd))
-          in
-          let a = Sym.fresh "a" and b = Sym.fresh "b" in
-          let comb_body =
-            lift (fun sigma idx_vars ->
-                ignore sigma;
-                comb_apply (Combs.rename fcomb) (Read (Var a, idx_vars))
-                  (Read (Var b, idx_vars)))
-          in
-          Some
-            (Fold
-               { fdims = [ sd ];
-                 fidxs = [ kk' ];
-                 finit = init';
-                 facc = acc_a;
-                 fupd = upd';
-                 fcomb = { ca = a; cb = b; cbody = comb_body };
-                 fprov = Prov.push fprov "interchange" })
-      | _ -> None)
+            Ir.rename_binders (Ir.subst sigma fupd))
+      in
+      let a = Sym.fresh "a" and b = Sym.fresh "b" in
+      let comb_body =
+        lift (fun sigma idx_vars ->
+            ignore sigma;
+            comb_apply (Combs.rename fcomb) (Read (Var a, idx_vars))
+              (Read (Var b, idx_vars)))
+      in
+      Some
+        (Fold
+           { fdims = [ sd ];
+             fidxs = [ kk' ];
+             finit = init';
+             facc = acc_a;
+             fupd = upd';
+             fcomb = { ca = a; cb = b; cbody = comb_body };
+             fprov = Prov.push fprov "interchange" })
   | _ -> None
 
 (* ----------------------------------------------------------------- *)
@@ -230,11 +217,9 @@ let try_split ctx ({ odims; oidxs; olets; _ } as mf) =
       let projs, bexp = peel_projs [] whole in
       match bexp with
       | Fold { fdims = [ Dtiles _ ]; _ } -> (
-      let ctx_i = add_idxs ctx oidxs in
-      match type_of ctx_i bexp with
-      | exception Validate.Type_error _ -> None
+      match type_of ctx bexp with
       | elt_t
-        when is_elt_ty elt_t
+        when Ty.array_free elt_t
              && Split_cost.intermediate_fits ~budget_words:ctx.budget
                   ~bound:ctx.bound odims elt_t ->
           let map_idxs = List.map (fun s -> Sym.fresh (Sym.base s)) oidxs in
@@ -249,8 +234,10 @@ let try_split ctx ({ odims; oidxs; olets; _ } as mf) =
               mbody = Ir.rename_binders (Ir.subst sigma bexp);
               mprov = Prov.push mf.oprov "interchange.split" }
           in
+          (* the table lacks the fresh [map_idxs]; the fold under them is
+             [bexp] renamed, whose accumulator type is [elt_t] *)
           let interchanged =
-            match try_rule1 ctx mapped with
+            match try_rule1 (fun _ -> elt_t) mapped with
             | Some e -> e
             | None -> Map mapped
           in
@@ -272,7 +259,7 @@ let try_split ctx ({ odims; oidxs; olets; _ } as mf) =
   | _ -> None
 
 (* ----------------------------------------------------------------- *)
-(* Bottom-up driver with type-environment threading                   *)
+(* Bottom-up driver                                                   *)
 (* ----------------------------------------------------------------- *)
 
 let fire ctx e =
@@ -282,84 +269,45 @@ let fire ctx e =
 let rec ic ctx e =
   match e with
   | Var _ | Cf _ | Ci _ | Cb _ | EmptyArr _ | Zeros _ -> e
-  | Tup _ | Proj _ | Prim _ | If _ | Len _ | Read _ | Slice _ | Copy _
-  | ArrLit _ ->
+  | Tup _ | Proj _ | Prim _ | Let _ | If _ | Len _ | Read _ | Slice _
+  | Copy _ | ArrLit _ ->
       Rewrite.map_children (ic ctx) e
-  | Let (s, e1, e2) ->
-      let t1 = type_of ctx e1 in
-      Let (s, ic ctx e1, ic (add_ty ctx s t1) e2)
   | Map m -> (
-      let m' = { m with mbody = ic (add_idxs ctx m.midxs) m.mbody } in
-      match try_rule1 ctx m' with Some e' -> fire ctx e' | None -> Map m')
+      let m' = { m with mbody = ic ctx m.mbody } in
+      match try_rule1 (type_of ctx) m' with
+      | Some e' -> fire ctx e'
+      | None -> Map m')
   | Fold f -> (
-      let acc_t = type_of ctx f.finit in
-      let ctx_b = add_ty (add_idxs ctx f.fidxs) f.facc acc_t in
-      let f' = { f with finit = ic ctx f.finit; fupd = ic ctx_b f.fupd } in
+      let f' = { f with finit = ic ctx f.finit; fupd = ic ctx f.fupd } in
       match try_rule2 ctx f' with Some e' -> fire ctx e' | None -> Fold f')
   | MultiFold mf -> (
-      let init_t = type_of ctx mf.oinit in
-      let comp_tys =
-        match (init_t, mf.oouts) with
-        | Ty.Tuple ts, _ :: _ :: _ -> ts
-        | t, _ -> [ t ]
-      in
-      let ctx_i = add_idxs ctx mf.oidxs in
-      let ctx_i, olets' =
-        List.fold_left
-          (fun (c, acc) (s, e1) ->
-            let t1 = type_of c e1 in
-            (add_ty c s t1, (s, ic c e1) :: acc))
-          (ctx_i, []) mf.olets
-      in
-      let olets' = List.rev olets' in
+      let olets' = List.map (fun (s, e1) -> (s, ic ctx e1)) mf.olets in
       let oouts' =
-        List.map2
-          (fun out comp_t ->
-            let elt = match comp_t with Ty.Array (e1, _) -> e1 | t -> t in
-            let unit_region =
-              List.for_all (fun (_, l, _) -> l = Ci 1) out.oregion
-            in
-            let acc_t =
-              if out.oregion = [] || unit_region then elt
-              else Ty.Array (elt, List.length out.oregion)
-            in
-            { out with oupd = ic (add_ty ctx_i out.oacc acc_t) out.oupd })
-          mf.oouts comp_tys
+        List.map (fun out -> { out with oupd = ic ctx out.oupd }) mf.oouts
       in
       let mf' = { mf with oinit = ic ctx mf.oinit; olets = olets'; oouts = oouts' } in
       match try_split ctx mf' with Some e' -> fire ctx e' | None -> MultiFold mf')
-  | FlatMap fm ->
-      FlatMap { fm with fmbody = ic (add_idxs ctx [ fm.fmidx ]) fm.fmbody }
+  | FlatMap fm -> FlatMap { fm with fmbody = ic ctx fm.fmbody }
   | GroupByFold g ->
-      let v_t = type_of ctx g.ginit in
-      let ctx_i = add_idxs ctx g.gidxs in
-      let ctx_i, glets' =
-        List.fold_left
-          (fun (c, acc) (s, e1) ->
-            let t1 = type_of c e1 in
-            (add_ty c s t1, (s, ic c e1) :: acc))
-          (ctx_i, []) g.glets
-      in
-      let glets' = List.rev glets' in
+      let glets' = List.map (fun (s, e1) -> (s, ic ctx e1)) g.glets in
       GroupByFold
-        { g with
-          glets = glets';
-          gkey = ic ctx_i g.gkey;
-          gupd = ic (add_ty ctx_i g.gacc v_t) g.gupd }
+        { g with glets = glets'; gkey = ic ctx g.gkey; gupd = ic ctx g.gupd }
 
-let run ~budget_words ~tenv ~bound e =
+(* one bottom-up pass over [p]'s body, and whether a rule fired; the
+   rules mint binders, so each pass types the body it is given *)
+let run ~budget_words ~bound (p : program) =
   let fired = ref false in
-  let e' = ic { budget = budget_words; tenv; bound; fired } e in
+  let types = lazy (Validate.binder_types p) in
+  let e' = ic { budget = budget_words; types; bound; fired } p.body in
   (e', !fired)
 
 let program ?(budget_words = Split_cost.budget_words) (p : program) =
-  let tenv = Validate.initial_env p in
   let bound = Ir.size_bound p in
   (* "We apply these two rules whenever possible" (Section 4): one
      interchange can expose another, so iterate to a fixpoint (bounded —
      each application strictly restructures a nest). *)
   let rec fix n body =
-    let body', fired = run ~budget_words ~tenv ~bound body in
+    let body', fired = run ~budget_words ~bound { p with body } in
     (* a pass where no rule fired rebuilt the same tree: nothing to count *)
     if n = 0 || (not fired)
        || Rewrite.node_count body' = Rewrite.node_count body

@@ -28,5 +28,7 @@ val program : ?budget_words:int -> Ir.program -> Ir.program
 (** The budget defaults to {!Split_cost.budget_words}, the only value the
     library passes; tests set a tiny one to reach the over-budget path.
     The program must type-check ({!Tiling} checks the strip-mined form it
-    passes here); binder types are synthesized with
-    {!Validate.type_of}, not re-checked. *)
+    passes here); it is not re-checked.  A rule that needs a type
+    synthesizes it with {!Validate.type_of} under the program's
+    {!Validate.binder_types}, built when a rule first asks for one and
+    again in each later fixpoint round, since rules mint binders. *)

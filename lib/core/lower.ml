@@ -14,7 +14,7 @@ let baseline_opts = { default_opts with meta = false; cache_leftover = false }
 
 type ctx = {
   opts : opts;
-  tenv : Ty.t Sym.Map.t;
+  types : Ty.t Sym.Map.t;  (* the program's [Validate.binder_types] *)
   bound : exp -> int option;
   ishapes : (Sym.t * exp list) list;  (* input array shapes *)
   bufs : (Sym.t * string list) list;  (* on-chip value -> mem per component *)
@@ -72,14 +72,8 @@ let under_prov ctx p = { ctx with prov = p }
 let find_sym s l =
   List.find_map (fun (k, v) -> if Sym.equal k s then Some v else None) l
 
-let add_ty ctx s t = { ctx with tenv = Sym.Map.add s t ctx.tenv }
-
-let add_idxs ctx idxs =
-  { ctx with
-    tenv = List.fold_left (fun m s -> Sym.Map.add s Ty.int_ m) ctx.tenv idxs }
-
 let add_buf ctx s names = { ctx with bufs = (s, names) :: ctx.bufs }
-let type_of ctx e = Validate.type_of ctx.tenv e
+let binder_type ctx s = Sym.Map.find s ctx.types
 
 let rec width_of_ty = function
   | Ty.Scalar _ -> 32
@@ -553,7 +547,7 @@ let strip_comb_wrapper facc fupd =
 let elt_width_of_src ctx src =
   match src with
   | Var s -> (
-      match Sym.Map.find_opt s ctx.tenv with
+      match Sym.Map.find_opt s ctx.types with
       | Some (Ty.Array (elt, _)) -> width_of_ty elt
       | _ -> 32)
   | _ -> 32
@@ -614,10 +608,9 @@ let lower_copy ctx s { csrc; cdims; creuse } =
    and the load filling the buffer *)
 let bind_copy ctx s c =
   let mem_name, load = lower_copy ctx s c in
-  (add_buf (add_ty ctx s (type_of ctx (Copy c))) s [ mem_name ], load)
+  (add_buf ctx s [ mem_name ], load)
 
-(* the tile copies among shared bindings, bound in order, and their loads;
-   every other binding is only typed *)
+(* the tile copies among shared bindings, bound in order, and their loads *)
 let bind_copies ctx lets =
   let ctx, loads =
     List.fold_left
@@ -626,7 +619,7 @@ let bind_copies ctx lets =
         | Copy cp ->
             let c, load = bind_copy c s cp in
             (c, load :: acc)
-        | _ -> (add_ty c s (type_of c rhs), acc))
+        | _ -> (c, acc))
       (ctx, []) lets
   in
   (ctx, List.rev loads)
@@ -701,10 +694,7 @@ let rec lower_stages ctx e ~dest : Hw.ctrl list =
       let tail_trip =
         trip_of_dom ctx (Dtail { total; tile; outer = fmidx })
       in
-      let ctx_body = add_idxs ctx [ fmidx ] in
-      let inner_stages =
-        lower_flatmap_body ctx_body fmbody ~fifo
-      in
+      let inner_stages = lower_flatmap_body ctx fmbody ~fifo in
       let ctx_consume =
         { ctx with
           dyn_lens =
@@ -717,7 +707,7 @@ let rec lower_stages ctx e ~dest : Hw.ctrl list =
       let ctx', load = bind_copy ctx s c in
       load :: lower_stages ctx' rest ~dest
   | Let (s, rhs, rest) when is_pattern rhs ->
-      let t = type_of ctx rhs in
+      let t = binder_type ctx s in
       (* the intermediate's storage belongs to the pattern computing it;
          over the budget it stays in DRAM *)
       let ctx_a = under_prov ctx (node_prov ctx (pat_prov rhs)) in
@@ -726,7 +716,7 @@ let rec lower_stages ctx e ~dest : Hw.ctrl list =
           ~dram_name:(fun () -> Sym.name s)
       in
       let stage = lower_value ctx rhs ~dest:(Onchip names) in
-      let ctx' = add_buf (add_ty ctx s t) s names in
+      let ctx' = add_buf ctx s names in
       (* FlatMap intermediates have dynamic length: register the expected
          rate so downstream consumers get realistic trip counts *)
       let ctx' =
@@ -739,24 +729,23 @@ let rec lower_stages ctx e ~dest : Hw.ctrl list =
         | _ -> ctx'
       in
       stage @ lower_stages ctx' rest ~dest
-  | Let (s, (Var a as alias), rest) ->
+  | Let (s, Var a, rest) ->
       (* alias: propagate buffer/dram bindings *)
-      let t = type_of ctx alias in
       let ctx' =
         match find_sym a ctx.bufs with
-        | Some names -> add_buf (add_ty ctx s t) s names
-        | None -> add_ty ctx s t
+        | Some names -> add_buf ctx s names
+        | None -> ctx
       in
       lower_stages ctx' rest ~dest
   | Let (s, rhs, rest) ->
       (* scalar or small expression: a register stage *)
-      let t = type_of ctx rhs in
+      let t = binder_type ctx s in
       let name =
         alloc_mem ctx ~name:(Sym.name s) ~kind:Hw.Reg ~width:(width_of_ty t)
           ~depth:1 ~banked:false
       in
       let stage = lower_leaf ctx ~defines:[ name ] "scalar" rhs in
-      let ctx' = add_buf (add_ty ctx s t) s [ name ] in
+      let ctx' = add_buf ctx s [ name ] in
       stage :: lower_stages ctx' rest ~dest
   | e -> lower_value ctx e ~dest
 
@@ -787,7 +776,7 @@ and lower_value ctx e ~dest : Hw.ctrl list =
   | Map m ->
       (* non-leaf Map: loop over its domain with staged body *)
       let bprov = node_prov ctx m.mprov in
-      let ctx' = add_idxs (under_prov ctx bprov) m.midxs in
+      let ctx' = under_prov ctx bprov in
       let stages = lower_stages ctx' m.mbody ~dest in
       [ loop ctx bprov "map_loop" (List.map (trip_of_dom ctx) m.mdims) stages ]
   | Let _ -> lower_stages ctx e ~dest
@@ -805,22 +794,13 @@ and lower_leaf_value ctx e ~dest : Hw.ctrl list =
          (Fig. 6's Pipe 3 / Pipe 4) *)
       let bprov = node_prov ctx mf.oprov in
       let ctx = under_prov ctx bprov in
-      let ctx_i = add_idxs ctx mf.oidxs in
-      let ctx_i =
-        List.fold_left
-          (fun c (s, rhs) ->
-            match type_of c rhs with
-            | t -> add_ty c s t
-            | exception Validate.Type_error _ -> c)
-          ctx_i mf.olets
-      in
       (* the shared bindings (e.g. minDistIndex) are computed by the first
          pipe; the others consume the value, so they carry neither the
          shared trips nor the shared operations *)
       let pipes =
         List.mapi
           (fun i (out, name) ->
-            lower_leaf ctx_i ~defines:[ name ] ("update_" ^ name)
+            lower_leaf ctx ~defines:[ name ] ("update_" ^ name)
               (MultiFold
                  { mf with
                    olets = (if i = 0 then mf.olets else []);
@@ -844,20 +824,18 @@ and lower_leaf_value ctx e ~dest : Hw.ctrl list =
         tile_store ctx bprov ~mem:(Some stage_mem) ~array:arr
           (stored_words ctx e) ]
 
-and lower_fold ctx ({ fdims; fidxs; finit; facc; fupd; fcomb = _; fprov; _ } as f)
+and lower_fold ctx ({ fdims; finit; facc; fupd; fprov; _ } as f)
     ~dest : Hw.ctrl list =
   let bprov = node_prov ctx fprov in
   let ctx = under_prov ctx bprov in
-  let acc_t = type_of ctx finit in
   let acc_names =
     match dest with
     | Onchip names -> names
     | Dram_arr _ ->
-        alloc_staged ctx "acc" acc_t finit ~depth:1024
+        alloc_staged ctx "acc" (binder_type ctx facc) finit ~depth:1024
           ~dram_name:(fun () -> next_name ctx "acc")
   in
-  let ctx_b = add_ty (add_idxs ctx fidxs) facc acc_t in
-  let ctx_b = add_buf ctx_b facc acc_names in
+  let ctx_b = add_buf ctx facc acc_names in
   let body =
     match strip_comb_wrapper facc fupd with
     | Some inner -> inner
@@ -880,11 +858,9 @@ and lower_multifold ctx
     Hw.ctrl list =
   let bprov = node_prov ctx oprov in
   let ctx = under_prov ctx bprov in
-  let init_t = type_of ctx oinit in
   match dest with
   | Onchip names ->
       (* on-chip accumulator: stage the shared bindings, then the updates *)
-      let ctx_i = add_idxs ctx oidxs in
       (* register accumulator buffers under a synthetic symbol so update
          pipes record them as uses via defines only *)
       let ctx_i, let_stages =
@@ -895,15 +871,15 @@ and lower_multifold ctx
                 let c, load = bind_copy c s cp in
                 (c, load :: acc)
             | _ when is_pattern rhs ->
-                let t = type_of c rhs in
+                let t = binder_type c s in
                 let bnames =
                   alloc_staged c (Sym.name s) t (init_hint_of rhs) ~depth:1024
                     ~dram_name:(fun () -> Sym.name s)
                 in
                 let stage = lower_value c rhs ~dest:(Onchip bnames) in
-                (add_buf (add_ty c s t) s bnames, List.rev stage @ acc)
-            | _ -> (add_ty c s (type_of c rhs), acc))
-          (ctx_i, []) olets
+                (add_buf c s bnames, List.rev stage @ acc)
+            | _ -> (c, acc))
+          (ctx, []) olets
       in
       let let_stages = List.rev let_stages in
       let residual_olets =
@@ -926,10 +902,11 @@ and lower_multifold ctx
          load+merge when a combine makes it a read-modify-write) *)
       match oouts with
       | [ out ] ->
-          let ctx_i = add_idxs ctx oidxs in
-          let ctx_i, let_stages = bind_copies ctx_i olets in
+          let ctx_i, let_stages = bind_copies ctx olets in
           let elt =
-            match init_t with Ty.Array (elt, _) -> elt | t -> t
+            match Validate.type_of ctx.types oinit with
+            | Ty.Array (elt, _) -> elt
+            | t -> t
           in
           let staging =
             alloc_mem ctx_i ~name:(next_name ctx "region")
@@ -1014,7 +991,7 @@ and lower_multifold ctx
           (* multi-output DRAM accumulator: not produced by the pipeline *)
           [ lower_leaf ctx ~defines:[] "pipe" (MultiFold mf) ])
 
-and lower_flatmap ctx ({ fmdim; fmidx; fmbody; fmprov; _ } as fm) ~dest :
+and lower_flatmap ctx ({ fmdim; fmbody; fmprov; _ } as fm) ~dest :
     Hw.ctrl list =
   let bprov = node_prov ctx fmprov in
   let ctx = under_prov ctx bprov in
@@ -1025,10 +1002,9 @@ and lower_flatmap ctx ({ fmdim; fmidx; fmbody; fmprov; _ } as fm) ~dest :
         alloc_mem ctx ~name:(next_name ctx "fifo") ~kind:Hw.Fifo ~width:32
           ~depth:4096 ~banked:false
   in
-  let ctx' = add_idxs ctx [ fmidx ] in
   if is_leaf (FlatMap fm) then [ lower_leaf ctx ~defines:[ fifo ] "filter" (FlatMap fm) ]
   else
-    let stages = lower_flatmap_body ctx' fmbody ~fifo in
+    let stages = lower_flatmap_body ctx fmbody ~fifo in
     [ loop ctx bprov "fm_loop" [ trip_of_dom ctx fmdim ] stages ]
 
 and lower_groupbyfold ctx g ~dest : Hw.ctrl list =
@@ -1043,7 +1019,7 @@ and lower_groupbyfold ctx g ~dest : Hw.ctrl list =
   in
   match g.gdims with
   | (Dtiles _ as od) :: rest when rest <> [] ->
-      let ctx', loads = bind_copies (add_idxs ctx g.gidxs) g.glets in
+      let ctx', loads = bind_copies ctx g.glets in
       let residual =
         List.filter
           (fun (s, _) -> Option.is_none (find_sym s ctx'.bufs))
@@ -1085,7 +1061,7 @@ let lower_design opts (p : program) =
   in
   let ctx =
     { opts;
-      tenv = Validate.initial_env p;
+      types = Validate.binder_types p;
       bound;
       ishapes = List.map (fun i -> (i.iname, i.ishape)) p.inputs;
       bufs = [];
@@ -1096,11 +1072,11 @@ let lower_design opts (p : program) =
       names = { count = 0; taken = Hashtbl.create 64 };
       prov = Prov.root (p.pname ^ "/top") }
   in
-  let result_ty = type_of ctx p.body in
   (* the program result: on-chip if it fits (then stored once at the end),
      DRAM-resident otherwise (stores happen inside the loops) *)
   let rec final_exp = function Let (_, _, rest) -> final_exp rest | e -> e in
   let fexp = final_exp p.body in
+  let result_ty = Validate.type_of ctx.types fexp in
   let fits =
     match fexp with
     | Map m ->

@@ -69,7 +69,8 @@ val shape : opts -> Ir.program -> shaped
     The program must already have passed {!Validate.check_program}.
     {!Tiling} checks both forms the configurations lower: [fused] once
     per program and [tiled] once per tile point.  [shape] does not check
-    again; it synthesizes the result type and every binder's type with
+    again: it looks each binder's type up in the program's
+    {!Validate.binder_types} and synthesizes the result type with
     {!Validate.type_of}, so on an ill-typed program the design is
     unspecified. *)
 

@@ -2,16 +2,9 @@ open Ir
 
 type ctx = {
   tiles : (Sym.t * int) list;
-  tenv : Ty.t Sym.Map.t;
+  types : Ty.t Sym.Map.t;  (* the input's [Validate.binder_types] *)
   bound : exp -> int option;
 }
-
-let add_ty ctx s t = { ctx with tenv = Sym.Map.add s t ctx.tenv }
-let add_idxs ctx idxs =
-  { ctx with
-    tenv = List.fold_left (fun m s -> Sym.Map.add s Ty.int_ m) ctx.tenv idxs }
-
-let type_of ctx e = Validate.type_of ctx.tenv e
 
 (* --------------------------------------------------------------- *)
 (* Dimension plans                                                  *)
@@ -71,6 +64,29 @@ let plan_total = function
   | Tile { total; _ } -> total
   | Keep { dom; _ } -> dim_total dom
 
+(* the flattened tiled form's domains and indices: each tiled dimension
+   becomes a [Dtiles; Dtail] pair over its tile and in-tile indices *)
+let flat_dims plans =
+  List.fold_right
+    (fun plan (ds, is_) ->
+      match plan with
+      | Tile { total; tile; ii; inner } ->
+          ( Dtiles { total; tile } :: Dtail { total; tile; outer = ii } :: ds,
+            ii :: inner :: is_ )
+      | Keep { dom; inner } -> (dom :: ds, inner :: is_))
+    plans ([], [])
+
+let subst_outs sigma oouts =
+  List.map
+    (fun out ->
+      { out with
+        oregion =
+          List.map
+            (fun (o, l, b) -> (Ir.subst sigma o, Ir.subst sigma l, b))
+            out.oregion;
+        oupd = Ir.subst sigma out.oupd })
+    oouts
+
 (* --------------------------------------------------------------- *)
 (* The transformation                                               *)
 (* --------------------------------------------------------------- *)
@@ -78,33 +94,23 @@ let plan_total = function
 let rec sm ctx e =
   match e with
   | Var _ | Cf _ | Ci _ | Cb _ | EmptyArr _ | Zeros _ -> e
-  | Tup _ | Proj _ | Prim _ | If _ | Len _ | Read _ | Slice _ | Copy _
-  | ArrLit _ ->
+  | Tup _ | Proj _ | Prim _ | Let _ | If _ | Len _ | Read _ | Slice _
+  | Copy _ | ArrLit _ ->
       Rewrite.map_children (sm ctx) e
-  | Let (s, e1, e2) ->
-      let t1 = type_of ctx e1 in
-      Let (s, sm ctx e1, sm (add_ty ctx s t1) e2)
   | Map m -> sm_map ctx m
   | Fold f -> sm_fold ctx f
   | MultiFold mf -> sm_multifold ctx mf
   | FlatMap fm -> sm_flatmap ctx fm
   | GroupByFold g -> sm_groupbyfold ctx g
 
-(* Combine functions are merge operators, not data-parallel loops over
-   main-memory data: they never benefit from tiling (their operands are
-   already on-chip accumulators) and localization must be able to
-   recognize their elementwise structure, so they are left untouched. *)
-and sm_comb _ctx _acc_t c = c
-
 (* T[Map]: MultiFold over tiles writing rectangular regions, each holding
    an inner Map over one tile (Table 1, first rule). *)
 and sm_map ctx ({ mdims; midxs; mbody; mprov } as m) =
-  let ctx_body = add_idxs ctx midxs in
-  let body' = sm ctx_body mbody in
+  let body' = sm ctx mbody in
   let plans = plan_dims ctx mdims midxs in
   if not (any_tiled plans) then Map { m with mbody = body' }
   else begin
-    let elt = type_of ctx_body mbody in
+    let elt = Validate.type_of ctx.types mbody in
     let sigma = index_subst plans midxs in
     let inner_map =
       Map
@@ -141,18 +147,19 @@ and sm_map ctx ({ mdims; midxs; mbody; mprov } as m) =
 
 (* T[Fold]: strided fold of per-tile folds, merged with the combine
    function (Table 1, second rule restricted to whole-accumulator
-   updates). *)
+   updates).
+
+   Combine functions, here and in every pattern below, are merge
+   operators, not data-parallel loops over main-memory data: they never
+   benefit from tiling (their operands are already on-chip accumulators)
+   and localization must be able to recognize their elementwise
+   structure, so they are left untouched. *)
 and sm_fold ctx { fdims; fidxs; finit; facc; fupd; fcomb; fprov } =
-  let acc_t = type_of ctx finit in
   let finit' = sm ctx finit in
-  let ctx_body = add_ty (add_idxs ctx fidxs) facc acc_t in
-  let fupd' = sm ctx_body fupd in
-  let fcomb' = sm_comb ctx acc_t fcomb in
+  let fupd' = sm ctx fupd in
   let plans = plan_dims ctx fdims fidxs in
   if not (any_tiled plans) then
-    Fold
-      { fdims; fidxs; finit = finit'; facc; fupd = fupd'; fcomb = fcomb';
-        fprov }
+    Fold { fdims; fidxs; finit = finit'; facc; fupd = fupd'; fcomb; fprov }
   else begin
     let sigma = index_subst plans fidxs in
     let inner =
@@ -162,7 +169,7 @@ and sm_fold ctx { fdims; fidxs; finit; facc; fupd; fcomb; fprov } =
           finit = Ir.rename_binders finit';
           facc;
           fupd = Ir.subst sigma fupd';
-          fcomb = Combs.rename fcomb';
+          fcomb = Combs.rename fcomb;
           fprov = Prov.push fprov "strip_mine.tile" }
     in
     let acc_o = Sym.fresh (Sym.base facc) in
@@ -171,95 +178,52 @@ and sm_fold ctx { fdims; fidxs; finit; facc; fupd; fcomb; fprov } =
         fidxs = List.map snd (outer_doms plans);
         finit = finit';
         facc = acc_o;
-        fupd = comb_apply (Combs.rename fcomb') (Var acc_o) inner;
-        fcomb = fcomb';
+        fupd = comb_apply (Combs.rename fcomb) (Var acc_o) inner;
+        fcomb;
         fprov = Prov.push fprov "strip_mine" }
   end
 
 and sm_multifold ctx ({ odims; oidxs; oinit; olets; oouts; ocomb; oprov } as mf) =
-  let init_t = type_of ctx oinit in
-  let comp_tys =
-    match (init_t, oouts) with
-    | Ty.Tuple ts, _ :: _ :: _ -> ts
-    | t, _ -> [ t ]
-  in
   let oinit' = sm ctx oinit in
-  let ctx_i = add_idxs ctx oidxs in
-  (* transform shared bindings left to right, extending the environment *)
-  let ctx_i, olets' =
-    List.fold_left
-      (fun (c, acc) (s, e1) ->
-        let t1 = type_of c e1 in
-        (add_ty c s t1, (s, sm c e1) :: acc))
-      (ctx_i, []) olets
-  in
-  let olets' = List.rev olets' in
+  let olets' = List.map (fun (s, e1) -> (s, sm ctx e1)) olets in
   let oouts' =
-    List.map2
-      (fun out comp_t ->
-        let elt =
-          match comp_t with Ty.Array (elt, _) -> elt | t -> t
-        in
-        let unit_region =
-          List.for_all (fun (_, l, _) -> l = Ci 1) out.oregion
-        in
-        let acc_t =
-          if out.oregion = [] || unit_region then elt
-          else Ty.Array (elt, List.length out.oregion)
-        in
+    List.map
+      (fun out ->
         { out with
-          oregion = List.map (fun (o, l, b) -> (sm ctx_i o, sm ctx_i l, b)) out.oregion;
-          oupd = sm (add_ty ctx_i out.oacc acc_t) out.oupd })
-      oouts comp_tys
+          oregion =
+            List.map (fun (o, l, b) -> (sm ctx o, sm ctx l, b)) out.oregion;
+          oupd = sm ctx out.oupd })
+      oouts
   in
-  let ocomb' = Option.map (sm_comb ctx init_t) ocomb in
   let plans = plan_dims ctx odims oidxs in
   if not (any_tiled plans) then
-    MultiFold { mf with oinit = oinit'; olets = olets'; oouts = oouts'; ocomb = ocomb' }
+    MultiFold { mf with oinit = oinit'; olets = olets'; oouts = oouts' }
   else
-    match ocomb' with
+    match ocomb with
     | None -> flatten_multifold oprov plans oidxs oinit' olets' oouts'
-    | Some comb' -> (
-        match localizable oprov ctx plans oidxs oinit' oouts' comb' with
+    | Some comb -> (
+        match localizable oprov ctx plans oidxs oinit' oouts' comb with
         | Some result -> result
         | None ->
-            fold_of_multifold oprov plans oidxs oinit' olets' oouts' comb')
+            fold_of_multifold oprov plans oidxs oinit' olets' oouts' comb)
 
 (* Combine-less MultiFold: equivalent flattened form with [Dtiles; Dtail]
    dimension pairs. *)
 and flatten_multifold oprov plans oidxs oinit' olets' oouts' =
   let sigma = index_subst plans oidxs in
-  let dims, idxs =
-    List.fold_right
-      (fun plan (ds, is_) ->
-        match plan with
-        | Tile { total; tile; ii; inner } ->
-            ( Dtiles { total; tile } :: Dtail { total; tile; outer = ii } :: ds,
-              ii :: inner :: is_ )
-        | Keep { dom; inner } -> (dom :: ds, inner :: is_))
-      plans ([], [])
-  in
+  let dims, idxs = flat_dims plans in
   MultiFold
     { odims = dims;
       oidxs = idxs;
       oinit = oinit';
       olets = List.map (fun (s, e1) -> (s, Ir.subst sigma e1)) olets';
-      oouts =
-        List.map
-          (fun out ->
-            { out with
-              oregion =
-                List.map
-                  (fun (o, l, b) -> (Ir.subst sigma o, Ir.subst sigma l, b))
-                  out.oregion;
-              oupd = Ir.subst sigma out.oupd })
-          oouts';
+      oouts = subst_outs sigma oouts';
       ocomb = None;
       oprov = Prov.push oprov "strip_mine" }
 
 (* MultiFold with a combine whose updates cannot be localized: strided Fold
    of per-tile MultiFolds (the k-means shape, Fig. 5a). *)
-and fold_of_multifold oprov plans oidxs oinit' olets' oouts' comb' =
+and fold_of_multifold oprov plans oidxs oinit' olets' oouts' comb =
   let sigma = index_subst plans oidxs in
   let inner =
     MultiFold
@@ -267,17 +231,8 @@ and fold_of_multifold oprov plans oidxs oinit' olets' oouts' comb' =
         oidxs = List.map inner_idx plans;
         oinit = Ir.rename_binders oinit';
         olets = List.map (fun (s, e1) -> (s, Ir.subst sigma e1)) olets';
-        oouts =
-          List.map
-            (fun out ->
-              { out with
-                oregion =
-                  List.map
-                    (fun (o, l, b) -> (Ir.subst sigma o, Ir.subst sigma l, b))
-                    out.oregion;
-                oupd = Ir.subst sigma out.oupd })
-            oouts';
-        ocomb = Some comb';
+        oouts = subst_outs sigma oouts';
+        ocomb = Some comb;
         oprov = Prov.push oprov "strip_mine.tile" }
   in
   let acc_o = Sym.fresh "acc" in
@@ -286,16 +241,16 @@ and fold_of_multifold oprov plans oidxs oinit' olets' oouts' comb' =
       fidxs = List.map snd (outer_doms plans);
       finit = oinit';
       facc = acc_o;
-      fupd = comb_apply (Combs.rename comb') (Var acc_o) inner;
-      fcomb = Combs.rename comb';
+      fupd = comb_apply (Combs.rename comb) (Var acc_o) inner;
+      fcomb = Combs.rename comb;
       fprov = Prov.push oprov "strip_mine" }
 
 (* Accumulator localization (Table 2, sumrows): when the single output's
    update regions are unit regions addressed exactly by tiled indices and
    the combine is elementwise, the inner MultiFold reduces into a
    tile-sized accumulator and the outer writes tile slices. *)
-and localizable oprov ctx plans oidxs oinit' oouts' comb' =
-  match (oouts', Combs.elementwise comb') with
+and localizable oprov ctx plans oidxs oinit' oouts' comb =
+  match (oouts', Combs.elementwise comb) with
   | [ out ], Some build -> (
       match oinit' with
       | Zeros (elt_ty, _) ->
@@ -385,7 +340,7 @@ and localizable oprov ctx plans oidxs oinit' oouts' comb' =
                          oregion = outer_region;
                          oacc = oacc2;
                          oupd = build inner_shape (Var oacc2) inner } ];
-                   ocomb = Some (Combs.rename comb');
+                   ocomb = Some (Combs.rename comb);
                    oprov = Prov.push oprov "strip_mine" })
           end
       | _ -> None)
@@ -393,7 +348,7 @@ and localizable oprov ctx plans oidxs oinit' oouts' comb' =
 
 (* T[FlatMap]: FlatMap over tiles of FlatMaps over one tile (Table 1). *)
 and sm_flatmap ctx { fmdim; fmidx; fmbody; fmprov } =
-  let body' = sm (add_idxs ctx [ fmidx ]) fmbody in
+  let body' = sm ctx fmbody in
   match plan_dims ctx [ fmdim ] [ fmidx ] with
   | [ Tile { total; tile; ii; inner } ] ->
       let sigma =
@@ -417,37 +372,18 @@ and sm_flatmap ctx { fmdim; fmidx; fmbody; fmprov } =
    same elements through the same buckets). *)
 and sm_groupbyfold ctx
     { gdims; gidxs; ginit; glets; gkey; gacc; gupd; gcomb; gprov } =
-  let v_t = type_of ctx ginit in
   let ginit' = sm ctx ginit in
-  let ctx_i = add_idxs ctx gidxs in
-  let ctx_i, glets' =
-    List.fold_left
-      (fun (c, acc) (s, e1) ->
-        let t1 = type_of c e1 in
-        (add_ty c s t1, (s, sm c e1) :: acc))
-      (ctx_i, []) glets
-  in
-  let glets' = List.rev glets' in
-  let gkey' = sm ctx_i gkey in
-  let gupd' = sm (add_ty ctx_i gacc v_t) gupd in
-  let gcomb' = sm_comb ctx v_t gcomb in
+  let glets' = List.map (fun (s, e1) -> (s, sm ctx e1)) glets in
+  let gkey' = sm ctx gkey in
+  let gupd' = sm ctx gupd in
   let plans = plan_dims ctx gdims gidxs in
   if not (any_tiled plans) then
     GroupByFold
       { gdims; gidxs; ginit = ginit'; glets = glets'; gkey = gkey'; gacc;
-        gupd = gupd'; gcomb = gcomb'; gprov }
+        gupd = gupd'; gcomb; gprov }
   else begin
     let sigma = index_subst plans gidxs in
-    let dims, idxs =
-      List.fold_right
-        (fun plan (ds, is_) ->
-          match plan with
-          | Tile { total; tile; ii; inner } ->
-              ( Dtiles { total; tile } :: Dtail { total; tile; outer = ii } :: ds,
-                ii :: inner :: is_ )
-          | Keep { dom; inner } -> (dom :: ds, inner :: is_))
-        plans ([], [])
-    in
+    let dims, idxs = flat_dims plans in
     GroupByFold
       { gdims = dims;
         gidxs = idxs;
@@ -456,12 +392,10 @@ and sm_groupbyfold ctx
         gkey = Ir.subst sigma gkey';
         gacc;
         gupd = Ir.subst sigma gupd';
-        gcomb = gcomb';
+        gcomb;
         gprov = Prov.push gprov "strip_mine" }
   end
 
-let exp ~tiles ~tenv ~bound e = sm { tiles; tenv; bound } e
-
-let program ~tiles (p : program) =
-  let tenv = Validate.initial_env p in
-  { p with body = exp ~tiles ~tenv ~bound:(Ir.size_bound p) p.body }
+let program (p : program) =
+  let types = Validate.binder_types p and bound = Ir.size_bound p in
+  fun ~tiles -> { p with body = sm { tiles; types; bound } p.body }

@@ -21,10 +21,12 @@
     Tile copies are {e not} introduced here; that is the second pass
     ({!Copy_insert}), run after pattern interchange. *)
 
-val program : tiles:(Sym.t * int) list -> Ir.program -> Ir.program
-(** [program ~tiles p] strip mines every pattern of [p] whose domain size
+val program : Ir.program -> tiles:(Sym.t * int) list -> Ir.program
+(** [program p ~tiles] strip mines every pattern of [p] whose domain size
     is [Var s] for some [(s, b)] in [tiles].  [p] must already have passed
     {!Validate.check_program}: {!Tiling} checks the fused form it passes
     here once per sweep, and checks the strip-mined result.  [p] is not
-    re-checked; binder types are synthesized with {!Validate.type_of}, so
-    on an ill-typed [p] the result is unspecified. *)
+    re-checked: [program p] builds [p]'s {!Validate.binder_types} once
+    and strip mines [p] at every tile configuration it is then given, so
+    a sweep types the fused form once.
+    On an ill-typed [p] the result is unspecified. *)

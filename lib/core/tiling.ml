@@ -45,12 +45,15 @@ let cleanup p =
     (traced_pass "code-motion" Code_motion.program
        (traced_pass "cse" Cse.program p))
 
-(* The tile-independent front of the pipeline.  A [Validate.Type_error]
-   is held rather than raised, so that [tiled] can reject a bad tile
-   configuration first, exactly as a single [run] does. *)
+(* The tile-independent front of the pipeline: the fused form and its
+   strip miner, which has typed the fused form's binders.  A
+   [Validate.Type_error] is held rather than raised, so that [tiled] can
+   reject a bad tile configuration first, exactly as a single [run] does. *)
 type front = {
   source : Ir.program;
-  outcome : (Ir.program, string) Stdlib.result;
+  outcome :
+    (Ir.program * (tiles:(Sym.t * int) list -> Ir.program), string)
+    Stdlib.result;
 }
 
 let nodes (q : Ir.program) = Rewrite.node_count q.Ir.body
@@ -75,15 +78,17 @@ let front_passes ?fuse_filters (source : Ir.program) =
     ignore (Validate.check_program fused);
     Log.debug (fun m ->
         m "%s: fused (%d -> %d nodes)" p.Ir.pname (nodes p) (nodes fused));
-    fused
+    (fused, Strip_mine.program fused)
   with
-  | fused -> { source; outcome = Ok fused }
+  | staged -> { source; outcome = Ok staged }
   | exception Validate.Type_error reason -> { source; outcome = Error reason }
 
-let fused f =
+let staged f =
   match f.outcome with
-  | Ok fused -> fused
+  | Ok staged -> staged
   | Error reason -> raise (Validate.Type_error reason)
+
+let fused f = fst (staged f)
 
 (* reject tile configurations that cannot take effect *)
 let check_tiles (source : Ir.program) tiles =
@@ -102,9 +107,10 @@ let check_tiles (source : Ir.program) tiles =
    reporting form from [stripped] between them, in the order it always
    has (fresh symbols are numbered in creation order and printed). *)
 let strip f ~tiles =
+  let fused, strip_mine = staged f in
   let stripped =
     traced_pass "simplify" Simplify.program
-      (traced_pass "strip-mine" (Strip_mine.program ~tiles) (fused f))
+      (traced_pass "strip-mine" (fun _ -> strip_mine ~tiles) fused)
   in
   ignore (Validate.check_program stripped);
   Log.debug (fun m ->

@@ -15,8 +15,9 @@
     strip-mined and the final form in each {!tiled} call, and the
     reporting form in {!run}.  The passes it drives ({!Strip_mine},
     {!Interchange}, {!Copy_insert}) and {!Lower} do not check their
-    input again; they require a checked program and synthesize binder
-    types with {!Validate.type_of}. *)
+    input again; they require a checked program and look binder types up
+    in its {!Validate.binder_types}.  {!front} types the fused form's
+    binders once per sweep, for every tile point's strip mining. *)
 
 type result = {
   fused : Ir.program;  (** after fusion, CSE, code motion, simplification *)
@@ -55,6 +56,7 @@ val front : Ir.program -> front
 (** Provenance stamping, validation of the input, {!canonicalize_lens},
     fusion and cleanup (CSE, code motion, simplification), and
     validation of the fused form: the two checks a sweep makes once.
+    The fused form's {!Validate.binder_types} are built here too.
     The input may be ill-typed.  Never raises {!Validate.Type_error}:
     an ill-typed input is held and re-raised by {!fused} and {!tiled}. *)
 

@@ -17,6 +17,10 @@ val int_ : t
 val bool_ : t
 val array : t -> int -> t
 
+val array_free : t -> bool
+(** Neither an array nor an assoc anywhere inside: a scalar or a
+    structure of scalars, the paper's element type. *)
+
 val well_formed : t -> bool
 (** Array elements must not themselves contain arrays or assocs. *)
 

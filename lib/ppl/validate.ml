@@ -4,13 +4,6 @@ exception Type_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Type_error s)) fmt
 
-let rec array_free = function
-  | Ty.Scalar _ -> true
-  | Ty.Tuple ts -> List.for_all array_free ts
-  | Ty.Array _ | Ty.Assoc _ -> false
-
-let is_elt_ty t = array_free t
-
 let expect_int what = function
   | Ty.Scalar Ty.Int -> ()
   | t -> err "%s must be Int, got %s" what (Ty.to_string t)
@@ -22,6 +15,28 @@ let expect_bool what = function
 let same what a b =
   if not (Ty.equal a b) then
     err "%s: type mismatch (%s vs %s)" what (Ty.to_string a) (Ty.to_string b)
+
+(* The binder rules, shared by [infer] and [binder_types]: every index
+   is an Int, shared bindings are typed left to right by [typ], and a
+   combine function's parameters have the accumulator's type. *)
+let bind_idxs env idxs =
+  List.fold_left (fun m s -> Sym.Map.add s Ty.int_ m) env idxs
+
+let bind_lets typ env lets =
+  List.fold_left (fun m (s, e1) -> Sym.Map.add s (typ m e1) m) env lets
+
+let bind_comb env { ca; cb; _ } t = Sym.Map.add ca t (Sym.Map.add cb t env)
+
+(* a MultiFold's init type, one component per output *)
+let components init_t oouts =
+  match (init_t, oouts) with Ty.Tuple ts, _ :: _ :: _ -> ts | t, _ -> [ t ]
+
+(* the type of an output's [oacc]: the element type of its init component,
+   or an array of it over a region with a non-unit length *)
+let region_acc_type comp_t out =
+  let elt = match comp_t with Ty.Array (elt, _) -> elt | t -> t in
+  if List.for_all (fun (_, lene, _) -> lene = Ci 1) out.oregion then elt
+  else Ty.Array (elt, List.length out.oregion)
 
 let rec infer env e =
   match e with
@@ -98,7 +113,7 @@ let rec infer env e =
           Ty.Array (elt, kept)
       | t -> err "copy on non-array %s" (Ty.to_string t))
   | Zeros (elt, shape) ->
-      if not (is_elt_ty elt) then
+      if not (Ty.array_free elt) then
         err "zeros of non-scalar element type %s" (Ty.to_string elt);
       List.iter (fun e1 -> expect_int "zeros dimension" (infer env e1)) shape;
       if shape = [] then elt else Ty.Array (elt, List.length shape)
@@ -107,19 +122,19 @@ let rec infer env e =
       | [] -> err "empty array literal: use EmptyArr with an element type"
       | e1 :: rest ->
           let t = infer env e1 in
-          if not (is_elt_ty t) then
+          if not (Ty.array_free t) then
             err "array literal of non-scalar elements %s" (Ty.to_string t);
           List.iter (fun e2 -> same "array literal elements" t (infer env e2)) rest;
           Ty.Array (t, 1))
   | EmptyArr t ->
-      if not (is_elt_ty t) then
+      if not (Ty.array_free t) then
         err "empty array of non-scalar element type %s" (Ty.to_string t);
       Ty.Array (t, 1)
   | Map { mdims; midxs; mbody; _ } ->
       check_doms env mdims midxs;
       let env' = bind_idxs env midxs in
       let bt = infer env' mbody in
-      if not (is_elt_ty bt) then
+      if not (Ty.array_free bt) then
         err "Map body must produce scalars, got %s (nested arrays are not allowed)"
           (Ty.to_string bt);
       Ty.Array (bt, List.length mdims)
@@ -140,14 +155,11 @@ let rec infer env e =
   | GroupByFold { gdims; gidxs; ginit; glets; gkey; gacc; gupd; gcomb; _ } ->
       check_doms env gdims gidxs;
       let v_t = infer env ginit in
-      if not (is_elt_ty v_t) then
+      if not (Ty.array_free v_t) then
         err "GroupByFold bucket type must be scalar, got %s" (Ty.to_string v_t);
-      let env_i = bind_idxs env gidxs in
-      let env_i =
-        List.fold_left (fun m (s, e1) -> Sym.Map.add s (infer m e1) m) env_i glets
-      in
+      let env_i = bind_lets infer (bind_idxs env gidxs) glets in
       let k_t = infer env_i gkey in
-      if not (is_elt_ty k_t) then
+      if not (Ty.array_free k_t) then
         err "GroupByFold key type must be scalar, got %s" (Ty.to_string k_t);
       same "GroupByFold update" v_t (infer (Sym.Map.add gacc v_t env_i) gupd);
       check_comb env gcomb v_t;
@@ -156,38 +168,28 @@ let rec infer env e =
 and infer_multifold env { odims; oidxs; oinit; olets; oouts; ocomb; _ } =
   check_doms env odims oidxs;
   let init_t = infer env oinit in
-  let comp_tys =
-    match (init_t, oouts) with
-    | _, [] -> err "MultiFold with no outputs"
-    | Ty.Tuple ts, _ :: _ :: _ ->
-        if List.length ts <> List.length oouts then
-          err "MultiFold: %d outputs but init tuple has %d components"
-            (List.length oouts) (List.length ts);
-        ts
-    | t, [ _ ] -> [ t ]
-    | t, outs ->
-        err "MultiFold: %d outputs but init is %s" (List.length outs)
-          (Ty.to_string t)
-  in
-  let env_i = bind_idxs env oidxs in
-  let env_i =
-    List.fold_left (fun m (s, e1) -> Sym.Map.add s (infer m e1) m) env_i olets
-  in
+  (match (init_t, oouts) with
+  | _, [] -> err "MultiFold with no outputs"
+  | Ty.Tuple ts, _ :: _ :: _ ->
+      if List.length ts <> List.length oouts then
+        err "MultiFold: %d outputs but init tuple has %d components"
+          (List.length oouts) (List.length ts)
+  | _, [ _ ] -> ()
+  | t, outs ->
+      err "MultiFold: %d outputs but init is %s" (List.length outs)
+        (Ty.to_string t));
+  let env_i = bind_lets infer (bind_idxs env oidxs) olets in
   List.iter2
     (fun out comp_t ->
-      let elt =
-        match comp_t with
-        | Ty.Array (elt, rank) ->
-            if List.length out.orange <> rank then
-              err "MultiFold output range rank %d but accumulator rank %d"
-                (List.length out.orange) rank;
-            elt
-        | t when is_elt_ty t ->
-            if List.length out.orange <> 0 then
-              err "MultiFold scalar accumulator with non-empty range";
-            t
-        | t -> err "MultiFold accumulator of type %s" (Ty.to_string t)
-      in
+      (match comp_t with
+      | Ty.Array (_, rank) ->
+          if List.length out.orange <> rank then
+            err "MultiFold output range rank %d but accumulator rank %d"
+              (List.length out.orange) rank
+      | t when Ty.array_free t ->
+          if List.length out.orange <> 0 then
+            err "MultiFold scalar accumulator with non-empty range"
+      | t -> err "MultiFold accumulator of type %s" (Ty.to_string t));
       List.iter (fun e1 -> expect_int "MultiFold range" (infer env e1)) out.orange;
       if List.length out.oregion <> List.length out.orange then
         err "MultiFold region rank %d but range rank %d"
@@ -197,25 +199,15 @@ and infer_multifold env { odims; oidxs; oinit; olets; oouts; ocomb; _ } =
           expect_int "MultiFold region offset" (infer env_i off);
           expect_int "MultiFold region length" (infer env_i lene))
         out.oregion;
-      let unit_region =
-        List.for_all (fun (_, lene, _) -> lene = Ci 1) out.oregion
-      in
-      let acc_t =
-        if unit_region || out.oregion = [] then elt
-        else Ty.Array (elt, List.length out.oregion)
-      in
+      let acc_t = region_acc_type comp_t out in
       let upd_t = infer (Sym.Map.add out.oacc acc_t env_i) out.oupd in
       same "MultiFold update" acc_t upd_t)
-    oouts comp_tys;
+    oouts (components init_t oouts);
   (match ocomb with None -> () | Some c -> check_comb env c init_t);
   init_t
 
-and check_comb env { ca; cb; cbody } t =
-  let env' = Sym.Map.add ca t (Sym.Map.add cb t env) in
-  same "combine function" t (infer env' cbody)
-
-and bind_idxs env idxs =
-  List.fold_left (fun m s -> Sym.Map.add s Ty.int_ m) env idxs
+and check_comb env c t =
+  same "combine function" t (infer (bind_comb env c t) c.cbody)
 
 and check_doms env doms idxs =
   if List.length doms <> List.length idxs then
@@ -286,7 +278,7 @@ and infer_prim env p args =
   | Eq | Ne -> (
       arity 2;
       match tys with
-      | [ a; b1 ] when Ty.equal a b1 && is_elt_ty a -> Ty.bool_
+      | [ a; b1 ] when Ty.equal a b1 && Ty.array_free a -> Ty.bool_
       | [ a; b1 ] -> err "equality on %s and %s" (Ty.to_string a) (Ty.to_string b1)
       | _ -> assert false)
   | And | Or -> (
@@ -314,10 +306,19 @@ and infer_prim env p args =
 
 (* Synthesis skips every subtree that cannot change the type of an
    already-checked expression: a pattern's type is fixed by its init or
-   its body alone, so the rest of the pattern is never re-walked. *)
+   its body alone, and an array read's or a tile copy's by its array and
+   the dimensions it keeps, so the rest is never re-walked. *)
 let rec type_of env e =
   match e with
   | Let (s, e1, e2) -> type_of (Sym.Map.add s (type_of env e1) env) e2
+  | Read (a, _) -> (
+      match type_of env a with Ty.Array (elt, _) -> elt | _ -> infer env e)
+  | Copy { csrc; cdims; _ } -> (
+      match type_of env csrc with
+      | Ty.Array (elt, _) ->
+          let kept = List.filter (function Cfix _ -> false | _ -> true) cdims in
+          Ty.Array (elt, List.length kept)
+      | _ -> infer env e)
   | Map { mdims; midxs; mbody; _ } ->
       Ty.Array (type_of (bind_idxs env midxs) mbody, List.length mdims)
   | Fold { finit; _ } -> type_of env finit
@@ -332,7 +333,7 @@ let initial_env (p : program) =
   in
   List.fold_left
     (fun m { iname; ielt; ishape } ->
-      if not (is_elt_ty ielt) then
+      if not (Ty.array_free ielt) then
         err "input %s has non-scalar element type %s" (Sym.name iname)
           (Ty.to_string ielt);
       let t =
@@ -348,3 +349,66 @@ let check_program (p : program) =
       List.iter (fun e -> expect_int "input shape" (infer env e)) ishape)
     p.inputs;
   infer env p.body
+
+(* Binders are globally fresh, so one map can hold every binder's type:
+   each is added at its node, under the binders of the enclosing nodes,
+   before the walk enters its scope.  The walk threads the map through
+   every child, siblings included. *)
+let binder_types (p : program) =
+  let rec exp env e =
+    match e with
+    | Var _ | Cf _ | Ci _ | Cb _ | EmptyArr _ -> env
+    | Tup es | Prim (_, es) | Zeros (_, es) | ArrLit es -> exps env es
+    | Proj (e1, _) | Len (e1, _) -> exp env e1
+    | Let (s, e1, e2) -> exp (exp (Sym.Map.add s (type_of env e1) env) e1) e2
+    | If (c, t, e1) -> exp (exp (exp env c) t) e1
+    | Read (a, idxs) -> exps (exp env a) idxs
+    | Slice (a, args) -> slice (exp env a) args
+    | Copy { csrc; cdims; _ } -> copy (exp env csrc) cdims
+    | Map { mdims; midxs; mbody; _ } ->
+        exp (doms (bind_idxs env midxs) mdims) mbody
+    | Fold { fdims; fidxs; finit; facc; fupd; fcomb; _ } ->
+        let acc_t = type_of env finit in
+        let env = Sym.Map.add facc acc_t (bind_idxs env fidxs) in
+        comb (exp (exp (doms env fdims) finit) fupd) fcomb acc_t
+    | MultiFold { odims; oidxs; oinit; olets; oouts; ocomb; _ } -> (
+        let init_t = type_of env oinit in
+        let env = exp (doms (bind_idxs env oidxs) odims) oinit in
+        let env = outs (lets env olets) oouts (components init_t oouts) in
+        match ocomb with None -> env | Some c -> comb env c init_t)
+    | FlatMap { fmdim; fmidx; fmbody; _ } ->
+        exp (dom (Sym.Map.add fmidx Ty.int_ env) fmdim) fmbody
+    | GroupByFold { gdims; gidxs; ginit; glets; gkey; gacc; gupd; gcomb; _ } ->
+        let v_t = type_of env ginit in
+        let env = lets (exp (doms (bind_idxs env gidxs) gdims) ginit) glets in
+        let env = exp (Sym.Map.add gacc v_t (exp env gkey)) gupd in
+        comb env gcomb v_t
+  and exps env = function [] -> env | e :: es -> exps (exp env e) es
+  and slice env = function
+    | [] -> env
+    | SFix e :: args -> slice (exp env e) args
+    | SAll :: args -> slice env args
+  and copy env = function
+    | [] -> env
+    | Coffset { off; len; _ } :: ds -> copy (exp (exp env off) len) ds
+    | Call :: ds -> copy env ds
+    | Cfix e :: ds -> copy (exp env e) ds
+  and dom env (Dfull e | Dtiles { total = e; _ } | Dtail { total = e; _ }) =
+    exp env e
+  and doms env = function [] -> env | d :: ds -> doms (dom env d) ds
+  and lets env ls = lets_rhs (bind_lets type_of env ls) ls
+  and lets_rhs env = function
+    | [] -> env
+    | (_, e) :: ls -> lets_rhs (exp env e) ls
+  and outs env oouts comp_tys =
+    match (oouts, comp_tys) with
+    | out :: oouts, comp_t :: comp_tys ->
+        let env = region (exps env out.orange) out.oregion in
+        let acc_t = region_acc_type comp_t out in
+        outs (exp (Sym.Map.add out.oacc acc_t env) out.oupd) oouts comp_tys
+    | _ -> env
+  and region env = function
+    | [] -> env
+    | (o, l, _) :: r -> region (exp (exp env o) l) r
+  and comb env c t = exp (bind_comb env c t) c.cbody in
+  exp (initial_env p) p.body

@@ -7,7 +7,10 @@
    - copy insertion keyed on printed offsets ([Ref_copy_insert]);
    - [Rewrite.iter_exp] walking through [map_children];
    - [Validate.infer] re-checking every subtree whose type the tiling
-     passes and [Lower] now synthesize with [Validate.type_of].
+     passes and [Lower] now synthesize with [Validate.type_of], under
+     each subtree's scope and under the program's
+     [Validate.binder_types], whose premise (no symbol bound twice) is
+     checked too.
    They are checked on every stage of every suite program and of random
    programs, as is the IR's scoping rule (see [scoping_violation]). *)
 
@@ -101,29 +104,17 @@ let typing_sites env e =
   List.rev !sites
 
 (* the first node of a checked program whose synthesized type differs
-   from the checked one *)
+   from the checked one, under the node's scope or under the program's
+   binder table *)
 let type_of_mismatch (p : Ir.program) =
+  let table = Validate.binder_types p in
   List.find_opt
     (fun (env, e) ->
-      not (Ty.equal (Validate.type_of env e) (Validate.infer env e)))
+      let t = Validate.infer env e in
+      not
+        (Ty.equal (Validate.type_of env e) t
+        && Ty.equal (Validate.type_of table e) t))
     (typing_sites (Validate.initial_env p) p.Ir.body)
-
-(* [None] when every pass agrees with its reference on [p], else the name
-   of the first that does not *)
-let disagreement (p : Ir.program) =
-  let e = p.Ir.body in
-  if Simplify.exp e <> old_simplify e then Some "simplify"
-  else if Code_motion.exp e <> old_code_motion e then Some "code-motion"
-  else if
-    not
-      (Alpha.equal (Copy_insert.program p).Ir.body
-         (Ref_copy_insert.program p).Ir.body)
-  then Some "copy-insert"
-  else if
-    not (List.equal ( == ) (visits Rewrite.iter_exp e) (visits old_iter_exp e))
-  then Some "iter_exp order"
-  else if Option.is_some (type_of_mismatch p) then Some "type_of"
-  else None
 
 (* the binders a pattern node introduces itself: its indices, shared
    bindings, accumulators and combine parameters *)
@@ -139,6 +130,42 @@ let own_binders = function
       g.Ir.gidxs @ List.map fst g.Ir.glets
       @ [ g.Ir.gacc; g.Ir.gcomb.Ir.ca; g.Ir.gcomb.Ir.cb ]
   | _ -> []
+
+(* a symbol [p] binds twice, counting its size parameters and inputs:
+   one binder table serves a program only when there is none *)
+let bound_twice (p : Ir.program) =
+  let seen = ref Sym.Set.empty and twice = ref None in
+  let bind s =
+    if Sym.Set.mem s !seen then twice := Some s
+    else seen := Sym.Set.add s !seen
+  in
+  List.iter bind p.Ir.size_params;
+  List.iter (fun i -> bind i.Ir.iname) p.Ir.inputs;
+  Rewrite.iter_exp
+    (fun n ->
+      List.iter bind
+        (match n with Ir.Let (s, _, _) -> [ s ] | n -> own_binders n))
+    p.Ir.body;
+  !twice
+
+(* [None] when every pass agrees with its reference on [p], else the name
+   of the first that does not *)
+let disagreement (p : Ir.program) =
+  let e = p.Ir.body in
+  if Simplify.exp e <> old_simplify e then Some "simplify"
+  else if Code_motion.exp e <> old_code_motion e then Some "code-motion"
+  else if
+    not
+      (Alpha.equal (Copy_insert.program p).Ir.body
+         (Ref_copy_insert.program p).Ir.body)
+  then Some "copy-insert"
+  else if
+    not (List.equal ( == ) (visits Rewrite.iter_exp e) (visits old_iter_exp e))
+  then Some "iter_exp order"
+  else if Option.is_some (bound_twice p) then
+    Some "binder table (a symbol bound twice)"
+  else if Option.is_some (type_of_mismatch p) then Some "type_of"
+  else None
 
 let is_pattern = function
   | Ir.Map _ | Ir.Fold _ | Ir.MultiFold _ | Ir.FlatMap _ | Ir.GroupByFold _ ->
