@@ -1,9 +1,9 @@
 open Ir
 
-let rename { ca; cb; cbody } =
-  let ca' = Sym.fresh (Sym.base ca) and cb' = Sym.fresh (Sym.base cb) in
+let rename ?renamed { ca; cb; cbody } =
+  let ca' = Ir.refresh ?renamed ca and cb' = Ir.refresh ?renamed cb in
   let cbody' =
-    Ir.rename_binders
+    Ir.rename_binders ?renamed
       (Ir.subst
          (Sym.Map.add ca (Var ca') (Sym.Map.singleton cb (Var cb')))
          cbody)
@@ -15,7 +15,7 @@ let count p e =
   Rewrite.iter_exp (fun e1 -> if p e1 then incr n) e;
   !n
 
-let elementwise { ca; cb; cbody } =
+let elementwise ?renamed { ca; cb; cbody } =
   match cbody with
   | Map { mdims = _; midxs; mbody; mprov; _ } ->
       let exact_idxs idxs =
@@ -38,7 +38,7 @@ let elementwise { ca; cb; cbody } =
       if param_ok ca && param_ok cb then
         Some
           (fun extents x y ->
-            let nidxs = List.map (fun s -> Sym.fresh (Sym.base s)) midxs in
+            let nidxs = List.map (Ir.refresh ?renamed) midxs in
             let env =
               List.fold_left2
                 (fun m s s' -> Sym.Map.add s (Var s') m)
@@ -48,7 +48,7 @@ let elementwise { ca; cb; cbody } =
             Map
               { mdims = List.map (fun e -> Dfull e) extents;
                 midxs = nidxs;
-                mbody = Ir.rename_binders (Ir.subst env mbody);
+                mbody = Ir.rename_binders ?renamed (Ir.subst env mbody);
                 (* an instantiated combiner is the combiner map applied:
                    it keeps the source combiner's provenance *)
                 mprov })

@@ -102,30 +102,3 @@ let injectivity ~axes maps =
               | None -> Unknown "strides not provably non-overlapping")
         in
         peel live
-
-exception Found of int list * int list
-
-let collision ~axes maps =
-  let syms = List.map fst axes in
-  let eval pt (m : Affine.t) =
-    List.fold_left2
-      (fun acc s v -> acc + (Affine.coeff m s * v))
-      m.Affine.const syms pt
-  in
-  let rec enum axes k =
-    match axes with
-    | [] -> k []
-    | (_, e) :: rest ->
-        for v = 0 to e - 1 do
-          enum rest (fun tail -> k (v :: tail))
-        done
-  in
-  let tbl = Hashtbl.create 64 in
-  try
-    enum axes (fun pt ->
-        let image = List.map (eval pt) maps in
-        match Hashtbl.find_opt tbl image with
-        | Some prev -> raise (Found (prev, pt))
-        | None -> Hashtbl.add tbl image pt);
-    None
-  with Found (a, b) -> Some (a, b)

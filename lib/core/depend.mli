@@ -44,12 +44,3 @@ val injectivity : axes:axis list -> Affine.t list -> verdict
     [0 ≤ i_j < extent_j].  Symbols in [maps] that are not axes (size
     parameters) are constants of the map and cannot affect the
     verdict.  Axes with extent [0] or [1] are ignored. *)
-
-val collision :
-  axes:(Sym.t * int) list ->
-  Affine.t list ->
-  (int list * int list) option
-(** Brute force over the concrete box (extents exact here, not upper
-    bounds): the first pair of distinct points with equal images, or
-    [None].  Intended for tests that cross-check {!injectivity} on
-    small domains; cost is the product of the extents. *)

@@ -2,14 +2,19 @@ open Ir
 
 type ctx = {
   budget : int;
-  types : Ty.t Sym.Map.t Lazy.t;
-      (* this pass's [Validate.binder_types], built for the first rule
-         whose shape matches *)
+  types : Validate.table;
+      (* the input's, from its check, extended by every binder a rule mints *)
   bound : exp -> int option;
-  fired : bool ref;  (* set when any rule rewrites a node *)
+  mutable fired : bool;  (* set when any rule rewrites a node *)
 }
 
-let type_of ctx e = Validate.type_of (Lazy.force ctx.types) e
+let type_of ctx e = Validate.type_of ctx.types e
+let add ctx s t = Validate.add_binder ctx.types s t
+
+(* [s'], minted for [s], has its type *)
+let copy ctx s s' = add ctx s' (Validate.binder_type ctx.types s)
+let rename ctx e = Ir.rename_binders ~renamed:(copy ctx) e
+let fresh ctx s = Ir.refresh ~renamed:(copy ctx) s
 
 let unstrided doms = List.for_all (fun d -> not (is_strided d)) doms
 
@@ -19,17 +24,17 @@ let unstrided doms = List.for_all (fun d -> not (is_strided d)) doms
 
 (* Map{U}{ Fold{d/b}{...} }  ==>  Fold{d/b}{ Map{U}{...} }
    The fold accumulator becomes an array over U; init, update and combine
-   are lifted elementwise, so it must be array-free: [acc_ty finit] is its
-   type. *)
-let try_rule1 acc_ty { mdims; midxs; mbody; mprov } =
+   are lifted elementwise, so it must be array-free. *)
+let try_rule1 ctx { mdims; midxs; mbody; mprov } =
   match mbody with
   | Fold
       { fdims = [ (Dtiles _ as sd) ]; fidxs = [ kk ]; finit; facc; fupd; fcomb;
         fprov }
-    when unstrided mdims && Ty.array_free (acc_ty finit) ->
-      let kk' = Sym.fresh (Sym.base kk) in
+    when unstrided mdims && Ty.array_free (type_of ctx finit) ->
+      let lifted_t = Ty.Array (type_of ctx finit, List.length mdims) in
+      let kk' = fresh ctx kk in
       let lift body_build =
-        let idxs' = List.map (fun s -> Sym.fresh (Sym.base s)) midxs in
+        let idxs' = List.map (fresh ctx) midxs in
         let sigma =
           List.fold_left2
             (fun m s s' -> Sym.Map.add s (Var s') m)
@@ -42,9 +47,10 @@ let try_rule1 acc_ty { mdims; midxs; mbody; mprov } =
             mprov = Prov.push mprov "interchange.lift" }
       in
       let init' =
-        lift (fun sigma _ -> Ir.rename_binders (Ir.subst sigma finit))
+        lift (fun sigma _ -> rename ctx (Ir.subst sigma finit))
       in
       let acc_a = Sym.fresh (Sym.base facc) in
+      add ctx acc_a lifted_t;
       let upd' =
         lift (fun sigma idx_vars ->
             let sigma =
@@ -52,13 +58,15 @@ let try_rule1 acc_ty { mdims; midxs; mbody; mprov } =
               |> Sym.Map.add kk (Var kk')
               |> Sym.Map.add facc (Read (Var acc_a, idx_vars))
             in
-            Ir.rename_binders (Ir.subst sigma fupd))
+            rename ctx (Ir.subst sigma fupd))
       in
       let a = Sym.fresh "a" and b = Sym.fresh "b" in
+      add ctx a lifted_t;
+      add ctx b lifted_t;
       let comb_body =
         lift (fun sigma idx_vars ->
             ignore sigma;
-            comb_apply (Combs.rename fcomb) (Read (Var a, idx_vars))
+            comb_apply (Combs.rename ~renamed:(copy ctx) fcomb) (Read (Var a, idx_vars))
               (Read (Var b, idx_vars)))
       in
       Some
@@ -81,7 +89,7 @@ let try_rule1 acc_ty { mdims; midxs; mbody; mprov } =
    Sound when each written slice element depends only on the accumulator
    at its own (global) position, checked via affine equality of every
    accumulator read against [offset + inner index]. *)
-let try_rule2 _ctx { fdims; fidxs; finit; facc; fupd; fcomb; fprov } =
+let try_rule2 ctx { fdims; fidxs; finit; facc; fupd; fcomb; fprov } =
   match fupd with
   | MultiFold
       { odims = [ (Dtiles _ as sd) ];
@@ -90,7 +98,7 @@ let try_rule2 _ctx { fdims; fidxs; finit; facc; fupd; fcomb; fprov } =
         oouts =
           [ { orange = [ range ];
               oregion = [ (off, len, lenb) ];
-              oacc = _;
+              oacc;
               oupd =
                 Map { mdims = [ tail_dom ]; midxs = [ j ]; mbody;
                       mprov = inner_mprov } } ];
@@ -124,9 +132,9 @@ let try_rule2 _ctx { fdims; fidxs; finit; facc; fupd; fcomb; fprov } =
               mbody;
             !total > 0 && !total = !proper
       in
-      match (finit, Combs.elementwise fcomb, acc_reads_ok) with
+      match (finit, Combs.elementwise ~renamed:(copy ctx) fcomb, acc_reads_ok) with
       | Zeros (elt, [ _ ]), Some build, true ->
-          let kk' = Sym.fresh (Sym.base kk) in
+          let kk' = fresh ctx kk in
           let sub_kk e = Ir.subst (Sym.Map.singleton kk (Var kk')) e in
           let off' = sub_kk off and len' = sub_kk len in
           let tail_dom' =
@@ -138,9 +146,9 @@ let try_rule2 _ctx { fdims; fidxs; finit; facc; fupd; fcomb; fprov } =
                     outer = (if Sym.equal outer kk then kk' else outer) }
             | d -> d
           in
-          let fidxs' = List.map (fun s -> Sym.fresh (Sym.base s)) fidxs in
-          let facc' = Sym.fresh (Sym.base facc) in
-          let j' = Sym.fresh (Sym.base j) in
+          let fidxs' = List.map (fresh ctx) fidxs in
+          let facc' = fresh ctx facc in
+          let j' = fresh ctx j in
           (* inner body: acc reads redirected to the slice at j' *)
           let rec redirect e =
             match e with
@@ -155,9 +163,10 @@ let try_rule2 _ctx { fdims; fidxs; finit; facc; fupd; fcomb; fprov } =
               fidxs fidxs'
           in
           let inner_body =
-            Ir.rename_binders (Ir.subst sigma (redirect mbody))
+            rename ctx (Ir.subst sigma (redirect mbody))
           in
           let slice_acc = Sym.fresh "acc" in
+          copy ctx oacc slice_acc;
           Some
             (MultiFold
                { odims = [ sd ];
@@ -183,6 +192,8 @@ let try_rule2 _ctx { fdims; fidxs; finit; facc; fupd; fcomb; fprov } =
                                      Prov.push inner_mprov "interchange" };
                              fcomb =
                                (let a = Sym.fresh "a" and b = Sym.fresh "b" in
+                                copy ctx facc a;
+                                copy ctx facc b;
                                 { ca = a;
                                   cb = b;
                                   cbody = build [ len' ] (Var a) (Var b) });
@@ -222,7 +233,7 @@ let try_split ctx ({ odims; oidxs; olets; _ } as mf) =
         when Ty.array_free elt_t
              && Split_cost.intermediate_fits ~budget_words:ctx.budget
                   ~bound:ctx.bound odims elt_t ->
-          let map_idxs = List.map (fun s -> Sym.fresh (Sym.base s)) oidxs in
+          let map_idxs = List.map (fresh ctx) oidxs in
           let sigma =
             List.fold_left2
               (fun m s s' -> Sym.Map.add s (Var s') m)
@@ -231,17 +242,14 @@ let try_split ctx ({ odims; oidxs; olets; _ } as mf) =
           let mapped =
             { mdims = odims;
               midxs = map_idxs;
-              mbody = Ir.rename_binders (Ir.subst sigma bexp);
+              mbody = rename ctx (Ir.subst sigma bexp);
               mprov = Prov.push mf.oprov "interchange.split" }
           in
-          (* the table lacks the fresh [map_idxs]; the fold under them is
-             [bexp] renamed, whose accumulator type is [elt_t] *)
           let interchanged =
-            match try_rule1 (fun _ -> elt_t) mapped with
-            | Some e -> e
-            | None -> Map mapped
+            match try_rule1 ctx mapped with Some e -> e | None -> Map mapped
           in
           let tmp = Sym.fresh (Sym.base t ^ "s") in
+          add ctx tmp (Ty.Array (elt_t, List.length odims));
           Some
             (Let
                ( tmp,
@@ -263,7 +271,7 @@ let try_split ctx ({ odims; oidxs; olets; _ } as mf) =
 (* ----------------------------------------------------------------- *)
 
 let fire ctx e =
-  ctx.fired := true;
+  ctx.fired <- true;
   e
 
 let rec ic ctx e =
@@ -274,7 +282,7 @@ let rec ic ctx e =
       Rewrite.map_children (ic ctx) e
   | Map m -> (
       let m' = { m with mbody = ic ctx m.mbody } in
-      match try_rule1 (type_of ctx) m' with
+      match try_rule1 ctx m' with
       | Some e' -> fire ctx e'
       | None -> Map m')
   | Fold f -> (
@@ -293,23 +301,21 @@ let rec ic ctx e =
       GroupByFold
         { g with glets = glets'; gkey = ic ctx g.gkey; gupd = ic ctx g.gupd }
 
-(* one bottom-up pass over [p]'s body, and whether a rule fired; the
-   rules mint binders, so each pass types the body it is given *)
-let run ~budget_words ~bound (p : program) =
-  let fired = ref false in
-  let types = lazy (Validate.binder_types p) in
-  let e' = ic { budget = budget_words; types; bound; fired } p.body in
-  (e', !fired)
-
-let program ?(budget_words = Split_cost.budget_words) (p : program) =
-  let bound = Ir.size_bound p in
+let program ?(budget_words = Split_cost.budget_words) c =
+  let p = Validate.program c in
+  let ctx =
+    { budget = budget_words; types = Validate.table c;
+      bound = Ir.size_bound p; fired = false }
+  in
   (* "We apply these two rules whenever possible" (Section 4): one
      interchange can expose another, so iterate to a fixpoint (bounded —
-     each application strictly restructures a nest). *)
+     each application strictly restructures a nest).  A round's input has
+     every binder in [ctx.types]: its rules added those they minted. *)
   let rec fix n body =
-    let body', fired = run ~budget_words ~bound { p with body } in
+    ctx.fired <- false;
+    let body' = ic ctx body in
     (* a pass where no rule fired rebuilt the same tree: nothing to count *)
-    if n = 0 || (not fired)
+    if n = 0 || (not ctx.fired)
        || Rewrite.node_count body' = Rewrite.node_count body
     then body'
     else fix (n - 1) body'

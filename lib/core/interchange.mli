@@ -24,11 +24,11 @@
       fits on-chip ({!Split_cost}), trading buffer space for main-memory
       reads exactly as Section 4 describes. *)
 
-val program : ?budget_words:int -> Ir.program -> Ir.program
+val program : ?budget_words:int -> Validate.checked -> Ir.program
 (** The budget defaults to {!Split_cost.budget_words}, the only value the
     library passes; tests set a tiny one to reach the over-budget path.
-    The program must type-check ({!Tiling} checks the strip-mined form it
-    passes here); it is not re-checked.  A rule that needs a type
-    synthesizes it with {!Validate.type_of} under the program's
-    {!Validate.binder_types}, built when a rule first asks for one and
-    again in each later fixpoint round, since rules mint binders. *)
+    The program is not checked again ({!Tiling} checks the strip-mined
+    form it passes here).  A rule that needs a type synthesizes it with
+    {!Validate.type_of} under the check's {!Validate.table}, to which
+    each rule adds, in place, the binders it mints: one table serves
+    every fixpoint round and then holds every binder of the result. *)

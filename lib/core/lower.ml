@@ -14,7 +14,7 @@ let baseline_opts = { default_opts with meta = false; cache_leftover = false }
 
 type ctx = {
   opts : opts;
-  types : Ty.t Sym.Map.t;  (* the program's [Validate.binder_types] *)
+  types : Validate.table;  (* the program's, from its check *)
   bound : exp -> int option;
   ishapes : (Sym.t * exp list) list;  (* input array shapes *)
   bufs : (Sym.t * string list) list;  (* on-chip value -> mem per component *)
@@ -73,7 +73,7 @@ let find_sym s l =
   List.find_map (fun (k, v) -> if Sym.equal k s then Some v else None) l
 
 let add_buf ctx s names = { ctx with bufs = (s, names) :: ctx.bufs }
-let binder_type ctx s = Sym.Map.find s ctx.types
+let binder_type ctx s = Validate.binder_type ctx.types s
 
 let rec width_of_ty = function
   | Ty.Scalar _ -> 32
@@ -547,9 +547,9 @@ let strip_comb_wrapper facc fupd =
 let elt_width_of_src ctx src =
   match src with
   | Var s -> (
-      match Sym.Map.find_opt s ctx.types with
-      | Some (Ty.Array (elt, _)) -> width_of_ty elt
-      | _ -> 32)
+      match binder_type ctx s with
+      | Ty.Array (elt, _) -> width_of_ty elt
+      | _ | (exception Not_found) -> 32)
   | _ -> 32
 
 (* --------------------------- template units ------------------------ *)
@@ -1041,7 +1041,7 @@ and lower_groupbyfold ctx g ~dest : Hw.ctrl list =
    order of [design.mems]. *)
 type shaped = { design : Hw.design; banked : bool list }
 
-let lower_design opts (p : program) =
+let lower_design opts types (p : program) =
   let rec bound e =
     match e with
     | Ci c -> Some c
@@ -1061,7 +1061,7 @@ let lower_design opts (p : program) =
   in
   let ctx =
     { opts;
-      types = Validate.binder_types p;
+      types;
       bound;
       ishapes = List.map (fun i -> (i.iname, i.ishape)) p.inputs;
       bufs = [];
@@ -1132,11 +1132,13 @@ let lower_design opts (p : program) =
   (* finalizing maps the memories in order, so the flags still line up *)
   { design; banked }
 
-let shape opts p =
+let lower = Trace.named_pass "lower"
+
+let shape opts c =
   (* a program built without Tiling arrives unstamped; a Tiling output
-     is stamped throughout and comes back unchanged *)
-  let p = Prov_stamp.program p in
-  Trace.pass "lower"
+     is stamped throughout, as its check saw *)
+  let p = Prov_stamp.program c in
+  Trace.pass lower
     ~args:(fun s ->
       let d = s.design in
       [ ("program", Trace.Str d.Hw.design_name);
@@ -1144,7 +1146,7 @@ let shape opts p =
           Trace.Int (Hw.fold_ctrls (fun n _ -> n + 1) 0 d.Hw.top) );
         ("mems", Trace.Int (List.length d.Hw.mems));
         ("meta", Trace.Str (if opts.meta then "true" else "false")) ])
-    (fun () -> lower_design opts p)
+    (fun () -> lower_design opts (Validate.table c) p)
 
 let rec bind_ctrl par (c : Hw.ctrl) =
   match c with
@@ -1164,4 +1166,4 @@ let bind par { design; banked } =
   in
   { design with Hw.mems; top = bind_ctrl par design.Hw.top; par_factor = par }
 
-let program opts p = bind opts.par (shape opts p)
+let program opts p = bind opts.par (shape opts (Validate.check_program p))

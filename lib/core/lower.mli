@@ -60,19 +60,18 @@ type shaped
 (** A lowered, metapipelined design whose parallelism factor is not yet
     bound, with a record of which memories are banked by it. *)
 
-val shape : opts -> Ir.program -> shaped
-(** Stamp source-pattern provenance ({!Prov_stamp}, idempotent) and
-    lower the program.  [opts.par] is ignored.  The lowering is timed as
-    the [pass.lower] metric and, when tracing is on, recorded as a
-    ["lower"] span.
+val shape : opts -> Validate.checked -> shaped
+(** Lower a checked program, stamping source-pattern provenance
+    ({!Prov_stamp}) first unless its check saw every pattern stamped, as
+    on any {!Tiling} output.  [opts.par] is ignored.  The lowering is
+    timed as the [pass.lower] metric and, when tracing is on, recorded as
+    a ["lower"] span.
 
-    The program must already have passed {!Validate.check_program}.
     {!Tiling} checks both forms the configurations lower: [fused] once
-    per program and [tiled] once per tile point.  [shape] does not check
-    again: it looks each binder's type up in the program's
-    {!Validate.binder_types} and synthesizes the result type with
-    {!Validate.type_of}, so on an ill-typed program the design is
-    unspecified. *)
+    per program and [tiled] once per tile point.  [shape] neither checks
+    nor walks the program for binders: it looks each binder's type up in
+    the check's {!Validate.table} and synthesizes the result type with
+    {!Validate.type_of}. *)
 
 val bind : int -> shaped -> Hw.design
 (** [bind par s] is the design of [s] at parallelism factor [par]: every
@@ -81,6 +80,6 @@ val bind : int -> shaped -> Hw.design
     @raise Invalid_argument if [par] is below 1. *)
 
 val program : opts -> Ir.program -> Hw.design
-(** [program opts p] is [bind opts.par (shape opts p)]; [p] must have
-    passed {!Validate.check_program}, as for {!shape}.
+(** [program opts p] is [bind opts.par (shape opts (Validate.check_program p))].
+    @raise Validate.Type_error if [p] is ill-typed.
     @raise Invalid_argument if [opts.par] is below 1. *)

@@ -23,16 +23,7 @@ let exp ~pname e =
   in
   go e
 
-let unstamped = function
-  | Ir.Map { Ir.mprov = prov; _ }
-  | Ir.Fold { Ir.fprov = prov; _ }
-  | Ir.MultiFold { Ir.oprov = prov; _ }
-  | Ir.FlatMap { Ir.fmprov = prov; _ }
-  | Ir.GroupByFold { Ir.gprov = prov; _ } ->
-      Prov.is_none prov
-  | _ -> false
-
 (* restamping a stamped tree would rebuild it node for node unchanged *)
-let program (p : Ir.program) =
-  if not (Rewrite.exists_exp unstamped p.Ir.body) then p
-  else { p with Ir.body = exp ~pname:p.Ir.pname p.Ir.body }
+let program c =
+  let p = Validate.program c in
+  if Validate.stamped c then p else { p with Ir.body = exp ~pname:p.Ir.pname p.Ir.body }

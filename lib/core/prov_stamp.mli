@@ -9,6 +9,7 @@
 
 val exp : pname:string -> Ir.exp -> Ir.exp
 
-val program : Ir.program -> Ir.program
-(** Stamp the program's body.  A program whose every pattern is already
-    stamped is returned as is (physically equal), without a rebuild. *)
+val program : Validate.checked -> Ir.program
+(** The checked program, its body stamped.  One whose check saw every
+    pattern stamped ({!Validate.stamped}) is returned as is (physically
+    equal), without a walk. *)

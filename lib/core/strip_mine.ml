@@ -2,7 +2,7 @@ open Ir
 
 type ctx = {
   tiles : (Sym.t * int) list;
-  types : Ty.t Sym.Map.t;  (* the input's [Validate.binder_types] *)
+  types : Validate.table;  (* the input's, from its check *)
   bound : exp -> int option;
 }
 
@@ -396,6 +396,7 @@ and sm_groupbyfold ctx
         gprov = Prov.push gprov "strip_mine" }
   end
 
-let program (p : program) =
-  let types = Validate.binder_types p and bound = Ir.size_bound p in
+let program c =
+  let p = Validate.program c and types = Validate.table c in
+  let bound = Ir.size_bound p in
   fun ~tiles -> { p with body = sm { tiles; types; bound } p.body }

@@ -21,12 +21,9 @@
     Tile copies are {e not} introduced here; that is the second pass
     ({!Copy_insert}), run after pattern interchange. *)
 
-val program : Ir.program -> tiles:(Sym.t * int) list -> Ir.program
-(** [program p ~tiles] strip mines every pattern of [p] whose domain size
-    is [Var s] for some [(s, b)] in [tiles].  [p] must already have passed
-    {!Validate.check_program}: {!Tiling} checks the fused form it passes
-    here once per sweep, and checks the strip-mined result.  [p] is not
-    re-checked: [program p] builds [p]'s {!Validate.binder_types} once
-    and strip mines [p] at every tile configuration it is then given, so
-    a sweep types the fused form once.
-    On an ill-typed [p] the result is unspecified. *)
+val program : Validate.checked -> tiles:(Sym.t * int) list -> Ir.program
+(** [program c ~tiles] strip mines every pattern of [c]'s program whose
+    domain size is [Var s] for some [(s, b)] in [tiles].  The program is
+    not checked again: a rule that needs a type synthesizes it under the
+    check's {!Validate.table}, so a sweep that passes [program c] every
+    tile configuration types the fused form once, in its check. *)

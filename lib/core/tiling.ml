@@ -3,6 +3,9 @@ type result = {
   stripped : Ir.program;
   stripped_with_copies : Ir.program;
   tiled : Ir.program;
+  fused_check : Validate.checked;
+  stripped_check : Validate.checked;
+  tiled_check : Validate.checked;
 }
 
 let src = Logs.Src.create "ppl.tiling" ~doc:"Tiling pipeline driver"
@@ -23,11 +26,19 @@ let canonicalize_lens (p : Ir.program) =
   in
   { p with body = Rewrite.bottom_up rule p.body }
 
+let fusion_pass = Trace.named_pass "fusion"
+let cse_pass = Trace.named_pass "cse"
+let code_motion_pass = Trace.named_pass "code-motion"
+let simplify_pass = Trace.named_pass "simplify"
+let strip_mine_pass = Trace.named_pass "strip-mine"
+let copy_insert_pass = Trace.named_pass "copy-insert"
+let interchange_pass = Trace.named_pass "interchange"
+
 (* Run one program->program pass under observability: a wall-clock span
    carrying before/after Ir_stats deltas (when tracing is on) and an
    accumulated [pass.<name>] timer in the metrics registry (always). *)
-let traced_pass name f p =
-  Trace.pass name
+let traced_pass pass f p =
+  Trace.pass pass
     ~args:(fun r ->
       let b = Ir_stats.of_program p and a = Ir_stats.of_program r in
       [ ("nodes_before", Trace.Int b.Ir_stats.nodes);
@@ -41,18 +52,18 @@ let traced_pass name f p =
     (fun () -> f p)
 
 let cleanup p =
-  traced_pass "simplify" Simplify.program
-    (traced_pass "code-motion" Code_motion.program
-       (traced_pass "cse" Cse.program p))
+  traced_pass simplify_pass Simplify.program
+    (traced_pass code_motion_pass Code_motion.program
+       (traced_pass cse_pass Cse.program p))
 
-(* The tile-independent front of the pipeline: the fused form and its
-   strip miner, which has typed the fused form's binders.  A
+(* The tile-independent front of the pipeline: the checked fused form and
+   its strip miner, which types binders from that check's table.  A
    [Validate.Type_error] is held rather than raised, so that [tiled] can
    reject a bad tile configuration first, exactly as a single [run] does. *)
 type front = {
   source : Ir.program;
   outcome :
-    (Ir.program * (tiles:(Sym.t * int) list -> Ir.program), string)
+    (Validate.checked * (tiles:(Sym.t * int) list -> Ir.program), string)
     Stdlib.result;
 }
 
@@ -67,17 +78,16 @@ let tiling_span (p : Ir.program) f =
 let front_passes ?fuse_filters (source : Ir.program) =
   (* name every source pattern before any transformation touches it, so
      the hardware tree can be attributed back to this program's patterns *)
-  let p = Prov_stamp.program source in
   match
-    ignore (Validate.check_program p);
+    let p = Prov_stamp.program (Validate.check_program source) in
     let fused =
       cleanup
-        (traced_pass "fusion" (Fusion.program ?fuse_filters)
+        (traced_pass fusion_pass (Fusion.program ?fuse_filters)
            (canonicalize_lens p))
     in
-    ignore (Validate.check_program fused);
     Log.debug (fun m ->
         m "%s: fused (%d -> %d nodes)" p.Ir.pname (nodes p) (nodes fused));
+    let fused = Validate.check_program fused in
     (fused, Strip_mine.program fused)
   with
   | staged -> { source; outcome = Ok staged }
@@ -109,25 +119,27 @@ let check_tiles (source : Ir.program) tiles =
 let strip f ~tiles =
   let fused, strip_mine = staged f in
   let stripped =
-    traced_pass "simplify" Simplify.program
-      (traced_pass "strip-mine" (fun _ -> strip_mine ~tiles) fused)
+    traced_pass simplify_pass Simplify.program
+      (traced_pass strip_mine_pass
+         (fun _ -> strip_mine ~tiles)
+         (Validate.program fused))
   in
-  ignore (Validate.check_program stripped);
   Log.debug (fun m ->
       m "%s: strip-mined (%d nodes)" f.source.Ir.pname (nodes stripped));
-  stripped
+  Validate.check_program stripped
 
 let interchange f stripped =
   let tiled =
     cleanup
-      (traced_pass "copy-insert" Copy_insert.program
-         (traced_pass "interchange" Interchange.program stripped))
+      (traced_pass copy_insert_pass Copy_insert.program
+         (traced_pass interchange_pass
+            (fun _ -> Interchange.program stripped)
+            (Validate.program stripped)))
   in
-  ignore (Validate.check_program tiled);
   Log.debug (fun m ->
       m "%s: interchanged + copies (%d nodes)" f.source.Ir.pname
         (nodes tiled));
-  tiled
+  Validate.check_program tiled
 
 let front p = tiling_span p (fun () -> front_passes p)
 
@@ -141,8 +153,12 @@ let run ?fuse_filters ~tiles (p : Ir.program) =
       let f = front_passes ?fuse_filters p in
       let stripped = strip f ~tiles in
       let stripped_with_copies =
-        cleanup (traced_pass "copy-insert" Copy_insert.program stripped)
+        cleanup
+          (traced_pass copy_insert_pass Copy_insert.program
+             (Validate.program stripped))
       in
       ignore (Validate.check_program stripped_with_copies);
-      let tiled = interchange f stripped in
-      { fused = fused f; stripped; stripped_with_copies; tiled })
+      let tiled = interchange f stripped and fused = fused f in
+      let p = Validate.program in
+      { fused = p fused; stripped = p stripped; stripped_with_copies; tiled = p tiled;
+        fused_check = fused; stripped_check = stripped; tiled_check = tiled })

@@ -13,11 +13,10 @@
     ({!Validate.check_program}), each once, where it is made: the
     provenance-stamped source and the fused form in {!front}, the
     strip-mined and the final form in each {!tiled} call, and the
-    reporting form in {!run}.  The passes it drives ({!Strip_mine},
-    {!Interchange}, {!Copy_insert}) and {!Lower} do not check their
-    input again; they require a checked program and look binder types up
-    in its {!Validate.binder_types}.  {!front} types the fused form's
-    binders once per sweep, for every tile point's strip mining. *)
+    reporting form in {!run}.  Each check hands its {!Validate.checked}
+    on: the fused form's to {!Strip_mine} (once per sweep), the
+    strip-mined form's to {!Interchange}, and the final form's to
+    {!Lower.shape}, none of which checks or types the program again. *)
 
 type result = {
   fused : Ir.program;  (** after fusion, CSE, code motion, simplification *)
@@ -26,6 +25,9 @@ type result = {
       (** strip-mined form with tile copies — Fig. 5a with copies *)
   tiled : Ir.program;
       (** final: interchanged, copies inserted, cleaned — Fig. 5b *)
+  fused_check : Validate.checked;  (** [fused]'s check *)
+  stripped_check : Validate.checked;  (** [stripped]'s check *)
+  tiled_check : Validate.checked;  (** [tiled]'s check *)
 }
 
 val run :
@@ -56,19 +58,19 @@ val front : Ir.program -> front
 (** Provenance stamping, validation of the input, {!canonicalize_lens},
     fusion and cleanup (CSE, code motion, simplification), and
     validation of the fused form: the two checks a sweep makes once.
-    The fused form's {!Validate.binder_types} are built here too.
     The input may be ill-typed.  Never raises {!Validate.Type_error}:
     an ill-typed input is held and re-raised by {!fused} and {!tiled}. *)
 
-val fused : front -> Ir.program
-(** The fused form, {!Alpha.equal} to [(run ~tiles p).fused].
+val fused : front -> Validate.checked
+(** The fused form's check; its program is {!Alpha.equal} to
+    [(run ~tiles p).fused].
     @raise Validate.Type_error if the input program is ill-typed. *)
 
-val tiled : front -> tiles:(Sym.t * int) list -> Ir.program
+val tiled : front -> tiles:(Sym.t * int) list -> Validate.checked
 (** The tile checks, strip mining + simplification (validated), then
-    interchange + copy insertion + cleanup (validated): the final form,
-    {!Alpha.equal} to [(run ~tiles p).tiled].  The two validations are
-    the only type checks a tile point makes.  A rejected tile configuration
+    interchange + copy insertion + cleanup (validated): the final form's
+    check, whose program is {!Alpha.equal} to [(run ~tiles p).tiled].
+    The two validations are the only typing walks a tile point makes.  A rejected tile configuration
     takes precedence over an ill-typed input, as in {!run}.
     @raise Invalid_argument on a rejected tile configuration.
     @raise Validate.Type_error if the input program is ill-typed or a

@@ -12,9 +12,9 @@ let form config (r : Tiling.result) =
   | Tiled_meta -> (Lower.default_opts, r.Tiling.tiled)
 
 let lower ?par config r =
-  let opts, prog = form config r in
-  let par = Option.value par ~default:opts.Lower.par in
-  Lower.program { opts with Lower.par } prog
+  let opts, _ = form config r in
+  let check = if config = Baseline then r.Tiling.fused_check else r.Tiling.tiled_check in
+  Lower.bind (Option.value par ~default:opts.Lower.par) (Lower.shape opts check)
 
 (* the benchmark tiled at its default tile sizes *)
 let tile (bench : Suite.bench) =

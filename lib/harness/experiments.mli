@@ -15,8 +15,9 @@ val form : config -> Tiling.result -> Lower.opts * Ir.program
     {!Lower.default_opts}. *)
 
 val lower : ?par:int -> config -> Tiling.result -> Hw.design
-(** The design of a tiled program under a configuration: {!Lower.program}
-    of its {!form}.  [?par] replaces the configuration's parallelism
+(** The design of a tiled program under a configuration: its {!form}
+    lowered from the check {!Tiling} made of it ({!Lower.shape}, then
+    {!Lower.bind}).  [?par] replaces the configuration's parallelism
     factor. *)
 
 val design_of : config -> Suite.bench -> Hw.design

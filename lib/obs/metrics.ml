@@ -3,7 +3,8 @@ type value =
   | Gauge of float
   | Timer of { seconds : float; count : int }
 
-type timer_state = { mutable t_seconds : float; mutable t_count : int }
+(* minor-heap words as a float, as [Gc.minor_words] counts them *)
+type timer_state = { mutable t_seconds : float; mutable t_count : int; mutable t_words : float }
 
 type entry =
   | Ecounter of int Atomic.t
@@ -13,12 +14,8 @@ type entry =
 let lock = Mutex.create ()
 let tbl : (string, entry) Hashtbl.t = Hashtbl.create 64
 
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
 let find_or name mk =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt tbl name with
       | Some e -> e
       | None ->
@@ -33,19 +30,24 @@ let incr ?(by = 1) name =
 
 let set_gauge name v =
   match find_or name (fun () -> Egauge (ref v)) with
-  | Egauge r -> with_lock (fun () -> r := v)
+  | Egauge r -> Mutex.protect lock (fun () -> r := v)
   | _ -> ()
 
+(* [Gc.minor_words] counts the calling domain's allocations only *)
 let time name f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Unix.gettimeofday () and w0 = Gc.minor_words () in
   let finish () =
-    let dt = Unix.gettimeofday () -. t0 in
-    match find_or name (fun () -> Etimer { t_seconds = 0.0; t_count = 0 }) with
-    | Etimer t ->
-        with_lock (fun () ->
+    let dt = Unix.gettimeofday () -. t0 and dw = Gc.minor_words () -. w0 in
+    Mutex.protect lock (fun () ->
+        match Hashtbl.find_opt tbl name with
+        | Some (Etimer t) ->
             t.t_seconds <- t.t_seconds +. dt;
-            t.t_count <- t.t_count + 1)
-    | _ -> ()
+            t.t_count <- t.t_count + 1;
+            t.t_words <- t.t_words +. dw
+        | Some _ -> ()
+        | None ->
+            Hashtbl.add tbl name
+              (Etimer { t_seconds = dt; t_count = 1; t_words = dw }))
   in
   match f () with
   | v ->
@@ -57,15 +59,16 @@ let time name f =
 
 let snapshot () =
   let entries =
-    with_lock (fun () -> Hashtbl.fold (fun k e acc -> (k, e) :: acc) tbl [])
+    Mutex.protect lock (fun () -> Hashtbl.fold (fun k e acc -> (k, e) :: acc) tbl [])
   in
   entries
-  |> List.map (fun (k, e) ->
-         ( k,
-           match e with
-           | Ecounter a -> Counter (Atomic.get a)
-           | Egauge r -> Gauge !r
-           | Etimer t -> Timer { seconds = t.t_seconds; count = t.t_count } ))
+  |> List.concat_map (fun (k, e) ->
+         match e with
+         | Ecounter a -> [ (k, Counter (Atomic.get a)) ]
+         | Egauge r -> [ (k, Gauge !r) ]
+         | Etimer t ->
+             [ (k, Timer { seconds = t.t_seconds; count = t.t_count });
+               (k ^ ".words", Counter (Float.to_int t.t_words)) ])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let diff ~base cur =
@@ -134,4 +137,4 @@ let pp_values fmt snap =
             (1e3 *. seconds) count)
     snap
 
-let reset () = with_lock (fun () -> Hashtbl.reset tbl)
+let reset () = Mutex.protect lock (fun () -> Hashtbl.reset tbl)

@@ -23,7 +23,8 @@ val set_gauge : string -> float -> unit
 
 val time : string -> (unit -> 'a) -> 'a
 (** Run the thunk, accumulating its wall-clock duration and a call count
-    into the named timer. *)
+    into the named timer, and the minor-heap words it allocates (on the
+    calling domain) into the counter [<name>.words] of {!snapshot}. *)
 
 val snapshot : unit -> (string * value) list
 (** All entries, sorted by name. *)

@@ -85,8 +85,12 @@ let with_span ?args name f =
         raise e
   end
 
-let pass name ~args f =
-  Metrics.time ("pass." ^ name) (fun () ->
+type pass = { name : string; metric : string }
+
+let named_pass name = { name; metric = "pass." ^ name }
+
+let pass { name; metric } ~args f =
+  Metrics.time metric (fun () ->
       if not (enabled ()) then f ()
       else begin
         let recorded = ref [] in

@@ -133,14 +133,15 @@ let comb_apply c a b = Let (c.ca, a, Let (c.cb, b, c.cbody))
    symbols in, which printed names depend on. *)
 
 (* [ss] bound left to right: the environment before each binder, the
-   binders [bind] returns, and the environment after them all.  When
-   [bind] returns every binder unchanged (as [subst]'s does), the binder
+   binders [use] maps them to once bound, and the environment after them
+   all.  When [use] keeps every binder (as [subst]'s does), the binder
    list is [ss] itself, so an unchanged pattern shares its binder list. *)
-let rec scope bind env = function
+let rec scope bind use env = function
   | [] -> ([], [], env)
   | s :: rest as ss ->
-      let env', s' = bind env s in
-      let envs, rest', last = scope bind env' rest in
+      let env' = bind env s in
+      let s' = use env' s in
+      let envs, rest', last = scope bind use env' rest in
       (env :: envs, (if s' == s && rest' == rest then ss else s' :: rest'), last)
 
 let map_scoped_dom ~use f env = function
@@ -160,10 +161,9 @@ let rec map_scoped_lets f envs ss ls =
       l :: map_scoped_lets f envs ss ls
   | _ -> []
 
-let map_scoped_comb ~bind f env c =
-  let env, ca = bind env c.ca in
-  let env, cb = bind env c.cb in
-  { ca; cb; cbody = f env c.cbody }
+let map_scoped_comb ~bind ~use f env c =
+  let env = bind (bind env c.ca) c.cb in
+  { ca = use env c.ca; cb = use env c.cb; cbody = f env c.cbody }
 
 let map_scoped ~bind ~use f env e =
   match e with
@@ -172,8 +172,8 @@ let map_scoped ~bind ~use f env e =
   | Proj (e1, i) -> Proj (f env e1, i)
   | Prim (p, es) -> Prim (p, List.map (f env) es)
   | Let (s, e1, e2) ->
-      let env', s = bind env s in
-      Let (s, f env e1, f env' e2)
+      let env' = bind env s in
+      Let (use env' s, f env e1, f env' e2)
   | If (c, t, e1) -> If (f env c, f env t, f env e1)
   | Len (e1, i) -> Len (f env e1, i)
   | Read (a, idxs) -> Read (f env a, List.map (f env) idxs)
@@ -194,31 +194,31 @@ let map_scoped ~bind ~use f env e =
   | Zeros (sc, shape) -> Zeros (sc, List.map (f env) shape)
   | ArrLit es -> ArrLit (List.map (f env) es)
   | Map { mdims; midxs; mbody; mprov } ->
-      let envs, midxs, env_i = scope bind env midxs in
+      let envs, midxs, env_i = scope bind use env midxs in
       Map
         { mdims = map_scoped_doms ~use f envs mdims;
           midxs;
           mbody = f env_i mbody;
           mprov }
   | Fold { fdims; fidxs; finit; facc; fupd; fcomb; fprov } ->
-      let envs, fidxs, env_i = scope bind env fidxs in
-      let env_u, facc = bind env_i facc in
+      let envs, fidxs, env_i = scope bind use env fidxs in
+      let env_u = bind env_i facc in
       Fold
         { fdims = map_scoped_doms ~use f envs fdims;
           fidxs;
           finit = f env finit;
-          facc;
+          facc = use env_u facc;
           fupd = f env_u fupd;
-          fcomb = map_scoped_comb ~bind f env fcomb;
+          fcomb = map_scoped_comb ~bind ~use f env fcomb;
           fprov }
   | MultiFold { odims; oidxs; oinit; olets; oouts; ocomb; oprov } ->
-      let envs, oidxs, env_i = scope bind env oidxs in
-      let lenvs, lsyms, env_l = scope bind env_i (List.map fst olets) in
+      let envs, oidxs, env_i = scope bind use env oidxs in
+      let lenvs, lsyms, env_l = scope bind use env_i (List.map fst olets) in
       let out { orange; oregion; oacc; oupd } =
-        let env_u, oacc = bind env_l oacc in
+        let env_u = bind env_l oacc in
         { orange = List.map (f env) orange;
           oregion = List.map (fun (o, l, b) -> (f env_l o, f env_l l, b)) oregion;
-          oacc;
+          oacc = use env_u oacc;
           oupd = f env_u oupd }
       in
       MultiFold
@@ -227,28 +227,28 @@ let map_scoped ~bind ~use f env e =
           oinit = f env oinit;
           olets = map_scoped_lets f lenvs lsyms olets;
           oouts = List.map out oouts;
-          ocomb = Option.map (map_scoped_comb ~bind f env) ocomb;
+          ocomb = Option.map (map_scoped_comb ~bind ~use f env) ocomb;
           oprov }
   | FlatMap { fmdim; fmidx; fmbody; fmprov } ->
-      let env_b, fmidx = bind env fmidx in
+      let env_b = bind env fmidx in
       FlatMap
         { fmdim = map_scoped_dom ~use f env fmdim;
-          fmidx;
+          fmidx = use env_b fmidx;
           fmbody = f env_b fmbody;
           fmprov }
   | GroupByFold { gdims; gidxs; ginit; glets; gkey; gacc; gupd; gcomb; gprov } ->
-      let envs, gidxs, env_i = scope bind env gidxs in
-      let lenvs, lsyms, env_l = scope bind env_i (List.map fst glets) in
-      let env_u, gacc = bind env_l gacc in
+      let envs, gidxs, env_i = scope bind use env gidxs in
+      let lenvs, lsyms, env_l = scope bind use env_i (List.map fst glets) in
+      let env_u = bind env_l gacc in
       GroupByFold
         { gdims = map_scoped_doms ~use f envs gdims;
           gidxs;
           ginit = f env ginit;
           glets = map_scoped_lets f lenvs lsyms glets;
           gkey = f env_l gkey;
-          gacc;
+          gacc = use env_u gacc;
           gupd = f env_u gupd;
-          gcomb = map_scoped_comb ~bind f env gcomb;
+          gcomb = map_scoped_comb ~bind ~use f env gcomb;
           gprov }
 
 (* the environment before each of [ss], bound left to right, and the
@@ -363,16 +363,17 @@ let rec subst env e =
     match e with
     | Var s -> (match Sym.Map.find_opt s env with Some e' -> e' | None -> e)
     | e ->
-        map_scoped
-          ~bind:(fun env s -> (Sym.Map.remove s env, s))
-          ~use:subst_outer subst env e
+        map_scoped ~bind:(fun env s -> Sym.Map.remove s env) ~use:subst_outer
+          subst env e
 
-let rename_binders e =
+let refresh ?(renamed = fun _ _ -> ()) s =
+  let s' = Sym.fresh (Sym.base s) in
+  renamed s s';
+  s'
+
+let rename_binders ?renamed e =
   let use env s = match Sym.Map.find_opt s env with Some s' -> s' | None -> s in
-  let bind env s =
-    let s' = Sym.fresh (Sym.base s) in
-    (Sym.Map.add s s' env, s')
-  in
+  let bind env s = Sym.Map.add s (refresh ?renamed s) env in
   let rec go env = function
     | Var s -> Var (use env s)
     | e -> map_scoped ~bind ~use go env e

@@ -180,7 +180,7 @@ val comb_apply : comb -> exp -> exp -> exp
     walks below, so none of them restates the rule. *)
 
 val map_scoped :
-  bind:('env -> Sym.t -> 'env * Sym.t) ->
+  bind:('env -> Sym.t -> 'env) ->
   use:('env -> Sym.t -> Sym.t) ->
   ('env -> exp -> exp) ->
   'env ->
@@ -188,8 +188,8 @@ val map_scoped :
   exp
 (** [map_scoped ~bind ~use f env e] rebuilds one node: each child [c]
     becomes [f env' c], where [env'] is [env] extended through [bind] by
-    every binder [c] sees, and each binder is replaced by the symbol
-    [bind] returns with it.  [use] maps a [Dtail.outer].  A leaf is
+    every binder [c] sees.  [use] maps a [Dtail.outer], and each binder
+    [s], in the environment [bind] gives once [s] is bound.  A leaf is
     returned as it is, and [f] is never applied to [e] itself.
 
     Children are visited in [Rewrite.map_children]'s order, and each
@@ -215,9 +215,12 @@ val subst : exp Sym.Map.t -> exp -> exp
     [Dtail.outer] in the map's domain is replaced too; it must map to a
     [Var], or [Invalid_argument] is raised. *)
 
-val rename_binders : exp -> exp
-(** Refresh every binder in the expression with fresh symbols (used when a
-    transformation duplicates a subterm). *)
+val refresh : ?renamed:(Sym.t -> Sym.t -> unit) -> Sym.t -> Sym.t
+(** A fresh symbol of the same base name; [renamed s s'] is told of it. *)
+
+val rename_binders : ?renamed:(Sym.t -> Sym.t -> unit) -> exp -> exp
+(** Refresh every binder in the expression (used when a transformation
+    duplicates a subterm), in the order {!map_scoped} binds them. *)
 
 val max_sizes_bound : program -> Sym.t -> int option
 (** Static upper bound declared for a size parameter, if any. *)

@@ -13,6 +13,7 @@ val base : t -> string
 (** The base name passed to {!fresh}. *)
 
 val equal : t -> t -> bool
+val hash : t -> int
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 

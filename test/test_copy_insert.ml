@@ -1,10 +1,15 @@
 (* Tile-copy inference (strip mining pass 2). *)
 
+(* the passes on a program checked here *)
+let strip_mine ~tiles p = Strip_mine.program (Validate.check_program p) ~tiles
+let interchange ?budget_words p =
+  Interchange.program ?budget_words (Validate.check_program p)
+
 let value_eq = Value.equal ~eps:1e-6
 
 let full_tiling ?budget_words (bench : Suite.bench) tiles =
   Copy_insert.program ?budget_words
-    (Interchange.program (Strip_mine.program ~tiles bench.Suite.prog))
+    (interchange (strip_mine ~tiles bench.Suite.prog))
 
 let count_copies prog =
   let n = ref 0 in
@@ -25,7 +30,7 @@ let test_map_copy () =
       (Dsl.map1 (Dsl.dfull (Ir.Var d)) (fun idx ->
            Dsl.( *! ) (Dsl.f 2.0) (Dsl.read (Dsl.in_var x) [ idx ])))
   in
-  let tiled = Copy_insert.program (Strip_mine.program ~tiles:[ (d, 8) ] prog) in
+  let tiled = Copy_insert.program (strip_mine ~tiles:[ (d, 8) ] prog) in
   ignore (Validate.check_program tiled);
   Alcotest.(check int) "one tile copy" 1 (count_copies tiled);
   (* no direct reads of the input remain *)
@@ -43,8 +48,8 @@ let test_kmeans_centroid_preload () =
   let t = Kmeans.make () in
   let prog, stats =
     Copy_insert.program_with_stats
-      (Interchange.program
-         (Strip_mine.program ~tiles:[ (t.Kmeans.n, 8) ] t.Kmeans.prog))
+      (interchange
+         (strip_mine ~tiles:[ (t.Kmeans.n, 8) ] t.Kmeans.prog))
   in
   ignore (Validate.check_program prog);
   (match prog.Ir.body with
@@ -68,8 +73,8 @@ let test_kmeans_tile_in_k_loop () =
   ignore bench;
   let prog =
     Copy_insert.program
-      (Interchange.program
-         (Strip_mine.program
+      (interchange
+         (strip_mine
             ~tiles:[ (t.Kmeans.n, 8); (t.Kmeans.k, 2) ]
             t.Kmeans.prog))
   in
@@ -92,8 +97,8 @@ let test_gemm_ytile_placement () =
   let t = Gemm.make () in
   let prog =
     Copy_insert.program
-      (Interchange.program
-         (Strip_mine.program
+      (interchange
+         (strip_mine
             ~tiles:[ (t.Gemm.m, 4); (t.Gemm.n, 4); (t.Gemm.p, 4) ]
             t.Gemm.prog))
   in
@@ -116,8 +121,8 @@ let test_gda_dedup_and_cache () =
   let t = Gda.make () in
   let prog, stats =
     Copy_insert.program_with_stats
-      (Interchange.program
-         (Strip_mine.program ~tiles:[ (t.Gda.n, 8) ] t.Gda.prog))
+      (interchange
+         (strip_mine ~tiles:[ (t.Gda.n, 8) ] t.Gda.prog))
   in
   ignore (Validate.check_program prog);
   (* x is read twice (row r and row c of the outer product) but through
@@ -137,7 +142,7 @@ let test_budget_gate () =
   (* a tiny budget suppresses all copies *)
   let t = Outerprod.make () in
   let stripped =
-    Strip_mine.program ~tiles:[ (t.Outerprod.m, 4); (t.Outerprod.n, 4) ]
+    strip_mine ~tiles:[ (t.Outerprod.m, 4); (t.Outerprod.n, 4) ]
       t.Outerprod.prog
   in
   let prog = Copy_insert.program ~budget_words:1 stripped in
@@ -183,7 +188,7 @@ let prop_sliding_window =
           ~inputs:[ x ] body
       in
       let tiled =
-        Copy_insert.program (Strip_mine.program ~tiles:[ (d, tile) ] prog)
+        Copy_insert.program (strip_mine ~tiles:[ (d, tile) ] prog)
       in
       ignore (Validate.check_program tiled);
       let rng = Workloads.Rng.make (n * tile) in
@@ -211,7 +216,7 @@ let prop_window_has_reuse =
           ~inputs:[ x ] body
       in
       let tiled =
-        Copy_insert.program (Strip_mine.program ~tiles:[ (d, 8) ] prog)
+        Copy_insert.program (strip_mine ~tiles:[ (d, 8) ] prog)
       in
       let reuse = ref 0 in
       Rewrite.iter_exp

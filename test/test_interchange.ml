@@ -1,6 +1,11 @@
 (* Pattern interchange (Section 4, Table 3, Fig. 5b): structural checks on
    gemm and k-means plus semantic equivalence across the whole suite. *)
 
+(* the passes on a program checked here *)
+let strip_mine ~tiles p = Strip_mine.program (Validate.check_program p) ~tiles
+let interchange ?budget_words p =
+  Interchange.program ?budget_words (Validate.check_program p)
+
 let value_eq = Value.equal ~eps:1e-6
 
 let check_value msg expected actual =
@@ -9,7 +14,7 @@ let check_value msg expected actual =
       (Value.to_string actual)
 
 let tile_then_interchange (bench : Suite.bench) tiles =
-  Interchange.program (Strip_mine.program ~tiles bench.Suite.prog)
+  interchange (strip_mine ~tiles bench.Suite.prog)
 
 (* Table 3: after interchange, gemm's strided p-tile fold is outside the
    unstrided (b0, b1) map. *)
@@ -18,7 +23,7 @@ let test_gemm_structure () =
   let bench = Suite.find (Suite.all ()) "gemm" in
   ignore bench;
   let tiles = [ (t.Gemm.m, 4); (t.Gemm.n, 4); (t.Gemm.p, 4) ] in
-  let prog = Interchange.program (Strip_mine.program ~tiles t.Gemm.prog) in
+  let prog = interchange (strip_mine ~tiles t.Gemm.prog) in
   ignore (Validate.check_program prog);
   (* there must be a strided Fold whose update contains an unstrided Map
      which itself contains the per-tile (Dtail) fold *)
@@ -50,7 +55,7 @@ let test_gemm_structure () =
 let test_kmeans_structure () =
   let t = Kmeans.make () in
   let tiles = [ (t.Kmeans.n, 8); (t.Kmeans.k, 2) ] in
-  let prog = Interchange.program (Strip_mine.program ~tiles t.Kmeans.prog) in
+  let prog = interchange (strip_mine ~tiles t.Kmeans.prog) in
   ignore (Validate.check_program prog);
   let found_split = ref false in
   Rewrite.iter_exp
@@ -74,8 +79,8 @@ let test_no_split_when_too_large () =
      its imperfect nest (and stays correct) *)
   let t = Kmeans.make () in
   let tiles = [ (t.Kmeans.n, 8); (t.Kmeans.k, 2) ] in
-  let stripped = Strip_mine.program ~tiles t.Kmeans.prog in
-  let prog = Interchange.program ~budget_words:4 stripped in
+  let stripped = strip_mine ~tiles t.Kmeans.prog in
+  let prog = interchange ~budget_words:4 stripped in
   let found_split = ref false in
   Rewrite.iter_exp
     (function
@@ -141,8 +146,8 @@ let colsum_prog () =
 
 let test_rule2_structure () =
   let prog, _n, d, _x = colsum_prog () in
-  let stripped = Strip_mine.program ~tiles:[ (d, 8) ] prog in
-  let out = Interchange.program stripped in
+  let stripped = strip_mine ~tiles:[ (d, 8) ] prog in
+  let out = interchange stripped in
   (* after rule 2, the top pattern is a strided MultiFold whose update
      region holds an unstrided fold *)
   match out.Ir.body with
@@ -160,7 +165,7 @@ let prop_rule2_equiv =
     QCheck.(triple (int_range 1 20) (int_range 1 24) (int_range 1 6))
     (fun (nv, dv, tile) ->
       let prog, n, d, x = colsum_prog () in
-      let out = Interchange.program (Strip_mine.program ~tiles:[ (d, tile) ] prog) in
+      let out = interchange (strip_mine ~tiles:[ (d, tile) ] prog) in
       ignore (Validate.check_program out);
       let rng = Workloads.Rng.make (nv + dv) in
       let xs = Workloads.float_matrix rng nv dv in
@@ -180,7 +185,7 @@ let prop_gemm_equiv =
     (fun ((m, n, p), (b0, b1, b2)) ->
       let t = Gemm.make () in
       let tiles = [ (t.Gemm.m, b0); (t.Gemm.n, b1); (t.Gemm.p, b2) ] in
-      let prog = Interchange.program (Strip_mine.program ~tiles t.Gemm.prog) in
+      let prog = interchange (strip_mine ~tiles t.Gemm.prog) in
       let sizes = [ (t.Gemm.m, m); (t.Gemm.n, n); (t.Gemm.p, p) ] in
       let inputs = Gemm.gen_inputs t ~seed:(m + (13 * n) + (7 * p)) ~m ~n ~p in
       value_eq
@@ -196,7 +201,7 @@ let prop_kmeans_equiv =
     (fun ((n, k, d), (b0, b1)) ->
       let t = Kmeans.make () in
       let tiles = [ (t.Kmeans.n, b0); (t.Kmeans.k, b1) ] in
-      let prog = Interchange.program (Strip_mine.program ~tiles t.Kmeans.prog) in
+      let prog = interchange (strip_mine ~tiles t.Kmeans.prog) in
       let sizes = [ (t.Kmeans.n, n); (t.Kmeans.k, k); (t.Kmeans.d, d) ] in
       let inputs = Kmeans.gen_inputs t ~seed:(n + k + d) ~n ~k ~d in
       value_eq

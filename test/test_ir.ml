@@ -219,11 +219,11 @@ let test_check_apps () =
     (fun bench ->
       let expected = List.assoc bench.Suite.name expect in
       Alcotest.check ty bench.Suite.name expected
-        (Validate.check_program bench.Suite.prog))
+        (Validate.result (Validate.check_program bench.Suite.prog)))
     (Suite.all ());
   let h = Histogram.make () in
   Alcotest.check ty "histogram" (Ty.Assoc (Ty.int_, Ty.int_))
-    (Validate.check_program h.Histogram.prog)
+    (Validate.result (Validate.check_program h.Histogram.prog))
 
 let test_pp_roundtrip_smoke () =
   (* pretty printing all apps must not raise and must mention the pattern *)

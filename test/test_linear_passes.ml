@@ -8,8 +8,8 @@
    - [Rewrite.iter_exp] walking through [map_children];
    - [Validate.infer] re-checking every subtree whose type the tiling
      passes and [Lower] now synthesize with [Validate.type_of], under
-     each subtree's scope and under the program's
-     [Validate.binder_types], whose premise (no symbol bound twice) is
+     the binder table each stage hands on (its check's, or the one
+     [Interchange] extends), whose premise (no symbol bound twice) is
      checked too.
    They are checked on every stage of every suite program and of random
    programs, as is the IR's scoping rule (see [scoping_violation]). *)
@@ -103,17 +103,20 @@ let typing_sites env e =
   go env e;
   List.rev !sites
 
-(* the first node of a checked program whose synthesized type differs
-   from the checked one, under the node's scope or under the program's
-   binder table *)
-let type_of_mismatch (p : Ir.program) =
-  let table = Validate.binder_types p in
+(* the first node of a checked program whose synthesized type under
+   [table] differs from the checked one, or under whose scope a binder has
+   another type in [table] *)
+let type_of_mismatch (p : Ir.program) table =
   List.find_opt
     (fun (env, e) ->
-      let t = Validate.infer env e in
       not
-        (Ty.equal (Validate.type_of env e) t
-        && Ty.equal (Validate.type_of table e) t))
+        (Ty.equal (Validate.type_of table e) (Validate.infer env e)
+        && Sym.Map.for_all
+             (fun s t ->
+               match Validate.binder_type table s with
+               | t' -> Ty.equal t' t
+               | exception Not_found -> false)
+             env))
     (typing_sites (Validate.initial_env p) p.Ir.body)
 
 (* the binders a pattern node introduces itself: its indices, shared
@@ -149,8 +152,8 @@ let bound_twice (p : Ir.program) =
   !twice
 
 (* [None] when every pass agrees with its reference on [p], else the name
-   of the first that does not *)
-let disagreement (p : Ir.program) =
+   of the first that does not; [table] is the binder table [p] comes with *)
+let disagreement (p : Ir.program) table =
   let e = p.Ir.body in
   if Simplify.exp e <> old_simplify e then Some "simplify"
   else if Code_motion.exp e <> old_code_motion e then Some "code-motion"
@@ -164,7 +167,7 @@ let disagreement (p : Ir.program) =
   then Some "iter_exp order"
   else if Option.is_some (bound_twice p) then
     Some "binder table (a symbol bound twice)"
-  else if Option.is_some (type_of_mismatch p) then Some "type_of"
+  else if Option.is_some (type_of_mismatch p table) then Some "type_of"
   else None
 
 let is_pattern = function
@@ -215,22 +218,39 @@ let stages (r : Tiling.result) source =
     ("stripped+copies", r.Tiling.stripped_with_copies);
     ("tiled", r.Tiling.tiled) ]
 
+(* every stage with the binder table it comes with: the one its [Tiling]
+   check hands on, the one [Interchange] extends from the stripped check
+   for its own output, and for the two stages no pass reads, their own
+   check's *)
+let tables (r : Tiling.result) source =
+  let checked p = (p, Validate.table (Validate.check_program p)) in
+  let handed c = (Validate.program c, Validate.table c) in
+  [ ("source", checked source);
+    ("fused", handed r.Tiling.fused_check);
+    ("stripped", handed r.Tiling.stripped_check);
+    ( "interchanged",
+      (* the rules add the binders they mint to the stripped check's table *)
+      let p = Interchange.program r.Tiling.stripped_check in
+      (p, Validate.table r.Tiling.stripped_check) );
+    ("stripped+copies", checked r.Tiling.stripped_with_copies);
+    ("tiled", handed r.Tiling.tiled_check) ]
+
 let test_suite_stages () =
   List.iter
     (fun (b : Suite.bench) ->
       let r = Tiling.run ~tiles:b.Suite.tiles b.Suite.prog in
       List.iter
-        (fun (stage, p) ->
-          match disagreement p with
+        (fun (stage, (p, table)) ->
+          match disagreement p table with
           | None -> ()
           | Some pass ->
               Alcotest.failf "%s %s: %s differs from the reference"
                 b.Suite.name stage pass)
-        (stages r b.Suite.prog))
+        (tables r b.Suite.prog))
     (Suite.extended ())
 
-(* the random program of [seed] at every stage, and its shape *)
-let random_stages seed =
+(* the random program of [seed] tiled, the program, and its shape *)
+let random_tiling seed =
   let rng = R.make seed in
   let shape_id = R.int rng Gen_programs.n_shapes in
   let s = Gen_programs.make_setup rng shape_id in
@@ -239,22 +259,26 @@ let random_stages seed =
       [ (if R.int rng 4 > 0 then [ (s.Gen_programs.n, 1 + R.int rng 8) ] else []);
         (if R.int rng 4 > 0 then [ (s.Gen_programs.m, 1 + R.int rng 8) ] else []) ]
   in
-  (shape_id, stages (Tiling.run ~tiles s.Gen_programs.prog) s.Gen_programs.prog)
+  (shape_id, Tiling.run ~tiles s.Gen_programs.prog, s.Gen_programs.prog)
+
+let random_stages seed =
+  let shape_id, r, source = random_tiling seed in
+  (shape_id, stages r source)
 
 let prop_random_stages =
   QCheck.Test.make ~name:"random programs: passes equal their references"
     ~count:80
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
-      let shape_id, stages = random_stages seed in
+      let shape_id, r, source = random_tiling seed in
       List.iter
-        (fun (stage, p) ->
-          match disagreement p with
+        (fun (stage, (p, table)) ->
+          match disagreement p table with
           | None -> ()
           | Some pass ->
               QCheck.Test.fail_reportf "shape %d seed %d %s: %s differs"
                 shape_id seed stage pass)
-        stages;
+        (tables r source);
       true)
 
 let test_suite_scoping () =
@@ -389,7 +413,7 @@ let test_visit_order () =
         Sym.Set.empty e;
       let rebuilt =
         Ir.map_scoped
-          ~bind:(fun env s -> (Sym.Set.add s env, s))
+          ~bind:(fun env s -> Sym.Set.add s env)
           ~use:(fun _ s -> s)
           (fun env c ->
             mapped := (env, c) :: !mapped;
@@ -480,6 +504,47 @@ let test_nan_terminates () =
        (function Ir.Copy _ -> true | _ -> false)
        r.Tiling.tiled.Ir.body)
 
+(* binders are fresh symbols, and one table holds them all: the check
+   rejects a symbol bound twice, here at two types in sibling scopes,
+   where a scoped environment alone would type it (Int, Float) *)
+let test_bound_twice () =
+  let x = Sym.fresh "x" in
+  let body =
+    Ir.Tup [ Ir.Let (x, Ir.Ci 1, Ir.Var x); Ir.Let (x, Ir.Cf 1.0, Ir.Var x) ]
+  in
+  let p =
+    { Ir.pname = "twice"; size_params = []; max_sizes = []; inputs = []; body }
+  in
+  match Validate.check_program p with
+  | _ -> Alcotest.fail "a symbol bound twice was accepted"
+  | exception Validate.Type_error msg ->
+      Alcotest.(check string)
+        "message"
+        (Printf.sprintf "symbol %s is bound twice" (Sym.name x))
+        msg
+
+(* lowering the check a [Tiling] stage hands on gives the design lowering
+   the plain program (which checks and stamps it) gives *)
+let test_shape_of_checked () =
+  List.iter
+    (fun (b : Suite.bench) ->
+      let r = Tiling.run ~tiles:b.Suite.tiles b.Suite.prog in
+      List.iter
+        (fun config ->
+          let opts, p = Experiments.form config r in
+          let check =
+            match config with
+            | Experiments.Baseline -> r.Tiling.fused_check
+            | Experiments.Tiled | Experiments.Tiled_meta -> r.Tiling.tiled_check
+          in
+          let text d = Hw_pp.design_to_string d in
+          Alcotest.(check string)
+            (b.Suite.name ^ " " ^ Experiments.config_name config)
+            (text (Lower.program opts p))
+            (text (Lower.bind opts.Lower.par (Lower.shape opts check))))
+        [ Experiments.Baseline; Experiments.Tiled; Experiments.Tiled_meta ])
+    (Suite.extended ())
+
 let () =
   Alcotest.run "linear_passes"
     [ ( "references",
@@ -492,6 +557,10 @@ let () =
         [ Alcotest.test_case "visit order" `Quick test_visit_order;
           Alcotest.test_case "subst keeps unchanged index lists" `Quick
             test_subst_keeps_binders ] );
+      ( "checks",
+        [ Alcotest.test_case "a symbol bound twice" `Quick test_bound_twice;
+          Alcotest.test_case "shape of a checked stage" `Quick
+            test_shape_of_checked ] );
       ( "fixpoints",
         [ Alcotest.test_case "NaN constant terminates" `Quick
             test_nan_terminates ] ) ]

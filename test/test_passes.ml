@@ -1,5 +1,8 @@
 (* Fusion, CSE, code motion, simplification, alpha-equivalence. *)
 
+(* the passes on a program checked here *)
+let strip_mine ~tiles p = Strip_mine.program (Validate.check_program p) ~tiles
+
 open Dsl
 
 let value_eq = Value.equal ~eps:1e-6
@@ -269,7 +272,7 @@ let test_filter_reduce_fusion () =
     (Eval.eval_program t.Tpchq6.prog ~sizes ~inputs)
     (Eval.eval_program fused ~sizes ~inputs);
   (* and the fused program still tiles correctly *)
-  let tiled = Strip_mine.program ~tiles:[ (t.Tpchq6.n, 16) ] fused in
+  let tiled = strip_mine ~tiles:[ (t.Tpchq6.n, 16) ] fused in
   check_value "q6 fused+tiled"
     (Eval.eval_program t.Tpchq6.prog ~sizes ~inputs)
     (Eval.eval_program tiled ~sizes ~inputs)
@@ -333,12 +336,12 @@ let test_staged_tiling_matches_run () =
       let r = Tiling.run ~tiles b.Suite.prog in
       let front = Tiling.front b.Suite.prog in
       same_program (b.Suite.name ^ " fused") r.Tiling.fused
-        (Tiling.fused front);
+        (Validate.program (Tiling.fused front));
       same_program (b.Suite.name ^ " tiled") r.Tiling.tiled
-        (Tiling.tiled front ~tiles);
+        (Validate.program (Tiling.tiled front ~tiles));
       (* one front serves any number of tile configurations *)
       same_program (b.Suite.name ^ " tiled again") r.Tiling.tiled
-        (Tiling.tiled front ~tiles))
+        (Validate.program (Tiling.tiled front ~tiles)))
     (Suite.extended ())
 
 let test_rejected_tiles_run_no_pass () =

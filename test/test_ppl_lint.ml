@@ -297,6 +297,36 @@ let gen_case =
     list_repeat nmaps (int_range (-2) 2) >>= fun consts ->
     return (extents, coeffs, consts))
 
+(* The oracle: brute force over the concrete box (extents exact here,
+   not upper bounds), the first pair of distinct points with equal
+   images, or [None]; cost is the product of the extents. *)
+exception Found of int list * int list
+
+let collision ~axes maps =
+  let syms = List.map fst axes in
+  let eval pt (m : Affine.t) =
+    List.fold_left2
+      (fun acc s v -> acc + (Affine.coeff m s * v))
+      m.Affine.const syms pt
+  in
+  let rec enum axes k =
+    match axes with
+    | [] -> k []
+    | (_, e) :: rest ->
+        for v = 0 to e - 1 do
+          enum rest (fun tail -> k (v :: tail))
+        done
+  in
+  let tbl = Hashtbl.create 64 in
+  try
+    enum axes (fun pt ->
+        let image = List.map (eval pt) maps in
+        match Hashtbl.find_opt tbl image with
+        | Some prev -> raise (Found (prev, pt))
+        | None -> Hashtbl.add tbl image pt);
+    None
+  with Found (a, b) -> Some (a, b)
+
 let prop_injectivity_vs_bruteforce =
   QCheck.Test.make ~name:"depend: injectivity agrees with brute force"
     ~count:500
@@ -315,7 +345,7 @@ let prop_injectivity_vs_bruteforce =
           coeffs consts
       in
       let brute =
-        Depend.collision ~axes:(List.combine syms extents) maps
+        collision ~axes:(List.combine syms extents) maps
       in
       match Depend.injectivity ~axes maps with
       | Depend.Injective -> brute = None

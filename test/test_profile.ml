@@ -3,6 +3,9 @@
    must match both the paper's closed forms and the hardware simulator's
    DRAM traffic counters. *)
 
+(* the passes on a program checked here *)
+let strip_mine ~tiles p = Strip_mine.program (Validate.check_program p) ~tiles
+
 let test_untiled_counts () =
   (* fused kmeans reads points n*k*d + n*d times (distance fold reads the
      point row per centroid) and centroids n*k*d times, at the IR level *)
@@ -90,7 +93,7 @@ let test_reuse_discount () =
     Dsl.program ~name:"win" ~sizes:[ d ] ~max_sizes:[ (d, 4096) ] ~inputs:[ x ]
       body
   in
-  let tiled = Copy_insert.program (Strip_mine.program ~tiles:[ (d, 16) ] prog) in
+  let tiled = Copy_insert.program (strip_mine ~tiles:[ (d, 16) ] prog) in
   let dv = 64 in
   let rng = Workloads.Rng.make 5 in
   let xs = Workloads.float_vector rng (dv + 2) in

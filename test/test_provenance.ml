@@ -23,7 +23,7 @@ let cfg_name = Experiments.config_name
    stamping is a deterministic preorder pass, so stamping the source
    program here reproduces exactly the ids Tiling.run assigns *)
 let source_origins (bench : Suite.bench) =
-  let p = Prov_stamp.program bench.Suite.prog in
+  let p = Prov_stamp.program (Validate.check_program bench.Suite.prog) in
   let acc = ref [ p.Ir.pname ^ "/top" ] in
   Rewrite.iter_exp
     (fun e ->
@@ -57,7 +57,10 @@ let test_stamp_source () =
       Alcotest.(check bool)
         (bench.Suite.name ^ ": source unstamped") true
         (Rewrite.exists_exp unstamped p.Ir.body);
-      let stamped = Prov_stamp.program p in
+      Alcotest.(check bool)
+        (bench.Suite.name ^ ": its check sees it") false
+        (Validate.stamped (Validate.check_program p));
+      let stamped = Prov_stamp.program (Validate.check_program p) in
       Alcotest.(check bool)
         (bench.Suite.name ^ ": every pattern stamped") false
         (Rewrite.exists_exp unstamped stamped.Ir.body);
@@ -66,15 +69,18 @@ let test_stamp_source () =
         (stamped = { p with Ir.body = Prov_stamp.exp ~pname:p.Ir.pname p.Ir.body }))
     (Suite.extended ())
 
-(* every stage Tiling returns is stamped throughout, so restamping it
-   (as Lower.shape does) hands the same program back *)
+(* every stage Tiling returns is stamped throughout, as its check sees,
+   so restamping it (as Lower.shape does) hands the same program back *)
 let test_restamp_tiling_output () =
   List.iter
     (fun (bench : Suite.bench) ->
       let r = Tiling.run ~tiles:bench.Suite.tiles bench.Suite.prog in
       List.iter
         (fun (stage, p) ->
-          if Prov_stamp.program p != p then
+          let c = Validate.check_program p in
+          if Rewrite.exists_exp unstamped p.Ir.body || not (Validate.stamped c)
+          then Alcotest.failf "%s %s: not stamped throughout" bench.Suite.name stage;
+          if Prov_stamp.program c != p then
             Alcotest.failf "%s %s: restamping rebuilt the program"
               bench.Suite.name stage)
         [ ("fused", r.Tiling.fused);

@@ -190,15 +190,16 @@ let prop_shape_bind =
                 d.Hw.mems;
               if p > 1 && banked p d <> banked 16 (Lower.bind 16 shaped) then
                 fail "banked memories differ between par %d and 16" p;
-              if d <> Lower.program { opts with Lower.par = p } prog then
+              if d <> Lower.program { opts with Lower.par = p } (Validate.program prog)
+              then
                 fail "bind %d differs from Lower.program" p)
             [ 1; 3; 16 ];
           match Lower.bind 0 shaped with
           | _ -> fail "bind 0 accepted"
           | exception Invalid_argument _ -> ())
-        [ (result.Tiling.tiled, Lower.default_opts);
-          (result.Tiling.tiled, { Lower.default_opts with Lower.meta = false });
-          (result.Tiling.fused, Lower.baseline_opts) ];
+        [ (result.Tiling.tiled_check, Lower.default_opts);
+          (result.Tiling.tiled_check, { Lower.default_opts with Lower.meta = false });
+          (result.Tiling.fused_check, Lower.baseline_opts) ];
       true)
 
 (* printed text of any stage parses back to a program with identical

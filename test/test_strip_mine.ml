@@ -3,6 +3,9 @@
    benchmark, including ragged sizes where tiles do not divide the
    domain. *)
 
+(* the passes on a program checked here *)
+let strip_mine ~tiles p = Strip_mine.program (Validate.check_program p) ~tiles
+
 open Dsl
 
 let value_eq = Value.equal ~eps:1e-6
@@ -13,14 +16,14 @@ let check_value msg expected actual =
       (Value.to_string actual)
 
 let strip (bench : Suite.bench) =
-  Strip_mine.program ~tiles:bench.Suite.tiles bench.Suite.prog
+  strip_mine ~tiles:bench.Suite.tiles bench.Suite.prog
 
 (* every strip-mined benchmark still type checks, with the same type *)
 let test_types_preserved () =
   List.iter
     (fun bench ->
-      let t0 = Validate.check_program bench.Suite.prog in
-      let t1 = Validate.check_program (strip bench) in
+      let t0 = Validate.result (Validate.check_program bench.Suite.prog) in
+      let t1 = Validate.result (Validate.check_program (strip bench)) in
       Alcotest.(check bool)
         (bench.Suite.name ^ " type preserved")
         true (Ty.equal t0 t1))
@@ -75,7 +78,7 @@ let test_small_tiles (bench : Suite.bench) () =
   List.iter
     (fun tile ->
       let tiled =
-        Strip_mine.program ~tiles:(small_tiles bench tile) bench.Suite.prog
+        strip_mine ~tiles:(small_tiles bench tile) bench.Suite.prog
       in
       ignore (Validate.check_program tiled);
       let sizes = bench.Suite.test_sizes in
@@ -98,7 +101,7 @@ let test_map_rule_structure () =
     program ~name:"scale" ~sizes:[ d ] ~inputs:[ x ]
       (map1 (dfull (Ir.Var d)) (fun idx -> f 2.0 *! read (in_var x) [ idx ]))
   in
-  let tiled = Strip_mine.program ~tiles:[ (d, 4) ] prog in
+  let tiled = strip_mine ~tiles:[ (d, 4) ] prog in
   match tiled.Ir.body with
   | Ir.MultiFold { odims = [ Ir.Dtiles { tile = 4; _ } ]; ocomb = None;
                    oouts = [ out ]; _ } -> (
@@ -122,7 +125,7 @@ let test_fold_rule_structure () =
          ~comb:(fun a b -> a +! b)
          (fun idx acc -> acc +! read (in_var x) [ idx ]))
   in
-  let tiled = Strip_mine.program ~tiles:[ (d, 8) ] prog in
+  let tiled = strip_mine ~tiles:[ (d, 8) ] prog in
   match tiled.Ir.body with
   | Ir.Fold { fdims = [ Ir.Dtiles { tile = 8; _ } ]; fupd; _ } ->
       let has_inner_fold =
@@ -140,7 +143,7 @@ let test_sumrows_localization () =
      buffer (range = tile extents), the outer writes tile slices *)
   let t = Sumrows.make () in
   let tiled =
-    Strip_mine.program
+    strip_mine
       ~tiles:[ (t.Sumrows.m, 4); (t.Sumrows.n, 8) ]
       t.Sumrows.prog
   in
@@ -170,7 +173,7 @@ let test_kmeans_fold_shape () =
      per-tile MultiFold carrying the shared minDist binding *)
   let t = Kmeans.make () in
   let tiled =
-    Strip_mine.program ~tiles:[ (t.Kmeans.n, 8); (t.Kmeans.k, 2) ] t.Kmeans.prog
+    strip_mine ~tiles:[ (t.Kmeans.n, 8); (t.Kmeans.k, 2) ] t.Kmeans.prog
   in
   let has_outer_fold = ref false in
   Rewrite.iter_exp
@@ -190,7 +193,7 @@ let test_kmeans_fold_shape () =
 
 let test_flatmap_rule_structure () =
   let t = Tpchq6.make () in
-  let tiled = Strip_mine.program ~tiles:[ (t.Tpchq6.n, 16) ] t.Tpchq6.prog in
+  let tiled = strip_mine ~tiles:[ (t.Tpchq6.n, 16) ] t.Tpchq6.prog in
   let nested =
     Rewrite.exists_exp
       (function
@@ -205,7 +208,7 @@ let test_flatmap_rule_structure () =
 
 let test_groupbyfold_rule_structure () =
   let t = Histogram.make () in
-  let tiled = Strip_mine.program ~tiles:[ (t.Histogram.n, 16) ] t.Histogram.prog in
+  let tiled = strip_mine ~tiles:[ (t.Histogram.n, 16) ] t.Histogram.prog in
   (match tiled.Ir.body with
   | Ir.GroupByFold { gdims = [ Ir.Dtiles { tile = 16; _ }; Ir.Dtail _ ]; _ } -> ()
   | _ -> Alcotest.fail "groupByFold not flattened-tiled");
@@ -220,7 +223,7 @@ let test_untiled_untouched () =
   (* strip mining with an empty tile set is the identity on structure *)
   List.iter
     (fun bench ->
-      let out = Strip_mine.program ~tiles:[] bench.Suite.prog in
+      let out = strip_mine ~tiles:[] bench.Suite.prog in
       let sizes = bench.Suite.test_sizes in
       let inputs = bench.Suite.gen ~sizes ~seed:0 in
       check_value
@@ -247,7 +250,7 @@ let prop_map_fold_equiv =
               (fun idx acc -> acc +! read doubled [ idx ]))
       in
       let prog = program ~name:"p" ~sizes:[ d ] ~inputs:[ x ] body in
-      let tiled = Strip_mine.program ~tiles:[ (d, tile) ] prog in
+      let tiled = strip_mine ~tiles:[ (d, tile) ] prog in
       let rng = Workloads.Rng.make seed in
       let xs = Workloads.float_vector rng dval in
       let inputs = [ (x.Ir.iname, Workloads.value_of_vector xs) ] in
