@@ -31,6 +31,7 @@ let try_rule1 ctx { mdims; midxs; mbody; mprov } =
       { fdims = [ (Dtiles _ as sd) ]; fidxs = [ kk ]; finit; facc; fupd; fcomb;
         fprov }
     when unstrided mdims && Ty.array_free (type_of ctx finit) ->
+      (* the lifted accumulator and combine parameters *)
       let lifted_t = Ty.Array (type_of ctx finit, List.length mdims) in
       let kk' = fresh ctx kk in
       let lift body_build =
@@ -66,8 +67,9 @@ let try_rule1 ctx { mdims; midxs; mbody; mprov } =
       let comb_body =
         lift (fun sigma idx_vars ->
             ignore sigma;
-            comb_apply (Combs.rename ~renamed:(copy ctx) fcomb) (Read (Var a, idx_vars))
-              (Read (Var b, idx_vars)))
+            comb_apply
+              (Combs.rename ~renamed:(copy ctx) fcomb)
+              (Read (Var a, idx_vars)) (Read (Var b, idx_vars)))
       in
       Some
         (Fold

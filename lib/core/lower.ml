@@ -1132,13 +1132,13 @@ let lower_design opts types (p : program) =
   (* finalizing maps the memories in order, so the flags still line up *)
   { design; banked }
 
-let lower = Trace.named_pass "lower"
+let lower_pass = Trace.pass "lower"
 
 let shape opts c =
   (* a program built without Tiling arrives unstamped; a Tiling output
      is stamped throughout, as its check saw *)
   let p = Prov_stamp.program c in
-  Trace.pass lower
+  lower_pass
     ~args:(fun s ->
       let d = s.design in
       [ ("program", Trace.Str d.Hw.design_name);

@@ -65,10 +65,10 @@ let finalize_uninstrumented (design : Hw.design) =
   in
   Hw.count_ports { design with Hw.mems }
 
-let metapipe = Trace.named_pass "metapipe"
+let metapipe_pass = Trace.pass "metapipe"
 
 let finalize (design : Hw.design) =
-  Trace.pass metapipe
+  metapipe_pass
     ~args:(fun d ->
       let dbufs =
         List.length

@@ -26,35 +26,35 @@ let canonicalize_lens (p : Ir.program) =
   in
   { p with body = Rewrite.bottom_up rule p.body }
 
-let fusion_pass = Trace.named_pass "fusion"
-let cse_pass = Trace.named_pass "cse"
-let code_motion_pass = Trace.named_pass "code-motion"
-let simplify_pass = Trace.named_pass "simplify"
-let strip_mine_pass = Trace.named_pass "strip-mine"
-let copy_insert_pass = Trace.named_pass "copy-insert"
-let interchange_pass = Trace.named_pass "interchange"
-
 (* Run one program->program pass under observability: a wall-clock span
    carrying before/after Ir_stats deltas (when tracing is on) and an
-   accumulated [pass.<name>] timer in the metrics registry (always). *)
-let traced_pass pass f p =
-  Trace.pass pass
-    ~args:(fun r ->
-      let b = Ir_stats.of_program p and a = Ir_stats.of_program r in
-      [ ("nodes_before", Trace.Int b.Ir_stats.nodes);
-        ("nodes_after", Trace.Int a.Ir_stats.nodes);
-        ("copies_before", Trace.Int b.Ir_stats.copies);
-        ("copies_after", Trace.Int a.Ir_stats.copies);
-        ("strided_before", Trace.Int b.Ir_stats.strided_loops);
-        ("strided_after", Trace.Int a.Ir_stats.strided_loops);
-        ("nest_before", Trace.Int b.Ir_stats.max_nest);
-        ("nest_after", Trace.Int a.Ir_stats.max_nest) ])
-    (fun () -> f p)
+   accumulated [pass.<name>] timer in the metrics registry (always).
+   Applied to its name alone, it builds the metric name once. *)
+let traced_pass name =
+  let pass = Trace.pass name in
+  fun f p ->
+    pass
+      ~args:(fun r ->
+        let b = Ir_stats.of_program p and a = Ir_stats.of_program r in
+        [ ("nodes_before", Trace.Int b.Ir_stats.nodes);
+          ("nodes_after", Trace.Int a.Ir_stats.nodes);
+          ("copies_before", Trace.Int b.Ir_stats.copies);
+          ("copies_after", Trace.Int a.Ir_stats.copies);
+          ("strided_before", Trace.Int b.Ir_stats.strided_loops);
+          ("strided_after", Trace.Int a.Ir_stats.strided_loops);
+          ("nest_before", Trace.Int b.Ir_stats.max_nest);
+          ("nest_after", Trace.Int a.Ir_stats.max_nest) ])
+      (fun () -> f p)
 
-let cleanup p =
-  traced_pass simplify_pass Simplify.program
-    (traced_pass code_motion_pass Code_motion.program
-       (traced_pass cse_pass Cse.program p))
+let simplify = traced_pass "simplify" Simplify.program
+let copy_insert = traced_pass "copy-insert" Copy_insert.program
+let strip_mine_pass = traced_pass "strip-mine"
+let interchange_pass = traced_pass "interchange"
+
+let cleanup =
+  let cse = traced_pass "cse" Cse.program in
+  let code_motion = traced_pass "code-motion" Code_motion.program in
+  fun p -> simplify (code_motion (cse p))
 
 (* The tile-independent front of the pipeline: the checked fused form and
    its strip miner, which types binders from that check's table.  A
@@ -82,7 +82,7 @@ let front_passes ?fuse_filters (source : Ir.program) =
     let p = Prov_stamp.program (Validate.check_program source) in
     let fused =
       cleanup
-        (traced_pass fusion_pass (Fusion.program ?fuse_filters)
+        (traced_pass "fusion" (Fusion.program ?fuse_filters)
            (canonicalize_lens p))
     in
     Log.debug (fun m ->
@@ -119,10 +119,7 @@ let check_tiles (source : Ir.program) tiles =
 let strip f ~tiles =
   let fused, strip_mine = staged f in
   let stripped =
-    traced_pass simplify_pass Simplify.program
-      (traced_pass strip_mine_pass
-         (fun _ -> strip_mine ~tiles)
-         (Validate.program fused))
+    simplify (strip_mine_pass (fun _ -> strip_mine ~tiles) (Validate.program fused))
   in
   Log.debug (fun m ->
       m "%s: strip-mined (%d nodes)" f.source.Ir.pname (nodes stripped));
@@ -131,8 +128,8 @@ let strip f ~tiles =
 let interchange f stripped =
   let tiled =
     cleanup
-      (traced_pass copy_insert_pass Copy_insert.program
-         (traced_pass interchange_pass
+      (copy_insert
+         (interchange_pass
             (fun _ -> Interchange.program stripped)
             (Validate.program stripped)))
   in
@@ -152,11 +149,7 @@ let run ?fuse_filters ~tiles (p : Ir.program) =
   tiling_span p (fun () ->
       let f = front_passes ?fuse_filters p in
       let stripped = strip f ~tiles in
-      let stripped_with_copies =
-        cleanup
-          (traced_pass copy_insert_pass Copy_insert.program
-             (Validate.program stripped))
-      in
+      let stripped_with_copies = cleanup (copy_insert (Validate.program stripped)) in
       ignore (Validate.check_program stripped_with_copies);
       let tiled = interchange f stripped and fused = fused f in
       let p = Validate.program in

@@ -4,7 +4,11 @@ type value =
   | Timer of { seconds : float; count : int }
 
 (* minor-heap words as a float, as [Gc.minor_words] counts them *)
-type timer_state = { mutable t_seconds : float; mutable t_count : int; mutable t_words : float }
+type timer_state = {
+  mutable t_seconds : float;
+  mutable t_count : int;
+  mutable t_words : float;
+}
 
 type entry =
   | Ecounter of int Atomic.t

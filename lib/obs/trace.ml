@@ -85,21 +85,19 @@ let with_span ?args name f =
         raise e
   end
 
-type pass = { name : string; metric : string }
-
-let named_pass name = { name; metric = "pass." ^ name }
-
-let pass { name; metric } ~args f =
-  Metrics.time metric (fun () ->
-      if not (enabled ()) then f ()
-      else begin
-        let recorded = ref [] in
-        with_span ~args:(fun () -> !recorded) name
-          (fun () ->
-            let r = f () in
-            recorded := args r;
-            r)
-      end)
+let pass name =
+  let metric = "pass." ^ name in
+  fun ~args f ->
+    Metrics.time metric (fun () ->
+        if not (enabled ()) then f ()
+        else begin
+          let recorded = ref [] in
+          with_span ~args:(fun () -> !recorded) name
+            (fun () ->
+              let r = f () in
+              recorded := args r;
+              r)
+        end)
 
 let virtual_span ?(cat = "sim") ~track ~name ~start ~finish ?(args = []) () =
   if enabled () then

@@ -52,18 +52,14 @@ val with_span :
     after-pass IR stats stashed in a ref by [f]).  The span is recorded
     even when [f] raises. *)
 
-type pass
-(** A compiler pass's span name and metric name, built once. *)
-
-val named_pass : string -> pass
-
-val pass : pass -> args:('a -> (string * arg) list) -> (unit -> 'a) -> 'a
-(** [pass (named_pass name) ~args f] runs one compiler pass [f ()]:
-    always timed as the [pass.<name>] metric ({!Metrics.time}, which
-    also counts its words as [pass.<name>.words]), and when tracing is on
+val pass : string -> args:('a -> (string * arg) list) -> (unit -> 'a) -> 'a
+(** [pass name ~args f] runs one compiler pass [f ()]: always timed as
+    the [pass.<name>] metric ({!Metrics.time}, which also counts its
+    words as [pass.<name>.words]), and when tracing is on
     recorded as a ["pass"] span [name] carrying [args] of the pass's
     result (no args when [f] raises).  When tracing is off [f] is called
-    directly. *)
+    directly.  [pass name] alone builds the metric name: bind it once,
+    not per call. *)
 
 val virtual_span :
   ?cat:string -> track:string -> name:string -> start:float ->

@@ -297,11 +297,16 @@ and check_doms st doms idxs =
 
 and infer_prim st p args =
   let tys = List.map (infer st) args and n = List.length args in
-  let arity = match p with Neg | Abs | Sqrt | Exp | Log | Not | ToFloat | ToInt -> 1 | _ -> 2 in
+  let arity =
+    match p with Neg | Abs | Sqrt | Exp | Log | Not | ToFloat | ToInt -> 1 | _ -> 2
+  in
   if n <> arity then err "primitive applied to %d arguments, expected %d" n arity;
-  let on what = err "%s on %s" what (String.concat " and " (List.map Ty.to_string tys)) in
+  let on what =
+    err "%s on %s" what (String.concat " and " (List.map Ty.to_string tys))
+  in
   match (p, tys) with
-  | (Add | Sub | Mul | Div | Min | Max), [ Ty.Scalar ((Ty.Float | Ty.Int) as a); Ty.Scalar b ]
+  | ( (Add | Sub | Mul | Div | Min | Max),
+      [ Ty.Scalar ((Ty.Float | Ty.Int) as a); Ty.Scalar b ] )
     when a = b ->
       Ty.Scalar a
   | (Add | Sub | Mul | Div | Min | Max), _ -> on "numeric primitive"
@@ -311,7 +316,8 @@ and infer_prim st p args =
   | (Neg | Abs), _ -> on "neg/abs"
   | (Sqrt | Exp | Log), [ Ty.Scalar Ty.Float ] -> Ty.float_
   | (Sqrt | Exp | Log), _ -> on "float primitive"
-  | (Lt | Le | Gt | Ge), [ Ty.Scalar ((Ty.Float | Ty.Int) as a); Ty.Scalar b ] when a = b ->
+  | (Lt | Le | Gt | Ge), [ Ty.Scalar ((Ty.Float | Ty.Int) as a); Ty.Scalar b ]
+    when a = b ->
       Ty.bool_
   | (Lt | Le | Gt | Ge), _ -> on "comparison"
   | (Eq | Ne), [ a; b ] when Ty.equal a b && Ty.array_free a -> Ty.bool_
@@ -351,17 +357,21 @@ let rec type_of tbl e =
 let binder_type tbl s = (Tbl.find tbl s).ty
 let add_binder tbl s ty = Tbl.replace tbl s { ty; live = false }
 
-(* the size parameters at [Int], the inputs at their array types *)
 let initial_env (p : program) =
   let env =
-    List.fold_left (fun m s -> Sym.Map.add s Ty.int_ m) Sym.Map.empty p.size_params
+    List.fold_left
+      (fun m s -> Sym.Map.add s Ty.int_ m)
+      Sym.Map.empty p.size_params
   in
   List.fold_left
     (fun m { iname; ielt; ishape } ->
       if not (Ty.array_free ielt) then
         err "input %s has non-scalar element type %s" (Sym.name iname)
           (Ty.to_string ielt);
-      Sym.Map.add iname (if ishape = [] then ielt else Ty.Array (ielt, List.length ishape)) m)
+      let t =
+        if ishape = [] then ielt else Ty.Array (ielt, List.length ishape)
+      in
+      m |> Sym.Map.add iname t)
     env p.inputs
 
 (* a table holding [env], in scope *)
