@@ -70,8 +70,9 @@ val tiled : front -> tiles:(Sym.t * int) list -> Validate.checked
 (** The tile checks, strip mining + simplification (validated), then
     interchange + copy insertion + cleanup (validated): the final form's
     check, whose program is {!Alpha.equal} to [(run ~tiles p).tiled].
-    The two validations are the only typing walks a tile point makes.  A rejected tile configuration
-    takes precedence over an ill-typed input, as in {!run}.
+    The two validations are the only typing walks a tile point makes.
+    A rejected tile configuration takes precedence over an ill-typed
+    input, as in {!run}.
     @raise Invalid_argument on a rejected tile configuration.
     @raise Validate.Type_error if the input program is ill-typed or a
     stage fails to re-validate at these tiles. *)
