@@ -26,7 +26,7 @@ type result = {
   tiled : Ir.program;
       (** final: interchanged, copies inserted, cleaned — Fig. 5b *)
   fused_check : Validate.checked;  (** [fused]'s check *)
-  stripped_check : Validate.checked;  (** [stripped]'s check *)
+  stripped_check : Validate.checked;  (** [stripped]'s; [Interchange] extends its table *)
   tiled_check : Validate.checked;  (** [tiled]'s check *)
 }
 
