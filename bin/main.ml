@@ -54,8 +54,9 @@ let file_error file msg =
   prerr_endline (if String.starts_with ~prefix msg then msg else prefix ^ msg);
   exit 1
 
-let write_file file contents =
-  try Out_channel.with_open_text file (fun oc -> output_string oc contents)
+(* [write oc] writes the file's contents *)
+let write_file file write =
+  try Out_channel.with_open_text file write
   with Sys_error msg -> file_error file msg
 
 let usage_error cmd fmt =
@@ -245,7 +246,7 @@ let obs_wrap trace metrics f =
       (match trace with
       | Some file ->
           Trace.disable ();
-          write_file file (Trace.to_json ());
+          write_file file Trace.output;
           prerr_string (Trace.summary ());
           Printf.eprintf "trace: wrote %s (open in https://ui.perfetto.dev)\n"
             file
@@ -673,7 +674,8 @@ let export_cmd =
     (try if not (Sys.file_exists outdir) then Sys.mkdir outdir 0o755
      with Sys_error msg -> file_error outdir msg);
     let write name contents =
-      write_file (Filename.concat outdir name) contents;
+      write_file (Filename.concat outdir name) (fun oc ->
+          output_string oc contents);
       Printf.printf "  wrote %s\n" (Filename.concat outdir name)
     in
     List.iter
@@ -977,10 +979,10 @@ let timeline_cmd =
     Trace.disable ();
     (match out with
     | Some file ->
-        write_file file (Trace.to_json ());
+        write_file file Trace.output;
         Printf.eprintf "timeline: wrote %s (open in https://ui.perfetto.dev)\n"
           file
-    | None -> if not json then print_string (Trace.to_json ()));
+    | None -> if not json then Trace.output stdout);
     if json then
       (* --json parity with `simulate`: the same report object on stdout
          (write the trace itself with -o FILE) *)
@@ -1041,7 +1043,7 @@ let profile_cmd =
     let p = Profile.of_design design ~sizes in
     (match folded with
     | Some file ->
-        write_file file (Profile.to_folded p);
+        write_file file (fun oc -> output_string oc (Profile.to_folded p));
         Printf.eprintf
           "profile: wrote %s (render with flamegraph.pl or speedscope)\n" file
     | None -> ());

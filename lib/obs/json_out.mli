@@ -1,7 +1,8 @@
 (** The one JSON text writer behind every report.
 
-    Each function appends to a caller's [Buffer.t], so a whole report is
-    built in one pass over one buffer.  The profile, simulation report,
+    Each [add_] function appends to a caller's [Buffer.t], so a whole
+    report is built in one pass over one buffer; {!put_int} and
+    {!put_float} write the same number text into [Bytes] in place.  The profile, simulation report,
     diagnostics, metrics and trace emitters all write through it, so they
     share one string escaping rule and one float text:
 
@@ -50,3 +51,30 @@ val add_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
 
 val add_float_object : prec:int -> Buffer.t -> (string * float) list -> unit
 (** [{"key": float, ...}] in list order, floats as {!add_float}. *)
+
+(** {2 Number text in place}
+
+    The routines integer and fixed-point text comes from: {!add_int},
+    {!add_float}, {!add_fixed} and the trace writer all write through
+    them, so the digit table and the rounding rule live here alone.
+    Each writes into [s] from [pos] on and returns the position after
+    the text.  It checks for its room first and raises
+    [Invalid_argument] without writing when [s] has less. *)
+
+val int_room : int
+(** 20: the most bytes {!put_int} writes ([min_int]'s text). *)
+
+val put_int : Bytes.t -> int -> int -> int
+(** [put_int s pos n] writes {!add_int}'s text of [n]; it needs
+    {!int_room} bytes of room. *)
+
+val float_room : prec:int -> int
+(** [311 + prec] for [prec >= 0]: the most bytes {!put_float} writes, a
+    sign, the 309 integer digits of the largest double, a point and
+    [prec] digits. *)
+
+val put_float : prec:int -> Bytes.t -> int -> float -> int
+(** [put_float ~prec s pos f] writes {!add_float}'s text of [f].  It
+    needs {!float_room} bytes of room, except for an integral [f] below
+    1e15, which needs {!int_room}, and a finite [f] below 1e15 at [prec]
+    0 to 9, which needs 27. *)

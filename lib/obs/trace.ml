@@ -111,18 +111,69 @@ let virtual_run ?args cols =
 (* fraction digits of trace floats; integral ones print without any *)
 let prec = 4
 
-(* The writer's output buffer.  It is kept across calls, cleared (never
+(* The writer appends into one chunk of [chunk_size] bytes and hands each
+   full chunk, then the last part, to the sink of the call in hand: the
+   kept buffer for [to_json], a channel for [output].  All three are used
+   only while [lock] is held. *)
+let chunk_size = 65536
+let chunk = Bytes.create chunk_size
+let pos = ref 0
+let sink = ref (fun (_ : Bytes.t) (_ : int) -> ())
+
+let flush () =
+  !sink chunk !pos;
+  pos := 0
+
+(* [s] whole, across as many chunks as it needs *)
+let rec put_sub s off len =
+  let room = chunk_size - !pos in
+  if len <= room then begin
+    Bytes.unsafe_blit_string s off chunk !pos len;
+    pos := !pos + len
+  end
+  else begin
+    Bytes.unsafe_blit_string s off chunk !pos room;
+    pos := chunk_size;
+    flush ();
+    put_sub s (off + room) (len - room)
+  end
+
+let put s = put_sub s 0 (String.length s)
+
+(* numbers are written in place, after making room for the longest *)
+let put_int n =
+  if !pos > chunk_size - Json_out.int_room then flush ();
+  pos := Json_out.put_int chunk !pos n
+
+let float_room = Json_out.float_room ~prec
+
+(* An integral timestamp below 1e15 other than [-0.] is its digits
+   ({!Json_out.put_float}'s first case).  Testing for it here, in
+   instructions, keeps the float unboxed for the 96% of timestamps that
+   are integral: passing a float to a function of another module boxes
+   it. *)
+let[@inline] put_float f =
+  if Float.abs f < 1e15 && Float.of_int (Float.to_int f) = f
+     && not (f = 0.0 && Float.sign_bit f)
+  then put_int (Float.to_int f)
+  else begin
+    if !pos > chunk_size - float_room then flush ();
+    pos := Json_out.put_float ~prec chunk !pos f
+  end
+
+(* [to_json]'s output buffer.  It is kept across calls, cleared (never
    reset) and filled only while [lock] is held, so a call allocates no
    buffer of its own; it keeps the capacity of the largest trace written. *)
 let out = Buffer.create 4096
 
 (* A line is its head, the name's escaped text in quotes, the text fixed
    by its category and track, [, "cat": <cat>, "pid": <pid>, "tid":
-   <tid>, "ts": ], then the timestamp.  An E line's head also closes the
-   B line before it. *)
-let b_head = "{\"ph\": \"B\", \"name\": \""
+   <tid>, "ts": ], then the timestamp.  Every span line follows a
+   metadata line, so a span's head starts with the separator; an E
+   line's head also closes the B line before it. *)
+let b_head = ",\n{\"ph\": \"B\", \"name\": \""
 let e_head = "}},\n{\"ph\": \"E\", \"name\": \""
-let x_head = "{\"ph\": \"X\", \"name\": \""
+let x_head = ",\n{\"ph\": \"X\", \"name\": \""
 let m_head = "{\"ph\": \"M\", \"name\": \""
 let args_open = ", \"args\": {"
 
@@ -147,12 +198,6 @@ let escaped s =
   let b = Buffer.create (String.length s + 8) in
   Json_out.add_string_body b s;
   Buffer.contents b
-
-(* The digits of the instance being written, once per span, and an
-   always empty [num] for span names without them.  Both are used only
-   while [lock] is held. *)
-let num = Buffer.create 24
-let no_num = Buffer.create 0
 
 (* A block's spans grouped by track name, each group in index order (a
    stable counting sort): the span indices [order], and every name with
@@ -197,16 +242,19 @@ let by_track (c : columns) =
   in
   (order, ranges)
 
-(* A block's fixed text per track id: the first line's head with the
-   escaped label, the E head with it, and the args opener, followed by
-   the escaped key when a span's one arg is its instance *)
+(* A block's fixed text per track id: the first line's head, separator
+   included, with the escaped label, the E head with it, and the args
+   opener, followed by the escaped key when a span's one arg is its
+   instance *)
 type kit = { k_open : string; k_e_open : string; k_args : string; numbered : bool }
 
 (* a block's spans on one track: [order.(lo .. hi-1)] of its columns *)
 type slice = { blk : block; order : int array; lo : int; hi : int; kits : kit array }
 
-let to_json () =
-  Mutex.protect lock @@ fun () ->
+(* The whole trace, into the chunk and through [sink]; [lock] is held. *)
+let write to_sink =
+  sink := to_sink;
+  pos := 0;
   (* an arg key's escaped text in quotes and [": "], escaped once per
      distinct key *)
   let keys = Names.create 8 in
@@ -247,36 +295,34 @@ let to_json () =
       (Names.fold (fun track l acc -> (track, !l) :: acc) groups.(pid) [])
   in
   let vtracks = by_name virtual_pid and wtracks = by_name wall_pid in
-  let b = out in
-  Buffer.clear b;
-  Buffer.add_string b "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
-  let first = ref true in
-  let sep () = if !first then first := false else Buffer.add_string b ",\n" in
+  put "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
   (* the items of an args object the caller has opened; the next head or
-     [}}] closes it.  A call allocates nothing. *)
-  let rec add_args = function
+     [}}] closes it *)
+  let rec put_args = function
     | [] -> ()
     | (k, v) :: rest ->
-        Buffer.add_string b (key_text k);
+        put (key_text k);
         (match v with
-        | Int n -> Json_out.add_int b n
-        | Float f -> Json_out.add_float ~prec b f
-        | Str s -> Json_out.add_string b s);
-        (match rest with [] -> () | _ -> Buffer.add_string b ", ");
-        add_args rest
+        | Int n -> put_int n
+        | Float f -> put_float f
+        | Str s -> put ("\"" ^ escaped s ^ "\""));
+        (match rest with [] -> () | _ -> put ", ");
+        put_args rest
   in
   (* process/thread names first, so Perfetto labels the tracks; metadata
-     for the wall pid is tagged onto it and stripped with it *)
+     for the wall pid is tagged onto it and stripped with it.  Only the
+     trace's first line goes without the separator. *)
+  let first = ref true in
   let names pid process tracks =
     let meta name tid label =
-      sep ();
-      Buffer.add_string b m_head;
-      Json_out.add_string_body b name;
-      Buffer.add_string b (line_text "meta" pid tid);
-      Json_out.add_float ~prec b 0.0;
-      Buffer.add_string b args_open;
-      add_args [ ("name", Str label) ];
-      Buffer.add_string b "}}"
+      if !first then first := false else put ",\n";
+      put m_head;
+      put name;
+      put (line_text "meta" pid tid);
+      put_int 0;
+      put args_open;
+      put_args [ ("name", Str label) ];
+      put "}}"
     in
     if tracks <> [] then begin
       meta "process_name" 1 process;
@@ -304,38 +350,41 @@ let to_json () =
         let text = text_for blk.cat and c = blk.cols in
         for k = lo to hi - 1 do
           let i = order.(k) in
-          let kit = kits.(c.track_id.(i)) in
-          Buffer.clear num;
-          Json_out.add_int num c.instance.(i);
-          let name_num = if kit.numbered then num else no_num in
-          sep ();
-          Buffer.add_string b kit.k_open;
-          Buffer.add_buffer b name_num;
-          Buffer.add_string b text;
-          Json_out.add_float ~prec b c.start.(i);
+          let kit = kits.(c.track_id.(i)) and n = c.instance.(i) in
+          put kit.k_open;
+          if kit.numbered then put_int n;
+          put text;
+          put_float c.start.(i);
           if wall then begin
-            Buffer.add_string b ", \"dur\": ";
-            Json_out.add_float ~prec b (c.finish.(i) -. c.start.(i))
+            put ", \"dur\": ";
+            put_float (c.finish.(i) -. c.start.(i))
           end;
-          Buffer.add_string b kit.k_args;
-          (match blk.args with
-          | None -> Buffer.add_buffer b num
-          | Some args -> add_args args);
-          if wall then Buffer.add_string b "}}"
+          put kit.k_args;
+          (match blk.args with None -> put_int n | Some args -> put_args args);
+          if wall then put "}}"
           else begin
-            Buffer.add_string b kit.k_e_open;
-            Buffer.add_buffer b name_num;
-            Buffer.add_string b text;
-            Json_out.add_float ~prec b c.finish.(i);
-            Buffer.add_string b ", \"args\": {}}"
+            put kit.k_e_open;
+            if kit.numbered then put_int n;
+            put text;
+            put_float c.finish.(i);
+            put ", \"args\": {}}"
           end
         done)
       slices
   in
   List.iteri (fun i (_, slices) -> track virtual_pid (i + 1) slices) vtracks;
   List.iteri (fun i (_, slices) -> track wall_pid (i + 1) slices) wtracks;
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  put "\n]}\n";
+  flush ()
+
+let output oc =
+  Mutex.protect lock (fun () -> write (fun c n -> Out_channel.output oc c 0 n))
+
+let to_json () =
+  Mutex.protect lock @@ fun () ->
+  Buffer.clear out;
+  write (fun c n -> Buffer.add_subbytes out c 0 n);
+  Buffer.contents out
 
 (* -------------------------- track occupancy ------------------------ *)
 

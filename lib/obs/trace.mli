@@ -22,7 +22,7 @@
       balanced.  Virtual events are bit-deterministic across runs and
       domain counts.
 
-    The serialized form ({!to_json}) is the Chrome trace-event
+    The serialized form ({!output}, {!to_json}) is the Chrome trace-event
     JSON array format: load it at [ui.perfetto.dev] or
     [chrome://tracing].  One event per line, events ordered virtual
     first then wall, each track's events in record order (a block's
@@ -105,16 +105,24 @@ val virtual_run : ?args:(string * arg) list -> columns -> unit
     instance].  The collector keeps [c] by reference, so its arrays must
     not change afterwards. *)
 
+val output : out_channel -> unit
+(** Write the collected events as Chrome trace-event JSON to the
+    channel, while the collector's lock is held, so concurrent calls and
+    recording wait for each other.  Every block is read in place,
+    grouped by track with one stable counting sort: each of its track
+    labels and arg keys is escaped once, and one loop writes a wall
+    span's X line and a virtual span's B/E pair.  The text goes through
+    one chunk of 64 KiB the collector keeps: instance digits and
+    timestamps are written into it in place ({!Json_out.put_int},
+    {!Json_out.put_float}), and each full chunk goes to the channel, so
+    no trace-sized string is built.  A piece longer than the chunk, such
+    as a huge label, is written whole across chunks. *)
+
 val to_json : unit -> string
-(** Serialize the collected events as Chrome trace-event JSON.  The
-    text is written into one buffer the collector keeps across calls
-    (it retains the capacity of the largest trace written so far) while
-    the collector's lock is held, so concurrent calls and recording wait
-    for each other; the result is a fresh string.  Every block is read
-    in place, grouped by track with one stable counting sort: each of
-    its track labels and arg keys is escaped once, instance numbers are
-    written as digits, and one loop writes a wall span's X line and a
-    virtual span's B/E pair. *)
+(** {!output} into a buffer the collector keeps across calls (it retains
+    the capacity of the largest trace written so far), then one copy of
+    it: the same bytes, as a fresh string.  Only in-process callers (the
+    tests and the benchmark) use it; the CLI writes through {!output}. *)
 
 type tracks
 (** Per-track occupancy of virtual spans, accumulated in place: span

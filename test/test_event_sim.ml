@@ -241,42 +241,48 @@ let request rng ~warm ~fresh i (o : List_calendar.t) horizon (t0, d0) =
   if i < warm || Random.State.float rng 1.0 < fresh then
     (horizon +. 1.0 +. int 8, 1.0 +. int 4)
   else
-    (* the last booked span, where the calendar's tail path answers *)
-    let s_last, e_last =
+    (* the last booked span, where the calendar's tail path answers; it
+       and the calendar's array below are built only by the cases that
+       read them (neither draws from [rng]) *)
+    let last () =
       match List.rev o.List_calendar.cal with [] -> (0.0, 0.0) | sp :: _ -> sp
     in
-    let cal = Array.of_list o.List_calendar.cal in
-    let len = Array.length cal in
     match Random.State.int rng 12 with
     | 0 -> (t0, int 5)
     | 1 -> (t0 +. d0, 1.0 +. int 3)
     | 2 -> (-.Random.State.float rng 100.0, int 50)
     | 3 -> (Random.State.float rng (Float.max 1.0 horizon), (1.0 +. int 20) /. 7.0)
     | 4 -> (Random.State.float rng horizon, -1.0)
-    | 5 -> (s_last +. Random.State.float rng (e_last -. s_last), (1.0 +. int 20) /. 7.0)
-    | 6 -> (e_last, 1.0 +. int 4)
-    | 7 -> (e_last +. ((1.0 +. int 4) /. 8.0), 1.0 +. int 4)
-    | 9 when len >= 2 ->
-        (* an interior span's end, for exactly the gap after it *)
-        let k = Random.State.int rng (len - 1) in
-        (snd cal.(k), fst cal.(k + 1) -. snd cal.(k))
-    | 10 when len >= 3 ->
-        (* from the middle of gap k: the rest of it, [g - 2] whole
-           gaps, then 1/4 to 5/4 of the next one, so [g] = 2 or 3
-           gaps in all, one more when that share passes 1 *)
-        let k = Random.State.int rng (len - 2) in
-        let g = Int.min (2 + Random.State.int rng 2) (len - 1 - k) in
-        let t = snd cal.(k) +. ((fst cal.(k + 1) -. snd cal.(k)) /. 2.0) in
-        let full = ref (fst cal.(k + 1) -. t) in
-        for j = k + 1 to k + g - 2 do
-          full := !full +. (fst cal.(j + 1) -. snd cal.(j))
-        done;
-        let last_gap = fst cal.(k + g) -. snd cal.(k + g - 1) in
-        (t, !full +. (last_gap *. (1.0 +. int 4) /. 4.0))
-    | 11 when len >= 1 && fst cal.(0) > 0.0 ->
-        (* before the first span, which starts after 0 *)
-        (Random.State.float rng (fst cal.(0)), 1.0 +. int 4)
-    | _ -> (int (1 + int_of_float horizon), int 30)
+    | 5 ->
+        let s_last, e_last = last () in
+        (s_last +. Random.State.float rng (e_last -. s_last), (1.0 +. int 20) /. 7.0)
+    | 6 -> (snd (last ()), 1.0 +. int 4)
+    | 7 -> (snd (last ()) +. ((1.0 +. int 4) /. 8.0), 1.0 +. int 4)
+    | case ->
+        let cal = if case >= 9 then Array.of_list o.List_calendar.cal else [||] in
+        let len = Array.length cal in
+        match case with
+        | 9 when len >= 2 ->
+            (* an interior span's end, for exactly the gap after it *)
+            let k = Random.State.int rng (len - 1) in
+            (snd cal.(k), fst cal.(k + 1) -. snd cal.(k))
+        | 10 when len >= 3 ->
+            (* from the middle of gap k: the rest of it, [g - 2] whole
+               gaps, then 1/4 to 5/4 of the next one, so [g] = 2 or 3
+               gaps in all, one more when that share passes 1 *)
+            let k = Random.State.int rng (len - 2) in
+            let g = Int.min (2 + Random.State.int rng 2) (len - 1 - k) in
+            let t = snd cal.(k) +. ((fst cal.(k + 1) -. snd cal.(k)) /. 2.0) in
+            let full = ref (fst cal.(k + 1) -. t) in
+            for j = k + 1 to k + g - 2 do
+              full := !full +. (fst cal.(j + 1) -. snd cal.(j))
+            done;
+            let last_gap = fst cal.(k + g) -. snd cal.(k + g - 1) in
+            (t, !full +. (last_gap *. (1.0 +. int 4) /. 4.0))
+        | 11 when len >= 1 && fst cal.(0) > 0.0 ->
+            (* before the first span, which starts after 0 *)
+            (Random.State.float rng (fst cal.(0)), 1.0 +. int 4)
+        | _ -> (int (1 + int_of_float horizon), int 30)
 
 let replay ?(warm = 0) ~fresh ~n seed =
   let module C = Event_sim.Dram_calendar in

@@ -75,6 +75,27 @@ let test_lists () =
   Alcotest.(check string) "float object" {|{"a\n": 1, "b": 0.500000}|}
     (render (Json_out.add_float_object ~prec:6) [ ("a\n", 1.0); ("b", 0.5) ])
 
+(* what [put s 3] writes into [s] after a 3-byte prefix it must leave
+   alone *)
+let put_text s put =
+  Bytes.blit_string "abc" 0 s 0 3;
+  let stop = put s 3 in
+  if Bytes.sub_string s 0 3 <> "abc" then "prefix overwritten"
+  else Bytes.sub_string s 3 (stop - 3)
+
+let test_put_int () =
+  let s = Bytes.create (3 + Json_out.int_room) in
+  List.iter
+    (fun n ->
+      Alcotest.(check string) (string_of_int n) (string_of_int n)
+        (put_text s (fun s pos -> Json_out.put_int s pos n)))
+    [ 0; 9; 10; 99; 100; 9999; 10000; 123456789; max_int; -1; -10; min_int ];
+  let short = Bytes.create (Json_out.int_room - 1) in
+  Alcotest.check_raises "no room" (Invalid_argument "Json_out: no room") (fun () ->
+      ignore (Json_out.put_int short 0 5));
+  Alcotest.check_raises "float, no room" (Invalid_argument "Json_out: no room")
+    (fun () -> ignore (Json_out.put_float ~prec:4 (Bytes.create 30) 0 1e300))
+
 (* random bit patterns cover subnormals, huge exponents, nan payloads and
    both infinities; the other branches weight values reports really hold *)
 let float_gen =
@@ -99,15 +120,19 @@ let float_arb = QCheck.make ~print:(Printf.sprintf "%h") float_gen
 let prop_matches_printf =
   QCheck.Test.make ~name:"float text matches Printf at every prec 0-9"
     ~count:5000 float_arb (fun v ->
+      let bytes = Bytes.create (3 + Json_out.float_room ~prec:9) in
       List.for_all
         (fun prec ->
+          let fixed = Printf.sprintf "%.*f" prec v in
           let expected =
             if Float.is_integer v && Float.abs v < 1e15 then
               Printf.sprintf "%.0f" v
-            else Printf.sprintf "%.*f" prec v
+            else fixed
           in
-          Json_out.float_str ~prec v = expected
-          && render (Json_out.add_fixed ~prec) v = Printf.sprintf "%.*f" prec v
+          let text = Json_out.float_str ~prec v in
+          text = expected
+          && put_text bytes (fun s pos -> Json_out.put_float ~prec s pos v) = text
+          && render (Json_out.add_fixed ~prec) v = fixed
           && render (Json_out.add_general ~prec) v
              = Printf.sprintf "%.*g" prec v)
         (List.init 10 Fun.id))
@@ -118,4 +143,5 @@ let () =
         [ Alcotest.test_case "escapes" `Quick test_escapes;
           Alcotest.test_case "float text" `Quick test_float_text;
           Alcotest.test_case "lists and objects" `Quick test_lists;
+          Alcotest.test_case "integers in place" `Quick test_put_int;
           QCheck_alcotest.to_alcotest prop_matches_printf ] ) ]

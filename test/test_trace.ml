@@ -1005,6 +1005,197 @@ let test_columns_equal_replay () =
     (Suite.extended ());
   Alcotest.(check int) "runs compared" 108 !checked
 
+(* ------------------ the writer against a reference ------------------ *)
+
+(* A test-only writer for virtual blocks, one line per span, from Printf
+   alone: its own escaping, instances by [%d], floats by the [%.0f] /
+   [%.4f] rule Json_out's tests pin against Printf.  It shares no code
+   with [Trace]'s writer. *)
+let ref_escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b {|\"|}
+      | '\\' -> Buffer.add_string b {|\\|}
+      | '\n' -> Buffer.add_string b {|\n|}
+      | '\t' -> Buffer.add_string b {|\t|}
+      | '\r' -> Buffer.add_string b {|\r|}
+      | c when c < ' ' -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let ref_float f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.4f" f
+
+let ref_arg (k, v) =
+  Printf.sprintf "\"%s\": %s" (ref_escape k)
+    (match v with
+    | Trace.Int n -> Printf.sprintf "%d" n
+    | Trace.Float f -> ref_float f
+    | Trace.Str s -> Printf.sprintf "\"%s\"" (ref_escape s))
+
+(* The JSON of [blocks], each recorded by [Trace.virtual_run ?args], in
+   record order: tracks take tids in name order, and a track's spans
+   come block by block, in index order within a block. *)
+let reference (blocks : (Trace.columns * (string * Trace.arg) list option) list) =
+  (* each track's B/E line pairs, newest first, with the tid left open *)
+  let tracks = Hashtbl.create 16 in
+  List.iter
+    (fun ((c : Trace.columns), args) ->
+      for i = 0 to c.Trace.len - 1 do
+        let t = c.Trace.tracks.(c.Trace.track_id.(i)) and n = c.Trace.instance.(i) in
+        let name =
+          ref_escape t.Trace.label ^ if t.Trace.numbered then Printf.sprintf "%d" n else ""
+        in
+        let line ph ts args tid =
+          String.concat ""
+            [ {|{"ph": "|}; ph; {|", "name": "|}; name; {|", "cat": "sim", "pid": 1, "tid": |};
+              Printf.sprintf "%d" tid; {|, "ts": |}; ref_float ts; {|, "args": {|}; args; "}}" ]
+        in
+        let b_args =
+          match args with
+          | None -> ref_arg (t.Trace.key, Trace.Int n)
+          | Some args -> String.concat ", " (List.map ref_arg args)
+        in
+        let pair tid =
+          line "B" c.Trace.start.(i) b_args tid ^ ",\n" ^ line "E" c.Trace.finish.(i) "" tid
+        in
+        let pairs = Option.value (Hashtbl.find_opt tracks t.Trace.track) ~default:[] in
+        Hashtbl.replace tracks t.Trace.track (pair :: pairs)
+      done)
+    blocks;
+  let names = List.sort String.compare (List.of_seq (Hashtbl.to_seq_keys tracks)) in
+  let meta name tid label =
+    Printf.sprintf
+      {|{"ph": "M", "name": "%s", "cat": "meta", "pid": 1, "tid": %d, "ts": 0, "args": {"name": "%s"}}|}
+      name tid (ref_escape label)
+  in
+  let lines =
+    if names = [] then []
+    else
+      meta "process_name" 1 "simulator (virtual cycles)"
+      :: List.mapi (fun i name -> meta "thread_name" (i + 1) name) names
+      @ List.concat
+          (List.mapi
+             (fun i name -> List.rev_map (fun pair -> pair (i + 1)) (Hashtbl.find tracks name))
+             names)
+  in
+  "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n" ^ String.concat ",\n" lines ^ "\n]}\n"
+
+(* [Trace.output] into a temporary file *)
+let output_text () =
+  let file = Filename.temp_file "trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file Trace.output;
+      In_channel.with_open_bin file In_channel.input_all)
+
+(* [blocks] recorded alone: [to_json] equals the reference, and
+   [output] equals [to_json] *)
+let check_writer what blocks =
+  Trace.clear ();
+  Trace.enable ();
+  List.iter (fun (c, args) -> Trace.virtual_run ?args c) blocks;
+  Trace.disable ();
+  let json = Trace.to_json () and written = output_text () in
+  Trace.clear ();
+  Alcotest.(check string) (what ^ ": to_json = reference") (reference blocks) json;
+  Alcotest.(check bool) (what ^ ": output = to_json") true (String.equal json written)
+
+(* a block of [len] spans over [tracks], span [i] on [track_id i] *)
+let columns tracks ~track_id ~start ~finish ~instance len =
+  { Trace.tracks; len; track_id = Array.init len track_id; start = Array.init len start;
+    finish = Array.init len finish; instance = Array.init len instance }
+
+let run_track ?(numbered = true) ?(key = "iteration") ?label track =
+  { Trace.track; label = Option.value label ~default:track; numbered; key }
+
+(* every extended bench under every config at its simulation sizes *)
+let test_writer_suite () =
+  let checked = ref 0 in
+  List.iter
+    (fun (b : Suite.bench) ->
+      List.iter
+        (fun cfg ->
+          let d = Experiments.design_of cfg b in
+          let r = Event_sim.run ~record:true d ~sizes:b.Suite.sim_sizes in
+          match r.Event_sim.timeline with
+          | None -> Alcotest.fail (b.Suite.name ^ ": no timeline")
+          | Some tl ->
+              (* the blocks [Sim_trace.record] records *)
+              check_writer
+                (Printf.sprintf "%s %s" b.Suite.name (Experiments.config_name cfg))
+                [ (tl.Event_sim.tl_columns, None); (tl.Event_sim.tl_dram, Some []) ];
+              incr checked)
+        [ Experiments.Baseline; Experiments.Tiled; Experiments.Tiled_meta ])
+    (Suite.extended ());
+  Alcotest.(check int) "designs" 36 !checked
+
+(* instance digits at every width boundary, in names and as the arg *)
+let test_writer_instances () =
+  let inst = [| 0; 9; 10; 99; 100; 9999; 10000; max_int |] in
+  let n = Array.length inst in
+  check_writer "instances"
+    [ ( columns
+          [| run_track "a"; run_track ~numbered:false ~key:"k" "b" |]
+          ~track_id:(fun i -> i land 1)
+          ~start:float_of_int ~finish:(fun i -> float_of_int (i + 1))
+          ~instance:(fun i -> inst.(i)) n,
+        None ) ]
+
+(* timestamps on the plain-digit path's edges and on C's fallback *)
+let test_writer_timestamps () =
+  let ts =
+    [| -0.0; 0.0; -1.0; -12345.0; 0.99995; 0.99994; -0.99995; 2.5; 1e15 -. 1.0; 1e15;
+       -1e15; 1e20; Float.nan; Float.infinity; Float.neg_infinity; 1.0 /. 3.0 |]
+  in
+  let n = Array.length ts in
+  check_writer "timestamps"
+    [ ( columns [| run_track "t" |] ~track_id:(fun _ -> 0) ~start:(fun i -> ts.(i))
+          ~finish:(fun i -> ts.(n - 1 - i)) ~instance:Fun.id n,
+        None );
+      ( columns [| run_track ~numbered:false "u" |] ~track_id:(fun _ -> 0)
+          ~start:(fun i -> ts.(i)) ~finish:(fun i -> ts.(i)) ~instance:Fun.id n,
+        Some
+          [ ("f", Trace.Float ts.(3)); ("nan", Trace.Float Float.nan);
+            ("carry", Trace.Float 0.99995); ("min", Trace.Int min_int);
+            ("neg", Trace.Int (-7)); ("s", Trace.Str "x") ] ) ]
+
+(* labels, track names, keys and string args holding quotes, backslashes
+   and control bytes *)
+let test_writer_escapes () =
+  let odd = "q\"b\\n\n\t\r\x00\x01\x1f\x7f\xc3\xa9" in
+  check_writer "escapes"
+    [ ( columns
+          [| run_track ~label:odd ~key:odd ("t" ^ odd); run_track ~numbered:false ~key:"k\"" odd |]
+          ~track_id:(fun i -> i mod 2)
+          ~start:float_of_int ~finish:(fun i -> float_of_int i +. 0.5) ~instance:Fun.id 4,
+        None );
+      ( columns [| run_track ~label:odd odd |] ~track_id:(fun _ -> 0)
+          ~start:(fun _ -> 10.0) ~finish:(fun _ -> 11.0) ~instance:Fun.id 1,
+        Some [ (odd, Trace.Str odd); ("\\", Trace.Str "\"") ] ) ]
+
+(* text longer than the writer's 64 KiB chunk: many spans, and one label
+   whose escaped text alone spans more than two chunks *)
+let test_writer_long () =
+  check_writer "many spans"
+    [ ( columns
+          (Array.init 7 (fun k -> run_track (Printf.sprintf "track%d" k)))
+          ~track_id:(fun i -> i mod 7)
+          ~start:(fun i -> float_of_int i *. 1.5) ~finish:(fun i -> float_of_int (i + 1) *. 1.5)
+          ~instance:(fun i -> i * 37) 6000,
+        None ) ];
+  let huge = String.init 150_000 (fun i -> if i mod 3 = 0 then '"' else Char.chr (97 + (i mod 26))) in
+  check_writer "a label longer than the chunk"
+    [ ( columns
+          [| run_track ~label:huge "h"; run_track "small" |]
+          ~track_id:(fun i -> i mod 2)
+          ~start:float_of_int ~finish:(fun i -> float_of_int (i + 1)) ~instance:Fun.id 3,
+        None ) ]
+
 let () =
   Alcotest.run "trace"
     [ ( "json",
@@ -1029,6 +1220,12 @@ let () =
           Alcotest.test_case "buffer reuse" `Quick test_buffer_reuse;
           Alcotest.test_case "concurrent calls" `Quick
             test_concurrent_to_json ] );
+      ( "writer oracle",
+        [ Alcotest.test_case "suite designs" `Quick test_writer_suite;
+          Alcotest.test_case "instance widths" `Quick test_writer_instances;
+          Alcotest.test_case "timestamp edges" `Quick test_writer_timestamps;
+          Alcotest.test_case "escapes" `Quick test_writer_escapes;
+          Alcotest.test_case "longer than the chunk" `Quick test_writer_long ] );
       ( "spans",
         [ Alcotest.test_case "B/E balance per track" `Quick test_be_balance;
           Alcotest.test_case "virtual timestamps" `Quick
